@@ -235,6 +235,9 @@ def cmd_compensate(args):
     sign = cfg.get_int("sign", 1)
     max_slew = cfg.get_float("max_slew_deg_per_s", compensation.DEFAULT_MAX_SLEW_DEG_PER_S)
     cfg.finish()
+    for key, value in (("step_s", step_s), ("window_hours", window_h)):
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"key {key!r}: expected a finite positive number, got {value!r}")
 
     if tle_path is None and pass_path is None:
         tle_path = str(data_dir() / "sso_500km.tle")

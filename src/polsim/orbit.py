@@ -72,32 +72,28 @@ NGARI_STATION = GroundStation(32.3258527778, 80.0261611111, 5047.0)
 
 
 def solve_kepler(mean_anomaly, eccentricity, tol=1e-13, max_iter=60):
-    """Eccentric anomaly E with E - e sin E = M, by safeguarded Newton."""
+    """Eccentric anomaly E with E - e sin E = M, by Newton on every M at once.
+
+    Takes a scalar or an array of mean anomalies and returns a float or an
+    array.  Iterates until every Newton step is below `tol`, then checks the
+    residual contract |E - e sin E - M| < 1e-12 on M reduced to [0, 2 pi).
+    """
     if not 0.0 <= eccentricity < 1.0:
         raise ValueError(f"eccentricity must be in [0, 1), got {eccentricity!r}")
-    m = math.remainder(mean_anomaly, 2.0 * math.pi)
+    mean = np.asarray(mean_anomaly, dtype=float)
+    m = np.remainder(mean, 2.0 * np.pi)
     e = eccentricity
-    ecc_anom = m if e < 0.8 else math.pi * math.copysign(1.0, m)
+    ecc_anom = m.copy() if e < 0.8 else np.full_like(m, np.pi)
     for _ in range(max_iter):
-        f = ecc_anom - e * math.sin(ecc_anom) - m
-        step = f / (1.0 - e * math.cos(ecc_anom))
-        ecc_anom -= step
-        if abs(step) < tol:
+        step = (ecc_anom - e * np.sin(ecc_anom) - m) / (1.0 - e * np.cos(ecc_anom))
+        ecc_anom = ecc_anom - step
+        if np.all(np.abs(step) < tol):
             break
-    # polish once; the residual contract is |E - e sin E - M| < 1e-12
-    f = ecc_anom - e * math.sin(ecc_anom) - m
-    ecc_anom -= f / (1.0 - e * math.cos(ecc_anom))
-    return ecc_anom + (mean_anomaly - m)
-
-
-def _solve_kepler_array(mean_anomaly, eccentricity, iterations=25):
-    m = np.remainder(np.asarray(mean_anomaly, dtype=float), 2.0 * np.pi)
-    e = eccentricity
-    ecc = m.copy() if e < 0.8 else np.full_like(m, math.pi)
-    for _ in range(iterations):
-        f = ecc - e * np.sin(ecc) - m
-        ecc = ecc - f / (1.0 - e * np.cos(ecc))
-    return ecc
+    residual = np.max(np.abs(ecc_anom - e * np.sin(ecc_anom) - m), initial=0.0)
+    if not residual < 1e-12:
+        raise ValueError(f"Kepler solve did not converge: residual {residual!r}")
+    ecc_anom = ecc_anom + (mean - m)
+    return float(ecc_anom) if ecc_anom.ndim == 0 else ecc_anom
 
 
 def _perifocal_to_eci(raan_deg, incl_deg, argp_deg):
@@ -119,7 +115,7 @@ def _perifocal_to_eci(raan_deg, incl_deg, argp_deg):
 
 def _check_horizon(rec, t_posix):
     t_posix = np.asarray(t_posix, dtype=float)
-    span = np.max(np.abs(t_posix - rec.epoch_posix))
+    span = np.max(np.abs(t_posix - rec.epoch_posix), initial=0.0)
     if span > MAX_PROPAGATION_DAYS * SECONDS_PER_DAY:
         raise ValueError(
             f"propagation {span / SECONDS_PER_DAY:.2f} days from epoch exceeds the "
@@ -133,14 +129,10 @@ def propagate_state(rec, t):
     Vectorized over t: scalar t gives shape-(3,) arrays, an array of times
     gives shape (n, 3).
     """
-    if isinstance(t, datetime) or np.isscalar(t):
-        t_posix = np.asarray(to_posix(t), dtype=float)
-    else:
-        arr = np.asarray(t)
-        if arr.dtype.kind in "if":
-            t_posix = arr.astype(float)
-        else:
-            t_posix = np.asarray([to_posix(x) for x in arr.ravel()], dtype=float)
+    t_posix = np.asarray(t)
+    if t_posix.dtype.kind not in "if":  # one or many datetimes
+        t_posix = np.vectorize(to_posix, otypes=[float])(t_posix)
+    t_posix = t_posix.astype(float)
     scalar = t_posix.ndim == 0
     _check_horizon(rec, t_posix)
 
@@ -149,7 +141,7 @@ def propagate_state(rec, t):
     e = rec.eccentricity
     m0 = math.radians(rec.mean_anomaly_deg)
     m = m0 + n_rad * (np.atleast_1d(t_posix) - rec.epoch_posix)
-    ecc = _solve_kepler_array(m, e)
+    ecc = solve_kepler(m, e)
 
     cos_e, sin_e = np.cos(ecc), np.sin(ecc)
     b_fac = math.sqrt(1.0 - e * e)
@@ -223,34 +215,23 @@ def _enu_basis(station):
 
 
 def topocentric(sat_eci_km, station, t):
-    """(azimuth_deg, elevation_deg, range_km) of a satellite from a station."""
-    t_posix = to_posix(t)
+    """(azimuth_deg, elevation_deg, range_km) of a satellite from a station.
+
+    Floats for one ECI position, arrays for positions (n, 3) at n times.
+    Azimuth is undefined at the zenith and returned there as 0.
+    """
+    t_posix = to_posix(t) if isinstance(t, datetime) else np.asarray(t, dtype=float)
     sat_ecef = eci_to_ecef(np.asarray(sat_eci_km, dtype=float), t_posix)
     rel = sat_ecef - station_ecef(station)
     east, north, up = _enu_basis(station)
     e, n, u = rel @ east, rel @ north, rel @ up
-    rng = float(np.sqrt(e * e + n * n + u * u))
-    el = math.degrees(math.asin(u / rng))
-    horizontal = math.hypot(e, n)
-    if horizontal < 1e-9:
-        az = 0.0  # zenith: azimuth undefined, returned as 0 by convention
-    else:
-        az = math.degrees(math.atan2(e, n)) % 360.0
+    horizontal = np.hypot(e, n)
+    rng = np.hypot(horizontal, u)
+    el = np.degrees(np.arctan2(u, horizontal))
+    az = np.where(horizontal < 1e-9, 0.0, np.degrees(np.arctan2(e, n)) % 360.0)
+    if rng.ndim == 0:
+        return float(az), float(el), float(rng)
     return az, el, rng
-
-
-def _topocentric_arrays(rec, station, t_posix):
-    """Vectorized az/el/range plus satellite state, for pass scanning."""
-    t_posix = np.asarray(t_posix, dtype=float)
-    pos, vel = propagate_state(rec, t_posix)
-    sat_ecef = eci_to_ecef(pos, t_posix)
-    rel = sat_ecef - station_ecef(station)
-    east, north, up = _enu_basis(station)
-    e, n, u = rel @ east, rel @ north, rel @ up
-    rng = np.sqrt(e * e + n * n + u * u)
-    el = np.degrees(np.arcsin(u / rng))
-    az = np.degrees(np.arctan2(e, n)) % 360.0
-    return az, el, rng, pos, vel
 
 
 @dataclass(frozen=True)
@@ -270,6 +251,8 @@ class PassProfile:
             raise ValueError("a pass needs at least two samples")
         if any(len(getattr(self, f)) != n for f in ("azimuth_deg", "elevation_deg", "beta_deg")):
             raise ValueError("pass sample arrays must share one length")
+        if not all(np.all(np.isfinite(getattr(self, f))) for f in self.__dataclass_fields__):
+            raise ValueError("pass samples must be finite")
         if not np.all(np.diff(self.t_posix) > 0.0):
             raise ValueError("pass timestamps must be strictly increasing")
 
@@ -335,83 +318,99 @@ def beta_angle(rec, station, t_posix, mode="geometric"):
         return np.zeros_like(t_posix)
     if mode != "geometric":
         raise ValueError(f"unknown beta mode {mode!r}")
-    pos, vel = propagate_state(rec, t_posix)
-    station_eci = ecef_to_eci(np.broadcast_to(station_ecef(station), pos.shape), t_posix)
-    los = station_eci - pos
+    return _beta_from_state(*propagate_state(rec, t_posix), station, t_posix)
 
+
+def _beta_from_state(pos, vel, station, t_posix):
+    los = ecef_to_eci(np.broadcast_to(station_ecef(station), pos.shape), t_posix) - pos
     r_hat = pos / np.linalg.norm(pos, axis=-1, keepdims=True)
-    nadir = -r_hat
-    v_rad = np.sum(vel * r_hat, axis=-1, keepdims=True)
-    along = vel - v_rad * r_hat
+    along = vel - np.sum(vel * r_hat, axis=-1, keepdims=True) * r_hat
     along = along / np.linalg.norm(along, axis=-1, keepdims=True)
-
-    beta = np.degrees(np.arctan2(np.sum(los * along, axis=-1), np.sum(los * nadir, axis=-1)))
-    return beta
+    return np.degrees(np.arctan2(np.sum(los * along, axis=-1), -np.sum(los * r_hat, axis=-1)))
 
 
-def _refine_crossing(rec, station, t_lo, t_hi, threshold_deg, tol_s=1e-4):
-    """Bisect the elevation-threshold crossing between two sample times."""
-
-    def above(t):
-        _, el, _, _, _ = _topocentric_arrays(rec, station, np.array([t]))
-        return el[0] - threshold_deg
-
-    f_lo = above(t_lo)
-    for _ in range(80):
-        mid = 0.5 * (t_lo + t_hi)
-        f_mid = above(mid)
-        if (f_lo <= 0.0) == (f_mid <= 0.0):
-            t_lo, f_lo = mid, f_mid
-        else:
-            t_hi = mid
-        if abs(t_hi - t_lo) < tol_s:
-            break
-    return 0.5 * (t_lo + t_hi)
+# Bound on d(gmst)/dt from gmst_rad's polynomial within a century of J2000.
+EARTH_RATE_RAD_S = math.radians(360.98564736629 + 0.000776 / 36525.0) / SECONDS_PER_DAY
+SCAN_SWING_DEG = 30.0  # elevation the rate bound may sweep between coarse samples
+CROSSING_TOL_S = 1e-6
 
 
-def extract_passes(
-    rec,
-    station,
-    t_start,
-    t_end,
-    threshold_deg=10.0,
-    step_s=1.0,
-    beta_mode="geometric",
-):
+def elevation_rate_bound(rec, station):
+    """Upper bound R on |d elevation / dt|, rad/s; infinite if r_p <= r_s.
+
+    The line of sight turns no faster than the satellite's Earth-fixed speed,
+    at most v_p + w_E r_a, over the shortest possible range r_p - r_s.
+    """
+    n_rad = rec.mean_motion_rev_per_day * 2.0 * math.pi / SECONDS_PER_DAY
+    a = (MU_EARTH_KM3_S2 / n_rad**2) ** (1.0 / 3.0)
+    r_p, r_a = a * (1.0 - rec.eccentricity), a * (1.0 + rec.eccentricity)
+    r_s = R_EARTH_KM + station.altitude_m / 1000.0
+    if r_p <= r_s:
+        return math.inf
+    v_p = math.sqrt(MU_EARTH_KM3_S2 * (2.0 / r_p - 1.0 / a))  # vis-viva
+    return (v_p + EARTH_RATE_RAD_S * r_a) / (r_p - r_s)
+
+
+def extract_passes(rec, station, t_start, t_end, threshold_deg=10.0, step_s=1.0,
+                   beta_mode="geometric"):
     """All complete passes with elevation >= threshold inside [t_start, t_end].
 
     Interior samples sit on the step grid; the first and last sample of each
-    pass are refined to the threshold crossing itself.  Passes clipped by the
-    window edges (already up at t_start, still up at t_end) are dropped since
-    their true rise/set times are unknown.
+    pass are refined to the threshold crossing itself, to CROSSING_TOL_S.
+    Passes clipped by the window edges (already up at t_start, still up at
+    t_end) are dropped since their true rise/set times are unknown.  The scan
+    takes every k-th sample, k from elevation_rate_bound, and fills in only
+    the stretches where the bound lets the elevation reach the threshold.
     """
     t0, t1 = to_posix(t_start), to_posix(t_end)
-    if t1 <= t0:
+    if not t0 < t1:
         raise ValueError("empty time window")
     if not 0.0 <= threshold_deg < 90.0:
         raise ValueError(f"threshold must be in [0, 90), got {threshold_deg!r}")
-    grid = np.arange(t0, t1 + step_s / 2.0, step_s)
-    _, el, _, _, _ = _topocentric_arrays(rec, station, grid)
-    up = el >= threshold_deg
+    if not 0.0 < step_s < math.inf:
+        raise ValueError(f"step_s must be finite and positive, got {step_s!r}")
+    _check_horizon(rec, [t0, t1])
 
-    passes = []
-    i = 0
-    n = len(grid)
-    while i < n:
-        if not up[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and up[j + 1]:
-            j += 1
-        if i > 0 and j < n - 1:  # complete pass only
-            t_rise = _refine_crossing(rec, station, grid[i - 1], grid[i], threshold_deg)
-            t_set = _refine_crossing(rec, station, grid[j + 1], grid[j], threshold_deg)
-            inner = grid[i:j + 1]
-            inner = inner[(inner > t_rise) & (inner < t_set)]
-            times = np.concatenate([[t_rise], inner, [t_set]])
-            az, elev, _, _, _ = _topocentric_arrays(rec, station, times)
-            beta = beta_angle(rec, station, times, mode=beta_mode)
-            passes.append(PassProfile(times, az, elev, beta))
-        i = j + 1
-    return passes
+    def elevation(t):
+        return topocentric(propagate(rec, t), station, t)[1]
+
+    grid = np.arange(t0, t1 + step_s / 2.0, step_s)
+    rate_deg_s = math.degrees(elevation_rate_bound(rec, station))
+    k = max(1, int(SCAN_SWING_DEG / (rate_deg_s * step_s)))
+    coarse = np.append(np.arange(0, len(grid) - 1, k), len(grid) - 1)
+    el = np.full(len(grid), -np.inf)  # samples left unevaluated are below threshold
+    el[coarse] = elevation(grid[coarse])
+    peak = (el[coarse[:-1]] + el[coarse[1:]] + rate_deg_s * np.diff(grid[coarse])) / 2.0
+    fine = np.append(np.repeat(peak >= threshold_deg, np.diff(coarse)), False)
+    fine[coarse] = False
+    el[fine] = elevation(grid[fine])
+
+    up = el >= threshold_deg
+    edges = np.diff(up.astype(np.int8))
+    # last and first sample of each run; drop runs clipped by the window edges
+    fall = np.flatnonzero(edges == -1)[int(up[0]):]
+    rise = (np.flatnonzero(edges == 1) + 1)[:len(fall)]
+    if not len(rise):
+        return []
+
+    # bisect all crossings at once; `below` stays under the threshold
+    below = grid[np.r_[rise - 1, fall + 1]]
+    above = grid[np.r_[rise, fall]]
+    for _ in range(max(0, math.ceil(math.log2(step_s / CROSSING_TOL_S)))):
+        mid = 0.5 * (below + above)
+        over = elevation(mid) > threshold_deg
+        above, below = np.where(over, mid, above), np.where(over, below, mid)
+    t_rise, t_set = np.split(0.5 * (below + above), 2)
+
+    segments = []
+    for i, j, tr, ts in zip(rise, fall, t_rise, t_set):
+        inner = grid[i:j + 1]
+        segments.append(np.r_[tr, inner[(inner > tr) & (inner < ts)], ts])
+    times = np.concatenate(segments)
+    pos, vel = propagate_state(rec, times)
+    az, elev, _ = topocentric(pos, station, times)
+    beta = (_beta_from_state(pos, vel, station, times) if beta_mode == "geometric"
+            else beta_angle(rec, station, times, mode=beta_mode))
+    cuts = np.cumsum([len(s) for s in segments[:-1]])
+    columns = (np.split(x, cuts) for x in (times, az, elev, beta))
+    return [PassProfile(*cols) for cols in zip(*columns)]

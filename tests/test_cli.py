@@ -134,6 +134,30 @@ class TestCompensate:
         assert code == 3
         assert "no pass" in err
 
+    @pytest.mark.parametrize("setting", ["step_s 0", "step_s -5", "window_hours nan"])
+    def test_bad_step_or_window_exit_1(self, capsys, tmp_path, setting):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(setting + "\n")
+        code, _, err = run(capsys, "compensate", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 1
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert setting.split()[0] in err
+
+    def test_nan_azimuth_pass_csv_exit_2(self, capsys, tmp_path):
+        pass_csv = tmp_path / "pass.csv"
+        rows = ["t_iso8601,az_deg,el_deg,beta_deg"]
+        rows += [f"2024-01-01T00:00:{i:02d}.000000Z,{'nan' if i == 3 else 10 + i},30.0,0.0"
+                 for i in range(10)]
+        pass_csv.write_text("\n".join(rows) + "\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"pass_csv {pass_csv}\n")
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "compensate", "--config", str(cfg), "--out", str(out_dir))
+        assert code == 2
+        assert "finite" in err
+        assert not list(tmp_path.rglob("pass_*_schedule.*"))
+
 
 class TestOffsetScan:
     def test_default_grid(self, capsys, tmp_path):

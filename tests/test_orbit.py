@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polsim import orbit as O
 from polsim import tle as T
@@ -48,6 +50,21 @@ class TestKepler:
 
     def test_circular(self):
         assert O.solve_kepler(1.234, 0.0) == pytest.approx(1.234, abs=1e-15)
+
+    def test_array_residual(self, rng):
+        m = rng.uniform(-4.0 * math.pi, 4.0 * math.pi, 2000)
+        for e in np.append(rng.uniform(0.0, 0.99, 20), [0.0, 0.8, 0.989]):
+            ecc = O.solve_kepler(m, e)
+            assert ecc.shape == m.shape
+            assert np.max(np.abs(ecc - e * np.sin(ecc) - m)) < 1e-12
+
+    def test_scalar_returns_float(self):
+        assert type(O.solve_kepler(2.0, 0.7)) is float
+        assert type(O.solve_kepler(np.float64(2.0), 0.95)) is float
+
+    def test_non_finite_anomaly_rejected(self):
+        with pytest.raises(ValueError):
+            O.solve_kepler(np.array([1.0, math.nan]), 0.1)
 
 
 class TestPropagation:
@@ -149,6 +166,97 @@ class TestPasses:
     def test_window_validation(self, sso):
         with pytest.raises(ValueError):
             O.extract_passes(sso, O.NGARI_STATION, sso.epoch_posix, sso.epoch_posix)
+
+    @pytest.mark.parametrize("step_s", [0.0, -5.0, math.nan, math.inf])
+    def test_step_validation(self, sso, step_s):
+        t0 = sso.epoch_posix
+        with pytest.raises(ValueError, match="step_s"):
+            O.extract_passes(sso, O.NGARI_STATION, t0, t0 + 3600.0, step_s=step_s)
+
+    def test_rate_bound_nearly_attained_at_zenith(self):
+        # polar orbit crossing the zenith of an equatorial station under its node
+        rec = T.make_tle(None, 90002, 2024, 1.0, 90.0, 0.0, 0.0, 0.0, 0.0, 15.22)
+        station = O.GroundStation(0.0, -math.degrees(float(O.gmst_rad(rec.epoch_posix))) % 360.0)
+        ts = rec.epoch_posix + np.arange(-240.0, 241.0, 1.0)
+        el = O.topocentric(O.propagate(rec, ts), station, ts)[1]
+        assert el.max() > 89.9
+        bound = math.degrees(O.elevation_rate_bound(rec, station))
+        assert 0.9 * bound < np.max(np.abs(np.diff(el))) <= bound
+
+    def test_array_topocentric_matches_scalar(self, sso):
+        ts = sso.epoch_posix + np.arange(0.0, 6000.0, 97.0)
+        az, el, rng_km = O.topocentric(O.propagate(sso, ts), O.NGARI_STATION, ts)
+        for k in range(0, len(ts), 7):
+            one = O.topocentric(O.propagate(sso, ts[k]), O.NGARI_STATION, ts[k])
+            assert all(type(v) is float for v in one)
+            assert one == pytest.approx((az[k], el[k], rng_km[k]), abs=1e-9)
+
+
+LEO_ELEMENTS = st.fixed_dictionaries({
+    "inclination_deg": st.floats(0.0, 180.0),
+    "raan_deg": st.floats(0.0, 359.9999),
+    "eccentricity": st.floats(0.0, 0.02),
+    "arg_perigee_deg": st.floats(0.0, 359.9999),
+    "mean_anomaly_deg": st.floats(0.0, 359.9999),
+    "mean_motion_rev_per_day": st.floats(14.0, 16.0),
+})
+WINDOW_S = 43200.0
+
+
+def _leo(elements):
+    return T.make_tle(None, 90000, 2024, 1.0, **elements)
+
+
+def _dense_elevation(rec):
+    """Elevation at every sample of the window's 1 s grid, with no coarse scan."""
+    ts = np.arange(rec.epoch_posix, rec.epoch_posix + WINDOW_S + 0.5, 1.0)
+    return ts, O.topocentric(O.propagate(rec, ts), O.NGARI_STATION, ts)[1]
+
+
+def _assert_no_missed_sample(rec, threshold):
+    ts, el = _dense_elevation(rec)
+    passes = O.extract_passes(rec, O.NGARI_STATION, ts[0], ts[-1], threshold_deg=threshold)
+    up = el >= threshold
+    # drop the runs that touch a window edge: their passes are clipped
+    edges = np.flatnonzero(np.diff(up.astype(np.int8))) + 1
+    runs = np.split(np.arange(len(ts)), edges)
+    expected = set()
+    for run in runs:
+        if up[run[0]] and run[0] > 0 and run[-1] < len(ts) - 1:
+            expected.update(ts[run].tolist())
+    found = set()
+    for p in passes:
+        found.update(p.t_posix[1:-1].tolist())
+    assert found == expected
+    return ts, el, passes
+
+
+class TestPassSearchProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(LEO_ELEMENTS, st.floats(0.0, 79.999))
+    def test_no_missed_pass(self, elements, threshold):
+        _assert_no_missed_sample(_leo(elements), threshold)
+
+    @settings(max_examples=15, deadline=None)
+    @given(LEO_ELEMENTS)
+    def test_grazing_pass_found(self, elements):
+        rec = _leo(elements)
+        ts, el = _dense_elevation(rec)
+        inner = np.arange(600, len(ts) - 600)  # culminations well inside the window
+        peaks = inner[(el[inner] >= el[inner - 1]) & (el[inner] >= el[inner + 1])]
+        peaks = peaks[(el[peaks] > 1e-3) & (el[peaks] < 89.0)]
+        assume(len(peaks) > 0)
+        peak = peaks[0]
+        _, _, passes = _assert_no_missed_sample(rec, el[peak] - 1e-3)
+        assert any(p.t_posix[0] < ts[peak] < p.t_posix[-1] for p in passes)
+
+    @settings(max_examples=25, deadline=None)
+    @given(LEO_ELEMENTS)
+    def test_elevation_rate_within_bound(self, elements):
+        rec = _leo(elements)
+        ts, el = _dense_elevation(rec)
+        bound = math.degrees(O.elevation_rate_bound(rec, O.NGARI_STATION))
+        assert np.max(np.abs(np.diff(el) / np.diff(ts))) <= bound
 
 
 class TestBeta:
