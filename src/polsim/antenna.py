@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .jones import (
     PER_CAP,
     MirrorResponse,
@@ -76,16 +78,18 @@ DESIGN_GEOMETRY = TelescopeGeometry.from_radii(-1625.0, 190.0, -65.0, 7.6)
 
 @dataclass(frozen=True)
 class PointingDirection:
-    """Azimuth in [-180, 180) and elevation in [0, 90], degrees."""
+    """Azimuth in [-180, 180) and elevation in [0, 90], degrees; floats or
+    broadcastable arrays for a batch of directions."""
 
     azimuth_deg: float
     elevation_deg: float
 
     def __post_init__(self):
-        if not (-180.0 <= self.azimuth_deg < 180.0):
-            raise ValueError(f"azimuth must be in [-180, 180), got {self.azimuth_deg!r}")
-        if not (0.0 <= self.elevation_deg <= 90.0):
-            raise ValueError(f"elevation must be in [0, 90], got {self.elevation_deg!r}")
+        az, el = self.azimuth_deg, self.elevation_deg
+        if not np.all((-180.0 <= az) & (az < 180.0)):
+            raise ValueError(f"azimuth must be in [-180, 180), got {az!r}")
+        if not np.all((0.0 <= el) & (el <= 90.0)):
+            raise ValueError(f"elevation must be in [0, 90], got {el!r}")
 
 
 def parabola_incidence_angle(focal_mm, ray_height_mm, semidiameter_mm=None):
@@ -117,8 +121,8 @@ def scanning_head_jones(direction, coating):
     Includes the theta + phi polarization frame rotation that pointing
     introduces; see the module docstring for the composition.
     """
-    theta = math.radians(direction.azimuth_deg)
-    phi = math.radians(direction.elevation_deg)
+    theta = np.radians(direction.azimuth_deg)
+    phi = np.radians(direction.elevation_deg)
     d = mirror_element(coating)
     return rotator(phi) @ d @ rotator(-theta) @ d
 
@@ -186,17 +190,18 @@ def antenna_per_scan(
     paraboloid mirrors, modeled as polarization-neutral (their incidence
     angles stay below 7 degrees); it does not enter the Jones chain.
     """
-    if not elevations_deg or not azimuths_deg or not states:
+    if not len(elevations_deg) or not len(azimuths_deg) or not states:
         raise ValueError("scan grids must be non-empty")
-    rows = []
-    for el in elevations_deg:
-        for az in azimuths_deg:
-            direction = PointingDirection(az, el)
-            element = scanning_head_jones(direction, coating)
-            frame = math.radians(az + el)
-            for label, state in states:
-                out = element.apply(state).normalized()
-                ref = state.linear_axis() + frame
-                per = measure_per(out, ref, cap=cap)
-                rows.append((float(el), float(az), label, per, per_to_fidelity(per)))
+    # cells on axes (elevation, azimuth, state), the row order of the table
+    el = np.asarray(elevations_deg, dtype=float)[:, None, None]
+    az = np.asarray(azimuths_deg, dtype=float)[None, :, None]
+    labels, probes = zip(*states)
+    probe = PolarizationState(np.array([p.a_h for p in probes]), np.array([p.a_v for p in probes]))
+    axes = np.array([p.linear_axis() for p in probes])
+    out = scanning_head_jones(PointingDirection(az, el), coating).apply(probe).normalized()
+    per = measure_per(out, axes + np.radians(az + el), cap=cap)
+    rows = zip(np.broadcast_to(el, per.shape).ravel().tolist(),
+               np.broadcast_to(az, per.shape).ravel().tolist(),
+               labels * (per.size // len(labels)), per.ravel().tolist(),
+               per_to_fidelity(per).ravel().tolist())
     return PerScanResult(tuple(rows))

@@ -23,13 +23,12 @@ from __future__ import annotations
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import antenna, compensation, linksim, orbit, thinfilm, tle
-from .jones import MirrorResponse, PolarizationState, rotator
+from .jones import MirrorResponse, rotator
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -132,11 +131,20 @@ class Config:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
 
+def _checked(check, *args):
+    """Call a library constructor or check on config values; its ValueError
+    means a value is out of range, which is a config error."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _coating_from_config(cfg):
     rs_power = cfg.get_float("mirror_rs_power", 0.999908)
     rp_power = cfg.get_float("mirror_rp_power", 0.998168)
     gap_pi = cfg.get_float("mirror_phase_gap_pi", 0.9996)
-    return MirrorResponse.from_powers(rs_power, rp_power, gap_pi * math.pi)
+    return _checked(MirrorResponse.from_powers, rs_power, rp_power, gap_pi * math.pi)
 
 
 def _write(out_dir, name, text):
@@ -177,12 +185,7 @@ def cmd_coating(args):
     return EXIT_OK
 
 
-_STATES_BY_LABEL = {
-    "H": PolarizationState.h(),
-    "V": PolarizationState.v(),
-    "+": PolarizationState.plus(),
-    "-": PolarizationState.minus(),
-}
+_STATES_BY_LABEL = dict(antenna.DEFAULT_SCAN_STATES)
 
 
 def cmd_per_map(args):
@@ -199,20 +202,11 @@ def cmd_per_map(args):
     except KeyError as exc:
         raise ConfigError(f"unknown state label {exc.args[0]!r} (known: H, V, +, -)")
 
-    if args.jobs > 1:
-        # evaluate one (elevation, azimuth) column per task; merge in order
-        def one(el):
-            return antenna.antenna_per_scan(
-                antenna.DESIGN_GEOMETRY, coating, [el], azimuths, states, cap=cap
-            ).rows
+    _checked(antenna.PointingDirection, np.array(azimuths), np.array(elevations))
 
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = tuple(r for chunk in pool.map(one, elevations) for r in chunk)
-        scan = antenna.PerScanResult(rows)
-    else:
-        scan = antenna.antenna_per_scan(
-            antenna.DESIGN_GEOMETRY, coating, elevations, azimuths, states, cap=cap
-        )
+    scan = antenna.antenna_per_scan(
+        antenna.DESIGN_GEOMETRY, coating, elevations, azimuths, states, cap=cap
+    )
     path = _write(args.out, "per_map.csv", scan.to_csv())
     print(f"wrote {path}")
     print(f"cells {len(scan.rows)}")
@@ -238,6 +232,8 @@ def cmd_compensate(args):
     for key, value in (("step_s", step_s), ("window_hours", window_h)):
         if not 0.0 < value < math.inf:
             raise ConfigError(f"key {key!r}: expected a finite positive number, got {value!r}")
+    if sign not in (1, -1):
+        raise ConfigError(f"key 'sign': expected 1 or -1, got {sign!r}")
 
     if tle_path is None and pass_path is None:
         tle_path = str(data_dir() / "sso_500km.tle")
@@ -259,9 +255,12 @@ def cmd_compensate(args):
             raise CliFailure(EXIT_PARSE, f"TLE file {tle_path}: {exc}")
         station = orbit.GroundStation(lat, lon, alt)
         t0 = rec.epoch_posix
-        passes = orbit.extract_passes(
-            rec, station, t0, t0 + window_h * 3600.0, threshold_deg=threshold, step_s=step_s
-        )
+        try:
+            passes = orbit.extract_passes(
+                rec, station, t0, t0 + window_h * 3600.0, threshold_deg=threshold, step_s=step_s
+            )
+        except orbit.WindowError as exc:
+            raise ConfigError(f"keys 'window_hours', 'step_s': {exc}") from None
 
     if not passes:
         raise CliFailure(EXIT_NUMERIC, "no pass above the elevation threshold in the window")
@@ -290,16 +289,10 @@ def cmd_offset_scan(args):
     coating = _coating_from_config(cfg)
     cfg.finish()
 
-    if args.jobs > 1:
-        def one(g):
-            return linksim.offset_scan([g], sat, coating, azimuth_deg=azimuth,
-                                       elevation_deg=elevation, beta_deg=beta)[0]
+    _checked(antenna.PointingDirection, azimuth, elevation)
 
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            grid = np.array(list(pool.map(one, ground)))
-    else:
-        grid = linksim.offset_scan(ground, sat, coating, azimuth_deg=azimuth,
-                                   elevation_deg=elevation, beta_deg=beta)
+    grid = linksim.offset_scan(ground, sat, coating, azimuth_deg=azimuth,
+                               elevation_deg=elevation, beta_deg=beta)
     path = _write(args.out, "offset_scan.csv", linksim.offset_scan_csv(ground, sat, grid))
     i, j = np.unravel_index(np.argmax(grid), grid.shape)
     print(f"wrote {path}")
@@ -388,7 +381,6 @@ def build_parser():
     def common(p):
         p.add_argument("--config", default=None, help="key-value config file")
         p.add_argument("--seed", type=int, default=0, help="random seed")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
         p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("coating", help="reflectance of a coating stack")

@@ -10,9 +10,9 @@ about its axis (g -> 2 alpha - g), scheduling
 cancels the accumulated rotation exactly: the output angle is constant at
 2 * zero_point - g_in, whatever the pass geometry does.  The zero point is a
 per-installation calibration; the deployed system used 145.8 degrees, a
-simulated chain calibrates its own (`calibrate_zero_point`).  Note the
-H/V basis is restored exactly while diagonal/circular components come back
-conjugated - a fixed, known flip absorbed by receiver calibration.
+simulated chain calibrates its own in closed form (`calibrate_zero_point`).
+Note the H/V basis is restored exactly while diagonal/circular components
+come back conjugated - a fixed, known flip absorbed by receiver calibration.
 
 HWP angles are pi-periodic, so emitted angles live in [0, 180) while slew
 rates are always computed on the unwrapped series.
@@ -36,6 +36,10 @@ DEFAULT_ZERO_POINT_DEG = 145.8
 # Conservative motorized-rotator slew capability, deg/s; schedule rates above
 # this are flagged in the schedule metadata.
 DEFAULT_MAX_SLEW_DEG_PER_S = 5.0
+
+# The zero-point fidelity is a quadratic form in (cos 2z, sin 2z); below this
+# anisotropy, relative to its trace, every z is optimal.
+_ISOTROPIC_RTOL = 1e-13
 
 
 def compensation_angle(theta_deg, phi_deg, beta_deg, zero_point_deg=DEFAULT_ZERO_POINT_DEG,
@@ -153,10 +157,13 @@ def quantization_error(hwp_accuracy_deg):
 
 
 def compensated_chain(direction, beta_deg, hwp_angle_deg, coating):
-    """Jones element: antenna at (az, el), frame rotation beta, then the HWP."""
+    """Jones element: antenna at (az, el), frame rotation beta, then the HWP.
+
+    Angles may be arrays (with `direction` a batch); they broadcast.
+    """
     return (
-        hwp(math.radians(hwp_angle_deg))
-        @ rotator(math.radians(beta_deg))
+        hwp(np.radians(hwp_angle_deg))
+        @ rotator(np.radians(beta_deg))
         @ scanning_head_jones(direction, coating)
     )
 
@@ -164,23 +171,29 @@ def compensated_chain(direction, beta_deg, hwp_angle_deg, coating):
 def calibrate_zero_point(coating, state=None):
     """Simulated zero-point determination, mirroring the deployed procedure.
 
-    Sends `state` (default H) through the chain at the reference direction
-    (azimuth 0, elevation 0, beta 0) and finds the HWP angle in [0, 180) that
-    maximizes the fidelity of what comes back.
+    Sends `state` s (default H) through the chain at the reference direction
+    (azimuth 0, elevation 0, beta 0), hwp(z) @ D @ D, and returns the HWP
+    angle z that maximizes the fidelity of what comes back.  With v = D D s
+    normalized, <s|hwp(z)|v> = A cos 2z + B sin 2z for A = s0* v0 - s1* v1
+    and B = s0* v1 + s1* v0, so the fidelity is u^T M u in u = (cos 2z, sin 2z)
+    with M = [[|A|^2, Re(A* B)], [Re(A* B), |B|^2]], and its top eigenvector
+    gives 4z = atan2(2 Re(A* B), |A|^2 - |B|^2).
+
+    Turning a half-wave plate by 90 degrees only flips the global phase, so z
+    is returned in [0, 90) degrees; it is 0 when M is proportional to the
+    identity, where every z is optimal.
     """
-    if state is None:
-        state = PolarizationState.h()
-
-    def fid(zero_deg):
-        chain = compensated_chain(PointingDirection(0.0, 0.0), 0.0, zero_deg, coating)
-        return fidelity(chain.apply(state).normalized(), state)
-
-    coarse = np.linspace(0.0, 180.0, 721)
-    best = float(coarse[int(np.argmax([fid(z) for z in coarse]))])
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(lambda z: -fid(z), bracket=(best - 0.3, best, best + 0.3))
-    return float(res.x) % 180.0
+    s = PolarizationState.h() if state is None else state
+    if not s.is_normalized():
+        raise ValueError("calibration requires a normalized state")
+    v = scanning_head_jones(PointingDirection(0.0, 0.0), coating).apply(s).normalized()
+    a = np.conj(s.a_h) * v.a_h - np.conj(s.a_v) * v.a_v
+    b = np.conj(s.a_h) * v.a_v + np.conj(s.a_v) * v.a_h
+    diag, off = abs(a) ** 2 - abs(b) ** 2, 2.0 * (np.conj(a) * b).real
+    if math.hypot(diag, off) <= _ISOTROPIC_RTOL * (abs(a) ** 2 + abs(b) ** 2):
+        return 0.0
+    zero = math.degrees(0.25 * math.atan2(off, diag)) % 90.0
+    return zero if zero < 90.0 else 0.0
 
 
 def verify_compensation(pass_profile, coating, state=None,
@@ -197,22 +210,9 @@ def verify_compensation(pass_profile, coating, state=None,
     if zero_point_deg is None:
         zero_point_deg = calibrate_zero_point(coating, state)
     if hwp_angles_deg is None:
-        schedule = schedule_from_pass(pass_profile, zero_point_deg, sign)
-        hwp_angles_deg = schedule.angle_deg
-    else:
-        hwp_angles_deg = np.broadcast_to(
-            np.asarray(hwp_angles_deg, dtype=float), pass_profile.t_posix.shape
-        )
+        hwp_angles_deg = schedule_from_pass(pass_profile, zero_point_deg, sign).angle_deg
 
-    out = np.empty(len(pass_profile.t_posix))
-    for i in range(len(out)):
-        az = math.remainder(pass_profile.azimuth_deg[i], 360.0)
-        az = az if az < 180.0 else az - 360.0
-        chain = compensated_chain(
-            PointingDirection(az, pass_profile.elevation_deg[i]),
-            pass_profile.beta_deg[i],
-            hwp_angles_deg[i],
-            coating,
-        )
-        out[i] = fidelity(chain.apply(state).normalized(), state)
-    return out
+    az = (pass_profile.azimuth_deg + 180.0) % 360.0 - 180.0
+    chain = compensated_chain(PointingDirection(az, pass_profile.elevation_deg),
+                              pass_profile.beta_deg, hwp_angles_deg, coating)
+    return fidelity(chain.apply(state).normalized(), state)

@@ -12,7 +12,12 @@ Conventions used throughout the package:
 * A coated mirror is diagonal ``diag(r_s, r_p)`` in its own s/p frame with s
   along H; callers compose with ``rotator`` to move it into the lab frame.
 
-Everything here is a pure function over immutable values.
+Everything here is a pure function over immutable values.  The element
+constructors, ``@``, ``apply``, ``normalized`` and the metrics broadcast: an
+angle may be an ndarray, and then the `OpticalElement` entries and
+`PolarizationState` amplitudes it produces are arrays of that shape, so one
+expression evaluates a whole pass, scan grid or offset grid.  ``.matrix`` and
+``.vector`` give the ``(..., 2, 2)`` and ``(..., 2)`` array views.
 """
 
 from __future__ import annotations
@@ -40,30 +45,30 @@ class CompensationSolveError(RuntimeError):
 
 
 def _check_finite_angle(angle):
-    if not math.isfinite(angle):
+    if not np.isfinite(angle).all():
         raise ValueError(f"angle must be finite, got {angle!r}")
 
 
 @dataclass(frozen=True)
 class PolarizationState:
-    """Pure polarization state: complex amplitude pair (a_h, a_v)."""
+    """Pure polarization state(s): complex amplitude pair (a_h, a_v)."""
 
     a_h: complex
     a_v: complex
 
     @property
     def vector(self):
-        return np.array([self.a_h, self.a_v], dtype=complex)
+        return np.stack(np.broadcast_arrays(self.a_h, self.a_v), axis=-1).astype(complex)
 
     def norm_sq(self):
-        return float(abs(self.a_h) ** 2 + abs(self.a_v) ** 2)
+        return abs(self.a_h) ** 2 + abs(self.a_v) ** 2
 
     def is_normalized(self, atol=_NORM_ATOL):
-        return abs(self.norm_sq() - 1.0) <= atol
+        return bool(np.all(abs(self.norm_sq() - 1.0) <= atol))
 
     def normalized(self):
-        n = math.sqrt(self.norm_sq())
-        if n == 0.0:
+        n = np.sqrt(self.norm_sq())
+        if not np.all(n > 0.0):
             raise ValueError("cannot normalize the zero state")
         return PolarizationState(self.a_h / n, self.a_v / n)
 
@@ -103,7 +108,7 @@ class PolarizationState:
 
 @dataclass(frozen=True)
 class OpticalElement:
-    """2x2 complex Jones matrix wrapper with composition helpers."""
+    """2x2 complex Jones matrix (or a batch of them) with composition helpers."""
 
     m00: complex
     m01: complex
@@ -112,7 +117,9 @@ class OpticalElement:
 
     @property
     def matrix(self):
-        return np.array([[self.m00, self.m01], [self.m10, self.m11]], dtype=complex)
+        """(2, 2) complex array; (..., 2, 2) when the entries are arrays of one shape."""
+        m = np.array([[self.m00, self.m01], [self.m10, self.m11]], dtype=complex)
+        return m if m.ndim == 2 else np.moveaxis(m, (0, 1), (-2, -1))
 
     @classmethod
     def from_matrix(cls, m):
@@ -122,17 +129,19 @@ class OpticalElement:
         return cls(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
 
     def __matmul__(self, other):
-        if isinstance(other, OpticalElement):
-            return OpticalElement.from_matrix(self.matrix @ other.matrix)
-        return NotImplemented
+        if not isinstance(other, OpticalElement):
+            return NotImplemented
+        a, b = self, other
+        return OpticalElement(a.m00 * b.m00 + a.m01 * b.m10, a.m00 * b.m01 + a.m01 * b.m11,
+                              a.m10 * b.m00 + a.m11 * b.m10, a.m10 * b.m01 + a.m11 * b.m11)
 
     def apply(self, state):
-        out = self.matrix @ state.vector
-        return PolarizationState(out[0], out[1])
+        return PolarizationState(self.m00 * state.a_h + self.m01 * state.a_v,
+                                 self.m10 * state.a_h + self.m11 * state.a_v)
 
     def is_unitary(self, atol=1e-12):
         m = self.matrix
-        return bool(np.allclose(m.conj().T @ m, np.eye(2), atol=atol, rtol=0.0))
+        return bool(np.allclose(np.swapaxes(m, -1, -2).conj() @ m, np.eye(2), atol=atol, rtol=0.0))
 
 
 @dataclass(frozen=True)
@@ -165,6 +174,8 @@ class MirrorResponse:
         """Build from power reflectances |r_s|^2, |r_p|^2 and relative phase."""
         if not (0.0 <= rs_power <= 1.0 and 0.0 <= rp_power <= 1.0):
             raise ValueError("power reflectances must lie in [0, 1]")
+        if not math.isfinite(phase_gap):
+            raise ValueError(f"phase gap must be finite, got {phase_gap!r}")
         return cls(math.sqrt(rs_power), math.sqrt(rp_power) * cmath.exp(-1j * phase_gap))
 
 
@@ -172,29 +183,35 @@ class MirrorResponse:
 IDEAL_MIRROR = MirrorResponse(1.0, -1.0)
 
 
-def rotation_matrix(angle):
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+def _retarder(angle, eigenvalue):
+    """R(angle) @ diag(1, eigenvalue) @ R(-angle): passes the `angle` axis and
+    multiplies the orthogonal one by `eigenvalue`."""
+    _check_finite_angle(angle)
+    c, s = np.cos(angle), np.sin(angle)
+    off = c * s * (1.0 - eigenvalue)
+    return OpticalElement(c * c + s * s * eigenvalue, off, off, s * s + c * c * eigenvalue)
 
 
 def rotator(angle):
     """Frame rotation by `angle` (rotates linear polarization by +angle)."""
     _check_finite_angle(angle)
-    return OpticalElement.from_matrix(rotation_matrix(angle))
+    c, s = np.cos(angle), np.sin(angle)
+    return OpticalElement(c, -s, s, c)
 
 
 def waveplate(angle, retardance):
     """Linear retarder, fast axis at `angle`, retardance `retardance`."""
-    _check_finite_angle(angle)
     _check_finite_angle(retardance)
-    r = rotation_matrix(angle)
-    core = np.array([[1.0, 0.0], [0.0, cmath.exp(1j * retardance)]], dtype=complex)
-    return OpticalElement.from_matrix(r @ core @ r.conj().T)
+    return _retarder(angle, cmath.exp(1j * retardance))
 
 
 def hwp(angle):
-    """Half-wave plate at `angle`: linear at g goes to linear at 2*angle - g."""
-    return waveplate(angle, math.pi)
+    """Half-wave plate at `angle`: linear at g goes to linear at 2*angle - g.
+
+    The eigenvalue is exactly -1, so the matrix is the real
+    [[cos 2a, sin 2a], [sin 2a, -cos 2a]].
+    """
+    return _retarder(angle, -1.0)
 
 
 def qwp(angle):
@@ -204,17 +221,12 @@ def qwp(angle):
 
 def polarizer(angle):
     """Ideal linear polarizer (rank-1 projector) transmitting at `angle`."""
-    _check_finite_angle(angle)
-    r = rotation_matrix(angle)
-    core = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    return OpticalElement.from_matrix(r @ core @ r.conj().T)
+    return _retarder(angle, 0.0)
 
 
 def mirror_element(resp):
     """Jones matrix diag(r_s, r_p) of a coated mirror in its s/p frame."""
-    return OpticalElement.from_matrix(
-        np.array([[resp.r_s, 0.0], [0.0, resp.r_p]], dtype=complex)
-    )
+    return OpticalElement(resp.r_s, 0.0, 0.0, resp.r_p)
 
 
 def identity_element():
@@ -225,13 +237,13 @@ def fidelity(a, b):
     """Pure-state fidelity |<a|b>|^2; insensitive to global phase."""
     if not a.is_normalized() or not b.is_normalized():
         raise ValueError("fidelity requires normalized states")
-    ip = np.vdot(a.vector, b.vector)
-    return min(float(abs(ip) ** 2), 1.0)
+    ip = np.conj(a.a_h) * b.a_h + np.conj(a.a_v) * b.a_v
+    return np.minimum(abs(ip) ** 2, 1.0)
 
 
 def per_to_fidelity(per):
-    """Convert a polarization extinction ratio to fidelity, per/(per+1)."""
-    if not per > 0.0:
+    """Convert polarization extinction ratios to fidelity, per/(per+1)."""
+    if not np.all(np.asarray(per) > 0.0):
         raise ValueError(f"PER must be positive, got {per!r}")
     return per / (per + 1.0)
 
@@ -252,12 +264,12 @@ def measure_per(state, reference_angle, cap=PER_CAP):
     if not state.is_normalized():
         raise ValueError("measure_per requires a normalized state")
     _check_finite_angle(reference_angle)
-    i_par = polarizer(reference_angle).apply(state).norm_sq()
-    i_perp = polarizer(reference_angle + math.pi / 2.0).apply(state).norm_sq()
-    i_max, i_min = max(i_par, i_perp), min(i_par, i_perp)
-    if i_min <= 0.0 or i_max / i_min > cap:
-        return cap
-    return i_max / i_min
+    c, s = np.cos(reference_angle), np.sin(reference_angle)
+    i_par = abs(c * state.a_h + s * state.a_v) ** 2
+    i_perp = abs(c * state.a_v - s * state.a_h) ** 2
+    i_max, i_min = np.maximum(i_par, i_perp), np.minimum(i_par, i_perp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(i_min > 0.0, np.minimum(i_max / i_min, cap), cap)[()]
 
 
 # --- fiber compensation: QWP/HWP/QWP inversion of an arbitrary unitary -----
@@ -296,8 +308,7 @@ def solve_fiber_compensation(channel, tol=1e-6):
     This undoes a static unitary channel (fibers plus fixed mirrors) with the
     standard two-quarter-wave-plate / one-half-wave-plate stack.  The solution
     is analytic: in the circular basis the target splits into an Euler-like
-    triple of equatorial Poincare rotations.  A short least-squares polish
-    runs only if rounding leaves the residual above 1e-9.
+    triple of equatorial Poincare rotations.
 
     Angles are reduced to [-pi/2, pi/2).  Raises CompensationSolveError when
     the residual cannot be brought below `tol`.
@@ -325,20 +336,6 @@ def solve_fiber_compensation(channel, tol=1e-6):
     q2 = _reduce_half_turn(-phi3 / 2.0)
 
     residual = _phase_aligned_residual((_gadget(q1, h, q2) @ channel).matrix)
-    if residual > 1e-9:
-        from scipy.optimize import least_squares
-
-        def flat_residual(angles):
-            mm = (_gadget(*angles) @ channel).matrix
-            tr = mm[0, 0] + mm[1, 1]
-            lam = tr / abs(tr) if abs(tr) > 1e-12 else 1.0
-            d = mm - lam * np.eye(2)
-            return np.concatenate([d.real.ravel(), d.imag.ravel()])
-
-        fit = least_squares(flat_residual, x0=[q1, h, q2], xtol=1e-15, ftol=1e-15)
-        q1, h, q2 = (_reduce_half_turn(x) for x in fit.x)
-        residual = _phase_aligned_residual((_gadget(q1, h, q2) @ channel).matrix)
-
     if residual > tol:
         raise CompensationSolveError("fiber compensation solver did not converge", residual)
     return q1, h, q2

@@ -27,7 +27,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .jones import OpticalElement, identity_element
+from .antenna import PointingDirection
+from .compensation import calibrate_zero_point, compensated_chain, compensation_angle
+from .jones import OpticalElement, PolarizationState, fidelity, identity_element, rotator
 
 # Analyzer settings of the uplink Bell test: (satellite, ground) angle pairs
 # in the order (p1,p2), (p1,p2'), (p1',p2), (p1',p2') used by the S formula.
@@ -382,14 +384,6 @@ def offset_scan(ground_offsets_deg, sat_offsets_deg, coating, state=None,
     s leave a residual rotation of 2g + s, so ideal optics give exactly
     cos^2(2g + s).  Returns an array of shape (len(ground), len(satellite)).
     """
-    from .antenna import PointingDirection
-    from .compensation import (
-        calibrate_zero_point,
-        compensation_angle,
-        compensated_chain,
-    )
-    from .jones import PolarizationState, fidelity, rotator
-
     if len(ground_offsets_deg) == 0 or len(sat_offsets_deg) == 0:
         raise ValueError("offset grids must be non-empty")
     if state is None:
@@ -399,14 +393,10 @@ def offset_scan(ground_offsets_deg, sat_offsets_deg, coating, state=None,
 
     direction = PointingDirection(azimuth_deg, elevation_deg)
     alpha = compensation_angle(azimuth_deg, elevation_deg, beta_deg, zero_point_deg, sign)
-    grid = np.empty((len(ground_offsets_deg), len(sat_offsets_deg)))
-    for i, g in enumerate(ground_offsets_deg):
-        chain = compensated_chain(direction, beta_deg, alpha + g, coating)
-        out = chain.apply(state).normalized()
-        for j, s in enumerate(sat_offsets_deg):
-            received = rotator(math.radians(s)).apply(out)
-            grid[i, j] = fidelity(received, state)
-    return grid
+    ground = alpha + np.asarray(ground_offsets_deg, dtype=float)[:, None]
+    out = compensated_chain(direction, beta_deg, ground, coating).apply(state).normalized()
+    received = rotator(np.radians(np.asarray(sat_offsets_deg, dtype=float))).apply(out)
+    return fidelity(received, state)
 
 
 def offset_scan_csv(ground_offsets_deg, sat_offsets_deg, grid):

@@ -29,6 +29,14 @@ SECONDS_PER_DAY = 86400.0
 # Two-body elements drift from reality; refuse to extrapolate past this.
 MAX_PROPAGATION_DAYS = 7.0
 
+# Largest time grid extract_passes builds (grid plus elevation column: 80 MB),
+# the 7-day horizon at a 0.121 s step.
+MAX_GRID_SAMPLES = 5_000_000
+
+
+class WindowError(ValueError):
+    """A time window past the propagation horizon or too finely sampled."""
+
 
 def to_posix(t):
     """Accept a POSIX-seconds float or a datetime (naive = UTC)."""
@@ -117,7 +125,7 @@ def _check_horizon(rec, t_posix):
     t_posix = np.asarray(t_posix, dtype=float)
     span = np.max(np.abs(t_posix - rec.epoch_posix), initial=0.0)
     if span > MAX_PROPAGATION_DAYS * SECONDS_PER_DAY:
-        raise ValueError(
+        raise WindowError(
             f"propagation {span / SECONDS_PER_DAY:.2f} days from epoch exceeds the "
             f"{MAX_PROPAGATION_DAYS:.0f}-day two-body accuracy horizon"
         )
@@ -370,6 +378,11 @@ def extract_passes(rec, station, t_start, t_end, threshold_deg=10.0, step_s=1.0,
     if not 0.0 < step_s < math.inf:
         raise ValueError(f"step_s must be finite and positive, got {step_s!r}")
     _check_horizon(rec, [t0, t1])
+    if (t1 - t0) / step_s >= MAX_GRID_SAMPLES:
+        raise WindowError(
+            f"a {t1 - t0:.6g} s window at step_s {step_s!r} needs more than "
+            f"{MAX_GRID_SAMPLES} samples"
+        )
 
     def elevation(t):
         return topocentric(propagate(rec, t), station, t)[1]

@@ -23,8 +23,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .jones import MirrorResponse
 
 
@@ -160,28 +158,28 @@ def stack_response(stack, ray):
     cos_sub = _cos_refracted(n_amb, n_sub, ray.theta_i)
 
     k0 = 2.0 * math.pi / ray.wavelength_nm
+    layers = []
+    for n_layer, d in stack.layers:
+        c = _cos_refracted(n_amb, n_layer, ray.theta_i)
+        beta = k0 * n_layer * d * c
+        layers.append((n_layer, c, cmath.cos(beta), cmath.sin(beta)))
     out = []
     for pol in ("s", "p"):
 
         def eta(n, c):
             return n * c if pol == "s" else n / c
 
-        m = np.eye(2, dtype=complex)
-        for n_layer, d in stack.layers:
-            c = _cos_refracted(n_amb, n_layer, ray.theta_i)
-            beta = k0 * n_layer * d * c
+        # the product matrix [[m00, m01], [m10, m11]], carried as four scalars
+        m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
+        for n_layer, c, cos_b, sin_b in layers:
             e = eta(n_layer, c)
-            m = m @ np.array(
-                [
-                    [cmath.cos(beta), -1j * cmath.sin(beta) / e],
-                    [-1j * e * cmath.sin(beta), cmath.cos(beta)],
-                ],
-                dtype=complex,
-            )
+            l01, l10 = -1j * sin_b / e, -1j * e * sin_b
+            m00, m01 = m00 * cos_b + m01 * l10, m00 * l01 + m01 * cos_b
+            m10, m11 = m10 * cos_b + m11 * l10, m10 * l01 + m11 * cos_b
         eta0 = eta(n_amb, cos_amb)
         eta_sub = eta(n_sub, cos_sub)
-        b, c = m @ np.array([1.0, eta_sub], dtype=complex)
-        r = complex((eta0 * b - c) / (eta0 * b + c))
+        b, c = m00 + m01 * eta_sub, m10 + m11 * eta_sub
+        r = (eta0 * b - c) / (eta0 * b + c)
         out.append(r if pol == "s" else -r)
     return MirrorResponse(out[0], out[1])
 

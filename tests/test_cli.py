@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -74,13 +78,6 @@ class TestPerMap:
         code, _, err = run(capsys, "per-map", "--config", str(cfg), "--out", str(tmp_path))
         assert code == 1
         assert "unknown config keys" in err
-
-    def test_jobs_matches_serial(self, capsys, tmp_path):
-        run(capsys, "per-map", "--out", str(tmp_path / "serial"))
-        run(capsys, "per-map", "--jobs", "4", "--out", str(tmp_path / "par"))
-        serial = (tmp_path / "serial" / "per_map.csv").read_bytes()
-        parallel = (tmp_path / "par" / "per_map.csv").read_bytes()
-        assert serial == parallel
 
 
 class TestCompensate:
@@ -181,6 +178,43 @@ class TestOffsetScan:
         assert float(values["peak_fidelity"]) == pytest.approx(1.0, abs=1e-9)
 
 
+class TestConfigRange:
+    """Out-of-range config values are config errors: exit 1, one line."""
+
+    @pytest.mark.parametrize("command, setting", [
+        ("per-map", "mirror_rs_power 1.5"),
+        ("per-map", "mirror_rp_power -0.1"),
+        ("per-map", "mirror_phase_gap_pi nan"),
+        ("per-map", "elevations_deg 30,95"),
+        ("per-map", "azimuths_deg 200"),
+        ("offset-scan", "mirror_rs_power 1.5"),
+        ("offset-scan", "azimuth_deg 200"),
+        ("offset-scan", "elevation_deg -1"),
+        ("compensate", "window_hours 200"),
+        ("compensate", "step_s 1e-6"),
+        ("compensate", "sign 0"),
+        ("compensate", "sign 2"),
+    ])
+    def test_exit_1(self, capsys, tmp_path, command, setting):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(setting + "\n")
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, command, "--config", str(cfg), "--out", str(out_dir))
+        assert code == 1
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert "config error" in err
+        assert not out_dir.exists()
+
+    def test_negative_sign_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("sign -1\nwindow_hours 24\n")
+        code, _, _ = run(capsys, "compensate", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 0
+        meta = json.loads(sorted(tmp_path.glob("pass_*_schedule.json"))[0].read_text())
+        assert meta["sign"] == -1
+
+
 class TestBell:
     def test_calibrated_run_reproduces_flight_numbers(self, capsys, tmp_path):
         code, out, _ = run(capsys, "bell", "--out", str(tmp_path), "--seed", "0")
@@ -222,6 +256,24 @@ class TestBell:
         )
         code, _, err = run(capsys, "bell", "--config", str(cfg), "--out", str(tmp_path))
         assert code == 3
+
+
+class TestImports:
+    # scipy costs ~0.2 s to import; only the Bell calibration needs it
+    PROBE = ("import sys; from polsim.cli import main; code = main(sys.argv[1:]); "
+             "print('scipy' in sys.modules); sys.exit(code)")
+
+    @pytest.mark.parametrize("command, loads_scipy", [
+        ("coating", False), ("per-map", False), ("compensate", False),
+        ("offset-scan", False), ("bell", True),
+    ])
+    def test_scipy_only_for_bell(self, tmp_path, command, loads_scipy):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", self.PROBE, command, "--out", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == str(loads_scipy)
 
 
 class TestHarness:

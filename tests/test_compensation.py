@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polsim import antenna as A
 from polsim import compensation as C
@@ -154,3 +156,53 @@ class TestVerification:
         az_u = np.unwrap(sso_pass.azimuth_deg, period=360.0)
         delta = np.radians(az_u + sso_pass.elevation_deg + sso_pass.beta_deg)
         assert np.max(np.abs(fids - np.cos(delta) ** 2)) < 1e-9
+
+    def test_batched_matches_per_sample_composition(self, sso_pass):
+        coating = J.MirrorResponse.from_powers(0.97, 0.91, 0.93 * math.pi)
+        state = J.PolarizationState(0.6, 0.8j)
+        fids = C.verify_compensation(sso_pass, coating, state=state, zero_point_deg=12.3)
+        angles = C.schedule_from_pass(sso_pass, 12.3).angle_deg
+        assert fids.shape == sso_pass.t_posix.shape
+        for i in range(len(fids)):
+            az = math.remainder(sso_pass.azimuth_deg[i], 360.0)
+            direction = A.PointingDirection(az if az < 180.0 else az - 360.0,
+                                            sso_pass.elevation_deg[i])
+            chain = C.compensated_chain(direction, sso_pass.beta_deg[i], angles[i], coating)
+            want = J.fidelity(chain.apply(state).normalized(), state)
+            assert abs(fids[i] - want) <= 1e-12
+
+
+AMPLITUDES = st.floats(-1.0, 1.0)
+
+
+class TestZeroPoint:
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.05, 1.0), st.floats(0.05, 1.0), st.floats(-math.pi, math.pi),
+           st.tuples(AMPLITUDES, AMPLITUDES, AMPLITUDES, AMPLITUDES))
+    def test_closed_form_reaches_dense_grid_optimum(self, rs, rp, gap, amps):
+        norm = math.hypot(*amps)
+        if norm < 1e-3:
+            return
+        state = J.PolarizationState(complex(*amps[:2]), complex(*amps[2:])).normalized()
+        coating = J.MirrorResponse.from_powers(rs, rp, gap)
+        zero = C.calibrate_zero_point(coating, state)
+        assert 0.0 <= zero < 90.0
+
+        reference = A.PointingDirection(0.0, 0.0)
+
+        def fid(z):
+            chain = C.compensated_chain(reference, 0.0, z, coating)
+            return J.fidelity(chain.apply(state).normalized(), state)
+
+        grid = fid(np.arange(0.0, 180.0, 0.01))
+        assert fid(zero) >= np.max(grid) - 1e-12
+
+    def test_isotropic_case_returns_zero(self):
+        # circular light through ideal mirrors: the HWP flips its handedness at
+        # every angle, so every z is equally (un)fit
+        circular = J.PolarizationState(1.0, 1j).normalized()
+        assert C.calibrate_zero_point(J.IDEAL_MIRROR, circular) == 0.0
+
+    def test_rejects_unnormalized_state(self):
+        with pytest.raises(ValueError):
+            C.calibrate_zero_point(J.IDEAL_MIRROR, J.PolarizationState(2.0, 0.0))

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polsim import antenna as A
 from polsim import jones as J
 from conftest import haar_unitary
 
@@ -222,3 +225,51 @@ class TestFiberCompensation:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             J.solve_fiber_compensation(J.polarizer(0.3))
+
+
+ANGLE_ARRAYS = st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=30).map(np.array)
+PASSIVE_COATINGS = st.builds(J.MirrorResponse.from_powers, st.floats(0.0, 1.0),
+                             st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
+
+
+class TestBroadcasting:
+    """Array angles give batches of elements, one per angle."""
+
+    @given(ANGLE_ARRAYS)
+    def test_rotators_and_waveplates_unitary(self, angles):
+        for make in (J.rotator, J.hwp, J.qwp, lambda a: J.waveplate(a, 0.7)):
+            m = make(angles).matrix
+            assert m.shape == angles.shape + (2, 2)
+            gram = np.conj(np.swapaxes(m, -1, -2)) @ m
+            assert np.max(np.abs(gram - np.eye(2))) < 1e-12
+
+    @settings(deadline=None)
+    @given(PASSIVE_COATINGS, st.lists(st.floats(-180.0, 179.999), min_size=1, max_size=10),
+           st.lists(st.floats(0.0, 90.0), min_size=1, max_size=10))
+    def test_passive_mirrors_operator_norm(self, coating, azimuths, elevations):
+        assert np.linalg.norm(J.mirror_element(coating).matrix, 2) <= 1.0 + 1e-12
+        direction = A.PointingDirection(np.array(azimuths), np.array(elevations)[:, None])
+        head = A.scanning_head_jones(direction, coating).matrix
+        assert head.shape == (len(elevations), len(azimuths), 2, 2)
+        assert np.all(np.linalg.norm(head, 2, axis=(-2, -1)) <= 1.0 + 1e-12)
+
+    @given(st.lists(st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
+                    min_size=1, max_size=30))
+    def test_hwp_reflects_linear_states(self, pairs):
+        a, g = np.array(pairs).T
+        out = J.hwp(a).apply(J.PolarizationState(np.cos(g), np.sin(g)))
+        assert np.max(np.abs(out.a_h - np.cos(2 * a - g))) < 1e-12
+        assert np.max(np.abs(out.a_v - np.sin(2 * a - g))) < 1e-12
+
+    def test_batch_equals_scalar_composition(self, rng):
+        a, b = rng.uniform(-math.pi, math.pi, size=(2, 40))
+        state = J.PolarizationState(0.6, 0.8j)
+        batch = (J.qwp(a) @ J.rotator(b)).apply(state).normalized()
+        per = J.measure_per(batch, a)
+        fid = J.fidelity(batch, state)
+        for k in range(len(a)):
+            one = (J.qwp(a[k]) @ J.rotator(b[k])).apply(state).normalized()
+            assert abs(batch.a_h[k] - one.a_h) < 1e-14 and abs(batch.a_v[k] - one.a_v) < 1e-14
+            assert per[k] == pytest.approx(J.measure_per(one, a[k]), rel=1e-12)
+            assert fid[k] == pytest.approx(J.fidelity(one, state), abs=1e-14)
+        assert np.array_equal(batch.vector, np.stack([batch.a_h, batch.a_v], axis=-1))

@@ -173,6 +173,18 @@ class TestPasses:
         with pytest.raises(ValueError, match="step_s"):
             O.extract_passes(sso, O.NGARI_STATION, t0, t0 + 3600.0, step_s=step_s)
 
+    def test_grid_size_bounded_before_allocation(self, sso):
+        # 48 h at 1 us would be 1.7e11 samples (1.26 TiB); the check comes first
+        t0 = sso.epoch_posix
+        with pytest.raises(O.WindowError, match="samples"):
+            O.extract_passes(sso, O.NGARI_STATION, t0, t0 + 48 * 3600.0, step_s=1e-6)
+        assert issubclass(O.WindowError, ValueError)
+
+    def test_horizon_is_a_window_error(self, sso):
+        t0 = sso.epoch_posix
+        with pytest.raises(O.WindowError, match="horizon"):
+            O.extract_passes(sso, O.NGARI_STATION, t0, t0 + 200 * 3600.0)
+
     def test_rate_bound_nearly_attained_at_zenith(self):
         # polar orbit crossing the zenith of an equatorial station under its node
         rec = T.make_tle(None, 90002, 2024, 1.0, 90.0, 0.0, 0.0, 0.0, 0.0, 15.22)
