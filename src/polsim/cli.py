@@ -87,7 +87,7 @@ class Config:
         try:
             with open(path, "r", encoding="ascii") as fh:
                 return cls(parse_config_text(fh.read()))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path!r}: {exc}") from None
 
     def _take(self, key):
@@ -121,9 +121,12 @@ class Config:
         if raw is None:
             return list(default)
         try:
-            return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+            values = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
         except ValueError:
             raise ConfigError(f"key {key!r}: expected comma-separated numbers, got {raw!r}") from None
+        if not values:
+            raise ConfigError(f"key {key!r}: expected at least one number, got {raw!r}")
+        return values
 
     def finish(self):
         unknown = set(self.values) - self.used
@@ -131,11 +134,11 @@ class Config:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
 
-def _checked(check, *args):
+def _checked(check, *args, **kwargs):
     """Call a library constructor or check on config values; its ValueError
     means a value is out of range, which is a config error."""
     try:
-        return check(*args)
+        return check(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -149,9 +152,12 @@ def _coating_from_config(cfg):
 
 def _write(out_dir, name, text):
     path = Path(out_dir) / name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliFailure(EXIT_USAGE, f"cannot write output: {exc}") from None
     return path
 
 
@@ -234,6 +240,8 @@ def cmd_compensate(args):
             raise ConfigError(f"key {key!r}: expected a finite positive number, got {value!r}")
     if sign not in (1, -1):
         raise ConfigError(f"key 'sign': expected 1 or -1, got {sign!r}")
+    if not 0.0 <= threshold < 90.0:
+        raise ConfigError(f"key 'threshold_deg': expected a value in [0, 90), got {threshold!r}")
 
     if tle_path is None and pass_path is None:
         tle_path = str(data_dir() / "sso_500km.tle")
@@ -304,17 +312,20 @@ def cmd_offset_scan(args):
 
 def cmd_bell(args):
     cfg = Config.load(args.config)
-    source = linksim.SourceModel(
+    source = _checked(
+        linksim.SourceModel,
         fidelity=cfg.get_float("source_fidelity", 0.9329),
         pair_rate_hz=cfg.get_float("pair_rate_hz", 1e6),
     )
     rotation_deg = cfg.get_float("channel_rotation_deg", 0.0)
-    channel = linksim.ChannelModel(
+    channel = _checked(
+        linksim.ChannelModel,
         loss_db=cfg.get_float("loss_db", 46.0),
-        rotation=rotator(math.radians(rotation_deg)),
+        rotation=_checked(rotator, math.radians(rotation_deg)),
         depolarization=cfg.get_float("depolarization", 0.0),
     )
-    det = linksim.DetectionModel(
+    det = _checked(
+        linksim.DetectionModel,
         efficiency=cfg.get_float("detector_efficiency", 0.5),
         dark_rate_hz=cfg.get_float("dark_rate_hz", 100.0),
         coincidence_window_s=cfg.get_float("coincidence_window_ns", 2.5) * 1e-9,
@@ -325,6 +336,11 @@ def cmd_bell(args):
     s_target = cfg.get_float("calibrate_s_target", 2.312)
     total_target = cfg.get_float("calibrate_total_coincidences", 2138.0)
     cfg.finish()
+    if not math.isfinite(s_target):
+        raise ConfigError(f"key 'calibrate_s_target': expected a finite number, got {s_target!r}")
+    if not 0.0 < total_target < math.inf:
+        raise ConfigError("key 'calibrate_total_coincidences': expected a finite positive "
+                          f"number, got {total_target!r}")
 
     if s_target > 0.0:
         try:

@@ -87,11 +87,8 @@ class SourceModel:
     def __post_init__(self):
         if not 0.25 <= self.fidelity <= 1.0:
             raise ValueError("source fidelity must be in [0.25, 1]")
-        if not self.pair_rate_hz > 0.0:
-            raise ValueError("pair rate must be positive")
-
-    def state(self):
-        return make_source(self.fidelity)
+        if not 0.0 < self.pair_rate_hz < math.inf:
+            raise ValueError("pair rate must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -101,12 +98,14 @@ class ChannelModel:
     depolarization: float = 0.0
 
     def __post_init__(self):
-        if self.loss_db < 0.0:
-            raise ValueError("loss must be non-negative (dB)")
+        if not 0.0 <= self.loss_db < math.inf:
+            raise ValueError("loss must be finite and non-negative (dB)")
         if not 0.0 <= self.depolarization <= 1.0:
             raise ValueError("depolarization probability must be in [0, 1]")
         if self.rotation is None:
             object.__setattr__(self, "rotation", identity_element())
+        if not self.rotation.is_unitary():
+            raise ValueError("channel rotation must be a unitary Jones matrix")
 
     @property
     def transmission(self):
@@ -123,30 +122,17 @@ class DetectionModel:
     def __post_init__(self):
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError("efficiency must be in (0, 1]")
-        if self.dark_rate_hz < 0.0:
-            raise ValueError("dark rate must be non-negative")
-        if not self.coincidence_window_s > 0.0:
-            raise ValueError("coincidence window must be positive")
-        if not self.integration_time_s > 0.0:
-            raise ValueError("integration time must be positive")
+        if not 0.0 <= self.dark_rate_hz < math.inf:
+            raise ValueError("dark rate must be finite and non-negative")
+        if not 0.0 < self.coincidence_window_s < math.inf:
+            raise ValueError("coincidence window must be finite and positive")
+        if not 0.0 < self.integration_time_s < math.inf:
+            raise ValueError("integration time must be finite and positive")
 
 
 def _linear_projector(angle):
     v = np.array([math.cos(angle), math.sin(angle)], dtype=complex)
     return np.outer(v, v.conj())
-
-
-def _apply_channel(state, channel):
-    """Channel polarization effects on photon 1 (the uplink photon)."""
-    rho = state.rho
-    u = channel.rotation.matrix
-    rho = np.kron(u, np.eye(2)) @ rho @ np.kron(u, np.eye(2)).conj().T
-    p = channel.depolarization
-    if p > 0.0:
-        # isotropic depolarization of photon 1: keep its partial trace
-        rho2 = rho.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)  # trace over photon 1
-        rho = (1.0 - p) * rho + p * np.kron(np.eye(2) / 2.0, rho2)
-    return TwoQubitState(rho)
 
 
 def _pair_probabilities(rho, phi1, phi2):
@@ -176,36 +162,28 @@ def chsh_analytic(state, settings=BELL_TEST_SETTINGS):
 
 
 def _expected_counts(source, channel, det, phi1, phi2):
-    """Expected (true + accidental) coincidence means, order (pp, mm, pm, mp)."""
-    rho = _apply_channel(source.state(), channel).rho
-    probs = _pair_probabilities(rho, phi1, phi2)
-    t = det.integration_time_s
-    eta = det.efficiency
-    trans = channel.transmission
-    true_means = source.pair_rate_hz * trans * eta * eta * probs * t
+    """Expected (true + accidental) coincidence means, order (pp, mm, pm, mp).
 
-    # singles rates at each analyzer port (photon 1 = satellite side is the
-    # lossy arm); accidental mean per port pair is S1 * S2 * window * time
-    p1 = _linear_projector(phi1)
-    p1t = _linear_projector(phi1 + math.pi / 2.0)
-    p2 = _linear_projector(phi2)
-    p2t = _linear_projector(phi2 + math.pi / 2.0)
-    eye = np.eye(2)
-    s1 = [
-        source.pair_rate_hz * trans * eta * float(np.trace(rho @ np.kron(p, eye)).real)
-        + det.dark_rate_hz
-        for p in (p1, p1t)
-    ]
-    s2 = [
-        source.pair_rate_hz * eta * float(np.trace(rho @ np.kron(eye, p)).real)
-        + det.dark_rate_hz
-        for p in (p2, p2t)
-    ]
-    tau = det.coincidence_window_s
-    acc = np.array(
-        [s1[0] * s2[0], s1[1] * s2[1], s1[0] * s2[1], s1[1] * s2[0]]
-    ) * tau * t
-    return true_means + acc
+    The channel keeps the source a Werner state: with w = V (1 - p) and
+    |psi> = (U x I)|Phi+>, rho = w |psi><psi| + (1 - w) I/4, so a port pair
+    (a, b) fires with P = w |a^T U b|^2 / 2 + (1 - w)/4, and both photons keep
+    the marginal I/2 whatever the analyzer port.
+    """
+    w = (4.0 * source.fidelity - 1.0) / 3.0 * (1.0 - channel.depolarization)
+    a = np.array([[math.cos(phi1), math.sin(phi1)], [-math.sin(phi1), math.cos(phi1)]])
+    b = np.array([[math.cos(phi2), math.sin(phi2)], [-math.sin(phi2), math.cos(phi2)]])
+    # amp[i, j]: satellite port i, ground port j (0 = analyzer axis, 1 = orthogonal)
+    amp = np.abs(a @ channel.rotation.matrix @ b.T) ** 2 / 2.0
+    probs = w * amp[[0, 1, 0, 1], [0, 1, 1, 0]] + (1.0 - w) / 4.0
+    rate, trans = source.pair_rate_hz, channel.transmission
+    eta, t = det.efficiency, det.integration_time_s
+    true_means = rate * trans * eta * eta * probs * t
+
+    # singles per analyzer port (photon 1 = satellite side is the lossy arm);
+    # the accidental mean of every port pair is S1 * S2 * window * time
+    s1 = rate * trans * eta / 2.0 + det.dark_rate_hz
+    s2 = rate * eta / 2.0 + det.dark_rate_hz
+    return true_means + s1 * s2 * det.coincidence_window_s * t
 
 
 def simulate_coincidences(source, channel, det, phi1, phi2, seed, stream=0):
@@ -285,15 +263,11 @@ def estimate_chsh(counts, settings=BELL_TEST_SETTINGS, error_method="propagation
         s_err = math.sqrt(sum(err**2 for err in e_errs))
     elif error_method == "bootstrap":
         rng = np.random.Generator(np.random.Philox(key=np.array([boot_seed, 2**32], dtype=np.uint64)))
-        quads = np.asarray(counts, dtype=float)
-        e_samples = np.empty((n_boot, 4))
-        for b in range(n_boot):
-            resampled = rng.poisson(quads)
-            for k in range(4):
-                same = resampled[k, 0] + resampled[k, 1]
-                cross = resampled[k, 2] + resampled[k, 3]
-                n = same + cross
-                e_samples[b, k] = (same - cross) / n if n > 0 else 0.0
+        resampled = rng.poisson(np.asarray(counts, dtype=float), size=(n_boot, 4, 4))
+        same = resampled[..., 0] + resampled[..., 1]
+        cross = resampled[..., 2] + resampled[..., 3]
+        n = same + cross
+        e_samples = (same - cross) / np.maximum(n, 1)  # n = 0 only when same = cross = 0
         e_errs = list(np.std(e_samples, axis=0, ddof=1))
         s_boot = np.abs(e_samples[:, 0] - e_samples[:, 1] + e_samples[:, 2] + e_samples[:, 3])
         s_err = float(np.std(s_boot, ddof=1))
@@ -321,23 +295,19 @@ def calibrate_bell(source, channel, det, s_target, total_target,
                    settings=BELL_TEST_SETTINGS):
     """Solve for channel depolarization and integration time.
 
-    Finds the effective visibility (via the channel depolarization knob) that
+    Sets the effective visibility (via the channel depolarization knob) that
     makes the full count model's expected S equal `s_target`, then scales the
     integration time so expected total coincidences equal `total_target`.
+    Each expected E_k is V (1 - p) e_k N_k / (N_k + 4 A_k), with e_k the
+    pure-state correlation, N_k the true and A_k the accidental coincidences
+    per port pair; neither depends on p, so S(p) = (1 - p) S(0).
     Attributes no physical cause; it is an effective-noise calibration.
     """
-    from scipy.optimize import brentq
-
-    def s_of_depol(p):
-        ch = replace(channel, depolarization=p)
-        s, _ = expected_chsh(source, ch, det, settings)
-        return s - s_target
-
-    s_max = s_of_depol(0.0) + s_target
+    s_max, _ = expected_chsh(source, replace(channel, depolarization=0.0), det, settings)
     if s_target > s_max:
         raise ValueError(f"target S {s_target} above the model's reach {s_max:.4f}")
-    depol = brentq(s_of_depol, 0.0, 1.0, xtol=1e-12)
-    channel = replace(channel, depolarization=float(depol))
+    depol = 1.0 - s_target / s_max if s_max > 0.0 else 0.0
+    channel = replace(channel, depolarization=depol)
 
     _, total_now = expected_chsh(source, channel, det, settings)
     det = replace(det, integration_time_s=det.integration_time_s * total_target / total_now)

@@ -194,6 +194,20 @@ class TestConfigRange:
         ("compensate", "step_s 1e-6"),
         ("compensate", "sign 0"),
         ("compensate", "sign 2"),
+        ("compensate", "threshold_deg 95"),
+        ("per-map", "elevations_deg ,"),
+        ("per-map", "azimuths_deg ,"),
+        ("offset-scan", "ground_offsets_deg ,"),
+        ("offset-scan", "sat_offsets_deg ,"),
+        ("bell", "source_fidelity 2"),
+        ("bell", "loss_db -1"),
+        ("bell", "loss_db inf"),
+        ("bell", "detector_efficiency 0"),
+        ("bell", "depolarization 1.5"),
+        ("bell", "pair_rate_hz nan"),
+        ("bell", "channel_rotation_deg nan"),
+        ("bell", "calibrate_s_target nan"),
+        ("bell", "calibrate_total_coincidences 0"),
     ])
     def test_exit_1(self, capsys, tmp_path, command, setting):
         cfg = tmp_path / "c.cfg"
@@ -205,6 +219,15 @@ class TestConfigRange:
         assert len(err.strip().splitlines()) == 1
         assert "config error" in err
         assert not out_dir.exists()
+
+    def test_non_ascii_config(self, capsys, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"angle_deg 45\xc3\xa9\n")
+        code, out, err = run(capsys, "coating", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "config error" in err
 
     def test_negative_sign_accepted(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -249,6 +272,14 @@ class TestBell:
         assert result["model"]["channel_rotation_deg"] == 45.0
         assert result["S"] < 2.5  # down from the 2.8284 unrotated value
 
+    def test_unreachable_s_target_exit_3(self, capsys, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("calibrate_s_target 2.7\n")
+        code, _, err = run(capsys, "bell", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 3
+        assert "above the model's reach" in err
+        assert not (tmp_path / "out").exists()
+
     def test_zero_coincidences_exit_3(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(
@@ -259,21 +290,18 @@ class TestBell:
 
 
 class TestImports:
-    # scipy costs ~0.2 s to import; only the Bell calibration needs it
+    # scipy is a test-only dependency; no subcommand may load it
     PROBE = ("import sys; from polsim.cli import main; code = main(sys.argv[1:]); "
              "print('scipy' in sys.modules); sys.exit(code)")
 
-    @pytest.mark.parametrize("command, loads_scipy", [
-        ("coating", False), ("per-map", False), ("compensate", False),
-        ("offset-scan", False), ("bell", True),
-    ])
-    def test_scipy_only_for_bell(self, tmp_path, command, loads_scipy):
+    @pytest.mark.parametrize("command", ["coating", "per-map", "compensate", "offset-scan", "bell"])
+    def test_no_scipy(self, tmp_path, command):
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         done = subprocess.run([sys.executable, "-c", self.PROBE, command, "--out", str(tmp_path)],
                               env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == str(loads_scipy)
+        assert done.stdout.splitlines()[-1] == "False"
 
 
 class TestHarness:
@@ -295,6 +323,17 @@ class TestHarness:
         # bare 1.0/1.9 interface at 45 degrees, not the packaged 50-layer stack
         assert float(values["layers"]) == 0
         assert float(values["rs_power"]) < 0.5
+
+    @pytest.mark.parametrize("command", ["per-map", "offset-scan", "bell"])
+    def test_unwritable_out_exit_1(self, capsys, tmp_path, command):
+        # a directory cannot be made below a regular file, even by root
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, _, err = run(capsys, command, "--out", str(blocker / "out"))
+        assert code == 1
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert "cannot write output" in err
 
     def test_config_value_type_error(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import optimize, stats
 
 from polsim import antenna as A
 from polsim import jones as J
@@ -10,6 +12,51 @@ from polsim import linksim as L
 from conftest import random_pure_qubit
 
 SQRT8 = 2.0 * math.sqrt(2.0)
+ANGLES = st.floats(-math.pi, math.pi)
+
+
+def density_matrix_counts(source, channel, det, phi1, phi2):
+    """Reference count model on the full 4x4 density matrix: the rotation and
+    the depolarization act on photon 1 through Kronecker products, and every
+    probability and singles rate is a trace against a port projector."""
+    rho = L.make_source(source.fidelity).rho
+    u = np.kron(channel.rotation.matrix, np.eye(2))
+    rho = u @ rho @ u.conj().T
+    p = channel.depolarization
+    rho2 = rho.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)  # trace over photon 1
+    rho = (1.0 - p) * rho + p * np.kron(np.eye(2) / 2.0, rho2)
+    probs = L._pair_probabilities(rho, phi1, phi2)
+
+    rate, trans = source.pair_rate_hz, channel.transmission
+    eta, t = det.efficiency, det.integration_time_s
+    eye = np.eye(2)
+    ports1 = [L._linear_projector(phi1 + k * math.pi / 2.0) for k in (0, 1)]
+    ports2 = [L._linear_projector(phi2 + k * math.pi / 2.0) for k in (0, 1)]
+    s1 = [rate * trans * eta * np.trace(rho @ np.kron(a, eye)).real + det.dark_rate_hz
+          for a in ports1]
+    s2 = [rate * eta * np.trace(rho @ np.kron(eye, b)).real + det.dark_rate_hz for b in ports2]
+    acc = np.array([s1[0] * s2[0], s1[1] * s2[1], s1[0] * s2[1], s1[1] * s2[0]])
+    return rate * trans * eta * eta * probs * t + acc * det.coincidence_window_s * t
+
+
+def bootstrap_loop(counts, n_boot, boot_seed):
+    """Reference bootstrap: one Poisson resample of the 4x4 counts per pass.
+    Returns (sigma_E, sigma_S, number of per-setting resamples with n = 0)."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([boot_seed, 2**32], dtype=np.uint64)))
+    quads = np.asarray(counts, dtype=float)
+    e_samples = np.empty((n_boot, 4))
+    empty = 0
+    for b in range(n_boot):
+        resampled = rng.poisson(quads)
+        for k in range(4):
+            same = resampled[k, 0] + resampled[k, 1]
+            cross = resampled[k, 2] + resampled[k, 3]
+            n = same + cross
+            empty += n == 0
+            e_samples[b, k] = (same - cross) / n if n > 0 else 0.0
+    s_boot = np.abs(e_samples[:, 0] - e_samples[:, 1] + e_samples[:, 2] + e_samples[:, 3])
+    return (tuple(float(x) for x in np.std(e_samples, axis=0, ddof=1)),
+            float(np.std(s_boot, ddof=1)), empty)
 
 
 class TestSource:
@@ -158,12 +205,57 @@ class TestSimulation:
         assert a != c
 
     def test_channel_rotation_applied_to_uplink_photon(self):
-        # rotating photon 1 by pi/4 kills the (0, 0) correlation of Phi+
+        # rotating photon 1 by pi/4 kills the (0, 0) correlation of Phi+ and
+        # moves the perfect correlation to a satellite analyzer at pi/4
         src = L.SourceModel(1.0, 1e6)
-        state = L.make_source(1.0)
-        rotated = L._apply_channel(state, L.ChannelModel(0.0, rotation=J.rotator(math.pi / 4)))
-        assert L.correlation(rotated, 0.0, 0.0) == pytest.approx(0.0, abs=1e-12)
-        assert L.correlation(rotated, math.pi / 4, 0.0) == pytest.approx(1.0, abs=1e-12)
+        ch = L.ChannelModel(0.0, rotation=J.rotator(math.pi / 4))
+        # a window this short leaves the accidentals below 1e-12 of the true counts
+        det = L.DetectionModel(efficiency=1.0, dark_rate_hz=0.0,
+                               coincidence_window_s=1e-24, integration_time_s=1.0)
+
+        def e(phi1, phi2):
+            return L._correlation_from_counts(L._expected_counts(src, ch, det, phi1, phi2))[0]
+
+        assert e(0.0, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert e(math.pi / 4, 0.0) == pytest.approx(1.0, abs=1e-12)
+        # E = cos 2(phi2 + pi/4 - phi1): turning the ground analyzer goes the other way
+        assert e(0.0, math.pi / 4) == pytest.approx(-1.0, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.25, 1.0), st.floats(0.0, 1.0), ANGLES, st.floats(0.0, 2.0 * math.pi),
+           ANGLES, ANGLES, ANGLES, st.floats(0.0, 80.0), st.floats(1.0, 1e9),
+           st.floats(1e-3, 1.0), st.floats(0.0, 1e5), st.floats(1e-12, 1e-6),
+           st.floats(1e-3, 1e3))
+    def test_closed_form_matches_density_matrix(self, fid, depol, wp_angle, retardance, rot,
+                                                phi1, phi2, loss, rate, eff, dark, window, t_int):
+        src = L.SourceModel(fid, rate)
+        ch = L.ChannelModel(loss, J.waveplate(wp_angle, retardance) @ J.rotator(rot), depol)
+        det = L.DetectionModel(eff, dark, window, t_int)
+        got = L._expected_counts(src, ch, det, phi1, phi2)
+        want = density_matrix_counts(src, ch, det, phi1, phi2)
+        # a port pair with zero probability carries only the reference's rounding
+        # noise, so the absolute floor is relative to the largest mean
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want.max())
+
+    @pytest.mark.parametrize("element", [
+        J.OpticalElement(1.0, 1.0, 0.0, 0.0),  # Frobenius norm^2 = 2, like a unitary
+        J.polarizer(0.3),
+        J.mirror_element(J.MirrorResponse.from_powers(0.99, 0.98, math.pi)),
+    ])
+    def test_non_unitary_rotation_rejected(self, element):
+        with pytest.raises(ValueError, match="unitary"):
+            L.ChannelModel(0.0, rotation=element)
+
+    @pytest.mark.parametrize("build", [
+        lambda: L.ChannelModel(math.inf),
+        lambda: L.ChannelModel(math.nan),
+        lambda: L.SourceModel(0.9, math.inf),
+        lambda: L.DetectionModel(dark_rate_hz=math.nan),
+        lambda: L.DetectionModel(integration_time_s=math.inf),
+    ])
+    def test_non_finite_model_values_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
 
 
 class TestEstimator:
@@ -199,6 +291,20 @@ class TestEstimator:
         boot = L.estimate_chsh(counts, error_method="bootstrap", n_boot=4000, boot_seed=1)
         assert boot.s_value == prop.s_value
         assert boot.s_error == pytest.approx(prop.s_error, rel=0.15)
+
+    @pytest.mark.parametrize("counts, n_boot, boot_seed", [
+        ([(220, 210, 40, 35), (30, 45, 200, 215), (205, 220, 45, 30), (210, 200, 35, 45)], 500, 0),
+        ([(220, 210, 40, 35), (30, 45, 200, 215), (205, 220, 45, 30), (210, 200, 35, 45)], 64, 7),
+        ([(1, 0, 0, 0), (0, 1, 0, 0), (2, 0, 1, 0), (0, 0, 0, 1)], 500, 3),
+    ])
+    def test_bootstrap_matches_resample_loop(self, counts, n_boot, boot_seed):
+        e_errs, s_err, empty = bootstrap_loop(counts, n_boot, boot_seed)
+        result = L.estimate_chsh(counts, error_method="bootstrap", n_boot=n_boot,
+                                 boot_seed=boot_seed)
+        assert result.correlation_errors == e_errs
+        assert result.s_error == s_err
+        if min(sum(q) for q in counts) <= 2:
+            assert empty > 0  # resamples with no coincidence at a setting did occur
 
     def test_zero_total_raises(self):
         with pytest.raises(L.EstimationError):
@@ -258,6 +364,31 @@ class TestCalibration:
         s, total = L.expected_chsh(src, ch, det)
         assert s == pytest.approx(2.312, abs=1e-9)
         assert total == pytest.approx(2138.0, rel=1e-9)
+
+    def test_matches_root_search(self):
+        # a root search on the full count model lands on the closed-form depolarization
+        src = L.SourceModel(0.9329, 1e6)
+        ch = L.ChannelModel(46.0, rotation=J.rotator(0.1))
+        det = L.DetectionModel()
+        calibrated, _ = L.calibrate_bell(src, ch, det, s_target=2.312, total_target=2138.0)
+
+        def s_gap(p):
+            return L.expected_chsh(src, L.ChannelModel(46.0, ch.rotation, p), det)[0] - 2.312
+
+        root = optimize.brentq(s_gap, 0.0, 1.0, xtol=1e-14)
+        assert calibrated.depolarization == pytest.approx(root, rel=1e-12)
+
+    def test_s_linear_in_depolarization(self, rng):
+        for _ in range(50):
+            src = L.SourceModel(rng.uniform(0.25, 1.0), 1e6)
+            det = L.DetectionModel(efficiency=rng.uniform(0.1, 1.0),
+                                   dark_rate_hz=rng.uniform(0.0, 1e4),
+                                   integration_time_s=rng.uniform(1.0, 100.0))
+            rotation = J.rotator(rng.uniform(-0.3, 0.3))
+            loss, p = rng.uniform(20.0, 50.0), rng.uniform(0.0, 1.0)
+            s0, _ = L.expected_chsh(src, L.ChannelModel(loss, rotation), det)
+            s_p, _ = L.expected_chsh(src, L.ChannelModel(loss, rotation, p), det)
+            assert s_p == pytest.approx((1.0 - p) * s0, rel=1e-12, abs=1e-15)
 
     def test_unreachable_target(self):
         src = L.SourceModel(0.9329, 1e6)
