@@ -32,6 +32,7 @@ from .jones import (
     measure_per,
     rotator,
 )
+from .table import read_table, write_table
 
 # Coating response of the scanning-head plane mirrors at 780 nm, built from
 # the vendor-measured power reflectances and s/p phase gap.
@@ -85,11 +86,13 @@ class PointingDirection:
     elevation_deg: float
 
     def __post_init__(self):
-        az, el = self.azimuth_deg, self.elevation_deg
-        if not np.all((-180.0 <= az) & (az < 180.0)):
-            raise ValueError(f"azimuth must be in [-180, 180), got {az!r}")
-        if not np.all((0.0 <= el) & (el <= 90.0)):
-            raise ValueError(f"elevation must be in [0, 90], got {el!r}")
+        az, el = np.asarray(self.azimuth_deg), np.asarray(self.elevation_deg)
+        bad_az = az[~((-180.0 <= az) & (az < 180.0))]
+        if bad_az.size:
+            raise ValueError(f"azimuth must be in [-180, 180), got {float(bad_az[0])!r}")
+        bad_el = el[~((0.0 <= el) & (el <= 90.0))]
+        if bad_el.size:
+            raise ValueError(f"elevation must be in [0, 90], got {float(bad_el[0])!r}")
 
 
 def parabola_incidence_angle(focal_mm, ray_height_mm, semidiameter_mm=None):
@@ -142,24 +145,16 @@ class PerScanResult:
         return sum(r[3] for r in self.rows) / len(self.rows)
 
     def to_csv(self):
-        lines = ["elevation_deg,azimuth_deg,state_label,per,fidelity"]
-        for el, az, label, per, fid in self.rows:
-            lines.append(f"{el!r},{az!r},{label},{per!r},{fid!r}")
-        lines.append(f"# summary min_per={self.min_per!r} mean_per={self.mean_per!r}")
-        return "\n".join(lines) + "\n"
+        return write_table(PER_SCAN_FORMAT, zip(*self.rows),
+                           f"summary min_per={self.min_per!r} mean_per={self.mean_per!r}")
+
+
+PER_SCAN_FORMAT = (("elevation_deg", float), ("azimuth_deg", float), ("state_label", str),
+                   ("per", float), ("fidelity", float))
 
 
 def parse_per_scan_csv(text):
-    rows = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith("elevation_deg"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise ValueError(f"line {line_no}: expected 5 columns, got {len(parts)}")
-        rows.append((float(parts[0]), float(parts[1]), parts[2], float(parts[3]), float(parts[4])))
-    return PerScanResult(tuple(rows))
+    return PerScanResult(tuple(read_table(text, PER_SCAN_FORMAT)))
 
 
 # The four test states transmitted during the local antenna scan.
@@ -192,6 +187,8 @@ def antenna_per_scan(
     """
     if not len(elevations_deg) or not len(azimuths_deg) or not states:
         raise ValueError("scan grids must be non-empty")
+    if not 0.0 < cap < math.inf:
+        raise ValueError(f"PER cap must be finite and positive, got {cap!r}")
     # cells on axes (elevation, azimuth, state), the row order of the table
     el = np.asarray(elevations_deg, dtype=float)[:, None, None]
     az = np.asarray(azimuths_deg, dtype=float)[None, :, None]

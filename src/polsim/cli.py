@@ -73,8 +73,26 @@ def parse_config_text(text):
     return values
 
 
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError
+    return value
+
+
+def _finite_list(text):
+    values = [_finite(tok) for tok in text.split(",") if tok.strip() != ""]
+    if not values:
+        raise ValueError
+    return values
+
+
 class Config:
-    """Typed access to config values with unknown-key rejection."""
+    """Typed access to config values with unknown-key rejection.
+
+    No key gives NaN or inf a meaning, so every number must be finite; range
+    checks are left to the library code that uses the value (see _checked).
+    """
 
     def __init__(self, values):
         self.values = dict(values)
@@ -90,43 +108,27 @@ class Config:
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path!r}: {exc}") from None
 
-    def _take(self, key):
+    def _get(self, key, default, parse, expected):
         self.used.add(key)
-        return self.values.get(key)
+        raw = self.values.get(key)
+        if raw is None:
+            return default
+        try:
+            return parse(raw)
+        except ValueError:
+            raise ConfigError(f"key {key!r}: expected {expected}, got {raw!r}") from None
 
     def get_float(self, key, default):
-        raw = self._take(key)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"key {key!r}: expected a number, got {raw!r}") from None
+        return self._get(key, default, _finite, "a finite number")
 
     def get_int(self, key, default):
-        raw = self._take(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"key {key!r}: expected an integer, got {raw!r}") from None
+        return self._get(key, default, int, "an integer")
 
     def get_str(self, key, default):
-        raw = self._take(key)
-        return default if raw is None else raw
+        return self._get(key, default, str, "text")
 
     def get_float_list(self, key, default):
-        raw = self._take(key)
-        if raw is None:
-            return list(default)
-        try:
-            values = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
-        except ValueError:
-            raise ConfigError(f"key {key!r}: expected comma-separated numbers, got {raw!r}") from None
-        if not values:
-            raise ConfigError(f"key {key!r}: expected at least one number, got {raw!r}")
-        return values
+        return self._get(key, list(default), _finite_list, "comma-separated finite numbers")
 
     def finish(self):
         unknown = set(self.values) - self.used
@@ -135,12 +137,22 @@ class Config:
 
 
 def _checked(check, *args, **kwargs):
-    """Call a library constructor or check on config values; its ValueError
-    means a value is out of range, which is a config error."""
+    """Call library code on config values; its ValueError means a value is
+    out of range, which is a config error."""
     try:
         return check(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _load(parse, path, what):
+    """`parse` of an ASCII input file; a file that cannot be read, decoded or
+    parsed is an input parse error."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return parse(fh.read())
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        raise CliFailure(EXIT_PARSE, f"{what} {path}: {exc}") from None
 
 
 def _coating_from_config(cfg):
@@ -171,14 +183,9 @@ def cmd_coating(args):
     wavelength_nm = cfg.get_float("wavelength_nm", 780.0)
     cfg.finish()
 
-    try:
-        stack = thinfilm.load_stack_file(stack_path)
-    except OSError as exc:
-        raise CliFailure(EXIT_PARSE, f"cannot read stack file: {exc}")
-    except thinfilm.StackParseError as exc:
-        raise CliFailure(EXIT_PARSE, f"stack file {stack_path}: {exc}")
-
-    resp = thinfilm.stack_response(stack, thinfilm.Ray(math.radians(angle_deg), wavelength_nm))
+    ray = _checked(thinfilm.Ray, math.radians(angle_deg), wavelength_nm)
+    stack = _load(thinfilm.parse_stack_text, stack_path, "stack file")
+    resp = thinfilm.stack_response(stack, ray)
     gap = resp.phase_gap
     print(f"stack_file {stack_path}")
     print(f"layers {len(stack.layers)}")
@@ -208,11 +215,8 @@ def cmd_per_map(args):
     except KeyError as exc:
         raise ConfigError(f"unknown state label {exc.args[0]!r} (known: H, V, +, -)")
 
-    _checked(antenna.PointingDirection, np.array(azimuths), np.array(elevations))
-
-    scan = antenna.antenna_per_scan(
-        antenna.DESIGN_GEOMETRY, coating, elevations, azimuths, states, cap=cap
-    )
+    scan = _checked(antenna.antenna_per_scan, antenna.DESIGN_GEOMETRY, coating,
+                    elevations, azimuths, states, cap=cap)
     path = _write(args.out, "per_map.csv", scan.to_csv())
     print(f"wrote {path}")
     print(f"cells {len(scan.rows)}")
@@ -223,7 +227,7 @@ def cmd_per_map(args):
 
 def cmd_compensate(args):
     cfg = Config.load(args.config)
-    tle_path = cfg.get_str("tle_file", None)
+    tle_path = cfg.get_str("tle_file", str(data_dir() / "sso_500km.tle"))
     pass_path = cfg.get_str("pass_csv", None)
     lat = cfg.get_float("station_lat_deg", orbit.NGARI_STATION.latitude_deg)
     lon = cfg.get_float("station_lon_deg", orbit.NGARI_STATION.longitude_deg)
@@ -235,40 +239,16 @@ def cmd_compensate(args):
     sign = cfg.get_int("sign", 1)
     max_slew = cfg.get_float("max_slew_deg_per_s", compensation.DEFAULT_MAX_SLEW_DEG_PER_S)
     cfg.finish()
-    for key, value in (("step_s", step_s), ("window_hours", window_h)):
-        if not 0.0 < value < math.inf:
-            raise ConfigError(f"key {key!r}: expected a finite positive number, got {value!r}")
-    if sign not in (1, -1):
-        raise ConfigError(f"key 'sign': expected 1 or -1, got {sign!r}")
-    if not 0.0 <= threshold < 90.0:
-        raise ConfigError(f"key 'threshold_deg': expected a value in [0, 90), got {threshold!r}")
+    _checked(compensation.check_tracking, sign, max_slew)
 
-    if tle_path is None and pass_path is None:
-        tle_path = str(data_dir() / "sso_500km.tle")
-
-    passes = []
     if pass_path is not None:
-        try:
-            passes = [orbit.load_pass_csv(pass_path)]
-        except OSError as exc:
-            raise CliFailure(EXIT_PARSE, f"cannot read pass CSV: {exc}")
-        except ValueError as exc:
-            raise CliFailure(EXIT_PARSE, f"pass CSV {pass_path}: {exc}")
+        passes = [_load(orbit.parse_pass_csv, pass_path, "pass CSV")]
     else:
-        try:
-            rec = tle.load_tle_file(tle_path)
-        except OSError as exc:
-            raise CliFailure(EXIT_PARSE, f"cannot read TLE file: {exc}")
-        except tle.TleParseError as exc:
-            raise CliFailure(EXIT_PARSE, f"TLE file {tle_path}: {exc}")
-        station = orbit.GroundStation(lat, lon, alt)
+        rec = _load(tle.parse_tle, tle_path, "TLE file")
+        station = _checked(orbit.GroundStation, lat, lon, alt)
         t0 = rec.epoch_posix
-        try:
-            passes = orbit.extract_passes(
-                rec, station, t0, t0 + window_h * 3600.0, threshold_deg=threshold, step_s=step_s
-            )
-        except orbit.WindowError as exc:
-            raise ConfigError(f"keys 'window_hours', 'step_s': {exc}") from None
+        passes = _checked(orbit.extract_passes, rec, station, t0, t0 + window_h * 3600.0,
+                          threshold_deg=threshold, step_s=step_s)
 
     if not passes:
         raise CliFailure(EXIT_NUMERIC, "no pass above the elevation threshold in the window")
@@ -297,10 +277,8 @@ def cmd_offset_scan(args):
     coating = _coating_from_config(cfg)
     cfg.finish()
 
-    _checked(antenna.PointingDirection, azimuth, elevation)
-
-    grid = linksim.offset_scan(ground, sat, coating, azimuth_deg=azimuth,
-                               elevation_deg=elevation, beta_deg=beta)
+    grid = _checked(linksim.offset_scan, ground, sat, coating, azimuth_deg=azimuth,
+                    elevation_deg=elevation, beta_deg=beta)
     path = _write(args.out, "offset_scan.csv", linksim.offset_scan_csv(ground, sat, grid))
     i, j = np.unravel_index(np.argmax(grid), grid.shape)
     print(f"wrote {path}")
@@ -321,7 +299,7 @@ def cmd_bell(args):
     channel = _checked(
         linksim.ChannelModel,
         loss_db=cfg.get_float("loss_db", 46.0),
-        rotation=_checked(rotator, math.radians(rotation_deg)),
+        rotation=rotator(math.radians(rotation_deg)),
         depolarization=cfg.get_float("depolarization", 0.0),
     )
     det = _checked(
@@ -336,11 +314,9 @@ def cmd_bell(args):
     s_target = cfg.get_float("calibrate_s_target", 2.312)
     total_target = cfg.get_float("calibrate_total_coincidences", 2138.0)
     cfg.finish()
-    if not math.isfinite(s_target):
-        raise ConfigError(f"key 'calibrate_s_target': expected a finite number, got {s_target!r}")
-    if not 0.0 < total_target < math.inf:
-        raise ConfigError("key 'calibrate_total_coincidences': expected a finite positive "
-                          f"number, got {total_target!r}")
+    if not total_target > 0.0:
+        raise ConfigError("key 'calibrate_total_coincidences': expected a positive number, "
+                          f"got {total_target!r}")
 
     if s_target > 0.0:
         try:

@@ -20,7 +20,6 @@ rates are always computed on the unwrapped series.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from .antenna import PointingDirection, scanning_head_jones
 from .jones import PolarizationState, fidelity, hwp, rotator
-from .orbit import iso_from_posix, posix_from_iso
+from .table import json_text, posix_from_iso, read_table, write_table
 
 # The deployed installation's empirically determined HWP zero point, degrees.
 DEFAULT_ZERO_POINT_DEG = 145.8
@@ -68,10 +67,7 @@ class CompensationSchedule:
     warnings: tuple
 
     def to_csv(self):
-        lines = ["t_iso8601,hwp_deg,rate_deg_per_s"]
-        for t, a, r in zip(self.t_posix, self.angle_deg, self.rate_deg_per_s):
-            lines.append(f"{iso_from_posix(t)},{float(a)!r},{float(r)!r}")
-        return "\n".join(lines) + "\n"
+        return write_table(SCHEDULE_FORMAT, (self.t_posix, self.angle_deg, self.rate_deg_per_s))
 
     def metadata(self):
         return {
@@ -83,22 +79,23 @@ class CompensationSchedule:
         }
 
     def metadata_json(self):
-        return json.dumps(self.metadata(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.metadata())
+
+
+SCHEDULE_FORMAT = (("t_iso8601", posix_from_iso), ("hwp_deg", float), ("rate_deg_per_s", float))
 
 
 def parse_schedule_csv(text):
-    times, angles, rates = [], [], []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith("t_iso8601"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 3:
-            raise ValueError(f"line {line_no}: expected 3 columns, got {len(parts)}")
-        times.append(posix_from_iso(parts[0]))
-        angles.append(float(parts[1]))
-        rates.append(float(parts[2]))
-    return np.array(times), np.array(angles), np.array(rates)
+    """(t_posix, hwp_deg, rate_deg_per_s) arrays of a schedule CSV."""
+    return tuple(np.array(read_table(text, SCHEDULE_FORMAT), dtype=float).reshape(-1, 3).T)
+
+
+def check_tracking(sign, max_slew_deg_per_s):
+    """Raise ValueError unless `sign` is 1 or -1 and the slew limit is positive."""
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
+    if not max_slew_deg_per_s > 0.0:
+        raise ValueError(f"slew limit must be positive, got {max_slew_deg_per_s!r}")
 
 
 def schedule_from_pass(pass_profile, zero_point_deg=DEFAULT_ZERO_POINT_DEG, sign=1,
@@ -110,6 +107,7 @@ def schedule_from_pass(pass_profile, zero_point_deg=DEFAULT_ZERO_POINT_DEG, sign
     afterwards.  A rate above `max_slew_deg_per_s` is recorded as a warning
     (the schedule is still produced).
     """
+    check_tracking(sign, max_slew_deg_per_s)
     az = np.unwrap(pass_profile.azimuth_deg, period=360.0)
     beta = np.unwrap(pass_profile.beta_deg, period=360.0)
     raw = zero_point_deg + sign * (az + pass_profile.elevation_deg + beta) / 2.0

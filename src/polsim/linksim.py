@@ -21,7 +21,6 @@ window.  Randomness comes from a counter-based Philox generator keyed as
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -30,6 +29,7 @@ import numpy as np
 from .antenna import PointingDirection
 from .compensation import calibrate_zero_point, compensated_chain, compensation_angle
 from .jones import OpticalElement, PolarizationState, fidelity, identity_element, rotator
+from .table import json_text, read_table, write_table
 
 # Analyzer settings of the uplink Bell test: (satellite, ground) angle pairs
 # in the order (p1,p2), (p1,p2'), (p1',p2), (p1',p2') used by the S formula.
@@ -225,7 +225,7 @@ class ChshResult:
         }
         if extra:
             payload.update(extra)
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json_text(payload)
 
 
 def _correlation_from_counts(quad):
@@ -262,6 +262,8 @@ def estimate_chsh(counts, settings=BELL_TEST_SETTINGS, error_method="propagation
         e_errs = [p[1] for p in per_setting]
         s_err = math.sqrt(sum(err**2 for err in e_errs))
     elif error_method == "bootstrap":
+        if n_boot < 2:
+            raise ValueError(f"bootstrap needs n_boot >= 2 resamples, got {n_boot!r}")
         rng = np.random.Generator(np.random.Philox(key=np.array([boot_seed, 2**32], dtype=np.uint64)))
         resampled = rng.poisson(np.asarray(counts, dtype=float), size=(n_boot, 4, 4))
         same = resampled[..., 0] + resampled[..., 1]
@@ -317,28 +319,19 @@ def calibrate_bell(source, channel, det, s_target, total_target,
 # --- counts CSV (one row per setting) ---------------------------------------
 
 
+COUNTS_FORMAT = (("setting_phi1_rad", float), ("setting_phi2_rad", float), ("c_pp", float),
+                 ("c_mm", float), ("c_pm", float), ("c_mp", float))
+
+
 def counts_to_csv(counts, settings=BELL_TEST_SETTINGS):
-    lines = ["setting_phi1_rad,setting_phi2_rad,c_pp,c_mm,c_pm,c_mp"]
-    for (p1, p2), quad in zip(settings, counts):
-        c_pp, c_mm, c_pm, c_mp = quad
-        lines.append(f"{p1!r},{p2!r},{c_pp!r},{c_mm!r},{c_pm!r},{c_mp!r}")
-    return "\n".join(lines) + "\n"
+    return write_table(COUNTS_FORMAT, (*zip(*settings), *zip(*counts)))
 
 
 def parse_counts_csv(text):
-    settings, counts = [], []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith("setting_phi1_rad"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 6:
-            raise ValueError(f"line {line_no}: expected 6 columns, got {len(parts)}")
-        settings.append((float(parts[0]), float(parts[1])))
-        counts.append(tuple(float(c) for c in parts[2:]))
-    if len(counts) != 4:
-        raise ValueError(f"expected 4 setting rows, got {len(counts)}")
-    return tuple(settings), counts
+    rows = read_table(text, COUNTS_FORMAT)
+    if len(rows) != 4:
+        raise ValueError(f"expected 4 setting rows, got {len(rows)}")
+    return tuple(row[:2] for row in rows), [row[2:] for row in rows]
 
 
 # --- offset-angle fidelity scan ---------------------------------------------
@@ -369,22 +362,14 @@ def offset_scan(ground_offsets_deg, sat_offsets_deg, coating, state=None,
     return fidelity(received, state)
 
 
+OFFSET_SCAN_FORMAT = (("ground_offset_deg", float), ("sat_offset_deg", float), ("fidelity", float))
+
+
 def offset_scan_csv(ground_offsets_deg, sat_offsets_deg, grid):
-    lines = ["ground_offset_deg,sat_offset_deg,fidelity"]
-    for i, g in enumerate(ground_offsets_deg):
-        for j, s in enumerate(sat_offsets_deg):
-            lines.append(f"{float(g)!r},{float(s)!r},{float(grid[i, j])!r}")
-    return "\n".join(lines) + "\n"
+    """Rows in grid order: ground offset outer, satellite offset inner."""
+    ground, sat = np.meshgrid(ground_offsets_deg, sat_offsets_deg, indexing="ij")
+    return write_table(OFFSET_SCAN_FORMAT, (ground.ravel(), sat.ravel(), np.ravel(grid)))
 
 
 def parse_offset_scan_csv(text):
-    rows = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith("ground_offset_deg"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 3:
-            raise ValueError(f"line {line_no}: expected 3 columns, got {len(parts)}")
-        rows.append((float(parts[0]), float(parts[1]), float(parts[2])))
-    return rows
+    return read_table(text, OFFSET_SCAN_FORMAT)

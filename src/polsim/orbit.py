@@ -22,6 +22,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from .table import posix_from_iso, read_table, write_table
+
 MU_EARTH_KM3_S2 = 398600.4418
 R_EARTH_KM = 6371.0
 SECONDS_PER_DAY = 86400.0
@@ -45,21 +47,6 @@ def to_posix(t):
             t = t.replace(tzinfo=timezone.utc)
         return t.timestamp()
     return float(t)
-
-
-def iso_from_posix(t):
-    dt = datetime.fromtimestamp(t, tz=timezone.utc)
-    return dt.strftime("%Y-%m-%dT%H:%M:%S.%f") + "Z"
-
-
-def posix_from_iso(text):
-    text = text.strip()
-    if text.endswith("Z"):
-        text = text[:-1]
-    dt = datetime.fromisoformat(text)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.timestamp()
 
 
 @dataclass(frozen=True)
@@ -279,10 +266,12 @@ class PassProfile:
         return start > 0.0 > end
 
     def to_csv(self):
-        lines = ["t_iso8601,az_deg,el_deg,beta_deg"]
-        for t, az, el, beta in zip(self.t_posix, self.azimuth_deg, self.elevation_deg, self.beta_deg):
-            lines.append(f"{iso_from_posix(t)},{float(az)!r},{float(el)!r},{float(beta)!r}")
-        return "\n".join(lines) + "\n"
+        return write_table(PASS_FORMAT, (self.t_posix, self.azimuth_deg, self.elevation_deg,
+                                         self.beta_deg))
+
+
+PASS_FORMAT = (("t_iso8601", posix_from_iso), ("az_deg", float), ("el_deg", float),
+               ("beta_deg", float))
 
 
 def parse_pass_csv(text):
@@ -291,41 +280,16 @@ def parse_pass_csv(text):
     A missing beta column means no satellite-telescope rotation (zeros);
     a present one is taken verbatim (injected-series mode).
     """
-    times, az, el, beta = [], [], [], []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith("t_iso8601"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) not in (3, 4):
-            raise ValueError(f"line {line_no}: expected 3 or 4 columns, got {len(parts)}")
-        try:
-            times.append(posix_from_iso(parts[0]))
-            az.append(float(parts[1]))
-            el.append(float(parts[2]))
-            beta.append(float(parts[3]) if len(parts) == 4 else 0.0)
-        except ValueError as exc:
-            raise ValueError(f"line {line_no}: {exc}") from None
-    return PassProfile(np.array(times), np.array(az), np.array(el), np.array(beta))
+    rows = read_table(text, PASS_FORMAT, fill=(0.0,))
+    return PassProfile(*np.array(rows, dtype=float).reshape(-1, 4).T)
 
 
-def load_pass_csv(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_pass_csv(fh.read())
-
-
-def beta_angle(rec, station, t_posix, mode="geometric"):
-    """Satellite telescope angle per sample, degrees.
-
-    mode="geometric": signed in-plane off-nadir angle of the station line of
-    sight in the satellite's nadir-pointing frame (positive when the station
-    is ahead along track).  mode="zero": nadir-fixed satellite, all zeros.
+def beta_angle(rec, station, t_posix):
+    """Satellite telescope angle per sample, degrees: the signed in-plane
+    off-nadir angle of the station line of sight in the satellite's
+    nadir-pointing frame (positive when the station is ahead along track).
     """
     t_posix = np.asarray(t_posix, dtype=float)
-    if mode == "zero":
-        return np.zeros_like(t_posix)
-    if mode != "geometric":
-        raise ValueError(f"unknown beta mode {mode!r}")
     return _beta_from_state(*propagate_state(rec, t_posix), station, t_posix)
 
 
@@ -359,8 +323,7 @@ def elevation_rate_bound(rec, station):
     return (v_p + EARTH_RATE_RAD_S * r_a) / (r_p - r_s)
 
 
-def extract_passes(rec, station, t_start, t_end, threshold_deg=10.0, step_s=1.0,
-                   beta_mode="geometric"):
+def extract_passes(rec, station, t_start, t_end, threshold_deg=10.0, step_s=1.0):
     """All complete passes with elevation >= threshold inside [t_start, t_end].
 
     Interior samples sit on the step grid; the first and last sample of each
@@ -422,8 +385,7 @@ def extract_passes(rec, station, t_start, t_end, threshold_deg=10.0, step_s=1.0,
     times = np.concatenate(segments)
     pos, vel = propagate_state(rec, times)
     az, elev, _ = topocentric(pos, station, times)
-    beta = (_beta_from_state(pos, vel, station, times) if beta_mode == "geometric"
-            else beta_angle(rec, station, times, mode=beta_mode))
+    beta = _beta_from_state(pos, vel, station, times)
     cuts = np.cumsum([len(s) for s in segments[:-1]])
     columns = (np.split(x, cuts) for x in (times, az, elev, beta))
     return [PassProfile(*cols) for cols in zip(*columns)]

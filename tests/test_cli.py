@@ -54,6 +54,19 @@ class TestCoating:
         code, _, err = run(capsys, "coating", "--stack", str(tmp_path / "absent.txt"))
         assert code == 2
 
+    @pytest.mark.parametrize("content", [
+        b"ambient 1.0 0.0\nsubstrate 1.5 0.0 # \xc3\xa9\n",
+        b"ambient -1 0\nsubstrate 1.5 0.0\n",
+    ])
+    def test_bad_stack_exit_2(self, capsys, tmp_path, content):
+        stack = tmp_path / "bad.txt"
+        stack.write_bytes(content)
+        code, out, err = run(capsys, "coating", "--stack", str(stack))
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert str(stack) in err
+
 
 class TestPerMap:
     def test_default_grid(self, capsys, tmp_path):
@@ -124,12 +137,34 @@ class TestCompensate:
         code, _, err = run(capsys, "compensate", "--config", str(cfg), "--out", str(tmp_path))
         assert code == 2
 
+    def test_non_ascii_tle_exit_2(self, capsys, tmp_path):
+        packaged = (cli.data_dir() / "sso_500km.tle").read_bytes()
+        bad = tmp_path / "bad.tle"
+        bad.write_bytes(packaged.replace(b"TEST", b"T\xc3\xa9T", 1))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"tle_file {bad}\n")
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "compensate", "--config", str(cfg), "--out", str(out_dir))
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert "TLE file" in err
+        assert not out_dir.exists()
+
     def test_no_pass_exit_3(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("threshold_deg 89.99\nwindow_hours 2\nstep_s 5\n")
         code, _, err = run(capsys, "compensate", "--config", str(cfg), "--out", str(tmp_path))
         assert code == 3
         assert "no pass" in err
+
+    @pytest.mark.parametrize("setting", ["sign 2", "max_slew_deg_per_s -1"])
+    def test_bad_tracking_without_pass_exit_1(self, capsys, tmp_path, setting):
+        # a config error, even when the window holds no pass to schedule
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{setting}\nthreshold_deg 89.99\nwindow_hours 2\nstep_s 5\n")
+        code, _, err = run(capsys, "compensate", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 1
+        assert "config error" in err
 
     @pytest.mark.parametrize("setting", ["step_s 0", "step_s -5", "window_hours nan"])
     def test_bad_step_or_window_exit_1(self, capsys, tmp_path, setting):
@@ -208,6 +243,19 @@ class TestConfigRange:
         ("bell", "channel_rotation_deg nan"),
         ("bell", "calibrate_s_target nan"),
         ("bell", "calibrate_total_coincidences 0"),
+        ("compensate", "zero_point_deg nan"),
+        ("compensate", "zero_point_deg inf"),
+        ("compensate", "max_slew_deg_per_s nan"),
+        ("compensate", "max_slew_deg_per_s -1"),
+        ("compensate", "station_lon_deg nan"),
+        ("compensate", "station_lat_deg 95"),
+        ("per-map", "per_cap inf"),
+        ("per-map", "per_cap 0"),
+        ("per-map", "per_cap -1"),
+        ("offset-scan", "beta_deg nan"),
+        ("offset-scan", "sat_offsets_deg nan"),
+        ("coating", "angle_deg 95"),
+        ("coating", "wavelength_nm nan"),
     ])
     def test_exit_1(self, capsys, tmp_path, command, setting):
         cfg = tmp_path / "c.cfg"

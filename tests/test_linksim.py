@@ -306,6 +306,12 @@ class TestEstimator:
         if min(sum(q) for q in counts) <= 2:
             assert empty > 0  # resamples with no coincidence at a setting did occur
 
+    @pytest.mark.parametrize("n_boot", [0, 1])
+    def test_bootstrap_needs_two_resamples(self, n_boot):
+        counts = [(220, 210, 40, 35), (30, 45, 200, 215), (205, 220, 45, 30), (210, 200, 35, 45)]
+        with pytest.raises(ValueError, match="n_boot"):
+            L.estimate_chsh(counts, error_method="bootstrap", n_boot=n_boot)
+
     def test_zero_total_raises(self):
         with pytest.raises(L.EstimationError):
             L.estimate_chsh([(0, 0, 0, 0)] * 4)

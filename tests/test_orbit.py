@@ -272,10 +272,6 @@ class TestPassSearchProperties:
 
 
 class TestBeta:
-    def test_zero_mode(self, sso):
-        ts = sso.epoch_posix + np.arange(0.0, 100.0, 10.0)
-        assert np.all(O.beta_angle(sso, O.NGARI_STATION, ts, mode="zero") == 0.0)
-
     def test_continuity_along_passes(self, sso_passes):
         for p in sso_passes:
             jumps = np.abs(np.diff(p.beta_deg)) / np.diff(p.t_posix)
@@ -300,10 +296,6 @@ class TestBeta:
         fwd = beta[mid + 1 : mid + 200]
         back = beta[mid - 1 : mid - 200 : -1]
         assert np.max(np.abs(fwd + back)) < 0.2
-
-    def test_bad_mode(self, sso):
-        with pytest.raises(ValueError):
-            O.beta_angle(sso, O.NGARI_STATION, np.array([sso.epoch_posix]), mode="what")
 
 
 class TestPassCsv:
