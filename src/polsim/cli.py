@@ -185,7 +185,10 @@ def cmd_coating(args):
 
     ray = _checked(thinfilm.Ray, math.radians(angle_deg), wavelength_nm)
     stack = _load(thinfilm.parse_stack_text, stack_path, "stack file")
-    resp = thinfilm.stack_response(stack, ray)
+    try:
+        resp = thinfilm.stack_response(stack, ray)
+    except (ValueError, OverflowError) as exc:  # a non-finite response fails MirrorResponse
+        raise CliFailure(EXIT_NUMERIC, f"stack response failed: {exc}") from None
     gap = resp.phase_gap
     print(f"stack_file {stack_path}")
     print(f"layers {len(stack.layers)}")
@@ -247,8 +250,14 @@ def cmd_compensate(args):
         rec = _load(tle.parse_tle, tle_path, "TLE file")
         station = _checked(orbit.GroundStation, lat, lon, alt)
         t0 = rec.epoch_posix
-        passes = _checked(orbit.extract_passes, rec, station, t0, t0 + window_h * 3600.0,
-                          threshold_deg=threshold, step_s=step_s)
+        try:
+            passes = orbit.extract_passes(rec, station, t0, t0 + window_h * 3600.0,
+                                          threshold_deg=threshold, step_s=step_s)
+        except orbit.WindowError as exc:
+            key = "step_s" if isinstance(exc, orbit.GridSizeError) else "window_hours"
+            raise ConfigError(f"key {key!r}: {exc}") from None
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     if not passes:
         raise CliFailure(EXIT_NUMERIC, "no pass above the elevation threshold in the window")

@@ -157,9 +157,9 @@ class MirrorResponse:
     r_p: complex
 
     def __post_init__(self):
-        if abs(self.r_s) > 1.0 + 1e-12 or abs(self.r_p) > 1.0 + 1e-12:
+        if not (abs(self.r_s) <= 1.0 + 1e-12 and abs(self.r_p) <= 1.0 + 1e-12):
             raise ValueError(
-                f"passive mirror needs |r| <= 1, got |r_s|={abs(self.r_s):.6g}, "
+                f"passive mirror needs finite |r| <= 1, got |r_s|={abs(self.r_s):.6g}, "
                 f"|r_p|={abs(self.r_p):.6g}"
             )
 

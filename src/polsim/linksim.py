@@ -177,13 +177,18 @@ def _expected_counts(source, channel, det, phi1, phi2):
     probs = w * amp[[0, 1, 0, 1], [0, 1, 1, 0]] + (1.0 - w) / 4.0
     rate, trans = source.pair_rate_hz, channel.transmission
     eta, t = det.efficiency, det.integration_time_s
-    true_means = rate * trans * eta * eta * probs * t
+    pair_rate = rate * trans * eta * eta
 
     # singles per analyzer port (photon 1 = satellite side is the lossy arm);
     # the accidental mean of every port pair is S1 * S2 * window * time
     s1 = rate * trans * eta / 2.0 + det.dark_rate_hz
     s2 = rate * eta / 2.0 + det.dark_rate_hz
-    return true_means + s1 * s2 * det.coincidence_window_s * t
+    accidental = s1 * s2 * det.coincidence_window_s * t
+    # every mean is below this bound (probs < 1); on Python floats an overflow
+    # gives inf, where the array arithmetic below would warn
+    if not pair_rate * t + accidental < math.inf:
+        raise ValueError("expected coincidence counts overflow")
+    return pair_rate * probs * t + accidental
 
 
 def simulate_coincidences(source, channel, det, phi1, phi2, seed, stream=0):
@@ -230,16 +235,17 @@ class ChshResult:
 
 def _correlation_from_counts(quad):
     c_pp, c_mm, c_pm, c_mp = (float(c) for c in quad)
-    if min(c_pp, c_mm, c_pm, c_mp) < 0.0:
-        raise EstimationError("coincidence counts must be non-negative")
+    if not all(0.0 <= c < math.inf for c in (c_pp, c_mm, c_pm, c_mp)):
+        raise EstimationError("coincidence counts must be finite and non-negative")
     same = c_pp + c_mm
     cross = c_pm + c_mp
     n = same + cross
     if n <= 0.0:
         raise EstimationError("zero total coincidences at a setting")
     e = (same - cross) / n
-    # first-order Poisson propagation (var C = C) collapses to 4 A B / N^3
-    var = 4.0 * same * cross / n**3
+    # first-order Poisson propagation (var C = C) collapses to 4 A B / N^3,
+    # written so that no intermediate overflows
+    var = 4.0 * (same / n) * (cross / n) / n
     return e, math.sqrt(var), n
 
 
@@ -304,6 +310,8 @@ def calibrate_bell(source, channel, det, s_target, total_target,
     pure-state correlation, N_k the true and A_k the accidental coincidences
     per port pair; neither depends on p, so S(p) = (1 - p) S(0).
     Attributes no physical cause; it is an effective-noise calibration.
+    Raises ValueError when the calibrated model misses either target by more
+    than 1e-9 relative.
     """
     s_max, _ = expected_chsh(source, replace(channel, depolarization=0.0), det, settings)
     if s_target > s_max:
@@ -313,6 +321,12 @@ def calibrate_bell(source, channel, det, s_target, total_target,
 
     _, total_now = expected_chsh(source, channel, det, settings)
     det = replace(det, integration_time_s=det.integration_time_s * total_target / total_now)
+    s_got, total_got = expected_chsh(source, channel, det, settings)
+    # subnormal counts lose the digits the two scalings need
+    if not (abs(s_got - s_target) <= 1e-9 * s_target
+            and abs(total_got - total_target) <= 1e-9 * total_target):
+        raise ValueError(f"calibrated model gives S {s_got:.9g} and {total_got:.9g} "
+                         f"coincidences, not {s_target!r} and {total_target!r}")
     return channel, det
 
 

@@ -37,7 +37,11 @@ MAX_GRID_SAMPLES = 5_000_000
 
 
 class WindowError(ValueError):
-    """A time window past the propagation horizon or too finely sampled."""
+    """A time window that is empty or past the propagation horizon."""
+
+
+class GridSizeError(WindowError):
+    """A time window sampled more finely than MAX_GRID_SAMPLES allows."""
 
 
 def to_posix(t):
@@ -335,14 +339,14 @@ def extract_passes(rec, station, t_start, t_end, threshold_deg=10.0, step_s=1.0)
     """
     t0, t1 = to_posix(t_start), to_posix(t_end)
     if not t0 < t1:
-        raise ValueError("empty time window")
+        raise WindowError("empty time window")
     if not 0.0 <= threshold_deg < 90.0:
         raise ValueError(f"threshold must be in [0, 90), got {threshold_deg!r}")
     if not 0.0 < step_s < math.inf:
         raise ValueError(f"step_s must be finite and positive, got {step_s!r}")
     _check_horizon(rec, [t0, t1])
     if (t1 - t0) / step_s >= MAX_GRID_SAMPLES:
-        raise WindowError(
+        raise GridSizeError(
             f"a {t1 - t0:.6g} s window at step_s {step_s!r} needs more than "
             f"{MAX_GRID_SAMPLES} samples"
         )

@@ -4,7 +4,8 @@ A table format is a tuple of (column name, kind) pairs, defined once next to
 the code that owns the data.  `kind` turns a cell's text into a value: float,
 str, or posix_from_iso for an ISO 8601 UTC timestamp.  A table is a header
 line of the column names, then one comma-separated row per record, numbers
-written with repr so they read back bit for bit.
+written with repr so they read back bit for bit and timestamps a column at a
+time by iso_from_posix.
 """
 
 from __future__ import annotations
@@ -14,10 +15,27 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+# 0001-01-01T00:00:00Z and 9999-12-31T23:59:59.999999Z in POSIX microseconds
+_FIRST_US, _LAST_US = -62_135_596_800_000_000, 253_402_300_799_999_999
+
 
 def iso_from_posix(t):
-    dt = datetime.fromtimestamp(t, tz=timezone.utc)
-    return dt.strftime("%Y-%m-%dT%H:%M:%S.%f") + "Z"
+    """ISO 8601 UTC text ('YYYY-MM-DDTHH:MM:SS.ffffffZ') of each POSIX time in `t`.
+
+    Returns a numpy str array shaped like `t`.  The microsecond is the
+    fraction of a second times 1e6 rounded half to even, the rule of
+    datetime.fromtimestamp.  A time that is not finite or not in years 1 to
+    9999 after rounding raises ValueError.
+    """
+    t = np.asarray(t, dtype=float)
+    frac, whole = np.modf(t)
+    bad = ~(np.abs(whole) < 1e12)  # nan and inf too; keeps the int64 below exact
+    if not bad.any():
+        us = whole.astype(np.int64) * 1_000_000 + np.rint(frac * 1e6).astype(np.int64)
+        bad = (us < _FIRST_US) | (us > _LAST_US)
+    if bad.any():
+        raise ValueError(f"timestamp {float(t[bad][0])!r} is not in years 1 to 9999")
+    return np.datetime_as_string(us.astype("datetime64[us]"), unit="us", timezone="UTC")
 
 
 def posix_from_iso(text):
@@ -36,8 +54,8 @@ def write_table(fmt, columns, comment=None):
     A float or int cell is written as its repr, a timestamp as ISO 8601, text
     verbatim; `comment` becomes a trailing '# ' line.
     """
-    cells = [map(iso_from_posix if kind is posix_from_iso else str, np.asarray(col).tolist())
-             for (_, kind), col in zip(fmt, columns)]
+    cells = [iso_from_posix(col).tolist() if kind is posix_from_iso
+             else map(str, np.asarray(col).tolist()) for (_, kind), col in zip(fmt, columns)]
     lines = [",".join(name for name, _ in fmt), *map(",".join, zip(*cells))]
     if comment is not None:
         lines.append(f"# {comment}")

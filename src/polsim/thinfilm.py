@@ -248,6 +248,13 @@ def quarter_wave_stack(
 # '#' starts a comment; blank lines are ignored.
 
 
+def _finite_floats(tokens):
+    values = [float(t) for t in tokens]
+    if not all(map(math.isfinite, values)):
+        raise ValueError
+    return values
+
+
 def parse_stack_text(text):
     ambient = None
     substrate = None
@@ -261,9 +268,11 @@ def parse_stack_text(text):
             if len(tokens) != 3:
                 raise StackParseError(line_no, f"'{tokens[0]}' needs 2 numbers, got {len(tokens) - 1}")
             try:
-                value = complex(float(tokens[1]), float(tokens[2]))
+                value = complex(*_finite_floats(tokens[1:]))
             except ValueError:
-                raise StackParseError(line_no, f"non-numeric index in {raw.strip()!r}") from None
+                raise StackParseError(
+                    line_no, f"non-numeric or non-finite index in {raw.strip()!r}"
+                ) from None
             if tokens[0] == "ambient":
                 if ambient is not None:
                     raise StackParseError(line_no, "duplicate 'ambient' line")
@@ -278,11 +287,15 @@ def parse_stack_text(text):
                     line_no, f"layer line needs 'n_real n_imag thickness_nm', got {raw.strip()!r}"
                 )
             try:
-                n_re, n_im, d = (float(t) for t in tokens)
+                n_re, n_im, d = _finite_floats(tokens)
             except ValueError:
-                raise StackParseError(line_no, f"non-numeric layer field in {raw.strip()!r}") from None
+                raise StackParseError(
+                    line_no, f"non-numeric or non-finite layer field in {raw.strip()!r}"
+                ) from None
             if d <= 0.0:
                 raise StackParseError(line_no, f"layer thickness must be positive, got {d!r}")
+            if n_re == n_im == 0.0:
+                raise StackParseError(line_no, "layer index must be non-zero")
             layers.append((complex(n_re, n_im), d))
     if ambient is None:
         raise StackParseError(0, "missing 'ambient' line")

@@ -8,6 +8,7 @@ import pytest
 
 from polsim import cli
 from polsim import antenna as An
+from polsim import compensation as C
 from polsim import linksim as L
 
 
@@ -57,6 +58,9 @@ class TestCoating:
     @pytest.mark.parametrize("content", [
         b"ambient 1.0 0.0\nsubstrate 1.5 0.0 # \xc3\xa9\n",
         b"ambient -1 0\nsubstrate 1.5 0.0\n",
+        b"ambient 1.0 0.0\nsubstrate 1.5 0.0\n1.4 0.0 inf\n",
+        b"ambient 1.0 0.0\nsubstrate 1.5 0.0\n0 0 100\n",
+        b"ambient 1.0 nan\nsubstrate 1.5 0.0\n",
     ])
     def test_bad_stack_exit_2(self, capsys, tmp_path, content):
         stack = tmp_path / "bad.txt"
@@ -66,6 +70,25 @@ class TestCoating:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert str(stack) in err
+
+
+    @pytest.mark.parametrize("stack, setting", [
+        (None, "wavelength_nm 1e-320"),
+        ("ambient 1.0 0.0\nsubstrate 1e-320 0.0\n2.1 0.0 100\n", ""),
+        ("ambient 1.0 0.0\nsubstrate 1.5 0.0\n2.1 1e308 100\n", ""),
+    ])
+    def test_non_finite_response_exit_3(self, capsys, tmp_path, stack, setting):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(setting + "\n")
+        argv = ["coating", "--config", str(cfg)]
+        if stack is not None:
+            (tmp_path / "s.txt").write_text(stack)
+            argv += ["--stack", str(tmp_path / "s.txt")]
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "stack response failed" in err
 
 
 class TestPerMap:
@@ -157,6 +180,32 @@ class TestCompensate:
         assert code == 3
         assert "no pass" in err
 
+    def test_year_1_pass_csv_round_trip(self, capsys, tmp_path):
+        pass_csv = tmp_path / "pass.csv"
+        rows = [f"0001-01-01T00:00:0{i}.5Z,{10 + i}.0,30.0" for i in range(1, 4)]
+        pass_csv.write_text("\n".join(rows) + "\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"pass_csv {pass_csv}\n")
+        code, _, _ = run(capsys, "compensate", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 0
+        text = (tmp_path / "pass_01_schedule.csv").read_text()
+        assert text.splitlines()[1].startswith("0001-01-01T00:00:01.500000Z,")
+        t, _, _ = C.parse_schedule_csv(text)
+        assert list(t - t[0]) == [0.0, 1.0, 2.0]
+
+    def test_year_10000_schedule_exit_3(self, capsys, tmp_path):
+        # the last microsecond of 9999 reads back as 10000-01-01, which cannot be written
+        pass_csv = tmp_path / "pass.csv"
+        pass_csv.write_text("9999-12-31T23:59:58Z,10.0,30.0\n9999-12-31T23:59:59.999999Z,11.0,30.0\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"pass_csv {pass_csv}\n")
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "compensate", "--config", str(cfg), "--out", str(out_dir))
+        assert code == 3
+        assert len(err.strip().splitlines()) == 1
+        assert "not in years 1 to 9999" in err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("setting", ["sign 2", "max_slew_deg_per_s -1"])
     def test_bad_tracking_without_pass_exit_1(self, capsys, tmp_path, setting):
         # a config error, even when the window holds no pass to schedule
@@ -226,6 +275,8 @@ class TestConfigRange:
         ("offset-scan", "azimuth_deg 200"),
         ("offset-scan", "elevation_deg -1"),
         ("compensate", "window_hours 200"),
+        ("compensate", "window_hours -1"),
+        ("compensate", "window_hours 0"),
         ("compensate", "step_s 1e-6"),
         ("compensate", "sign 0"),
         ("compensate", "sign 2"),
@@ -267,6 +318,18 @@ class TestConfigRange:
         assert len(err.strip().splitlines()) == 1
         assert "config error" in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("setting, key", [
+        ("window_hours -1", "window_hours"),
+        ("window_hours 200", "window_hours"),
+        ("step_s 1e-6", "step_s"),
+    ])
+    def test_window_error_names_key(self, capsys, tmp_path, setting, key):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(setting + "\n")
+        code, _, err = run(capsys, "compensate", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith(f"polsim: config error: key '{key}': ")
 
     def test_non_ascii_config(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -335,6 +398,37 @@ class TestBell:
         )
         code, _, err = run(capsys, "bell", "--config", str(cfg), "--out", str(tmp_path))
         assert code == 3
+
+
+    @pytest.mark.parametrize("setting", [
+        "integration_time_s 1e300\ncalibrate_s_target 0",
+        "integration_time_s 1e308",
+        "integration_time_s 1e308\ncalibrate_s_target 0",
+        "integration_time_s 1e-320",
+        "integration_time_s 1e-320\ncalibrate_s_target 0",
+        "coincidence_window_ns 1e300",
+        "coincidence_window_ns 1e300\ncalibrate_s_target 0",
+        "pair_rate_hz 1e308",
+    ])
+    def test_extreme_model_one_line(self, capsys, tmp_path, setting):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(setting + "\n")
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "bell", "--config", str(cfg), "--out", str(out_dir))
+        assert code in (1, 3)
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert not out_dir.exists()
+
+    def test_calibration_ignores_start_integration_time(self, capsys, tmp_path):
+        # calibration rescales the configured time, so even 1e300 s gives the default run
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("integration_time_s 1e300\n")
+        code, _, _ = run(capsys, "bell", "--config", str(cfg), "--out", str(tmp_path / "big"))
+        assert code == 0
+        assert run(capsys, "bell", "--out", str(tmp_path / "default"))[0] == 0
+        for name in ("bell_counts.csv", "bell_result.json"):
+            assert (tmp_path / "big" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
 
 
 class TestImports:

@@ -316,6 +316,19 @@ class TestEstimator:
         with pytest.raises(L.EstimationError):
             L.estimate_chsh([(0, 0, 0, 0)] * 4)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_count_raises(self, bad):
+        with pytest.raises(L.EstimationError, match="finite and non-negative"):
+            L.estimate_chsh([(220, 210, 40, 35)] * 3 + [(210, 200, 35, bad)])
+
+    def test_huge_counts_do_not_overflow(self):
+        # sigma_E scales as 1/sqrt(N); N^3 would overflow at N = 6e300
+        quad = (3.0, 1.0, 1.0, 1.0)
+        small = L.estimate_chsh([quad] * 4)
+        huge = L.estimate_chsh([tuple(1e300 * c for c in quad)] * 4)
+        assert huge.correlations == small.correlations
+        assert huge.s_error == pytest.approx(small.s_error / 1e150, rel=1e-12)
+
     def test_wrong_arity(self):
         with pytest.raises(L.EstimationError):
             L.estimate_chsh([(1, 1, 1, 1)] * 3)
@@ -401,6 +414,27 @@ class TestCalibration:
         with pytest.raises(ValueError):
             L.calibrate_bell(src, L.ChannelModel(46.0), L.DetectionModel(),
                              s_target=2.7, total_target=2138.0)
+
+    def test_start_time_cancels(self):
+        src = L.SourceModel(0.9329, 1e6)
+        want = L.calibrate_bell(src, L.ChannelModel(46.0), L.DetectionModel(), 2.312, 2138.0)
+        for t in (1e-300, 1e300):
+            got = L.calibrate_bell(src, L.ChannelModel(46.0),
+                                   L.DetectionModel(integration_time_s=t), 2.312, 2138.0)
+            assert got == want
+
+    def test_subnormal_counts_miss_targets(self):
+        # subnormal expected counts carry too few digits to reach the targets
+        src = L.SourceModel(0.9329, 1e6)
+        with pytest.raises(ValueError, match="calibrated model gives"):
+            L.calibrate_bell(src, L.ChannelModel(46.0),
+                             L.DetectionModel(integration_time_s=1e-320), 2.312, 2138.0)
+
+    @pytest.mark.parametrize("det", [L.DetectionModel(integration_time_s=1e308),
+                                     L.DetectionModel(dark_rate_hz=1e200)])
+    def test_overflowing_counts_raise(self, det):
+        with pytest.raises(ValueError, match="overflow"):
+            L.expected_chsh(L.SourceModel(0.9329, 1e6), L.ChannelModel(46.0), det)
 
 
 class TestCountsCsv:

@@ -1,6 +1,8 @@
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polsim import antenna as A
@@ -104,3 +106,56 @@ def test_comments_blank_lines_and_headers_skipped():
 def test_json_refuses_nan():
     with pytest.raises(ValueError):
         table.json_text({"S": float("nan")})
+
+
+def iso_reference(t):
+    """The scalar formatter the array one replaced, with the year zero-padded."""
+    dt = datetime.fromtimestamp(t, tz=timezone.utc).replace(tzinfo=None)
+    return dt.isoformat(timespec="microseconds") + "Z"
+
+
+FIRST_S, END_S = -62135596800.0, 253402300800.0  # 0001-01-01 and 10000-01-01, POSIX s
+TIMES = st.one_of(
+    st.floats(FIRST_S - 1e4, END_S + 1e4),  # negative times and both year limits
+    st.floats(FIRST_S - 1.0, FIRST_S + 1.0),
+    st.floats(END_S - 1.0, END_S + 1.0),
+    # j/128 s is j * 7812.5 us: every odd j is an exact half-microsecond tie
+    st.integers(-2**40, 2**40).map(lambda j: (2 * j + 1) / 128.0),
+    st.integers(0, 2**28).map(lambda k: k / 1e3 + 1.7e9 + 5e-7),  # 0.5 us off a ms grid
+    st.sampled_from([np.nan, np.inf, -np.inf, 1e20, -1e20]),
+)
+
+
+class TestIsoFromPosix:
+    """The array formatter agrees with datetime.fromtimestamp, ties and limits included."""
+
+    @settings(max_examples=300)
+    @given(st.lists(TIMES, min_size=1, max_size=8))
+    @example([FIRST_S, np.nextafter(FIRST_S, -np.inf)])
+    @example([0.5 / 1e6, 1.5 / 1e6, -0.5 / 1e6, 1 / 128, 3 / 128])
+    def test_matches_datetime(self, times):
+        try:
+            want = [iso_reference(t) for t in times]
+        except (ValueError, OverflowError):
+            with pytest.raises(ValueError, match="not in years 1 to 9999"):
+                table.iso_from_posix(times)
+        else:
+            assert table.iso_from_posix(np.array(times)).tolist() == want
+
+    def test_year_9999_rounding_up_raises(self):
+        # the last microsecond of 9999 reads back as the first second of 10000
+        t = table.posix_from_iso("9999-12-31T23:59:59.999999Z")
+        assert table.iso_from_posix(t - 1.0) == "9999-12-31T23:59:59.000000Z"
+        with pytest.raises(ValueError, match="not in years 1 to 9999"):
+            table.iso_from_posix([t - 1.0, t])
+
+    @pytest.mark.parametrize("year", [1, 999])
+    def test_early_years_round_trip(self, year):
+        t0 = table.posix_from_iso(f"{year:04d}-01-01T00:00:01.5Z")
+        t = t0 + np.array([0.0, 0.25, 1.0])
+        profile = O.PassProfile(t, np.array([10.0, 11.0, 12.0]), np.full(3, 30.0), np.zeros(3))
+        text = profile.to_csv()
+        assert f"\n{year:04d}-01-01T00:00:01.500000Z," in text
+        assert bits(O.parse_pass_csv(text).t_posix) == bits(t)
+        schedule = C.schedule_from_pass(profile)
+        assert bits(C.parse_schedule_csv(schedule.to_csv())[0]) == bits(t)

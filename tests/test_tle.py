@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polsim import tle as T
 
@@ -129,3 +131,37 @@ class TestMakeTle:
         assert T.format_tle(back) == text
         assert back.inclination_deg == pytest.approx(97.4)
         assert back.eccentricity == pytest.approx(0.001)
+
+
+def fixed_point(digits, low, high):
+    """Floats k / 10**digits in [low, high], as a TLE column holds them."""
+    scale = 10**digits
+    return st.integers(round(low * scale), round(high * scale)).map(lambda k: k / scale)
+
+
+NAMES = st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 -()/", min_size=1, max_size=24)
+
+RECORDS = st.builds(
+    T.make_tle,
+    name=st.none() | NAMES.map(str.strip).filter(bool),
+    satellite_number=st.integers(0, 99999),
+    epoch_year=st.integers(1957, 2056),
+    epoch_day=fixed_point(8, 1.0, 366.99999999),
+    inclination_deg=fixed_point(4, 0.0, 180.0),
+    raan_deg=fixed_point(4, 0.0, 359.9999),
+    eccentricity=fixed_point(7, 0.0, 0.9999999),
+    arg_perigee_deg=fixed_point(4, 0.0, 359.9999),
+    mean_anomaly_deg=fixed_point(4, 0.0, 359.9999),
+    mean_motion_rev_per_day=fixed_point(8, 1e-8, 19.99999999),
+    classification=st.sampled_from("UCS"),
+    rev_number=st.integers(0, 99999),
+    element_set_number=st.integers(0, 9999),
+)
+
+
+@given(RECORDS)
+def test_format_parse_format_is_identity(rec):
+    text = T.format_tle(rec)
+    back = T.parse_tle(text)
+    assert T.format_tle(back) == text
+    assert back == rec
