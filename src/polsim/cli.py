@@ -187,7 +187,7 @@ def cmd_coating(args):
     stack = _load(thinfilm.parse_stack_text, stack_path, "stack file")
     try:
         resp = thinfilm.stack_response(stack, ray)
-    except (ValueError, OverflowError) as exc:  # a non-finite response fails MirrorResponse
+    except ValueError as exc:  # a floating-point fault or a non-passive response
         raise CliFailure(EXIT_NUMERIC, f"stack response failed: {exc}") from None
     gap = resp.phase_gap
     print(f"stack_file {stack_path}")
@@ -253,8 +253,8 @@ def cmd_compensate(args):
         try:
             passes = orbit.extract_passes(rec, station, t0, t0 + window_h * 3600.0,
                                           threshold_deg=threshold, step_s=step_s)
-        except orbit.WindowError as exc:
-            key = "step_s" if isinstance(exc, orbit.GridSizeError) else "window_hours"
+        except orbit.ArgumentError as exc:
+            key = "window_hours" if exc.name == "t_end" else exc.name
             raise ConfigError(f"key {key!r}: {exc}") from None
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -323,9 +323,9 @@ def cmd_bell(args):
     s_target = cfg.get_float("calibrate_s_target", 2.312)
     total_target = cfg.get_float("calibrate_total_coincidences", 2138.0)
     cfg.finish()
-    if not total_target > 0.0:
-        raise ConfigError("key 'calibrate_total_coincidences': expected a positive number, "
-                          f"got {total_target!r}")
+    if not 0.0 < total_target < linksim.POISSON_MEAN_MAX:
+        raise ConfigError("key 'calibrate_total_coincidences': expected a positive number "
+                          f"below {linksim.POISSON_MEAN_MAX:.6g}, got {total_target!r}")
 
     if s_target > 0.0:
         try:

@@ -157,17 +157,20 @@ class MirrorResponse:
     r_p: complex
 
     def __post_init__(self):
-        if not (abs(self.r_s) <= 1.0 + 1e-12 and abs(self.r_p) <= 1.0 + 1e-12):
+        a_s, a_p = abs(self.r_s), abs(self.r_p)
+        if not np.all((a_s <= 1.0 + 1e-12) & (a_p <= 1.0 + 1e-12)):
             raise ValueError(
-                f"passive mirror needs finite |r| <= 1, got |r_s|={abs(self.r_s):.6g}, "
-                f"|r_p|={abs(self.r_p):.6g}"
+                f"passive mirror needs finite |r| <= 1, got |r_s|={np.max(a_s):.6g}, "
+                f"|r_p|={np.max(a_p):.6g}"
             )
 
     @property
     def phase_gap(self):
-        """Relative phase arg(r_s) - arg(r_p), wrapped to (-pi, pi]."""
-        d = cmath.phase(self.r_s) - cmath.phase(self.r_p)
-        return math.remainder(d, 2.0 * math.pi)
+        """Relative phase arg(r_s) - arg(r_p), wrapped to [-pi, pi] as
+        math.remainder does (a float for one mirror, else an array)."""
+        d = np.angle(self.r_s) - np.angle(self.r_p)
+        d = d - 2.0 * math.pi * np.round(d / (2.0 * math.pi))
+        return d if np.ndim(d) else float(d)
 
     @classmethod
     def from_powers(cls, rs_power, rp_power, phase_gap):

@@ -40,6 +40,9 @@ BELL_TEST_SETTINGS = (
     (math.pi / 4.0, 3.0 * math.pi / 8.0),
 )
 
+# numpy's Poisson sampler refuses a mean above int64 max - 10 sqrt(int64 max)
+POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+
 _PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
 
 
@@ -198,6 +201,10 @@ def simulate_coincidences(source, channel, det, phi1, phi2, seed, stream=0):
     seed; the generator is Philox keyed with (seed, stream).
     """
     means = _expected_counts(source, channel, det, phi1, phi2)
+    largest = max(means.tolist())  # finite: _expected_counts checks for overflow
+    if largest > POISSON_MEAN_MAX:
+        raise ValueError(f"expected coincidence count {largest:.6g} exceeds the Poisson "
+                         f"sampler's limit {POISSON_MEAN_MAX:.6g}")
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
     return tuple(int(c) for c in rng.poisson(means))
 

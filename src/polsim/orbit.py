@@ -36,8 +36,19 @@ MAX_PROPAGATION_DAYS = 7.0
 MAX_GRID_SAMPLES = 5_000_000
 
 
-class WindowError(ValueError):
+class ArgumentError(ValueError):
+    """An out-of-range argument; `name` is the parameter that carried it."""
+
+    def __init__(self, name, message):
+        super().__init__(message)
+        self.name = name
+
+
+class WindowError(ArgumentError):
     """A time window that is empty or past the propagation horizon."""
+
+    def __init__(self, message, name="t_end"):
+        super().__init__(name, message)
 
 
 class GridSizeError(WindowError):
@@ -341,14 +352,15 @@ def extract_passes(rec, station, t_start, t_end, threshold_deg=10.0, step_s=1.0)
     if not t0 < t1:
         raise WindowError("empty time window")
     if not 0.0 <= threshold_deg < 90.0:
-        raise ValueError(f"threshold must be in [0, 90), got {threshold_deg!r}")
+        raise ArgumentError("threshold_deg", f"threshold must be in [0, 90), got {threshold_deg!r}")
     if not 0.0 < step_s < math.inf:
-        raise ValueError(f"step_s must be finite and positive, got {step_s!r}")
+        raise ArgumentError("step_s", f"step_s must be finite and positive, got {step_s!r}")
     _check_horizon(rec, [t0, t1])
     if (t1 - t0) / step_s >= MAX_GRID_SAMPLES:
         raise GridSizeError(
             f"a {t1 - t0:.6g} s window at step_s {step_s!r} needs more than "
-            f"{MAX_GRID_SAMPLES} samples"
+            f"{MAX_GRID_SAMPLES} samples",
+            "step_s",
         )
 
     def elevation(t):

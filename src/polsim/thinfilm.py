@@ -20,8 +20,11 @@ against each other to 1e-10 in the test suite.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .jones import MirrorResponse
 
@@ -48,16 +51,20 @@ class Interface:
 
 @dataclass(frozen=True)
 class Ray:
-    """Incidence angle (radians) and vacuum wavelength (nm)."""
+    """Incidence angle (radians) and vacuum wavelength (nm); floats or
+    broadcastable arrays for a grid of rays."""
 
     theta_i: float
     wavelength_nm: float
 
     def __post_init__(self):
-        if not (0.0 <= self.theta_i < math.pi / 2.0):
-            raise ValueError(f"incidence angle must be in [0, pi/2), got {self.theta_i!r}")
-        if not self.wavelength_nm > 0.0:
+        theta, wl = np.asarray(self.theta_i, float), np.asarray(self.wavelength_nm, float)
+        bad = theta[~((0.0 <= theta) & (theta < math.pi / 2.0))]
+        if bad.size:
+            raise ValueError(f"incidence angle must be in [0, pi/2), got {float(bad[0])!r}")
+        if np.count_nonzero(~(wl > 0.0)):
             raise ValueError("wavelength must be positive")
+        np.broadcast(theta, wl)
 
 
 @dataclass(frozen=True)
@@ -65,12 +72,15 @@ class LayerStack:
     """Coating stack: ambient index, ordered (index, thickness_nm) layers, substrate.
 
     The first layer in the list is the one the light meets first.  An empty
-    layer list is a bare ambient/substrate interface.
+    layer list is a bare ambient/substrate interface.  `indices` (ambient,
+    layers..., substrate) and `thicknesses` hold the same values as arrays.
     """
 
     ambient: complex
     layers: tuple
     substrate: complex
+    indices: np.ndarray = field(init=False, repr=False, compare=False)
+    thicknesses: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple((complex(n), float(d)) for n, d in self.layers))
@@ -79,6 +89,9 @@ class LayerStack:
         for i, (_, d) in enumerate(self.layers):
             if not d > 0.0:
                 raise ValueError(f"layer {i}: thickness must be positive, got {d!r}")
+        media = [self.ambient, *(n for n, _ in self.layers), self.substrate]
+        object.__setattr__(self, "indices", np.array(media, complex))
+        object.__setattr__(self, "thicknesses", np.array([d for _, d in self.layers], float))
 
 
 def snell(iface, theta_i):
@@ -93,20 +106,18 @@ def _cos_refracted(n0, n, theta_i):
     """cos of the transmitted angle, branch chosen so Im(n cos) >= 0.
 
     That branch makes the transmitted/evanescent wave decay away from the
-    interface, which keeps the layer recursions numerically stable.
+    interface, which keeps the layer recursions numerically stable.  `n` may
+    be an array of media, so sin(theta_i) is taken once for all of them.
     """
-    s = complex(n0) * cmath.sin(theta_i) / complex(n)
-    c = cmath.sqrt(1.0 - s * s)
-    nc = complex(n) * c
-    if nc.imag < 0.0 or (nc.imag == 0.0 and nc.real < 0.0):
-        c = -c
-    return c
+    s = n0 * np.sin(theta_i) / n
+    c = np.sqrt(np.asarray(1.0 - s * s, complex))
+    nc = n * c
+    return np.where((nc.imag < 0.0) | ((nc.imag == 0.0) & (nc.real < 0.0)), -c, c)[()]
 
 
 def _fresnel_amplitudes(n0, n, cos_i, cos_t):
-    rs = (n0 * cos_i - n * cos_t) / (n0 * cos_i + n * cos_t)
-    rp = (n * cos_i - n0 * cos_t) / (n * cos_i + n0 * cos_t)
-    return rs, rp
+    a, b, c, d = n0 * cos_i, n * cos_t, n * cos_i, n0 * cos_t
+    return (a - b) / (a + b), (c - d) / (c + d)
 
 
 def fresnel(iface, theta_i):
@@ -135,55 +146,66 @@ def brewster_angle(n0, n):
     return math.atan2(float(n), float(n0))
 
 
-def _stack_media(stack):
-    chain = [complex(stack.ambient)]
-    chain += [n for n, _ in stack.layers]
-    chain.append(complex(stack.substrate))
-    return chain
+def _finite_response(algorithm):
+    """Run `algorithm` with numpy floating-point faults raised, and report any
+    overflow, invalid operation or division by zero as a ValueError."""
+
+    @functools.wraps(algorithm)
+    def checked(stack, ray):
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                return algorithm(stack, ray)
+        except ArithmeticError as exc:
+            raise ValueError(f"non-finite stack response ({exc})") from None
+
+    return checked
 
 
+def _media(stack, ray):
+    """Indices and cosines of every medium (ambient, layers..., substrate), the
+    layers' phase thicknesses, and a converter to the loop's per-layer rows.
+
+    The arrays carry the media or layers on axis 0, ahead of the ray grid's
+    axes.  Rows are Python complex lists for one ray and arrays for a grid.
+    """
+    theta, wl = np.broadcast_arrays(ray.theta_i, ray.wavelength_nm)
+    grid = (1,) * theta.ndim
+    n = stack.indices.reshape((-1,) + grid)
+    cos = _cos_refracted(n[0], n, theta)
+    cos[0] = np.cos(theta)
+    beta = 2.0 * math.pi / wl * n[1:-1] * stack.thicknesses.reshape((-1,) + grid) * cos[1:-1]
+    return n, cos, beta, (lambda a: a) if grid else np.ndarray.tolist
+
+
+@_finite_response
 def stack_response(stack, ray):
     """Multilayer amplitude reflectances via the characteristic-matrix method.
 
     Each layer contributes M = [[cos b, -i sin b / eta], [-i eta sin b, cos b]]
     with phase thickness b = 2 pi n d cos(t) / lambda and tilted admittance
-    eta_s = n cos(t), eta_p = n / cos(t).  Time convention is exp(-i w t), so
-    absorbing media carry a positive imaginary index.  The admittance form
-    returns r_p in the opposite sign convention from the Fresnel equations
-    above, so the p result is negated to keep one convention package-wide.
+    eta_s = n cos(t), eta_p = n / cos(t).  The layers are applied from the
+    substrate side, [B, C] = M_1 ... M_L [1, eta_sub], and r = (eta_0 B - C) /
+    (eta_0 B + C).  Time convention is exp(-i w t), so absorbing media carry a
+    positive imaginary index.  The admittance form returns r_p in the opposite
+    sign convention from the Fresnel equations above, so the p result is
+    negated to keep one convention package-wide.
     """
-    n_amb = complex(stack.ambient)
-    n_sub = complex(stack.substrate)
-    cos_amb = cmath.cos(ray.theta_i)
-    cos_sub = _cos_refracted(n_amb, n_sub, ray.theta_i)
-
-    k0 = 2.0 * math.pi / ray.wavelength_nm
-    layers = []
-    for n_layer, d in stack.layers:
-        c = _cos_refracted(n_amb, n_layer, ray.theta_i)
-        beta = k0 * n_layer * d * c
-        layers.append((n_layer, c, cmath.cos(beta), cmath.sin(beta)))
-    out = []
-    for pol in ("s", "p"):
-
-        def eta(n, c):
-            return n * c if pol == "s" else n / c
-
-        # the product matrix [[m00, m01], [m10, m11]], carried as four scalars
-        m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
-        for n_layer, c, cos_b, sin_b in layers:
-            e = eta(n_layer, c)
-            l01, l10 = -1j * sin_b / e, -1j * e * sin_b
-            m00, m01 = m00 * cos_b + m01 * l10, m00 * l01 + m01 * cos_b
-            m10, m11 = m10 * cos_b + m11 * l10, m10 * l01 + m11 * cos_b
-        eta0 = eta(n_amb, cos_amb)
-        eta_sub = eta(n_sub, cos_sub)
-        b, c = m00 + m01 * eta_sub, m10 + m11 * eta_sub
-        r = (eta0 * b - c) / (eta0 * b + c)
-        out.append(r if pol == "s" else -r)
-    return MirrorResponse(out[0], out[1])
+    n, cos, beta, rows = _media(stack, ray)
+    eta = np.stack((n * cos, n / cos))  # s and p admittances of every medium
+    beta, eta_layers = beta[::-1], eta[:, -2:0:-1]  # substrate side first
+    i_sin = -1j * np.sin(beta)
+    cos_b = rows(np.cos(beta))
+    r = []
+    # M = [[cos b, m01], [m10, cos b]]; e holds this polarization's eta_0, eta_sub
+    for e, m01s, m10s in zip(rows(eta[:, [0, -1]]), rows(i_sin / eta_layers), rows(i_sin * eta_layers)):
+        b, c = 1.0, e[1]
+        for cb, m01, m10 in zip(cos_b, m01s, m10s):
+            b, c = cb * b + m01 * c, m10 * b + cb * c
+        r.append((e[0] * b - c) / (e[0] * b + c))
+    return MirrorResponse(r[0], -r[1])
 
 
+@_finite_response
 def stack_response_oracle(stack, ray):
     """Multilayer reflectances by recursive single-interface composition.
 
@@ -191,26 +213,15 @@ def stack_response_oracle(stack, ray):
     in through r <- (r_j + r exp(2 i b)) / (1 + r_j r exp(2 i b)).  Entirely
     independent of the characteristic-matrix code path; used to cross-check it.
     """
-    media = _stack_media(stack)
-    n_amb = media[0]
-    cosines = [cmath.cos(ray.theta_i)] + [
-        _cos_refracted(n_amb, n, ray.theta_i) for n in media[1:]
-    ]
-    k0 = 2.0 * math.pi / ray.wavelength_nm
-
+    n, cos, beta, rows = _media(stack, ray)
+    boundaries = np.stack(_fresnel_amplitudes(n[:-1], n[1:], cos[:-1], cos[1:]))[:, ::-1]
+    phase = rows(np.exp(2j * beta)[::-1])
     out = []
-    for pol in ("s", "p"):
-        r = None
-        # walk boundaries bottom-up: substrate interface first
-        for j in range(len(media) - 2, -1, -1):
-            rs, rp = _fresnel_amplitudes(media[j], media[j + 1], cosines[j], cosines[j + 1])
-            r_j = rs if pol == "s" else rp
-            if r is None:
-                r = r_j
-            else:
-                n_inner, d_inner = stack.layers[j]
-                phase = cmath.exp(2j * k0 * n_inner * d_inner * cosines[j + 1])
-                r = (r_j + r * phase) / (1.0 + r_j * r * phase)
+    for r_b in rows(boundaries):  # s, then p; boundaries bottom-up, substrate first
+        r = r_b[0]
+        for r_j, ph in zip(r_b[1:], phase):
+            rph = r * ph
+            r = (r_j + rph) / (1.0 + r_j * rph)
         out.append(r)
     return MirrorResponse(out[0], out[1])
 

@@ -1,10 +1,18 @@
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polsim import cli
 from polsim import antenna as An
@@ -89,6 +97,57 @@ class TestCoating:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert "stack response failed" in err
+
+
+EXTREME_FLOATS = st.sampled_from([
+    0.0, -0.0, 1e308, -1e308, 1e-320, -1e-320, 5e-324, 2.2250738585072014e-308,
+    math.nan, math.inf, -math.inf, 45.0, 780.0,
+]) | st.floats(-100.0, 2000.0)
+STACK_LINES = (cli.data_dir() / "hr_coating_stack.txt").read_text(encoding="ascii").splitlines()
+STACK_DATA_LINES = [k for k, line in enumerate(STACK_LINES) if line.strip() and line[0] != "#"]
+# non-finite numbers, a zero index, a huge imaginary index, a negative thickness, ...
+STACK_TOKENS = ["nan", "inf", "-inf", "0", "-0", "1e308", "-1e308", "1e-320", "5e-324", "-5", "1e5"]
+STACK_MUTATIONS = st.none() | st.tuples(
+    st.sampled_from(STACK_DATA_LINES), st.integers(0, 2), st.sampled_from(STACK_TOKENS)
+)
+
+
+def mutated_stack_text(line_no, field, token):
+    lines = list(STACK_LINES)
+    words = lines[line_no].split()
+    numbers = [i for i, w in enumerate(words) if w not in ("ambient", "substrate")]
+    words[numbers[field % len(numbers)]] = token
+    lines[line_no] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+class TestCoatingExitContract:
+    """Any ray and any one-field mutation of the packaged stack ends in the
+    exit-code contract: 0-3, at most one stderr line, no warning, no nan/inf."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(EXTREME_FLOATS, EXTREME_FLOATS, STACK_MUTATIONS)
+    def test_exit_code_contract(self, angle_deg, wavelength_nm, mutation):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "c.cfg"
+            cfg.write_text(f"angle_deg {angle_deg!r}\nwavelength_nm {wavelength_nm!r}\n")
+            argv = ["coating", "--config", str(cfg)]
+            if mutation is not None:
+                (Path(tmp) / "s.txt").write_text(mutated_stack_text(*mutation))
+                argv += ["--stack", str(Path(tmp) / "s.txt")]
+            with warnings.catch_warnings(record=True) as caught, \
+                    redirect_stdout(out), redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = cli.main(argv)
+        assert code in (0, 1, 2, 3)
+        assert not caught
+        assert len(err.getvalue().splitlines()) <= 1
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            values = [line.split(None, 1)[1] for line in out.getvalue().splitlines()
+                      if not line.startswith("stack_file ")]
+            assert not re.search(r"\b(nan|inf)\b", " ".join(values), re.IGNORECASE)
 
 
 class TestPerMap:
@@ -323,6 +382,10 @@ class TestConfigRange:
         ("window_hours -1", "window_hours"),
         ("window_hours 200", "window_hours"),
         ("step_s 1e-6", "step_s"),
+        ("threshold_deg 95", "threshold_deg"),
+        ("threshold_deg -1", "threshold_deg"),
+        ("step_s 0", "step_s"),
+        ("step_s -5", "step_s"),
     ])
     def test_window_error_names_key(self, capsys, tmp_path, setting, key):
         cfg = tmp_path / "c.cfg"
@@ -419,6 +482,25 @@ class TestBell:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert not out_dir.exists()
+
+    def test_mean_over_poisson_limit_exit_3(self, capsys, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("integration_time_s 1e300\ncalibrate_s_target 0\n")
+        code, out, err = run(capsys, "bell", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 3
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "Poisson sampler's limit 9.22337e+18" in err
+
+    @pytest.mark.parametrize("total", ["1e300", "9.3e18"])
+    def test_total_over_poisson_limit_exit_1(self, capsys, tmp_path, total):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"calibrate_total_coincidences {total}\n")
+        code, out, err = run(capsys, "bell", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("polsim: config error: key 'calibrate_total_coincidences': ")
 
     def test_calibration_ignores_start_integration_time(self, capsys, tmp_path):
         # calibration rescales the configured time, so even 1e300 s gives the default run

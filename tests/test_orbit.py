@@ -173,6 +173,21 @@ class TestPasses:
         with pytest.raises(ValueError, match="step_s"):
             O.extract_passes(sso, O.NGARI_STATION, t0, t0 + 3600.0, step_s=step_s)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"threshold_deg": 95.0}, "threshold_deg"),
+        ({"threshold_deg": -1.0}, "threshold_deg"),
+        ({"step_s": 0.0}, "step_s"),
+        ({"step_s": 1e-6}, "step_s"),
+        ({"t_end_h": 200.0}, "t_end"),
+        ({"t_end_h": 0.0}, "t_end"),
+    ])
+    def test_argument_error_names_parameter(self, sso, kwargs, name):
+        t0 = sso.epoch_posix
+        t1 = t0 + 3600.0 * kwargs.pop("t_end_h", 48.0)
+        with pytest.raises(O.ArgumentError) as err:
+            O.extract_passes(sso, O.NGARI_STATION, t0, t1, **kwargs)
+        assert err.value.name == name
+
     def test_grid_size_bounded_before_allocation(self, sso):
         # 48 h at 1 us would be 1.7e11 samples (1.26 TiB); the check comes first
         t0 = sso.epoch_posix
