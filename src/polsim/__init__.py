@@ -4,11 +4,11 @@ Submodules:
 
 * `jones` - polarization state algebra, waveplates, PER/fidelity metrics,
   fiber-compensation solver
-* `thinfilm` - Fresnel reflectances and multilayer coating response
+* `thinfilm` - multilayer coating response (a bare interface is the empty stack)
 * `antenna` - transmitting-antenna geometry and PER scans
 * `tle` / `orbit` - two-line element parsing, two-body propagation, passes
 * `compensation` - HWP scheduling against satellite motion
-* `linksim` - entangled-pair source, channel, CHSH Monte Carlo
+* `linksim` - Werner-state source, channel, CHSH Monte Carlo
 * `cli` - the `polsim` command-line front end
 """
 
@@ -18,7 +18,6 @@ from .jones import (
     OpticalElement,
     PolarizationState,
     fidelity,
-    fidelity_to_per,
     hwp,
     measure_per,
     mirror_element,
@@ -28,7 +27,7 @@ from .jones import (
     rotator,
     solve_fiber_compensation,
 )
-from .thinfilm import Interface, LayerStack, Ray, fresnel, snell, stack_response
+from .thinfilm import LayerStack, Ray, stack_response
 from .antenna import (
     DESIGN_GEOMETRY,
     HR_COATING,
@@ -52,11 +51,7 @@ from .linksim import (
     ChshResult,
     DetectionModel,
     SourceModel,
-    TwoQubitState,
-    chsh_analytic,
-    correlation,
     estimate_chsh,
-    make_source,
     offset_scan,
     simulate_coincidences,
 )

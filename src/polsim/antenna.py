@@ -32,7 +32,7 @@ from .jones import (
     measure_per,
     rotator,
 )
-from .table import read_table, write_table
+from .table import write_table
 
 # Coating response of the scanning-head plane mirrors at 780 nm, built from
 # the vendor-measured power reflectances and s/p phase gap.
@@ -151,10 +151,6 @@ class PerScanResult:
 
 PER_SCAN_FORMAT = (("elevation_deg", float), ("azimuth_deg", float), ("state_label", str),
                    ("per", float), ("fidelity", float))
-
-
-def parse_per_scan_csv(text):
-    return PerScanResult(tuple(read_table(text, PER_SCAN_FORMAT)))
 
 
 # The four test states transmitted during the local antenna scan.

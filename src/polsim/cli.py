@@ -256,8 +256,6 @@ def cmd_compensate(args):
         except orbit.ArgumentError as exc:
             key = "window_hours" if exc.name == "t_end" else exc.name
             raise ConfigError(f"key {key!r}: {exc}") from None
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
 
     if not passes:
         raise CliFailure(EXIT_NUMERIC, "no pass above the elevation threshold in the window")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .antenna import PointingDirection, scanning_head_jones
 from .jones import PolarizationState, fidelity, hwp, rotator
-from .table import json_text, posix_from_iso, read_table, write_table
+from .table import json_text, posix_from_iso, write_table
 
 # The deployed installation's empirically determined HWP zero point, degrees.
 DEFAULT_ZERO_POINT_DEG = 145.8
@@ -83,11 +83,6 @@ class CompensationSchedule:
 
 
 SCHEDULE_FORMAT = (("t_iso8601", posix_from_iso), ("hwp_deg", float), ("rate_deg_per_s", float))
-
-
-def parse_schedule_csv(text):
-    """(t_posix, hwp_deg, rate_deg_per_s) arrays of a schedule CSV."""
-    return tuple(np.array(read_table(text, SCHEDULE_FORMAT), dtype=float).reshape(-1, 3).T)
 
 
 def check_tracking(sign, max_slew_deg_per_s):

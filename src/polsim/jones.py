@@ -251,13 +251,6 @@ def per_to_fidelity(per):
     return per / (per + 1.0)
 
 
-def fidelity_to_per(f):
-    """Inverse of per_to_fidelity on (0, 1)."""
-    if not 0.0 < f < 1.0:
-        raise ValueError(f"fidelity must lie in (0, 1) to invert, got {f!r}")
-    return f / (1.0 - f)
-
-
 def measure_per(state, reference_angle, cap=PER_CAP):
     """Extinction ratio of `state` against the reference_angle analyzer pair.
 
@@ -271,7 +264,7 @@ def measure_per(state, reference_angle, cap=PER_CAP):
     i_par = abs(c * state.a_h + s * state.a_v) ** 2
     i_perp = abs(c * state.a_v - s * state.a_h) ** 2
     i_max, i_min = np.maximum(i_par, i_perp), np.minimum(i_par, i_perp)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.where(i_min > 0.0, np.minimum(i_max / i_min, cap), cap)[()]
 
 

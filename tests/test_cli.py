@@ -18,6 +18,8 @@ from polsim import cli
 from polsim import antenna as An
 from polsim import compensation as C
 from polsim import linksim as L
+from polsim import orbit as O
+from polsim.table import read_table
 
 
 def run(capsys, *argv):
@@ -83,7 +85,6 @@ class TestCoating:
     @pytest.mark.parametrize("stack, setting", [
         (None, "wavelength_nm 1e-320"),
         ("ambient 1.0 0.0\nsubstrate 1e-320 0.0\n2.1 0.0 100\n", ""),
-        ("ambient 1.0 0.0\nsubstrate 1.5 0.0\n2.1 1e308 100\n", ""),
     ])
     def test_non_finite_response_exit_3(self, capsys, tmp_path, stack, setting):
         cfg = tmp_path / "c.cfg"
@@ -121,6 +122,26 @@ def mutated_stack_text(line_no, field, token):
     return "\n".join(lines) + "\n"
 
 
+def check_exit_contract(argv, out_dir):
+    """Run cli.main in process and assert the exit-code contract: exit 0-3, at
+    most one stderr line, no traceback, no warning, and after exit 0 no nan or
+    inf token in stdout (paths aside) or in any file written to `out_dir`."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3)
+    assert not caught
+    assert len(err.getvalue().splitlines()) <= 1
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        values = [line.split(None, 1)[1] for line in out.getvalue().splitlines()
+                  if not line.startswith(("stack_file ", "wrote "))]
+        written = [path.read_text() for path in Path(out_dir).rglob("*") if path.is_file()]
+        assert not re.search(r"\b(nan|inf)\b", " ".join(values + written), re.IGNORECASE)
+
+
 class TestCoatingExitContract:
     """Any ray and any one-field mutation of the packaged stack ends in the
     exit-code contract: 0-3, at most one stderr line, no warning, no nan/inf."""
@@ -128,7 +149,6 @@ class TestCoatingExitContract:
     @settings(max_examples=200, deadline=None)
     @given(EXTREME_FLOATS, EXTREME_FLOATS, STACK_MUTATIONS)
     def test_exit_code_contract(self, angle_deg, wavelength_nm, mutation):
-        out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             cfg = Path(tmp) / "c.cfg"
             cfg.write_text(f"angle_deg {angle_deg!r}\nwavelength_nm {wavelength_nm!r}\n")
@@ -136,18 +156,42 @@ class TestCoatingExitContract:
             if mutation is not None:
                 (Path(tmp) / "s.txt").write_text(mutated_stack_text(*mutation))
                 argv += ["--stack", str(Path(tmp) / "s.txt")]
-            with warnings.catch_warnings(record=True) as caught, \
-                    redirect_stdout(out), redirect_stderr(err):
-                warnings.simplefilter("always")
-                code = cli.main(argv)
-        assert code in (0, 1, 2, 3)
-        assert not caught
-        assert len(err.getvalue().splitlines()) <= 1
-        assert "Traceback" not in err.getvalue()
-        if code == 0:
-            values = [line.split(None, 1)[1] for line in out.getvalue().splitlines()
-                      if not line.startswith("stack_file ")]
-            assert not re.search(r"\b(nan|inf)\b", " ".join(values), re.IGNORECASE)
+            check_exit_contract(argv, Path(tmp) / "out")
+
+
+MIRROR_KEYS = ("mirror_rs_power", "mirror_rp_power", "mirror_phase_gap_pi")
+CONFIG_KEYS = {
+    "per-map": ("elevations_deg", "azimuths_deg", "states", "per_cap", *MIRROR_KEYS),
+    "offset-scan": ("ground_offsets_deg", "sat_offsets_deg", "azimuth_deg", "elevation_deg",
+                    "beta_deg", *MIRROR_KEYS),
+    "bell": ("source_fidelity", "pair_rate_hz", "loss_db", "channel_rotation_deg",
+             "depolarization", "detector_efficiency", "dark_rate_hz", "coincidence_window_ns",
+             "integration_time_s", "calibrate_s_target", "calibrate_total_coincidences"),
+    "compensate": ("tle_file", "pass_csv", "station_lat_deg", "station_lon_deg",
+                   "station_alt_m", "threshold_deg", "step_s", "window_hours", "zero_point_deg",
+                   "sign", "max_slew_deg_per_s"),
+}
+CONFIG_SETTINGS = st.sampled_from(sorted(CONFIG_KEYS)).flatmap(lambda command: st.tuples(
+    st.just(command),
+    st.sampled_from(CONFIG_KEYS[command]),
+    EXTREME_FLOATS.map(repr)
+    | st.lists(EXTREME_FLOATS, min_size=1, max_size=4).map(lambda xs: ",".join(map(repr, xs))),
+))
+
+
+class TestExitContract:
+    """One config key of any other subcommand set to an extreme number or a
+    comma list ends in the same exit-code contract as coating."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(CONFIG_SETTINGS)
+    def test_config_value(self, setting):
+        command, key, value = setting
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "c.cfg"
+            cfg.write_text(f"{key} {value}\n")
+            out_dir = Path(tmp) / "out"
+            check_exit_contract([command, "--config", str(cfg), "--out", str(out_dir)], out_dir)
 
 
 class TestPerMap:
@@ -156,16 +200,16 @@ class TestPerMap:
         assert code == 0
         values = dict(line.split(None, 1) for line in out.strip().splitlines())
         assert float(values["min_per"]) >= 400.0
-        scan = An.parse_per_scan_csv((tmp_path / "per_map.csv").read_text())
-        assert len(scan.rows) == 96
+        rows = read_table((tmp_path / "per_map.csv").read_text(), An.PER_SCAN_FORMAT)
+        assert len(rows) == 96
 
     def test_single_cell(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("elevations_deg 50\nazimuths_deg 0\nstates H\n")
         code, out, _ = run(capsys, "per-map", "--config", str(cfg), "--out", str(tmp_path))
         assert code == 0
-        scan = An.parse_per_scan_csv((tmp_path / "per_map.csv").read_text())
-        assert len(scan.rows) == 1
+        rows = read_table((tmp_path / "per_map.csv").read_text(), An.PER_SCAN_FORMAT)
+        assert len(rows) == 1
 
     def test_unknown_key_exit_1(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -239,6 +283,18 @@ class TestCompensate:
         assert code == 3
         assert "no pass" in err
 
+    def test_kepler_failure_exit_3(self, capsys, tmp_path, monkeypatch):
+        # a numeric failure inside pass extraction is not a config error
+        def diverge(mean_anomaly, eccentricity):
+            raise ValueError("Kepler solve did not converge: residual 1.0")
+
+        monkeypatch.setattr(O, "solve_kepler", diverge)
+        code, out, err = run(capsys, "compensate", "--out", str(tmp_path / "out"))
+        assert code == 3
+        assert out == ""
+        assert err == "polsim: error: Kepler solve did not converge: residual 1.0\n"
+        assert not (tmp_path / "out").exists()
+
     def test_year_1_pass_csv_round_trip(self, capsys, tmp_path):
         pass_csv = tmp_path / "pass.csv"
         rows = [f"0001-01-01T00:00:0{i}.5Z,{10 + i}.0,30.0" for i in range(1, 4)]
@@ -249,8 +305,8 @@ class TestCompensate:
         assert code == 0
         text = (tmp_path / "pass_01_schedule.csv").read_text()
         assert text.splitlines()[1].startswith("0001-01-01T00:00:01.500000Z,")
-        t, _, _ = C.parse_schedule_csv(text)
-        assert list(t - t[0]) == [0.0, 1.0, 2.0]
+        t = [row[0] for row in read_table(text, C.SCHEDULE_FORMAT)]
+        assert [s - t[0] for s in t] == [0.0, 1.0, 2.0]
 
     def test_year_10000_schedule_exit_3(self, capsys, tmp_path):
         # the last microsecond of 9999 reads back as 10000-01-01, which cannot be written
@@ -303,7 +359,7 @@ class TestOffsetScan:
     def test_default_grid(self, capsys, tmp_path):
         code, out, _ = run(capsys, "offset-scan", "--out", str(tmp_path))
         assert code == 0
-        rows = L.parse_offset_scan_csv((tmp_path / "offset_scan.csv").read_text())
+        rows = read_table((tmp_path / "offset_scan.csv").read_text(), L.OFFSET_SCAN_FORMAT)
         assert len(rows) == 22  # 11 ground x 2 satellite offsets
         values = dict(line.split(None, 1) for line in out.strip().splitlines())
         assert float(values["peak_fidelity"]) >= 0.995
@@ -419,8 +475,8 @@ class TestBell:
         result = json.loads((tmp_path / "bell_result.json").read_text())
         assert abs(result["S"] - 2.312) <= result["sigma_S"]
         assert abs(result["total_coincidences"] - 2138.0) < 5.0 * (2138.0**0.5)
-        settings, counts = L.parse_counts_csv((tmp_path / "bell_counts.csv").read_text())
-        assert len(counts) == 4
+        rows = read_table((tmp_path / "bell_counts.csv").read_text(), L.COUNTS_FORMAT)
+        assert len(rows) == 4
 
     def test_lossless_long_run_hits_tsirelson(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"

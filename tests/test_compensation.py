@@ -12,6 +12,8 @@ from polsim import compensation as C
 from polsim import jones as J
 from polsim import orbit as O
 from polsim import tle as T
+from polsim.table import read_table
+from reference import is_north_to_south
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "polsim" / "data"
 
@@ -21,7 +23,7 @@ def sso_pass():
     rec = T.load_tle_file(DATA / "sso_500km.tle")
     t0 = rec.epoch_posix
     passes = O.extract_passes(rec, O.NGARI_STATION, t0, t0 + 2 * 86400.0, threshold_deg=10.0)
-    ns = sorted((p for p in passes if p.is_north_to_south()), key=lambda p: -p.duration_s)
+    ns = sorted(filter(is_north_to_south, passes), key=lambda p: -p.duration_s)
     return ns[0]
 
 
@@ -114,7 +116,7 @@ class TestSchedule:
 
     def test_csv_and_metadata_roundtrip(self, sso_pass, tmp_path):
         sched = C.schedule_from_pass(sso_pass)
-        times, angles, rates = C.parse_schedule_csv(sched.to_csv())
+        times, angles, rates = np.array(read_table(sched.to_csv(), C.SCHEDULE_FORMAT)).T
         assert np.allclose(times, sched.t_posix, atol=1e-6)
         assert np.allclose(angles, sched.angle_deg)
         assert np.allclose(rates, sched.rate_deg_per_s)

@@ -165,19 +165,18 @@ class TestMetrics:
     def test_per_fidelity_roundtrip(self, rng):
         # p -> f -> p: f = p/(p+1) saturates toward 1, so round-trip relative
         # accuracy degrades as eps*p; assert 1e-12 where floats can deliver it
+        def fidelity_to_per(f):  # the inverse of f = p/(p+1) on (0, 1)
+            return f / (1.0 - f)
+
         for _ in range(200):
             per = 10.0 ** rng.uniform(-3, 3)
-            assert J.fidelity_to_per(J.per_to_fidelity(per)) == pytest.approx(
-                per, rel=1e-12
-            )
+            assert fidelity_to_per(J.per_to_fidelity(per)) == pytest.approx(per, rel=1e-12)
         for _ in range(200):
             per = 10.0 ** rng.uniform(3, 9)
-            assert J.fidelity_to_per(J.per_to_fidelity(per)) == pytest.approx(
-                per, rel=per * 1e-15
-            )
+            assert fidelity_to_per(J.per_to_fidelity(per)) == pytest.approx(per, rel=per * 1e-15)
         for _ in range(200):
             f = rng.uniform(0.5 + 1e-6, 1.0 - 1e-9)
-            assert J.per_to_fidelity(J.fidelity_to_per(f)) == pytest.approx(f, abs=1e-12)
+            assert J.per_to_fidelity(fidelity_to_per(f)) == pytest.approx(f, abs=1e-12)
 
     def test_per_domain(self):
         with pytest.raises(ValueError):
@@ -193,6 +192,10 @@ class TestMetrics:
         expected = 0.9993**2 / 0.0374**2
         assert J.measure_per(state, 0.0) == pytest.approx(expected, rel=1e-12)
         assert J.measure_per(state, 0.0) == pytest.approx(714.0, abs=0.5)
+
+    def test_measure_per_overflowing_ratio_is_capped(self):
+        # i_max / i_min = 1e320 overflows; it is clamped like any PER above the cap
+        assert J.measure_per(J.PolarizationState(1.0, 1e-160), 0.0) == J.PER_CAP
 
 
 class TestFiberCompensation:

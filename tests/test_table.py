@@ -27,7 +27,7 @@ class TestRoundTrip:
 
     @given(st.lists(st.tuples(FLOATS, FLOATS, LABELS, FLOATS, FLOATS), min_size=1, max_size=20))
     def test_per_scan(self, rows):
-        back = A.parse_per_scan_csv(A.PerScanResult(tuple(rows)).to_csv()).rows
+        back = table.read_table(A.PerScanResult(tuple(rows)).to_csv(), A.PER_SCAN_FORMAT)
         assert [r[2] for r in back] == [r[2] for r in rows]
         for col in (0, 1, 3, 4):
             assert bits(r[col] for r in back) == bits(r[col] for r in rows)
@@ -38,8 +38,8 @@ class TestRoundTrip:
         angle = np.array([a for _, a, _ in rows])
         rate = np.array([r for _, _, r in rows])
         schedule = C.CompensationSchedule(t, angle, rate, 0.0, 1, 0.0, ())
-        back = C.parse_schedule_csv(schedule.to_csv())
-        for got, want in zip(back, (t, angle, rate)):
+        back = table.read_table(schedule.to_csv(), C.SCHEDULE_FORMAT)
+        for got, want in zip(np.array(back).reshape(-1, 3).T, (t, angle, rate)):
             assert bits(got) == bits(want)
 
     @settings(deadline=None)
@@ -57,7 +57,8 @@ class TestRoundTrip:
     @given(st.lists(st.tuples(FLOATS, FLOATS), min_size=4, max_size=4),
            st.lists(st.tuples(*[st.integers(0, 2**53)] * 4), min_size=4, max_size=4))
     def test_counts(self, setting_pairs, counts):
-        settings_back, counts_back = L.parse_counts_csv(L.counts_to_csv(counts, setting_pairs))
+        back = table.read_table(L.counts_to_csv(counts, setting_pairs), L.COUNTS_FORMAT)
+        settings_back, counts_back = [row[:2] for row in back], [row[2:] for row in back]
         assert [bits(s) for s in settings_back] == [bits(s) for s in setting_pairs]
         assert counts_back == [tuple(float(c) for c in quad) for quad in counts]
         assert [tuple(int(c) for c in quad) for quad in counts_back] == counts
@@ -68,24 +69,28 @@ class TestRoundTrip:
         grid = np.array(data.draw(st.lists(FLOATS, min_size=len(ground) * len(sat),
                                            max_size=len(ground) * len(sat))))
         grid = grid.reshape(len(ground), len(sat))
-        rows = L.parse_offset_scan_csv(L.offset_scan_csv(ground, sat, grid))
+        rows = table.read_table(L.offset_scan_csv(ground, sat, grid), L.OFFSET_SCAN_FORMAT)
         want = [(g, s, grid[i, j]) for i, g in enumerate(ground) for j, s in enumerate(sat)]
         assert [bits(r) for r in rows] == [bits(r) for r in want]
 
 
 T0 = "2024-01-01T00:00:00.000000Z"
 
+def reader(fmt):
+    return lambda text: table.read_table(text, fmt)
+
+
 # parser, header + one good row, malformed third lines (wrong column count or bad cell)
 FORMATS = [
-    (A.parse_per_scan_csv, "elevation_deg,azimuth_deg,state_label,per,fidelity\n"
+    (reader(A.PER_SCAN_FORMAT), "elevation_deg,azimuth_deg,state_label,per,fidelity\n"
      "30.0,0.0,H,1000.0,0.999\n", ["30.0,0.0,H,1000.0", "30.0,0.0,H,many,0.999"]),
-    (C.parse_schedule_csv, f"t_iso8601,hwp_deg,rate_deg_per_s\n{T0},10.0,0.5\n",
+    (reader(C.SCHEDULE_FORMAT), f"t_iso8601,hwp_deg,rate_deg_per_s\n{T0},10.0,0.5\n",
      [f"{T0},10.0", "yesterday,10.0,0.5", f"{T0},ten,0.5"]),
     (O.parse_pass_csv, f"t_iso8601,az_deg,el_deg,beta_deg\n{T0},10.0,20.0,0.0\n",
      [f"{T0},10.0", f"{T0},10.0,20.0,0.0,1.0", "yesterday,10.0,20.0", f"{T0},10.0,high"]),
-    (L.parse_counts_csv, "setting_phi1_rad,setting_phi2_rad,c_pp,c_mm,c_pm,c_mp\n"
+    (reader(L.COUNTS_FORMAT), "setting_phi1_rad,setting_phi2_rad,c_pp,c_mm,c_pm,c_mp\n"
      "0.0,0.39,1,2,3,4\n", ["0.0,0.39,1,2,3", "0.0,0.39,1,2,3,four"]),
-    (L.parse_offset_scan_csv, "ground_offset_deg,sat_offset_deg,fidelity\n0.0,0.0,1.0\n",
+    (reader(L.OFFSET_SCAN_FORMAT), "ground_offset_deg,sat_offset_deg,fidelity\n0.0,0.0,1.0\n",
      ["0.0,0.0", "0.0,zero,1.0"]),
 ]
 
@@ -100,7 +105,7 @@ def test_error_names_the_line(parse, good, bad_line):
 
 def test_comments_blank_lines_and_headers_skipped():
     text = "# made by hand\n\nground_offset_deg,sat_offset_deg,fidelity\n  \n1.0,-1.0,0.5\n"
-    assert L.parse_offset_scan_csv(text) == [(1.0, -1.0, 0.5)]
+    assert table.read_table(text, L.OFFSET_SCAN_FORMAT) == [(1.0, -1.0, 0.5)]
 
 
 def test_json_refuses_nan():
@@ -158,4 +163,5 @@ class TestIsoFromPosix:
         assert f"\n{year:04d}-01-01T00:00:01.500000Z," in text
         assert bits(O.parse_pass_csv(text).t_posix) == bits(t)
         schedule = C.schedule_from_pass(profile)
-        assert bits(C.parse_schedule_csv(schedule.to_csv())[0]) == bits(t)
+        rows = table.read_table(schedule.to_csv(), C.SCHEDULE_FORMAT)
+        assert bits(row[0] for row in rows) == bits(t)
