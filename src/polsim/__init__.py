@@ -53,7 +53,6 @@ from .linksim import (
     SourceModel,
     estimate_chsh,
     offset_scan,
-    simulate_coincidences,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

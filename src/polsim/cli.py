@@ -377,9 +377,14 @@ def build_parser():
                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def seed(text):  # one 64-bit word of the Philox key
+        if 0 <= int(text) < 2**64:
+            return int(text)
+        raise argparse.ArgumentTypeError(f"seed must be an integer in [0, 2**64), got {text}")
+
     def common(p):
         p.add_argument("--config", default=None, help="key-value config file")
-        p.add_argument("--seed", type=int, default=0, help="random seed")
+        p.add_argument("--seed", type=seed, default=0, help="random seed in [0, 2**64)")
         p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("coating", help="reflectance of a coating stack")

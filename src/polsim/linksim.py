@@ -99,8 +99,14 @@ class DetectionModel:
             raise ValueError("integration time must be finite and positive")
 
 
-def _expected_counts(source, channel, det, phi1, phi2):
-    """Expected (true + accidental) coincidence means, order (pp, mm, pm, mp).
+def _philox_key(seed, stream):
+    if not 0 <= seed < 2**64:  # a key word is 64 bits; numpy raises OverflowError
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return np.array([seed, stream], dtype=np.uint64)
+
+
+def _expected_counts(source, channel, det, settings):
+    """Expected (true + accidental) coincidence means, a row (pp, mm, pm, mp) per setting.
 
     The channel keeps the source a Werner state: with w = V (1 - p) and
     |psi> = (U x I)|Phi+>, rho = w |psi><psi| + (1 - w) I/4, so a port pair
@@ -108,15 +114,14 @@ def _expected_counts(source, channel, det, phi1, phi2):
     the marginal I/2 whatever the analyzer port.
     """
     w = (4.0 * source.fidelity - 1.0) / 3.0 * (1.0 - channel.depolarization)
-    a = np.array([[math.cos(phi1), math.sin(phi1)], [-math.sin(phi1), math.cos(phi1)]])
-    b = np.array([[math.cos(phi2), math.sin(phi2)], [-math.sin(phi2), math.cos(phi2)]])
-    # amp[i, j]: satellite port i, ground port j (0 = analyzer axis, 1 = orthogonal)
-    amp = np.abs(a @ channel.rotation.matrix @ b.T) ** 2 / 2.0
-    probs = w * amp[[0, 1, 0, 1], [0, 1, 1, 0]] + (1.0 - w) / 4.0
+    # amp[k, i, j]: setting k, satellite port i, ground port j (0 = axis, 1 = orthogonal)
+    a, b = (np.array([[[math.cos(p), math.sin(p)], [-math.sin(p), math.cos(p)]] for p in phis])
+            for phis in zip(*settings))
+    amp = np.abs(a @ channel.rotation.matrix @ b.transpose(0, 2, 1)) ** 2 / 2.0
+    probs = w * amp.reshape(-1, 4)[:, [0, 3, 1, 2]] + (1.0 - w) / 4.0  # (i, j) at 2i + j
     rate, trans = source.pair_rate_hz, channel.transmission
     eta, t = det.efficiency, det.integration_time_s
     pair_rate = rate * trans * eta * eta
-
     # singles per analyzer port (photon 1 = satellite side is the lossy arm);
     # the accidental mean of every port pair is S1 * S2 * window * time
     s1 = rate * trans * eta / 2.0 + det.dark_rate_hz
@@ -129,27 +134,21 @@ def _expected_counts(source, channel, det, phi1, phi2):
     return pair_rate * probs * t + accidental
 
 
-def simulate_coincidences(source, channel, det, phi1, phi2, seed, stream=0):
-    """Poisson coincidence counts (c_pp, c_mm, c_pm, c_mp) for one setting.
-
-    `stream` separates the random streams of different settings under one
-    seed; the generator is Philox keyed with (seed, stream).
-    """
-    means = _expected_counts(source, channel, det, phi1, phi2)
-    largest = max(means.tolist())  # finite: _expected_counts checks for overflow
-    if largest > POISSON_MEAN_MAX:
-        raise ValueError(f"expected coincidence count {largest:.6g} exceeds the Poisson "
-                         f"sampler's limit {POISSON_MEAN_MAX:.6g}")
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
-    return tuple(int(c) for c in rng.poisson(means))
-
-
 def simulate_chsh_counts(source, channel, det, settings=BELL_TEST_SETTINGS, seed=0):
-    """Coincidence quadruples for all four settings (stream = setting index)."""
-    return [
-        simulate_coincidences(source, channel, det, p1, p2, seed, stream=i)
-        for i, (p1, p2) in enumerate(settings)
-    ]
+    """Poisson (c_pp, c_mm, c_pm, c_mp) per setting; setting k draws from Philox (seed, k)."""
+    means = _expected_counts(source, channel, det, settings)
+    if means.max() > POISSON_MEAN_MAX:  # finite: _expected_counts checks for overflow
+        raise ValueError(f"expected coincidence count {means.max():.6g} exceeds the Poisson "
+                         f"sampler's limit {POISSON_MEAN_MAX:.6g}")
+    bitgen = np.random.Philox(key=_philox_key(seed, 0))
+    rng, fresh = np.random.Generator(bitgen), bitgen.state
+    counts = []
+    for k, row in enumerate(means.tolist()):
+        if k:  # counter 0 and an empty buffer under key (seed, k): a new Philox(key=[seed, k])
+            fresh["state"]["key"][1] = k
+            bitgen.state = fresh
+        counts.append(tuple(map(rng.poisson, row)))
+    return counts
 
 
 @dataclass(frozen=True)
@@ -162,17 +161,15 @@ class ChshResult:
     total_coincidences: float
 
     def to_json(self, extra=None):
-        payload = {
+        return json_text({
             "settings_rad": [list(s) for s in self.settings],
             "E": list(self.correlations),
             "sigma_E": list(self.correlation_errors),
             "S": self.s_value,
             "sigma_S": self.s_error,
             "total_coincidences": self.total_coincidences,
-        }
-        if extra:
-            payload.update(extra)
-        return json_text(payload)
+            **(extra or {}),
+        })
 
 
 def _correlation_from_counts(quad):
@@ -212,7 +209,7 @@ def estimate_chsh(counts, settings=BELL_TEST_SETTINGS, error_method="propagation
     elif error_method == "bootstrap":
         if n_boot < 2:
             raise ValueError(f"bootstrap needs n_boot >= 2 resamples, got {n_boot!r}")
-        rng = np.random.Generator(np.random.Philox(key=np.array([boot_seed, 2**32], dtype=np.uint64)))
+        rng = np.random.Generator(np.random.Philox(key=_philox_key(boot_seed, 2**32)))
         resampled = rng.poisson(np.asarray(counts, dtype=float), size=(n_boot, 4, 4))
         same = resampled[..., 0] + resampled[..., 1]
         cross = resampled[..., 2] + resampled[..., 3]
@@ -236,8 +233,7 @@ def estimate_chsh(counts, settings=BELL_TEST_SETTINGS, error_method="propagation
 
 def expected_chsh(source, channel, det, settings=BELL_TEST_SETTINGS):
     """S and total coincidences of the full count model, evaluated on means."""
-    means = [_expected_counts(source, channel, det, p1, p2) for p1, p2 in settings]
-    result = estimate_chsh(means, settings)
+    result = estimate_chsh(_expected_counts(source, channel, det, settings), settings)
     return result.s_value, result.total_coincidences
 
 

@@ -2,8 +2,9 @@
 
 Nothing in `polsim` runs this code.  It holds the general density-matrix
 CHSH model that the Werner closed form in `linksim` replaced, the
-single-interface Fresnel equations that an empty `LayerStack` reproduces,
-and small helpers that only the tests need.
+one-generator-per-setting sampler that `simulate_chsh_counts` must match draw
+for draw, the single-interface Fresnel equations that an empty `LayerStack`
+reproduces, and small helpers that only the tests need.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from polsim.jones import MirrorResponse
-from polsim.linksim import BELL_TEST_SETTINGS
+from polsim.linksim import BELL_TEST_SETTINGS, _expected_counts
 from polsim.thinfilm import _cos_refracted
 
 # --- density-matrix CHSH model ----------------------------------------------
@@ -108,6 +109,18 @@ def density_matrix_counts(source, channel, det, phi1, phi2):
     s2 = [rate * eta * np.trace(rho @ np.kron(eye, b)).real + det.dark_rate_hz for b in ports2]
     acc = np.array([s1[0] * s2[0], s1[1] * s2[1], s1[0] * s2[1], s1[1] * s2[0]])
     return rate * trans * eta * eta * probs * t + acc * det.coincidence_window_s * t
+
+
+def fresh_philox_counts(source, channel, det, settings, seed):
+    """The sampling contract one setting at a time: setting k's counts are
+    Poisson draws, in (pp, mm, pm, mp) order, from a fresh
+    Generator(Philox(key=[seed, k])) on that setting's own means."""
+    counts = []
+    for k, setting in enumerate(settings):
+        means = _expected_counts(source, channel, det, (setting,))[0]
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))
+        counts.append(tuple(int(c) for c in rng.poisson(means)))
+    return counts
 
 
 # --- single-interface Fresnel equations --------------------------------------

@@ -19,6 +19,7 @@ from polsim import antenna as An
 from polsim import compensation as C
 from polsim import linksim as L
 from polsim import orbit as O
+from polsim import tle
 from polsim.table import read_table
 
 
@@ -179,9 +180,56 @@ CONFIG_SETTINGS = st.sampled_from(sorted(CONFIG_KEYS)).flatmap(lambda command: s
 ))
 
 
+TLE_LINES = (cli.data_dir() / "sso_500km.tle").read_text(encoding="ascii").splitlines()
+# overwritten at any column: single characters, and runs that zero, max out or
+# negate a whole numeric field (mean motion, eccentricity, epoch, ...)
+TLE_TOKENS = ["0", "9", " ", ".", "-", "+", "x", "00000000", "99999999", "-9999999"]
+TLE_MUTATIONS = st.tuples(
+    st.integers(1, 2), st.integers(0, 68), st.sampled_from(TLE_TOKENS), st.booleans()
+)
+PASS_LINES = ["t_iso8601,az_deg,el_deg,beta_deg"] + [
+    f"2024-01-01T00:00:{i:02d}.000000Z,{10 + 2 * i}.0,{30 + i}.0,0.0" for i in range(8)
+]
+PASS_TOKENS = ["nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "-0", "", "x", "360", "-91",
+               "90", "2024-01-01T00:00:03.000000Z", "9999-12-31T23:59:59.999999Z",
+               "0001-01-01T00:00:00Z", "2024-02-30T00:00:00Z", "2024-01-01T00:00:00"]
+# (line, field, token); token None deletes the line, a field past the end adds one
+PASS_MUTATIONS = st.lists(
+    st.tuples(st.integers(0, len(PASS_LINES) - 1), st.integers(0, 4),
+              st.none() | st.sampled_from(PASS_TOKENS)),
+    min_size=1, max_size=3,
+)
+
+
+def mutated_tle_text(line_no, column, token, fix_checksum):
+    """The packaged TLE with `token` written over line `line_no` from `column`;
+    a fixed checksum lets the mutation reach the field checks and the orbit."""
+    lines = list(TLE_LINES)
+    line = (lines[line_no][:column] + token + lines[line_no][column + len(token):])[:69]
+    if fix_checksum:
+        line = line[:68] + str(tle.line_checksum(line))
+    lines[line_no] = line
+    return "\n".join(lines) + "\n"
+
+
+def mutated_pass_text(mutations):
+    lines = [line.split(",") for line in PASS_LINES]
+    for line_no, field, token in mutations:
+        if line_no >= len(lines):
+            continue
+        if token is None:
+            del lines[line_no]
+        elif field < len(lines[line_no]):
+            lines[line_no][field] = token
+        else:
+            lines[line_no].append(token)
+    return "".join(",".join(fields) + "\n" for fields in lines)
+
+
 class TestExitContract:
     """One config key of any other subcommand set to an extreme number or a
-    comma list ends in the same exit-code contract as coating."""
+    comma list, a mutated TLE file or a mutated pass CSV ends in the same
+    exit-code contract as coating."""
 
     @settings(max_examples=100, deadline=None)
     @given(CONFIG_SETTINGS)
@@ -192,6 +240,29 @@ class TestExitContract:
             cfg.write_text(f"{key} {value}\n")
             out_dir = Path(tmp) / "out"
             check_exit_contract([command, "--config", str(cfg), "--out", str(out_dir)], out_dir)
+
+    @settings(max_examples=60, deadline=None)
+    @given(TLE_MUTATIONS)
+    def test_tle_file(self, mutation):
+        with tempfile.TemporaryDirectory() as tmp:
+            tle_path, cfg = Path(tmp) / "m.tle", Path(tmp) / "c.cfg"
+            tle_path.write_text(mutated_tle_text(*mutation))
+            # 12 h of the packaged orbit hold one pass; a shorter window bounds the run time
+            cfg.write_text(f"tle_file {tle_path}\nwindow_hours 12\n")
+            out_dir = Path(tmp) / "out"
+            check_exit_contract(["compensate", "--config", str(cfg), "--out", str(out_dir)],
+                                out_dir)
+
+    @settings(max_examples=60, deadline=None)
+    @given(PASS_MUTATIONS)
+    def test_pass_csv_file(self, mutations):
+        with tempfile.TemporaryDirectory() as tmp:
+            pass_path, cfg = Path(tmp) / "p.csv", Path(tmp) / "c.cfg"
+            pass_path.write_text(mutated_pass_text(mutations))
+            cfg.write_text(f"pass_csv {pass_path}\n")
+            out_dir = Path(tmp) / "out"
+            check_exit_contract(["compensate", "--config", str(cfg), "--out", str(out_dir)],
+                                out_dir)
 
 
 class TestPerMap:
@@ -538,6 +609,21 @@ class TestBell:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_key_range_exit_1(self, capsys, tmp_path, seed):
+        code, out, err = run(capsys, "bell", "--seed", seed, "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == ("polsim: error: argument --seed: seed must be an "
+                                        f"integer in [0, 2**64), got {seed}")
+        assert not (tmp_path / "o").exists()
+
+    def test_largest_seed_runs(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "bell", "--seed", str(2**64 - 1), "--out", str(tmp_path))
+        assert code == 0
+        assert json.loads((tmp_path / "bell_result.json").read_text())["seed"] == 2**64 - 1
 
     def test_mean_over_poisson_limit_exit_3(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,10 +13,20 @@ from polsim import linksim as L
 from polsim.table import read_table
 from conftest import random_pure_qubit
 from reference import (TwoQubitState, chsh_analytic, correlation, density_matrix_counts,
-                       make_source)
+                       fresh_philox_counts, make_source)
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 ANGLES = st.floats(-math.pi, math.pi)
+SETTINGS = st.lists(st.tuples(ANGLES, ANGLES), min_size=1, max_size=6).map(tuple)
+# (source, channel, detector) over the model's whole parameter range
+MODELS = st.tuples(
+    st.builds(L.SourceModel, st.floats(0.25, 1.0), st.floats(1.0, 1e9)),
+    st.builds(lambda loss, wp_angle, retardance, rot, depol: L.ChannelModel(
+        loss, J.waveplate(wp_angle, retardance) @ J.rotator(rot), depol),
+        st.floats(0.0, 80.0), ANGLES, st.floats(0.0, 2.0 * math.pi), ANGLES, st.floats(0.0, 1.0)),
+    st.builds(L.DetectionModel, st.floats(1e-3, 1.0), st.floats(0.0, 1e5), st.floats(1e-12, 1e-6),
+              st.floats(1e-3, 1e3)),
+)
 
 
 def bootstrap_loop(counts, n_boot, boot_seed):
@@ -137,7 +148,7 @@ class TestSimulation:
         # negligible window so the singles-accidental floor stays at zero
         det = L.DetectionModel(efficiency=1.0, dark_rate_hz=0.0,
                                coincidence_window_s=1e-15, integration_time_s=1.0)
-        c_pp, c_mm, c_pm, c_mp = L.simulate_coincidences(src, ch, det, 0.0, 0.0, seed=3)
+        c_pp, c_mm, c_pm, c_mp = L.simulate_chsh_counts(src, ch, det, ((0.0, 0.0),), seed=3)[0]
         total = c_pp + c_mm
         assert abs(total - 1e6) < 5.0 * math.sqrt(1e6)
         assert c_pm + c_mp <= 5  # 5-sigma of a ~zero-mean Poisson
@@ -147,7 +158,7 @@ class TestSimulation:
         src = L.SourceModel(1.0, 1e6)
         det = L.DetectionModel(efficiency=1.0, dark_rate_hz=0.0,
                                coincidence_window_s=1e-15, integration_time_s=100.0)
-        counts = L.simulate_coincidences(src, L.ChannelModel(46.0), det, 0.0, 0.0, seed=4)
+        counts = L.simulate_chsh_counts(src, L.ChannelModel(46.0), det, ((0.0, 0.0),), seed=4)[0]
         expected = 1e6 * 10.0 ** (-4.6) * 100.0
         assert abs(sum(counts) - expected) < 5.0 * math.sqrt(expected)
 
@@ -156,8 +167,8 @@ class TestSimulation:
         src = L.SourceModel(1.0, 1e8)
         det = L.DetectionModel(efficiency=1.0, dark_rate_hz=0.0,
                                coincidence_window_s=1e-15, integration_time_s=100.0)
-        n20 = sum(L.simulate_coincidences(src, L.ChannelModel(20.0), det, 0.0, 0.0, seed=5))
-        n40 = sum(L.simulate_coincidences(src, L.ChannelModel(40.0), det, 0.0, 0.0, seed=6))
+        n20 = sum(L.simulate_chsh_counts(src, L.ChannelModel(20.0), det, ((0.0, 0.0),), seed=5)[0])
+        n40 = sum(L.simulate_chsh_counts(src, L.ChannelModel(40.0), det, ((0.0, 0.0),), seed=6)[0])
         expected40 = 1e8 * 1e-4 * 100.0
         assert abs(n40 - expected40) < 5.0 * math.sqrt(expected40)
         assert abs(n20 - expected40 * 100.0) < 5.0 * math.sqrt(expected40 * 100.0)
@@ -168,7 +179,7 @@ class TestSimulation:
         ch = L.ChannelModel(0.0)
         det = L.DetectionModel(efficiency=1.0, dark_rate_hz=1000.0,
                                coincidence_window_s=1e-6, integration_time_s=100.0)
-        counts = L.simulate_coincidences(src, ch, det, 0.0, 0.0, seed=7)
+        counts = L.simulate_chsh_counts(src, ch, det, ((0.0, 0.0),), seed=7)[0]
         mean = 1000.0**2 * 1e-6 * 100.0
         for c in counts:
             assert abs(c - mean) < 5.0 * math.sqrt(mean)
@@ -192,29 +203,41 @@ class TestSimulation:
         det = L.DetectionModel(efficiency=1.0, dark_rate_hz=0.0,
                                coincidence_window_s=1e-24, integration_time_s=1.0)
 
-        def e(phi1, phi2):
-            return L._correlation_from_counts(L._expected_counts(src, ch, det, phi1, phi2))[0]
-
-        assert e(0.0, 0.0) == pytest.approx(0.0, abs=1e-12)
-        assert e(math.pi / 4, 0.0) == pytest.approx(1.0, abs=1e-12)
+        means = L._expected_counts(src, ch, det, ((0.0, 0.0), (math.pi / 4, 0.0),
+                                                  (0.0, math.pi / 4)))
+        e = [L._correlation_from_counts(row)[0] for row in means]
+        assert e[0] == pytest.approx(0.0, abs=1e-12)
+        assert e[1] == pytest.approx(1.0, abs=1e-12)
         # E = cos 2(phi2 + pi/4 - phi1): turning the ground analyzer goes the other way
-        assert e(0.0, math.pi / 4) == pytest.approx(-1.0, abs=1e-12)
+        assert e[2] == pytest.approx(-1.0, abs=1e-12)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.floats(0.25, 1.0), st.floats(0.0, 1.0), ANGLES, st.floats(0.0, 2.0 * math.pi),
-           ANGLES, ANGLES, ANGLES, st.floats(0.0, 80.0), st.floats(1.0, 1e9),
-           st.floats(1e-3, 1.0), st.floats(0.0, 1e5), st.floats(1e-12, 1e-6),
-           st.floats(1e-3, 1e3))
-    def test_closed_form_matches_density_matrix(self, fid, depol, wp_angle, retardance, rot,
-                                                phi1, phi2, loss, rate, eff, dark, window, t_int):
-        src = L.SourceModel(fid, rate)
-        ch = L.ChannelModel(loss, J.waveplate(wp_angle, retardance) @ J.rotator(rot), depol)
-        det = L.DetectionModel(eff, dark, window, t_int)
-        got = L._expected_counts(src, ch, det, phi1, phi2)
-        want = density_matrix_counts(src, ch, det, phi1, phi2)
-        # a port pair with zero probability carries only the reference's rounding
-        # noise, so the absolute floor is relative to the largest mean
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want.max())
+    @given(MODELS, SETTINGS)
+    def test_closed_form_matches_density_matrix(self, models, settings_):
+        got = L._expected_counts(*models, settings_)
+        assert got.shape == (len(settings_), 4)
+        for row, (phi1, phi2) in zip(got, settings_):
+            want = density_matrix_counts(*models, phi1, phi2)
+            # a port pair with zero probability carries only the reference's rounding
+            # noise, so the absolute floor is relative to the setting's largest mean
+            np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-12 * want.max())
+
+    @settings(max_examples=100, deadline=None)
+    @given(MODELS, SETTINGS, st.sampled_from([0, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1))
+    def test_streams_match_fresh_philox_per_setting(self, models, settings_, seed):
+        # one re-keyed generator and scalar draws give what a fresh
+        # Philox(key=[seed, k]) gives on setting k's own means
+        got = L.simulate_chsh_counts(*models, settings_, seed=seed)
+        assert got == fresh_philox_counts(*models, settings_, seed)
+        assert all(type(c) is int for quad in got for c in quad)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_key_range_rejected(self, seed):
+        model = (L.SourceModel(0.9329, 1e6), L.ChannelModel(46.0), L.DetectionModel())
+        with pytest.raises(ValueError, match=re.escape("[0, 2**64)")):
+            L.simulate_chsh_counts(*model, seed=seed)
+        with pytest.raises(ValueError, match=re.escape("[0, 2**64)")):
+            L.estimate_chsh([(220, 210, 40, 35)] * 4, error_method="bootstrap", boot_seed=seed)
 
     @pytest.mark.parametrize("element", [
         J.OpticalElement(1.0, 1.0, 0.0, 0.0),  # Frobenius norm^2 = 2, like a unitary
