@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import antenna, compensation, linksim, orbit, thinfilm, tle
-from .jones import MirrorResponse, rotator
+from .jones import PER_CAP, MirrorResponse, rotator
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,7 +57,41 @@ def data_dir():
 # --- config files -------------------------------------------------------------
 
 
-def parse_config_text(text):
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError
+    return value
+
+
+def _finite_list(text):
+    values = tuple(_finite(tok) for tok in text.split(",") if tok.strip() != "")
+    if not values:
+        raise ValueError
+    return values
+
+
+# What each schema parse function expects, as a config error names it.
+_EXPECTED = {_finite: "a finite number", int: "an integer", str: "text",
+            _finite_list: "comma-separated finite numbers"}
+
+
+def read_config(path, schema):
+    """The config file at `path` (None: no file), `key value` lines with '#'
+    comments, resolved against `schema`, a tuple of (key, default, parse)
+    entries: a dict with every key parsed or defaulted, after rejecting
+    duplicate keys and keys the schema does not name.
+
+    No key gives NaN or inf a meaning, so every number must be finite; range
+    checks are left to the library code that uses the value (see _checked).
+    """
+    text = ""
+    if path is not None:
+        try:
+            with open(path, "r", encoding="ascii") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     values = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -70,70 +104,16 @@ def parse_config_text(text):
         if key in values:
             raise ConfigError(f"line {line_no}: duplicate key {key!r}")
         values[key] = value.strip()
-    return values
-
-
-def _finite(text):
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError
-    return value
-
-
-def _finite_list(text):
-    values = [_finite(tok) for tok in text.split(",") if tok.strip() != ""]
-    if not values:
-        raise ValueError
-    return values
-
-
-class Config:
-    """Typed access to config values with unknown-key rejection.
-
-    No key gives NaN or inf a meaning, so every number must be finite; range
-    checks are left to the library code that uses the value (see _checked).
-    """
-
-    def __init__(self, values):
-        self.values = dict(values)
-        self.used = set()
-
-    @classmethod
-    def load(cls, path):
-        if path is None:
-            return cls({})
+    cfg = {}
+    for key, default, parse in schema:
+        raw = values.pop(key, None)
         try:
-            with open(path, "r", encoding="ascii") as fh:
-                return cls(parse_config_text(fh.read()))
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path!r}: {exc}") from None
-
-    def _get(self, key, default, parse, expected):
-        self.used.add(key)
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        try:
-            return parse(raw)
+            cfg[key] = default if raw is None else parse(raw)
         except ValueError:
-            raise ConfigError(f"key {key!r}: expected {expected}, got {raw!r}") from None
-
-    def get_float(self, key, default):
-        return self._get(key, default, _finite, "a finite number")
-
-    def get_int(self, key, default):
-        return self._get(key, default, int, "an integer")
-
-    def get_str(self, key, default):
-        return self._get(key, default, str, "text")
-
-    def get_float_list(self, key, default):
-        return self._get(key, list(default), _finite_list, "comma-separated finite numbers")
-
-    def finish(self):
-        unknown = set(self.values) - self.used
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+            raise ConfigError(f"key {key!r}: expected {_EXPECTED[parse]}, got {raw!r}") from None
+    if values:
+        raise ConfigError(f"unknown config keys: {', '.join(sorted(values))}")
+    return cfg
 
 
 def _checked(check, *args, **kwargs):
@@ -156,10 +136,8 @@ def _load(parse, path, what):
 
 
 def _coating_from_config(cfg):
-    rs_power = cfg.get_float("mirror_rs_power", 0.999908)
-    rp_power = cfg.get_float("mirror_rp_power", 0.998168)
-    gap_pi = cfg.get_float("mirror_phase_gap_pi", 0.9996)
-    return _checked(MirrorResponse.from_powers, rs_power, rp_power, gap_pi * math.pi)
+    return _checked(MirrorResponse.from_powers, cfg["mirror_rs_power"], cfg["mirror_rp_power"],
+                    cfg["mirror_phase_gap_pi"] * math.pi)
 
 
 def _write(out_dir, name, text):
@@ -176,13 +154,9 @@ def _write(out_dir, name, text):
 # --- subcommands ---------------------------------------------------------------
 
 
-def cmd_coating(args):
-    cfg = Config.load(args.config)
-    stack_path = args.stack or cfg.get_str("stack_file", str(data_dir() / "hr_coating_stack.txt"))
-    angle_deg = cfg.get_float("angle_deg", 45.0)
-    wavelength_nm = cfg.get_float("wavelength_nm", 780.0)
-    cfg.finish()
-
+def cmd_coating(cfg, args):
+    stack_path = args.stack or cfg["stack_file"] or str(data_dir() / "hr_coating_stack.txt")
+    angle_deg, wavelength_nm = cfg["angle_deg"], cfg["wavelength_nm"]
     ray = _checked(thinfilm.Ray, math.radians(angle_deg), wavelength_nm)
     stack = _load(thinfilm.parse_stack_text, stack_path, "stack file")
     try:
@@ -204,22 +178,15 @@ def cmd_coating(args):
 _STATES_BY_LABEL = dict(antenna.DEFAULT_SCAN_STATES)
 
 
-def cmd_per_map(args):
-    cfg = Config.load(args.config)
-    elevations = cfg.get_float_list("elevations_deg", antenna.DEFAULT_SCAN_ELEVATIONS)
-    azimuths = cfg.get_float_list("azimuths_deg", antenna.DEFAULT_SCAN_AZIMUTHS)
-    labels = cfg.get_str("states", "H,V,+,-").split(",")
+def cmd_per_map(cfg, args):
     coating = _coating_from_config(cfg)
-    cap = cfg.get_float("per_cap", 1e9)
-    cfg.finish()
-
     try:
-        states = tuple((lab, _STATES_BY_LABEL[lab]) for lab in labels)
+        states = tuple((lab, _STATES_BY_LABEL[lab]) for lab in cfg["states"].split(","))
     except KeyError as exc:
         raise ConfigError(f"unknown state label {exc.args[0]!r} (known: H, V, +, -)")
 
     scan = _checked(antenna.antenna_per_scan, antenna.DESIGN_GEOMETRY, coating,
-                    elevations, azimuths, states, cap=cap)
+                    cfg["elevations_deg"], cfg["azimuths_deg"], states, cap=cfg["per_cap"])
     path = _write(args.out, "per_map.csv", scan.to_csv())
     print(f"wrote {path}")
     print(f"cells {len(scan.rows)}")
@@ -228,31 +195,22 @@ def cmd_per_map(args):
     return EXIT_OK
 
 
-def cmd_compensate(args):
-    cfg = Config.load(args.config)
-    tle_path = cfg.get_str("tle_file", str(data_dir() / "sso_500km.tle"))
-    pass_path = cfg.get_str("pass_csv", None)
-    lat = cfg.get_float("station_lat_deg", orbit.NGARI_STATION.latitude_deg)
-    lon = cfg.get_float("station_lon_deg", orbit.NGARI_STATION.longitude_deg)
-    alt = cfg.get_float("station_alt_m", orbit.NGARI_STATION.altitude_m)
-    threshold = cfg.get_float("threshold_deg", 10.0)
-    step_s = cfg.get_float("step_s", 1.0)
-    window_h = cfg.get_float("window_hours", 48.0)
-    zero_point = cfg.get_float("zero_point_deg", compensation.DEFAULT_ZERO_POINT_DEG)
-    sign = cfg.get_int("sign", 1)
-    max_slew = cfg.get_float("max_slew_deg_per_s", compensation.DEFAULT_MAX_SLEW_DEG_PER_S)
-    cfg.finish()
+def cmd_compensate(cfg, args):
+    zero_point, sign, max_slew = cfg["zero_point_deg"], cfg["sign"], cfg["max_slew_deg_per_s"]
     _checked(compensation.check_tracking, sign, max_slew)
 
-    if pass_path is not None:
-        passes = [_load(orbit.parse_pass_csv, pass_path, "pass CSV")]
+    if cfg["pass_csv"] is not None:
+        passes = [_load(orbit.parse_pass_csv, cfg["pass_csv"], "pass CSV")]
     else:
+        tle_path = cfg["tle_file"] or str(data_dir() / "sso_500km.tle")
         rec = _load(tle.parse_tle, tle_path, "TLE file")
-        station = _checked(orbit.GroundStation, lat, lon, alt)
+        station = _checked(orbit.GroundStation, cfg["station_lat_deg"], cfg["station_lon_deg"],
+                           cfg["station_alt_m"])
         t0 = rec.epoch_posix
         try:
-            passes = orbit.extract_passes(rec, station, t0, t0 + window_h * 3600.0,
-                                          threshold_deg=threshold, step_s=step_s)
+            passes = orbit.extract_passes(rec, station, t0, t0 + cfg["window_hours"] * 3600.0,
+                                          threshold_deg=cfg["threshold_deg"],
+                                          step_s=cfg["step_s"])
         except orbit.ArgumentError as exc:
             key = "window_hours" if exc.name == "t_end" else exc.name
             raise ConfigError(f"key {key!r}: {exc}") from None
@@ -274,18 +232,11 @@ def cmd_compensate(args):
     return EXIT_OK
 
 
-def cmd_offset_scan(args):
-    cfg = Config.load(args.config)
-    ground = cfg.get_float_list("ground_offsets_deg", [float(g) for g in range(-5, 6)])
-    sat = cfg.get_float_list("sat_offsets_deg", [0.0, -1.0])
-    azimuth = cfg.get_float("azimuth_deg", 30.0)
-    elevation = cfg.get_float("elevation_deg", 50.0)
-    beta = cfg.get_float("beta_deg", 0.0)
-    coating = _coating_from_config(cfg)
-    cfg.finish()
-
-    grid = _checked(linksim.offset_scan, ground, sat, coating, azimuth_deg=azimuth,
-                    elevation_deg=elevation, beta_deg=beta)
+def cmd_offset_scan(cfg, args):
+    ground, sat = cfg["ground_offsets_deg"], cfg["sat_offsets_deg"]
+    grid = _checked(linksim.offset_scan, ground, sat, _coating_from_config(cfg),
+                    azimuth_deg=cfg["azimuth_deg"], elevation_deg=cfg["elevation_deg"],
+                    beta_deg=cfg["beta_deg"])
     path = _write(args.out, "offset_scan.csv", linksim.offset_scan_csv(ground, sat, grid))
     i, j = np.unravel_index(np.argmax(grid), grid.shape)
     print(f"wrote {path}")
@@ -295,32 +246,18 @@ def cmd_offset_scan(args):
     return EXIT_OK
 
 
-def cmd_bell(args):
-    cfg = Config.load(args.config)
-    source = _checked(
-        linksim.SourceModel,
-        fidelity=cfg.get_float("source_fidelity", 0.9329),
-        pair_rate_hz=cfg.get_float("pair_rate_hz", 1e6),
-    )
-    rotation_deg = cfg.get_float("channel_rotation_deg", 0.0)
-    channel = _checked(
-        linksim.ChannelModel,
-        loss_db=cfg.get_float("loss_db", 46.0),
-        rotation=rotator(math.radians(rotation_deg)),
-        depolarization=cfg.get_float("depolarization", 0.0),
-    )
-    det = _checked(
-        linksim.DetectionModel,
-        efficiency=cfg.get_float("detector_efficiency", 0.5),
-        dark_rate_hz=cfg.get_float("dark_rate_hz", 100.0),
-        coincidence_window_s=cfg.get_float("coincidence_window_ns", 2.5) * 1e-9,
-        integration_time_s=cfg.get_float("integration_time_s", 80.0),
-    )
-    # default run is calibrated to the flight-test headline numbers; set
-    # calibrate_s_target 0 to simulate the raw configured model instead
-    s_target = cfg.get_float("calibrate_s_target", 2.312)
-    total_target = cfg.get_float("calibrate_total_coincidences", 2138.0)
-    cfg.finish()
+def cmd_bell(cfg, args):
+    source = _checked(linksim.SourceModel, fidelity=cfg["source_fidelity"],
+                      pair_rate_hz=cfg["pair_rate_hz"])
+    rotation_deg = cfg["channel_rotation_deg"]
+    channel = _checked(linksim.ChannelModel, loss_db=cfg["loss_db"],
+                       rotation=rotator(math.radians(rotation_deg)),
+                       depolarization=cfg["depolarization"])
+    det = _checked(linksim.DetectionModel, efficiency=cfg["detector_efficiency"],
+                   dark_rate_hz=cfg["dark_rate_hz"],
+                   coincidence_window_s=cfg["coincidence_window_ns"] * 1e-9,
+                   integration_time_s=cfg["integration_time_s"])
+    s_target, total_target = cfg["calibrate_s_target"], cfg["calibrate_total_coincidences"]
     if not 0.0 < total_target < linksim.POISSON_MEAN_MAX:
         raise ConfigError("key 'calibrate_total_coincidences': expected a positive number "
                           f"below {linksim.POISSON_MEAN_MAX:.6g}, got {total_target!r}")
@@ -365,12 +302,51 @@ def cmd_bell(args):
 # --- entry point ----------------------------------------------------------------
 
 
+MIRROR_KEYS = (("mirror_rs_power", 0.999908, _finite), ("mirror_rp_power", 0.998168, _finite),
+               ("mirror_phase_gap_pi", 0.9996, _finite))
+
+# Each subcommand's run function, help text and config schema: its keys in
+# read order, each with its default (None: unset, or the packaged file) and
+# its parse function, one of _EXPECTED's.
+COMMANDS = {
+    "coating": (cmd_coating, "reflectance of a coating stack", (
+        ("stack_file", None, str), ("angle_deg", 45.0, _finite),
+        ("wavelength_nm", 780.0, _finite))),
+    "per-map": (cmd_per_map, "simulated local PER scan", (
+        ("elevations_deg", antenna.DEFAULT_SCAN_ELEVATIONS, _finite_list),
+        ("azimuths_deg", antenna.DEFAULT_SCAN_AZIMUTHS, _finite_list),
+        ("states", "H,V,+,-", str), *MIRROR_KEYS, ("per_cap", PER_CAP, _finite))),
+    "compensate": (cmd_compensate, "HWP schedules for passes", (
+        ("tle_file", None, str), ("pass_csv", None, str),
+        ("station_lat_deg", orbit.NGARI_STATION.latitude_deg, _finite),
+        ("station_lon_deg", orbit.NGARI_STATION.longitude_deg, _finite),
+        ("station_alt_m", orbit.NGARI_STATION.altitude_m, _finite),
+        ("threshold_deg", 10.0, _finite), ("step_s", 1.0, _finite),
+        ("window_hours", 48.0, _finite),
+        ("zero_point_deg", compensation.DEFAULT_ZERO_POINT_DEG, _finite), ("sign", 1, int),
+        ("max_slew_deg_per_s", compensation.DEFAULT_MAX_SLEW_DEG_PER_S, _finite))),
+    "offset-scan": (cmd_offset_scan, "fidelity vs offset angles", (
+        ("ground_offsets_deg", tuple(float(g) for g in range(-5, 6)), _finite_list),
+        ("sat_offsets_deg", (0.0, -1.0), _finite_list), ("azimuth_deg", 30.0, _finite),
+        ("elevation_deg", 50.0, _finite), ("beta_deg", 0.0, _finite), *MIRROR_KEYS)),
+    "bell": (cmd_bell, "Monte Carlo CHSH run", (
+        ("source_fidelity", 0.9329, _finite), ("pair_rate_hz", 1e6, _finite),
+        ("channel_rotation_deg", 0.0, _finite), ("loss_db", 46.0, _finite),
+        ("depolarization", 0.0, _finite), ("detector_efficiency", 0.5, _finite),
+        ("dark_rate_hz", 100.0, _finite), ("coincidence_window_ns", 2.5, _finite),
+        ("integration_time_s", 80.0, _finite),
+        # the default run is calibrated to the flight-test headline numbers;
+        # calibrate_s_target 0 simulates the raw configured model instead
+        ("calibrate_s_target", 2.312, _finite),
+        ("calibrate_total_coincidences", 2138.0, _finite))),
+}
+
+
 def build_parser():
     import argparse
 
     class Parser(argparse.ArgumentParser):
-        def error(self, message):  # usage errors exit 1, not argparse's 2
-            self.print_usage(sys.stderr)
+        def error(self, message):  # usage errors exit 1 with one line, not argparse's 2
             raise CliFailure(EXIT_USAGE, message)
 
     parser = Parser(prog="polsim", description=__doc__,
@@ -382,31 +358,14 @@ def build_parser():
             return int(text)
         raise argparse.ArgumentTypeError(f"seed must be an integer in [0, 2**64), got {text}")
 
-    def common(p):
+    for name, (_, help_text, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == "coating":
+            p.add_argument("--stack", default=None, help="stack description file")
         p.add_argument("--config", default=None, help="key-value config file")
-        p.add_argument("--seed", type=seed, default=0, help="random seed in [0, 2**64)")
+        if name == "bell":
+            p.add_argument("--seed", type=seed, default=0, help="random seed in [0, 2**64)")
         p.add_argument("--out", default=".", help="output directory")
-
-    p = sub.add_parser("coating", help="reflectance of a coating stack")
-    p.add_argument("--stack", default=None, help="stack description file")
-    common(p)
-    p.set_defaults(func=cmd_coating)
-
-    p = sub.add_parser("per-map", help="simulated local PER scan")
-    common(p)
-    p.set_defaults(func=cmd_per_map)
-
-    p = sub.add_parser("compensate", help="HWP schedules for passes")
-    common(p)
-    p.set_defaults(func=cmd_compensate)
-
-    p = sub.add_parser("offset-scan", help="fidelity vs offset angles")
-    common(p)
-    p.set_defaults(func=cmd_offset_scan)
-
-    p = sub.add_parser("bell", help="Monte Carlo CHSH run")
-    common(p)
-    p.set_defaults(func=cmd_bell)
     return parser
 
 
@@ -414,7 +373,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        run, _, schema = COMMANDS[args.command]
+        return run(read_config(args.config, schema), args)
     except CliFailure as exc:
         print(f"polsim: error: {exc}", file=sys.stderr)
         return exc.code

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -42,26 +41,6 @@ class ArgumentError(ValueError):
     def __init__(self, name, message):
         super().__init__(message)
         self.name = name
-
-
-class WindowError(ArgumentError):
-    """A time window that is empty or past the propagation horizon."""
-
-    def __init__(self, message, name="t_end"):
-        super().__init__(name, message)
-
-
-class GridSizeError(WindowError):
-    """A time window sampled more finely than MAX_GRID_SAMPLES allows."""
-
-
-def to_posix(t):
-    """Accept a POSIX-seconds float or a datetime (naive = UTC)."""
-    if isinstance(t, datetime):
-        if t.tzinfo is None:
-            t = t.replace(tzinfo=timezone.utc)
-        return t.timestamp()
-    return float(t)
 
 
 @dataclass(frozen=True)
@@ -127,7 +106,8 @@ def _check_horizon(rec, t_posix):
     t_posix = np.asarray(t_posix, dtype=float)
     span = np.max(np.abs(t_posix - rec.epoch_posix), initial=0.0)
     if span > MAX_PROPAGATION_DAYS * SECONDS_PER_DAY:
-        raise WindowError(
+        raise ArgumentError(
+            "t_end",
             f"propagation {span / SECONDS_PER_DAY:.2f} days from epoch exceeds the "
             f"{MAX_PROPAGATION_DAYS:.0f}-day two-body accuracy horizon"
         )
@@ -136,13 +116,10 @@ def _check_horizon(rec, t_posix):
 def propagate_state(rec, t):
     """ECI position (km) and velocity (km/s) on the record's Kepler ellipse.
 
-    Vectorized over t: scalar t gives shape-(3,) arrays, an array of times
-    gives shape (n, 3).
+    Vectorized over t, in POSIX seconds: scalar t gives shape-(3,) arrays,
+    an array of times gives shape (n, 3).
     """
-    t_posix = np.asarray(t)
-    if t_posix.dtype.kind not in "if":  # one or many datetimes
-        t_posix = np.vectorize(to_posix, otypes=[float])(t_posix)
-    t_posix = t_posix.astype(float)
+    t_posix = np.asarray(t, dtype=float)
     scalar = t_posix.ndim == 0
     _check_horizon(rec, t_posix)
 
@@ -230,7 +207,7 @@ def topocentric(sat_eci_km, station, t):
     Floats for one ECI position, arrays for positions (n, 3) at n times.
     Azimuth is undefined at the zenith and returned there as 0.
     """
-    t_posix = to_posix(t) if isinstance(t, datetime) else np.asarray(t, dtype=float)
+    t_posix = np.asarray(t, dtype=float)
     sat_ecef = eci_to_ecef(np.asarray(sat_eci_km, dtype=float), t_posix)
     rel = sat_ecef - station_ecef(station)
     east, north, up = _enu_basis(station)
@@ -338,19 +315,19 @@ def extract_passes(rec, station, t_start, t_end, threshold_deg=10.0, step_s=1.0)
     takes every k-th sample, k from elevation_rate_bound, and fills in only
     the stretches where the bound lets the elevation reach the threshold.
     """
-    t0, t1 = to_posix(t_start), to_posix(t_end)
+    t0, t1 = float(t_start), float(t_end)
     if not t0 < t1:
-        raise WindowError("empty time window")
+        raise ArgumentError("t_end", "empty time window")
     if not 0.0 <= threshold_deg < 90.0:
         raise ArgumentError("threshold_deg", f"threshold must be in [0, 90), got {threshold_deg!r}")
     if not 0.0 < step_s < math.inf:
         raise ArgumentError("step_s", f"step_s must be finite and positive, got {step_s!r}")
     _check_horizon(rec, [t0, t1])
     if (t1 - t0) / step_s >= MAX_GRID_SAMPLES:
-        raise GridSizeError(
+        raise ArgumentError(
+            "step_s",
             f"a {t1 - t0:.6g} s window at step_s {step_s!r} needs more than "
             f"{MAX_GRID_SAMPLES} samples",
-            "step_s",
         )
 
     def elevation(t):

@@ -62,6 +62,14 @@ class TestCoating:
         assert code == 2
         assert "line 3" in err
 
+    def test_stack_flag_overrides_config(self, capsys, tmp_path):
+        packaged = str(cli.data_dir() / "hr_coating_stack.txt")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("stack_file /nonexistent\n")
+        code, out, err = run(capsys, "coating", "--stack", packaged, "--config", str(cfg))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:2] == [f"stack_file {packaged}", "layers 50"]
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "coating", "--stack", str(tmp_path / "absent.txt"))
         assert code == 2
@@ -160,21 +168,13 @@ class TestCoatingExitContract:
             check_exit_contract(argv, Path(tmp) / "out")
 
 
-MIRROR_KEYS = ("mirror_rs_power", "mirror_rp_power", "mirror_phase_gap_pi")
-CONFIG_KEYS = {
-    "per-map": ("elevations_deg", "azimuths_deg", "states", "per_cap", *MIRROR_KEYS),
-    "offset-scan": ("ground_offsets_deg", "sat_offsets_deg", "azimuth_deg", "elevation_deg",
-                    "beta_deg", *MIRROR_KEYS),
-    "bell": ("source_fidelity", "pair_rate_hz", "loss_db", "channel_rotation_deg",
-             "depolarization", "detector_efficiency", "dark_rate_hz", "coincidence_window_ns",
-             "integration_time_s", "calibrate_s_target", "calibrate_total_coincidences"),
-    "compensate": ("tle_file", "pass_csv", "station_lat_deg", "station_lon_deg",
-                   "station_alt_m", "threshold_deg", "step_s", "window_hours", "zero_point_deg",
-                   "sign", "max_slew_deg_per_s"),
-}
-CONFIG_SETTINGS = st.sampled_from(sorted(CONFIG_KEYS)).flatmap(lambda command: st.tuples(
+def schema(command):
+    return cli.COMMANDS[command][2]
+
+
+CONFIG_SETTINGS = st.sampled_from(sorted(cli.COMMANDS)).flatmap(lambda command: st.tuples(
     st.just(command),
-    st.sampled_from(CONFIG_KEYS[command]),
+    st.sampled_from([key for key, _, _ in schema(command)]),
     EXTREME_FLOATS.map(repr)
     | st.lists(EXTREME_FLOATS, min_size=1, max_size=4).map(lambda xs: ",".join(map(repr, xs))),
 ))
@@ -226,10 +226,18 @@ def mutated_pass_text(mutations):
     return "".join(",".join(fields) + "\n" for fields in lines)
 
 
+# a known subcommand, an unknown one or none, then one flag with or without a value
+ARGV_MUTATIONS = st.tuples(
+    st.sampled_from(sorted(cli.COMMANDS)) | st.sampled_from(["frobnicate", None]),
+    st.sampled_from(["--seed", "--stack", "--config", "--frobnicate"]),
+    st.sampled_from(["-1", str(2**64), "x", "", None]),
+)
+
+
 class TestExitContract:
-    """One config key of any other subcommand set to an extreme number or a
-    comma list, a mutated TLE file or a mutated pass CSV ends in the same
-    exit-code contract as coating."""
+    """One config key of any subcommand set to an extreme number or a comma
+    list, a mutated TLE file, a mutated pass CSV or a mutated command line
+    ends in the same exit-code contract as coating."""
 
     @settings(max_examples=100, deadline=None)
     @given(CONFIG_SETTINGS)
@@ -240,6 +248,14 @@ class TestExitContract:
             cfg.write_text(f"{key} {value}\n")
             out_dir = Path(tmp) / "out"
             check_exit_contract([command, "--config", str(cfg), "--out", str(out_dir)], out_dir)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ARGV_MUTATIONS)
+    def test_argv(self, mutation):
+        with tempfile.TemporaryDirectory() as tmp:
+            out_dir = Path(tmp) / "out"
+            argv = [word for word in mutation if word is not None]
+            check_exit_contract(argv + ["--out", str(out_dir)], out_dir)
 
     @settings(max_examples=60, deadline=None)
     @given(TLE_MUTATIONS)
@@ -679,6 +695,14 @@ class TestHarness:
         code, _, err = run(capsys, "coating", "--frobnicate")
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["coating", "per-map", "compensate", "offset-scan"])
+    def test_seed_is_bell_only(self, capsys, tmp_path, command):
+        code, out, err = run(capsys, command, "--seed", "5", "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert out == ""
+        assert err == "polsim: error: unrecognized arguments: --seed 5\n"
+        assert not (tmp_path / "o").exists()
+
     def test_data_dir_override(self, capsys, tmp_path, monkeypatch):
         stack = tmp_path / "hr_coating_stack.txt"
         stack.write_text("ambient 1.0 0.0\nsubstrate 1.9 0.0\n")
@@ -706,3 +730,16 @@ class TestHarness:
         cfg.write_text("angle_deg forty-five\n")
         code, _, err = run(capsys, "coating", "--config", str(cfg))
         assert code == 1
+
+
+def test_readme_config_table_matches_schema():
+    # rows `| command | `key` | default |`, the default written as the config
+    # text that gives it, or "packaged file" / "none" for an unset path key
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| ([\w-]+) +\| `(\w+)` +\| (.+?) +\|$", readme, re.MULTILINE)
+    assert [row[:2] for row in rows] == [
+        (command, key) for command in cli.COMMANDS for key, _, _ in schema(command)]
+    for command, key, written in rows:
+        [(default, parse)] = [(d, p) for k, d, p in schema(command) if k == key]
+        value = None if written in ("packaged file", "none") else parse(written.strip("`"))
+        assert value == default, (command, key)
