@@ -155,7 +155,8 @@ def _write(out_dir, name, text):
 
 
 def cmd_coating(cfg, args):
-    stack_path = args.stack or cfg["stack_file"] or str(data_dir() / "hr_coating_stack.txt")
+    stack_path = (args.stack if args.stack is not None
+                  else cfg["stack_file"] or str(data_dir() / "hr_coating_stack.txt"))
     angle_deg, wavelength_nm = cfg["angle_deg"], cfg["wavelength_nm"]
     ray = _checked(thinfilm.Ray, math.radians(angle_deg), wavelength_nm)
     stack = _load(thinfilm.parse_stack_text, stack_path, "stack file")
@@ -163,14 +164,13 @@ def cmd_coating(cfg, args):
         resp = thinfilm.stack_response(stack, ray)
     except ValueError as exc:  # a floating-point fault or a non-passive response
         raise CliFailure(EXIT_NUMERIC, f"stack response failed: {exc}") from None
-    gap = resp.phase_gap
     print(f"stack_file {stack_path}")
     print(f"layers {len(stack.layers)}")
     print(f"angle_deg {angle_deg!r}")
     print(f"wavelength_nm {wavelength_nm!r}")
     print(f"rs_power {abs(resp.r_s) ** 2!r}")
     print(f"rp_power {abs(resp.r_p) ** 2!r}")
-    print(f"phase_gap_pi {gap / math.pi!r}")
+    print(f"phase_gap_pi {resp.phase_gap / math.pi!r}")
     print(f"mean_power {(abs(resp.r_s) ** 2 + abs(resp.r_p) ** 2) / 2.0!r}")
     return EXIT_OK
 
@@ -349,7 +349,7 @@ def build_parser():
         def error(self, message):  # usage errors exit 1 with one line, not argparse's 2
             raise CliFailure(EXIT_USAGE, message)
 
-    parser = Parser(prog="polsim", description=__doc__,
+    parser = Parser(prog="polsim", description=__doc__, allow_abbrev=False,
                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -359,7 +359,7 @@ def build_parser():
         raise argparse.ArgumentTypeError(f"seed must be an integer in [0, 2**64), got {text}")
 
     for name, (_, help_text, _) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         if name == "coating":
             p.add_argument("--stack", default=None, help="stack description file")
         p.add_argument("--config", default=None, help="key-value config file")

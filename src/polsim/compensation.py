@@ -41,17 +41,22 @@ DEFAULT_MAX_SLEW_DEG_PER_S = 5.0
 _ISOTROPIC_RTOL = 1e-13
 
 
+def _hwp_command(theta_deg, phi_deg, beta_deg, zero_point_deg, sign):
+    """zero + sign*(theta+phi+beta)/2, before the mod-180 reduction."""
+    raw = zero_point_deg + sign * (theta_deg + phi_deg + beta_deg) / 2.0
+    if not np.isfinite(raw).all():
+        raise ValueError(f"HWP command needs finite inputs, got {raw!r}")
+    return raw
+
+
 def compensation_angle(theta_deg, phi_deg, beta_deg, zero_point_deg=DEFAULT_ZERO_POINT_DEG,
                        sign=1):
     """Scheduled HWP angle zero + sign*(theta+phi+beta)/2, reduced to [0, 180).
 
-    `sign` flips the tracking sense for installations whose mirror chain
-    rotates the frame the other way; +1 is the deployed sense.
+    Broadcasts over arrays.  `sign` flips the tracking sense for installations
+    whose mirror chain rotates the frame the other way; +1 is the deployed sense.
     """
-    for v in (theta_deg, phi_deg, beta_deg, zero_point_deg):
-        if not math.isfinite(v):
-            raise ValueError(f"compensation_angle needs finite inputs, got {v!r}")
-    return (zero_point_deg + sign * (theta_deg + phi_deg + beta_deg) / 2.0) % 180.0
+    return _hwp_command(theta_deg, phi_deg, beta_deg, zero_point_deg, sign) % 180.0
 
 
 @dataclass(frozen=True)
@@ -105,7 +110,7 @@ def schedule_from_pass(pass_profile, zero_point_deg=DEFAULT_ZERO_POINT_DEG, sign
     check_tracking(sign, max_slew_deg_per_s)
     az = np.unwrap(pass_profile.azimuth_deg, period=360.0)
     beta = np.unwrap(pass_profile.beta_deg, period=360.0)
-    raw = zero_point_deg + sign * (az + pass_profile.elevation_deg + beta) / 2.0
+    raw = _hwp_command(az, pass_profile.elevation_deg, beta, zero_point_deg, sign)
 
     dt = np.diff(pass_profile.t_posix)
     rate = np.concatenate([[0.0], np.diff(raw) / dt])

@@ -16,8 +16,8 @@ Everything here is a pure function over immutable values.  The element
 constructors, ``@``, ``apply``, ``normalized`` and the metrics broadcast: an
 angle may be an ndarray, and then the `OpticalElement` entries and
 `PolarizationState` amplitudes it produces are arrays of that shape, so one
-expression evaluates a whole pass, scan grid or offset grid.  ``.matrix`` and
-``.vector`` give the ``(..., 2, 2)`` and ``(..., 2)`` array views.
+expression evaluates a whole pass, scan grid or offset grid.  ``.matrix``
+gives the ``(..., 2, 2)`` array view.
 """
 
 from __future__ import annotations
@@ -55,10 +55,6 @@ class PolarizationState:
 
     a_h: complex
     a_v: complex
-
-    @property
-    def vector(self):
-        return np.stack(np.broadcast_arrays(self.a_h, self.a_v), axis=-1).astype(complex)
 
     def norm_sq(self):
         return abs(self.a_h) ** 2 + abs(self.a_v) ** 2
@@ -100,11 +96,6 @@ class PolarizationState:
         r = 1.0 / math.sqrt(2.0)
         return cls(r, -r)
 
-    @classmethod
-    def linear(cls, angle):
-        _check_finite_angle(angle)
-        return cls(math.cos(angle), math.sin(angle))
-
 
 @dataclass(frozen=True)
 class OpticalElement:
@@ -120,13 +111,6 @@ class OpticalElement:
         """(2, 2) complex array; (..., 2, 2) when the entries are arrays of one shape."""
         m = np.array([[self.m00, self.m01], [self.m10, self.m11]], dtype=complex)
         return m if m.ndim == 2 else np.moveaxis(m, (0, 1), (-2, -1))
-
-    @classmethod
-    def from_matrix(cls, m):
-        m = np.asarray(m, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"Jones matrix must be 2x2, got shape {m.shape}")
-        return cls(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
 
     def __matmul__(self, other):
         if not isinstance(other, OpticalElement):

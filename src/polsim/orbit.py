@@ -176,17 +176,10 @@ def station_ecef(station):
     )
 
 
-def eci_to_ecef(vec_eci, t_posix):
-    g = gmst_rad(t_posix)
-    c, s = np.cos(g), np.sin(g)
-    x, y, z = np.moveaxis(np.asarray(vec_eci, dtype=float), -1, 0)
-    return np.stack([c * x + s * y, -s * x + c * y, z], axis=-1)
-
-
-def ecef_to_eci(vec_ecef, t_posix):
-    g = gmst_rad(t_posix)
-    c, s = np.cos(g), np.sin(g)
-    x, y, z = np.moveaxis(np.asarray(vec_ecef, dtype=float), -1, 0)
+def _rotate_z(vec, angle_rad):
+    """Vectors (..., 3) turned by `angle_rad` about z; +GMST maps ECEF to ECI."""
+    c, s = np.cos(angle_rad), np.sin(angle_rad)
+    x, y, z = np.moveaxis(np.asarray(vec, dtype=float), -1, 0)
     return np.stack([c * x - s * y, s * x + c * y, z], axis=-1)
 
 
@@ -208,7 +201,7 @@ def topocentric(sat_eci_km, station, t):
     Azimuth is undefined at the zenith and returned there as 0.
     """
     t_posix = np.asarray(t, dtype=float)
-    sat_ecef = eci_to_ecef(np.asarray(sat_eci_km, dtype=float), t_posix)
+    sat_ecef = _rotate_z(sat_eci_km, -gmst_rad(t_posix))
     rel = sat_ecef - station_ecef(station)
     east, north, up = _enu_basis(station)
     e, n, u = rel @ east, rel @ north, rel @ up
@@ -276,7 +269,7 @@ def _beta_from_state(pos, vel, station, t_posix):
     satellite's nadir-pointing frame (positive when the station is ahead
     along track).
     """
-    los = ecef_to_eci(np.broadcast_to(station_ecef(station), pos.shape), t_posix) - pos
+    los = _rotate_z(np.broadcast_to(station_ecef(station), pos.shape), gmst_rad(t_posix)) - pos
     r_hat = pos / np.linalg.norm(pos, axis=-1, keepdims=True)
     along = vel - np.sum(vel * r_hat, axis=-1, keepdims=True) * r_hat
     along = along / np.linalg.norm(along, axis=-1, keepdims=True)

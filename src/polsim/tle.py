@@ -6,8 +6,8 @@ are fixed-column fixed-precision decimals and are re-rendered canonically by
 `format_tle`; the parser rejects records whose fields are not already in that
 canonical layout, which is what makes parse -> format byte-identical.  The
 three implied-decimal drag fields on line 1 admit several encodings of the
-same value, so their raw column content is preserved verbatim alongside the
-decoded floats.
+same value and a two-body model reads none of them, so they are checked for
+shape and kept as their raw column content.
 """
 
 from __future__ import annotations
@@ -71,53 +71,20 @@ class TleRecord:
     def epoch_posix(self):
         return self.epoch.timestamp()
 
-    @property
-    def ndot(self):
-        """First time derivative of mean motion, rev/day^2 (field is /2)."""
-        return 2.0 * float(self.ndot_raw)
 
-    @property
-    def nddot(self):
-        """Second derivative of mean motion, rev/day^3 (field is /6)."""
-        return 6.0 * _decode_implied_exponent(self.nddot_raw)
-
-    @property
-    def bstar(self):
-        """Drag term, 1/earth-radii."""
-        return _decode_implied_exponent(self.bstar_raw)
-
-
-def _decode_implied_exponent(field):
-    """'sNNNNNsE' -> s 0.NNNNN * 10^(sE); e.g. ' 11087-4' = 0.11087e-4."""
-    sign = -1.0 if field[0] == "-" else 1.0
-    mantissa = field[1:6]
-    exponent = field[6:8]
-    return sign * float("0." + mantissa) * 10.0 ** float(exponent)
-
-
-def _require_float(line_no, line, start, stop, what):
+def _field(line_no, line, start, stop, parse, spec, what):
+    """Columns start+1..stop of `line` read by `parse` (int or float), which
+    must be written exactly as format spec `spec` renders the value."""
     text = line[start:stop]
     try:
-        return float(text)
+        value = parse(text)
     except ValueError:
         raise TleParseError(line_no, start + 1, f"non-numeric {what}: {text!r}") from None
-
-
-def _require_int(line_no, line, start, stop, what):
-    text = line[start:stop]
-    try:
-        return int(text)
-    except ValueError:
-        raise TleParseError(line_no, start + 1, f"non-numeric {what}: {text!r}") from None
-
-
-def _require_canonical(line_no, start, actual, canonical, what):
-    if actual != canonical:
-        raise TleParseError(
-            line_no,
-            start + 1,
-            f"non-canonical {what}: {actual!r} (canonical form is {canonical!r})",
-        )
+    canonical = format(value, spec)
+    if text != canonical:
+        raise TleParseError(line_no, start + 1,
+                            f"non-canonical {what}: {text!r} (canonical form is {canonical!r})")
+    return value
 
 
 def _check_implied_exponent(line_no, start, field, what):
@@ -162,10 +129,9 @@ def parse_tle(text):
     satnum = l1[2:7]
     classification = l1[7]
     designator = l1[9:17]
-    yy = _require_int(1, l1, 18, 20, "epoch year")
+    yy = _field(1, l1, 18, 20, int, "02d", "epoch year")
     epoch_year = 2000 + yy if yy < 57 else 1900 + yy
-    epoch_day = _require_float(1, l1, 20, 32, "epoch day")
-    _require_canonical(1, 20, l1[20:32], f"{epoch_day:012.8f}", "epoch day")
+    epoch_day = _field(1, l1, 20, 32, float, "012.8f", "epoch day")
     ndot_raw = l1[33:43]
     if not (ndot_raw[0] in " +-" and ndot_raw[1] == "." and ndot_raw[2:10].isdigit()):
         raise TleParseError(1, 34, f"malformed mean-motion-derivative field: {ndot_raw!r}")
@@ -174,26 +140,19 @@ def parse_tle(text):
     bstar_raw = l1[53:61]
     _check_implied_exponent(1, 53, bstar_raw, "drag")
     ephemeris_type = l1[62]
-    elset = _require_int(1, l1, 64, 68, "element set number")
-    _require_canonical(1, 64, l1[64:68], f"{elset:4d}", "element set number")
+    elset = _field(1, l1, 64, 68, int, "4d", "element set number")
 
     # line 2
-    inclination = _require_float(2, l2, 8, 16, "inclination")
-    _require_canonical(2, 8, l2[8:16], f"{inclination:8.4f}", "inclination")
-    raan = _require_float(2, l2, 17, 25, "RAAN")
-    _require_canonical(2, 17, l2[17:25], f"{raan:8.4f}", "RAAN")
+    inclination = _field(2, l2, 8, 16, float, "8.4f", "inclination")
+    raan = _field(2, l2, 17, 25, float, "8.4f", "RAAN")
     ecc_digits = l2[26:33]
     if not ecc_digits.isdigit():
         raise TleParseError(2, 27, f"non-numeric eccentricity: {ecc_digits!r}")
     eccentricity = int(ecc_digits) / 1e7
-    argp = _require_float(2, l2, 34, 42, "argument of perigee")
-    _require_canonical(2, 34, l2[34:42], f"{argp:8.4f}", "argument of perigee")
-    mean_anomaly = _require_float(2, l2, 43, 51, "mean anomaly")
-    _require_canonical(2, 43, l2[43:51], f"{mean_anomaly:8.4f}", "mean anomaly")
-    mean_motion = _require_float(2, l2, 52, 63, "mean motion")
-    _require_canonical(2, 52, l2[52:63], f"{mean_motion:11.8f}", "mean motion")
-    rev_number = _require_int(2, l2, 63, 68, "revolution number")
-    _require_canonical(2, 63, l2[63:68], f"{rev_number:5d}", "revolution number")
+    argp = _field(2, l2, 34, 42, float, "8.4f", "argument of perigee")
+    mean_anomaly = _field(2, l2, 43, 51, float, "8.4f", "mean anomaly")
+    mean_motion = _field(2, l2, 52, 63, float, "11.8f", "mean motion")
+    rev_number = _field(2, l2, 63, 68, int, "5d", "revolution number")
 
     if not 0.0 <= eccentricity < 1.0:
         raise TleParseError(2, 27, f"eccentricity out of range: {eccentricity!r}")

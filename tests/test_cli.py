@@ -74,6 +74,13 @@ class TestCoating:
         code, _, err = run(capsys, "coating", "--stack", str(tmp_path / "absent.txt"))
         assert code == 2
 
+    def test_empty_stack_path_exit_2(self, capsys):
+        # an empty --stack is a path that cannot be read, not an unset flag
+        code, out, err = run(capsys, "coating", "--stack", "")
+        assert (code, out) == (2, "")
+        assert err.startswith("polsim: error: stack file : ")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("content", [
         b"ambient 1.0 0.0\nsubstrate 1.5 0.0 # \xc3\xa9\n",
         b"ambient -1 0\nsubstrate 1.5 0.0\n",
@@ -229,7 +236,8 @@ def mutated_pass_text(mutations):
 # a known subcommand, an unknown one or none, then one flag with or without a value
 ARGV_MUTATIONS = st.tuples(
     st.sampled_from(sorted(cli.COMMANDS)) | st.sampled_from(["frobnicate", None]),
-    st.sampled_from(["--seed", "--stack", "--config", "--frobnicate"]),
+    st.sampled_from(["--seed", "--stack", "--config", "--frobnicate", "--se", "--st", "--c",
+                     "--o"]),
     st.sampled_from(["-1", str(2**64), "x", "", None]),
 )
 
@@ -702,6 +710,14 @@ class TestHarness:
         assert out == ""
         assert err == "polsim: error: unrecognized arguments: --seed 5\n"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [["bell", "--se", "3"], ["coating", "--st", "FILE"],
+                                      ["per-map", "--c", "x"], ["offset-scan", "--o", "x"]])
+    def test_flags_must_be_spelled_in_full(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "o"))
+        assert (code, out) == (1, "")
+        assert not (tmp_path / "o").exists()
+        assert err == f"polsim: error: unrecognized arguments: {' '.join(argv[1:])}\n"
 
     def test_data_dir_override(self, capsys, tmp_path, monkeypatch):
         stack = tmp_path / "hr_coating_stack.txt"

@@ -27,6 +27,10 @@ def sso_pass():
     return ns[0]
 
 
+ANGLE_BATCHES = st.integers(1, 20).flatmap(lambda n: st.tuples(*[
+    st.lists(st.floats(-720.0, 720.0), min_size=n, max_size=n).map(np.array)] * 3))
+
+
 class TestAngleFormula:
     def test_zero_point_alone(self):
         assert C.compensation_angle(0.0, 0.0, 0.0, 145.8) == pytest.approx(145.8)
@@ -60,6 +64,22 @@ class TestAngleFormula:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             C.compensation_angle(math.nan, 0.0, 0.0)
+
+    @given(ANGLE_BATCHES, st.floats(-360.0, 360.0), st.sampled_from([1, -1]))
+    def test_batch_equals_per_element(self, batch, zero, sign):
+        theta, phi, beta = batch
+        angles = C.compensation_angle(theta, phi, beta, zero, sign)
+        assert angles.shape == theta.shape
+        for k in range(len(theta)):
+            assert angles[k] == C.compensation_angle(theta[k], phi[k], beta[k], zero, sign)
+
+    @given(ANGLE_BATCHES, st.integers(0, 2), st.integers(0, 19),
+           st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_non_finite_anywhere_in_batch_rejected(self, batch, which, index, bad):
+        args = [a.copy() for a in batch]
+        args[which][index % len(args[which])] = bad
+        with pytest.raises(ValueError):
+            C.compensation_angle(*args)
 
 
 class TestQuantization:
@@ -97,6 +117,18 @@ class TestSchedule:
         fd = np.max(np.abs(np.diff(raw) / np.diff(sso_pass.t_posix)))
         assert sched.max_rate_deg_per_s == pytest.approx(fd, rel=1e-12)
         assert sched.max_rate_deg_per_s < 0.5
+
+    @given(st.integers(2, 40).flatmap(lambda n: st.tuples(*[
+        st.lists(st.floats(lo, hi), min_size=n, max_size=n).map(np.array)
+        for lo, hi in ((0.0, 359.999), (0.0, 90.0), (-180.0, 179.999))])),
+        st.floats(0.0, 180.0), st.sampled_from([1, -1]))
+    def test_angles_are_compensation_angle_of_unwrapped_series(self, series, zero, sign):
+        az, el, beta = series
+        p = O.PassProfile(np.arange(float(len(az))), az, el, beta)
+        sched = C.schedule_from_pass(p, zero, sign, max_slew_deg_per_s=1e9)
+        expected = C.compensation_angle(np.unwrap(az, period=360.0), el,
+                                        np.unwrap(beta, period=360.0), zero, sign)
+        assert np.array_equal(sched.angle_deg, expected)
 
     def test_angles_reduced_and_continuous(self, sso_pass):
         sched = C.schedule_from_pass(sso_pass)

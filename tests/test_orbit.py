@@ -103,7 +103,7 @@ class TestTopocentric:
     def test_zenith(self):
         station = O.GroundStation(0.0, 0.0, 0.0)
         overhead_ecef = O.station_ecef(station) * (1.0 + 600.0 / O.R_EARTH_KM)
-        sat_eci = O.ecef_to_eci(overhead_ecef, self.T0)
+        sat_eci = O._rotate_z(overhead_ecef, O.gmst_rad(self.T0))
         az, el, rng_km = O.topocentric(sat_eci, station, self.T0)
         assert el == pytest.approx(90.0, abs=1e-6)
         assert az == 0.0  # undefined at zenith, returned as 0
@@ -113,7 +113,7 @@ class TestTopocentric:
         up = O.station_ecef(station)
         east = np.array([0.0, 1.0, 0.0])
         sat_ecef = up + east * 500.0  # tangent direction
-        sat_eci = O.ecef_to_eci(sat_ecef, self.T0)
+        sat_eci = O._rotate_z(sat_ecef, O.gmst_rad(self.T0))
         _, el, _ = O.topocentric(sat_eci, station, self.T0)
         assert el == pytest.approx(0.0, abs=1e-9)
 
@@ -121,10 +121,21 @@ class TestTopocentric:
         # station at (0, 0); satellite over (0 N, 90 E) at station radius + 600 km
         station = O.GroundStation(0.0, 0.0, 0.0)
         sat_ecef = np.array([0.0, O.R_EARTH_KM + 600.0, 0.0])
-        sat_eci = O.ecef_to_eci(sat_ecef, self.T0)
+        sat_eci = O._rotate_z(sat_ecef, O.gmst_rad(self.T0))
         az, el, _ = O.topocentric(sat_eci, station, self.T0)
         assert az == pytest.approx(90.0, abs=1e-9)
         assert el < 0.0
+
+    @given(st.lists(st.tuples(*[st.floats(-5e4, 5e4)] * 3), min_size=1, max_size=20),
+           st.floats(-100.0, 100.0))
+    def test_z_rotation_round_trip(self, vectors, angle):
+        v = np.array(vectors)
+        assert np.max(np.abs(O._rotate_z(O._rotate_z(v, angle), -angle) - v)) < 1e-9
+        # turning by -angle is the inverse matrix [[c, s], [-s, c]] bit for bit
+        c, s = np.cos(angle), np.sin(angle)
+        x, y, z = v.T
+        assert np.array_equal(O._rotate_z(v, -angle),
+                              np.stack([c * x + s * y, -s * x + c * y, z], axis=-1))
 
 
 class TestPasses:

@@ -36,9 +36,9 @@ class TestParse:
         assert rec.mean_anomaly_deg == pytest.approx(50.1151)
         assert rec.mean_motion_rev_per_day == pytest.approx(15.49398617)
         assert rec.rev_number == 22929
-        assert rec.ndot == pytest.approx(2 * 0.00000168)
-        assert rec.nddot == 0.0
-        assert rec.bstar == pytest.approx(0.11087e-4)
+        assert rec.ndot_raw == " .00000168"
+        assert rec.nddot_raw == " 00000-0"
+        assert rec.bstar_raw == " 11087-4"
 
     def test_epoch_datetime(self):
         rec = T.parse_tle(ISS)
@@ -115,6 +115,16 @@ class TestParse:
         with pytest.raises(T.TleParseError) as err:
             T.parse_tle(ISS_LINES[1] + "\n" + l2)
         assert "non-canonical" in str(err.value)
+
+    @pytest.mark.parametrize("year", [" 4", "+4"])
+    def test_non_canonical_epoch_year(self, year):
+        # int() reads both as 4, but format_tle writes "04"
+        l1 = ISS_LINES[1][:18] + year + ISS_LINES[1][20:]
+        l1 = l1[:68] + str(T.line_checksum(l1))
+        with pytest.raises(T.TleParseError) as err:
+            T.parse_tle(l1 + "\n" + ISS_LINES[2])
+        assert str(err.value) == (f"line 1, column 19: non-canonical epoch year: {year!r} "
+                                  "(canonical form is '04')")
 
     def test_eccentricity_range_guard(self):
         rec = T.parse_tle(ISS)
