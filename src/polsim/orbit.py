@@ -30,8 +30,8 @@ SECONDS_PER_DAY = 86400.0
 # Two-body elements drift from reality; refuse to extrapolate past this.
 MAX_PROPAGATION_DAYS = 7.0
 
-# Largest time grid extract_passes builds (grid plus elevation column: 80 MB),
-# the 7-day horizon at a 0.121 s step.
+# Most samples extract_passes' step grid may hold (the 7-day horizon at 0.121 s):
+# it is never built, but the scan evaluates every sample at a coarse stride of 1.
 MAX_GRID_SAMPLES = 5_000_000
 
 
@@ -85,23 +85,6 @@ def solve_kepler(mean_anomaly, eccentricity, tol=1e-13, max_iter=60):
     return float(ecc_anom) if ecc_anom.ndim == 0 else ecc_anom
 
 
-def _perifocal_to_eci(raan_deg, incl_deg, argp_deg):
-    """Rotation matrix PQW -> ECI."""
-    om = math.radians(raan_deg)
-    inc = math.radians(incl_deg)
-    w = math.radians(argp_deg)
-    co, so = math.cos(om), math.sin(om)
-    ci, si = math.cos(inc), math.sin(inc)
-    cw, sw = math.cos(w), math.sin(w)
-    return np.array(
-        [
-            [co * cw - so * sw * ci, -co * sw - so * cw * ci, so * si],
-            [so * cw + co * sw * ci, -so * sw + co * cw * ci, -co * si],
-            [sw * si, cw * si, ci],
-        ]
-    )
-
-
 def _check_horizon(rec, t_posix):
     t_posix = np.asarray(t_posix, dtype=float)
     span = np.max(np.abs(t_posix - rec.epoch_posix), initial=0.0)
@@ -113,6 +96,38 @@ def _check_horizon(rec, t_posix):
         )
 
 
+def _ellipse(rec):
+    """The record's Kepler ellipse: mean motion n (rad/s), semi-axes a and
+    a sqrt(1 - e^2) (km), and the rotation matrix PQW -> ECI."""
+    n_rad = rec.mean_motion_rev_per_day * 2.0 * math.pi / SECONDS_PER_DAY
+    a = (MU_EARTH_KM3_S2 / n_rad**2) ** (1.0 / 3.0)
+    e = rec.eccentricity
+    om, inc, w = (math.radians(x) for x in (rec.raan_deg, rec.inclination_deg,
+                                            rec.arg_perigee_deg))
+    co, so = math.cos(om), math.sin(om)
+    ci, si = math.cos(inc), math.sin(inc)
+    cw, sw = math.cos(w), math.sin(w)
+    rot = np.array([
+        [co * cw - so * sw * ci, -co * sw - so * cw * ci, so * si],
+        [so * cw + co * sw * ci, -so * sw + co * cw * ci, -co * si],
+        [sw * si, cw * si, ci],
+    ])
+    return n_rad, a, a * math.sqrt(1.0 - e * e), rot
+
+
+def _in_plane(x_pqw, y_pqw, rot):
+    return np.stack([x_pqw, y_pqw, np.zeros_like(x_pqw)], axis=-1) @ rot.T
+
+
+def _position(rec, ellipse, t_posix):
+    """ECI positions (n, 3), km, and cos E, sin E at 1-d POSIX times t_posix."""
+    n_rad, a, b, rot = ellipse
+    e = rec.eccentricity
+    ecc = solve_kepler(math.radians(rec.mean_anomaly_deg) + n_rad * (t_posix - rec.epoch_posix), e)
+    cos_e, sin_e = np.cos(ecc), np.sin(ecc)
+    return _in_plane(a * (cos_e - e), b * sin_e, rot), cos_e, sin_e
+
+
 def propagate_state(rec, t):
     """ECI position (km) and velocity (km/s) on the record's Kepler ellipse.
 
@@ -120,36 +135,20 @@ def propagate_state(rec, t):
     an array of times gives shape (n, 3).
     """
     t_posix = np.asarray(t, dtype=float)
-    scalar = t_posix.ndim == 0
     _check_horizon(rec, t_posix)
-
-    n_rad = rec.mean_motion_rev_per_day * 2.0 * math.pi / SECONDS_PER_DAY
-    a = (MU_EARTH_KM3_S2 / n_rad**2) ** (1.0 / 3.0)
-    e = rec.eccentricity
-    m0 = math.radians(rec.mean_anomaly_deg)
-    m = m0 + n_rad * (np.atleast_1d(t_posix) - rec.epoch_posix)
-    ecc = solve_kepler(m, e)
-
-    cos_e, sin_e = np.cos(ecc), np.sin(ecc)
-    b_fac = math.sqrt(1.0 - e * e)
-    x_pqw = a * (cos_e - e)
-    y_pqw = a * b_fac * sin_e
-    # dE/dt = n / (1 - e cos E)
-    e_dot = n_rad / (1.0 - e * cos_e)
-    vx_pqw = -a * sin_e * e_dot
-    vy_pqw = a * b_fac * cos_e * e_dot
-
-    rot = _perifocal_to_eci(rec.raan_deg, rec.inclination_deg, rec.arg_perigee_deg)
-    pos = np.stack([x_pqw, y_pqw, np.zeros_like(x_pqw)], axis=-1) @ rot.T
-    vel = np.stack([vx_pqw, vy_pqw, np.zeros_like(vx_pqw)], axis=-1) @ rot.T
-    if scalar:
-        return pos[0], vel[0]
-    return pos, vel
+    ellipse = n_rad, a, b, rot = _ellipse(rec)
+    pos, cos_e, sin_e = _position(rec, ellipse, np.atleast_1d(t_posix))
+    e_dot = n_rad / (1.0 - rec.eccentricity * cos_e)  # dE/dt
+    vel = _in_plane(-a * sin_e * e_dot, b * cos_e * e_dot, rot)
+    return (pos[0], vel[0]) if t_posix.ndim == 0 else (pos, vel)
 
 
 def propagate(rec, t):
-    """ECI position (km) at time t."""
-    return propagate_state(rec, t)[0]
+    """ECI position (km) at time t, shaped as by propagate_state."""
+    t_posix = np.asarray(t, dtype=float)
+    _check_horizon(rec, t_posix)
+    pos = _position(rec, _ellipse(rec), np.atleast_1d(t_posix))[0]
+    return pos[0] if t_posix.ndim == 0 else pos
 
 
 def gmst_rad(t_posix):
@@ -183,15 +182,23 @@ def _rotate_z(vec, angle_rad):
     return np.stack([c * x - s * y, s * x + c * y, z], axis=-1)
 
 
-def _enu_basis(station):
+def _site(station):
+    """Station ECEF position, km, and its east, north and up unit vectors."""
     lat = math.radians(station.latitude_deg)
     lon = math.radians(station.longitude_deg)
-    east = np.array([-math.sin(lon), math.cos(lon), 0.0])
-    north = np.array(
-        [-math.sin(lat) * math.cos(lon), -math.sin(lat) * math.sin(lon), math.cos(lat)]
-    )
-    up = np.array([math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat)])
-    return east, north, up
+    sl, cl, so, co = math.sin(lat), math.cos(lat), math.sin(lon), math.cos(lon)
+    east, north, up = np.array([[-so, co, 0.0], [-sl * co, -sl * so, cl], [cl * co, cl * so, sl]])
+    return station_ecef(station), (east, north, up)
+
+
+def _look(sat_eci_km, t_posix, site):
+    """East and north components, horizontal distance, elevation (deg) and
+    range (km) of the line of sight from `site` (see _site)."""
+    origin, (east, north, up) = site
+    rel = _rotate_z(sat_eci_km, -gmst_rad(t_posix)) - origin
+    e, n, u = rel @ east, rel @ north, rel @ up
+    horizontal = np.hypot(e, n)
+    return e, n, horizontal, np.degrees(np.arctan2(u, horizontal)), np.hypot(horizontal, u)
 
 
 def topocentric(sat_eci_km, station, t):
@@ -200,14 +207,7 @@ def topocentric(sat_eci_km, station, t):
     Floats for one ECI position, arrays for positions (n, 3) at n times.
     Azimuth is undefined at the zenith and returned there as 0.
     """
-    t_posix = np.asarray(t, dtype=float)
-    sat_ecef = _rotate_z(sat_eci_km, -gmst_rad(t_posix))
-    rel = sat_ecef - station_ecef(station)
-    east, north, up = _enu_basis(station)
-    e, n, u = rel @ east, rel @ north, rel @ up
-    horizontal = np.hypot(e, n)
-    rng = np.hypot(horizontal, u)
-    el = np.degrees(np.arctan2(u, horizontal))
+    e, n, horizontal, el, rng = _look(sat_eci_km, t, _site(station))
     az = np.where(horizontal < 1e-9, 0.0, np.degrees(np.arctan2(e, n)) % 360.0)
     if rng.ndim == 0:
         return float(az), float(el), float(rng)
@@ -282,31 +282,45 @@ SCAN_SWING_DEG = 30.0  # elevation the rate bound may sweep between coarse sampl
 CROSSING_TOL_S = 1e-6
 
 
+def _closing_speed(rec, station):
+    """(V, rho_min): the satellite's Earth-fixed speed is at most V = v_p + w_E r_a
+    km/s, so its range falls no faster than V, and never below r_p - r_s km."""
+    _, a, _, _ = _ellipse(rec)
+    r_p, r_a = a * (1.0 - rec.eccentricity), a * (1.0 + rec.eccentricity)
+    v_p = math.sqrt(MU_EARTH_KM3_S2 * (2.0 / r_p - 1.0 / a))  # vis-viva
+    return v_p + EARTH_RATE_RAD_S * r_a, r_p - (R_EARTH_KM + station.altitude_m / 1000.0)
+
+
 def elevation_rate_bound(rec, station):
     """Upper bound R on |d elevation / dt|, rad/s; infinite if r_p <= r_s.
 
-    The line of sight turns no faster than the satellite's Earth-fixed speed,
-    at most v_p + w_E r_a, over the shortest possible range r_p - r_s.
+    The line of sight turns no faster than V (_closing_speed) over the
+    shortest possible range r_p - r_s.
     """
-    n_rad = rec.mean_motion_rev_per_day * 2.0 * math.pi / SECONDS_PER_DAY
-    a = (MU_EARTH_KM3_S2 / n_rad**2) ** (1.0 / 3.0)
-    r_p, r_a = a * (1.0 - rec.eccentricity), a * (1.0 + rec.eccentricity)
-    r_s = R_EARTH_KM + station.altitude_m / 1000.0
-    if r_p <= r_s:
-        return math.inf
-    v_p = math.sqrt(MU_EARTH_KM3_S2 * (2.0 / r_p - 1.0 / a))  # vis-viva
-    return (v_p + EARTH_RATE_RAD_S * r_a) / (r_p - r_s)
+    speed, floor = _closing_speed(rec, station)
+    return speed / floor if floor > 0.0 else math.inf
+
+
+def _elevation_gain_deg(range_km, dt_s, speed, floor):
+    """Most elevation (deg) a line of sight at range_km can gain in dt_s: its
+    rate is at most V / range while the range falls at V to rho_min, so the
+    gain is ln(range / max(range - V dt, rho_min)), then V / rho_min per second."""
+    shrunk = range_km - speed * dt_s
+    return np.degrees(np.log(range_km / np.maximum(shrunk, floor))
+                      + np.maximum(floor - shrunk, 0.0) / floor)
 
 
 def extract_passes(rec, station, t_start, t_end, threshold_deg=10.0, step_s=1.0):
     """All complete passes with elevation >= threshold inside [t_start, t_end].
 
-    Interior samples sit on the step grid; the first and last sample of each
-    pass are refined to the threshold crossing itself, to CROSSING_TOL_S.
-    Passes clipped by the window edges (already up at t_start, still up at
-    t_end) are dropped since their true rise/set times are unknown.  The scan
-    takes every k-th sample, k from elevation_rate_bound, and fills in only
-    the stretches where the bound lets the elevation reach the threshold.
+    Interior samples sit on the grid np.arange(t_start, t_end + step_s / 2,
+    step_s); the first and last sample of each pass are refined to the
+    threshold crossing itself, to CROSSING_TOL_S.  Passes clipped by the
+    window edges (already up at t_start, still up at t_end) are dropped since
+    their true rise/set times are unknown.  The grid is never built: the scan
+    takes every k-th sample, k from elevation_rate_bound, and evaluates a
+    sample in between only where _elevation_gain_deg from both neighbouring
+    coarse samples lets it reach the threshold.
     """
     t0, t1 = float(t_start), float(t_end)
     if not t0 < t1:
@@ -322,41 +336,52 @@ def extract_passes(rec, station, t_start, t_end, threshold_deg=10.0, step_s=1.0)
             f"a {t1 - t0:.6g} s window at step_s {step_s!r} needs more than "
             f"{MAX_GRID_SAMPLES} samples",
         )
+    # grid sample i sits at t0 + i * dt, as np.arange fills it
+    n, dt = math.ceil((t1 + step_s / 2.0 - t0) / step_s), (t0 + step_s) - t0
+    _check_horizon(rec, [t0, t0 + (n - 1) * dt])
+    ellipse, site = _ellipse(rec), _site(station)
 
-    def elevation(t):
-        return topocentric(propagate(rec, t), station, t)[1]
+    def sight(t):  # elevation (deg) and range (km) at times t
+        return _look(_position(rec, ellipse, t)[0], t, site)[3:]
 
-    grid = np.arange(t0, t1 + step_s / 2.0, step_s)
     rate_deg_s = math.degrees(elevation_rate_bound(rec, station))
     k = max(1, int(SCAN_SWING_DEG / (rate_deg_s * step_s)))
-    coarse = np.append(np.arange(0, len(grid) - 1, k), len(grid) - 1)
-    el = np.full(len(grid), -np.inf)  # samples left unevaluated are below threshold
-    el[coarse] = elevation(grid[coarse])
-    peak = (el[coarse[:-1]] + el[coarse[1:]] + rate_deg_s * np.diff(grid[coarse])) / 2.0
-    fine = np.append(np.repeat(peak >= threshold_deg, np.diff(coarse)), False)
-    fine[coarse] = False
-    el[fine] = elevation(grid[fine])
+    coarse = np.append(np.arange(0, n - 1, k), n - 1)
+    t_c = t0 + coarse * dt
+    el_c, range_c = sight(t_c)
+    # interior samples of the intervals whose peak the rate bound lets reach the threshold
+    peak = (el_c[:-1] + el_c[1:] + rate_deg_s * np.diff(t_c)) / 2.0
+    near = np.flatnonzero(peak >= threshold_deg)
+    count = np.diff(coarse)[near] - 1
+    a = np.repeat(near, count)
+    fine = coarse[a] + 1 + np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count)
+    t_f = t0 + fine * dt
+    closing = _closing_speed(rec, station)
+    reach = np.minimum(*(el_c[j] + _elevation_gain_deg(range_c[j], np.abs(t_f - t_c[j]), *closing)
+                         for j in (a, a + 1)))
+    fine, t_f = fine[reach >= threshold_deg], t_f[reach >= threshold_deg]
 
-    up = el >= threshold_deg
-    edges = np.diff(up.astype(np.int8))
-    # last and first sample of each run; drop runs clipped by the window edges
-    fall = np.flatnonzero(edges == -1)[int(up[0]):]
-    rise = (np.flatnonzero(edges == 1) + 1)[:len(fall)]
+    # samples left unevaluated are below threshold; runs of consecutive
+    # samples at or above it are passes, less those touching a window edge
+    up = np.sort(np.r_[coarse[el_c >= threshold_deg], fine[sight(t_f)[0] >= threshold_deg]])
+    rise, fall = up[np.diff(up, prepend=-2) > 1], up[np.diff(up, append=n + 1) > 1]
+    inside = (rise > 0) & (fall < n - 1)
+    rise, fall = rise[inside], fall[inside]
     if not len(rise):
         return []
 
     # bisect all crossings at once; `below` stays under the threshold
-    below = grid[np.r_[rise - 1, fall + 1]]
-    above = grid[np.r_[rise, fall]]
+    below = t0 + np.r_[rise - 1, fall + 1] * dt
+    above = t0 + np.r_[rise, fall] * dt
     for _ in range(max(0, math.ceil(math.log2(step_s / CROSSING_TOL_S)))):
         mid = 0.5 * (below + above)
-        over = elevation(mid) > threshold_deg
+        over = sight(mid)[0] > threshold_deg
         above, below = np.where(over, mid, above), np.where(over, below, mid)
     t_rise, t_set = np.split(0.5 * (below + above), 2)
 
     segments = []
     for i, j, tr, ts in zip(rise, fall, t_rise, t_set):
-        inner = grid[i:j + 1]
+        inner = t0 + np.arange(i, j + 1) * dt
         segments.append(np.r_[tr, inner[(inner > tr) & (inner < ts)], ts])
     times = np.concatenate(segments)
     pos, vel = propagate_state(rec, times)

@@ -4,7 +4,8 @@ Nothing in `polsim` runs this code.  It holds the general density-matrix
 CHSH model that the Werner closed form in `linksim` replaced, the
 one-generator-per-setting sampler that `simulate_chsh_counts` must match draw
 for draw, the single-interface Fresnel equations that an empty `LayerStack`
-reproduces, and small helpers that only the tests need.
+reproduces, the dense pass scan that `extract_passes` must match bit for bit,
+and small helpers that only the tests need.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import numpy as np
 
 from polsim.jones import MirrorResponse
 from polsim.linksim import BELL_TEST_SETTINGS, _expected_counts
+from polsim.orbit import (CROSSING_TOL_S, PassProfile, _beta_from_state, propagate,
+                          propagate_state, topocentric)
 from polsim.thinfilm import _cos_refracted
 
 # --- density-matrix CHSH model ----------------------------------------------
@@ -176,6 +179,37 @@ def fresnel_transmission(iface, theta_i):
 def brewster_angle(n0, n):
     """Angle with r_p = 0 for a real-index pair: atan(n/n0)."""
     return math.atan2(float(n), float(n0))
+
+
+# --- dense pass scan ---------------------------------------------------------
+
+
+def dense_passes(rec, station, t_start, t_end, threshold_deg, step_s):
+    """extract_passes with no coarse scan: the elevation at every sample of
+    the np.arange step grid, one pass per run of samples at or above the
+    threshold that touches no window edge, rise and set bisected per pass."""
+    grid = np.arange(t_start, t_end + step_s / 2.0, step_s)
+
+    def elevation(t):
+        return topocentric(propagate(rec, t), station, t)[1]
+
+    up = elevation(grid) >= threshold_deg
+    passes = []
+    for run in np.split(np.arange(len(grid)), np.flatnonzero(np.diff(up.astype(np.int8))) + 1):
+        if not up[run[0]] or run[0] == 0 or run[-1] == len(grid) - 1:
+            continue
+        below, above = grid[[run[0] - 1, run[-1] + 1]], grid[[run[0], run[-1]]]
+        for _ in range(max(0, math.ceil(math.log2(step_s / CROSSING_TOL_S)))):
+            mid = 0.5 * (below + above)
+            over = elevation(mid) > threshold_deg
+            above, below = np.where(over, mid, above), np.where(over, below, mid)
+        t_rise, t_set = 0.5 * (below + above)
+        inner = grid[run]
+        times = np.r_[t_rise, inner[(inner > t_rise) & (inner < t_set)], t_set]
+        pos, vel = propagate_state(rec, times)
+        az, el, _ = topocentric(pos, station, times)
+        passes.append(PassProfile(times, az, el, _beta_from_state(pos, vel, station, times)))
+    return passes
 
 
 # --- helpers -----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from polsim import orbit as O
 from polsim import tle as T
-from reference import is_north_to_south
+from reference import dense_passes, is_north_to_south
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "polsim" / "data"
 
@@ -295,6 +296,47 @@ class TestPassSearchProperties:
         ts, el = _dense_elevation(rec)
         bound = math.degrees(O.elevation_rate_bound(rec, O.NGARI_STATION))
         assert np.max(np.abs(np.diff(el) / np.diff(ts))) <= bound
+
+    @settings(max_examples=25, deadline=None)
+    @given(LEO_ELEMENTS)
+    def test_range_aware_bound_within_coarse_intervals(self, elements):
+        # every dense 1 s sample lies under the gain bound from both of the
+        # coarse samples extract_passes would take around it
+        rec = _leo(elements)
+        ts = np.arange(rec.epoch_posix, rec.epoch_posix + WINDOW_S + 0.5, 1.0)
+        _, el, rng_km = O.topocentric(O.propagate(rec, ts), O.NGARI_STATION, ts)
+        rate_deg_s = math.degrees(O.elevation_rate_bound(rec, O.NGARI_STATION))
+        k = max(1, int(O.SCAN_SWING_DEG / rate_deg_s))
+        a = np.arange(len(ts)) // k * k
+        b = np.minimum(a + k, len(ts) - 1)
+        closing = O._closing_speed(rec, O.NGARI_STATION)
+        assert np.all(el[a] + O._elevation_gain_deg(rng_km[a], ts - ts[a], *closing) >= el)
+        assert np.all(el[b] + O._elevation_gain_deg(rng_km[b], ts[b] - ts, *closing) >= el)
+
+    @pytest.mark.parametrize("step_s, start_h, hours", [
+        (0.1, 16.5, 3.5), (0.121, 16.5, 3.5), (1.0, 0.0, 48.0), (3.7, 0.0, 48.0), (10.0, 0.0, 48.0),
+    ])
+    def test_equals_dense_scan(self, sso, step_s, start_h, hours):
+        t0 = sso.epoch_posix + 3600.0 * start_h + 0.3
+        t1 = t0 + 3600.0 * hours
+        passes = O.extract_passes(sso, O.NGARI_STATION, t0, t1, threshold_deg=10.0, step_s=step_s)
+        expected = dense_passes(sso, O.NGARI_STATION, t0, t1, 10.0, step_s)
+        assert len(expected) >= 2
+        assert len(passes) == len(expected)
+        for p, q in zip(passes, expected):
+            for field in ("t_posix", "azimuth_deg", "elevation_deg", "beta_deg"):
+                assert np.array_equal(getattr(p, field), getattr(q, field))
+
+    def test_week_scan_allocates_less_than_its_grid(self, sso):
+        t0 = sso.epoch_posix
+        tracemalloc.start()
+        try:
+            passes = O.extract_passes(sso, O.NGARI_STATION, t0, t0 + 7 * 86400.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert passes
+        assert peak < 604_801 * 8  # one float64 entry per sample of the 1 s grid
 
 
 class TestBeta:
