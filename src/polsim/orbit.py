@@ -153,8 +153,7 @@ def propagate(rec, t):
 
 def gmst_rad(t_posix):
     """Greenwich mean sidereal time, radians (IAU 1982-style polynomial)."""
-    jd = np.asarray(t_posix, dtype=float) / SECONDS_PER_DAY + 2440587.5
-    d = jd - 2451545.0
+    d = (np.asarray(t_posix, dtype=float) - 946728000.0) / SECONDS_PER_DAY  # days from J2000.0
     t_cent = d / 36525.0
     gmst_deg = (
         280.46061837

@@ -127,6 +127,14 @@ class TestTopocentric:
         assert az == pytest.approx(90.0, abs=1e-9)
         assert el < 0.0
 
+    def test_gmst_resolves_microseconds(self):
+        # days from J2000 are formed directly, not through a Julian date near 2.46e6
+        ts = self.T0 + 1.5e7 + np.arange(0.0, 2e-4, 1e-6)  # 2024-06-22
+        assert np.all(np.diff(O.gmst_rad(ts)) > 0.0)
+
+    def test_gmst_at_j2000(self):
+        assert O.gmst_rad(946728000.0) == pytest.approx(math.radians(280.46061837), abs=1e-15)
+
     @given(st.lists(st.tuples(*[st.floats(-5e4, 5e4)] * 3), min_size=1, max_size=20),
            st.floats(-100.0, 100.0))
     def test_z_rotation_round_trip(self, vectors, angle):
