@@ -116,13 +116,22 @@ def read_config(path, schema):
     return cfg
 
 
-def _checked(check, *args, **kwargs):
-    """Call library code on config values; its ValueError means a value is
-    out of range, which is a config error."""
+def _checked(cfg, check, *keys):
+    """check(*values of keys): library code on config values.  Its ValueError
+    means a value is out of range, a config error naming the first key whose
+    value fails with the other keys at their defaults."""
+    def call(key=None):
+        return check(*(cfg[k] if key in (None, k) else DEFAULTS[k] for k in keys))
     try:
-        return check(*args, **kwargs)
+        return call()
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        error = exc
+    for key in keys:
+        try:
+            call(key)
+        except ValueError as exc:
+            raise ConfigError(f"key {key!r}: {exc}") from None
+    raise ConfigError(f"keys {', '.join(map(repr, keys))}: {error}") from None
 
 
 def _load(parse, path, what):
@@ -136,8 +145,8 @@ def _load(parse, path, what):
 
 
 def _coating_from_config(cfg):
-    return _checked(MirrorResponse.from_powers, cfg["mirror_rs_power"], cfg["mirror_rp_power"],
-                    cfg["mirror_phase_gap_pi"] * math.pi)
+    return _checked(cfg, lambda rs, rp, gap: MirrorResponse.from_powers(rs, rp, gap * math.pi),
+                    *(key for key, _, _ in MIRROR_KEYS))
 
 
 def _write(out_dir, name, text):
@@ -157,8 +166,8 @@ def _write(out_dir, name, text):
 def cmd_coating(cfg, args):
     stack_path = (args.stack if args.stack is not None
                   else cfg["stack_file"] or str(data_dir() / "hr_coating_stack.txt"))
-    angle_deg, wavelength_nm = cfg["angle_deg"], cfg["wavelength_nm"]
-    ray = _checked(thinfilm.Ray, math.radians(angle_deg), wavelength_nm)
+    ray = _checked(cfg, lambda angle, wavelength: thinfilm.Ray(math.radians(angle), wavelength),
+                   "angle_deg", "wavelength_nm")
     stack = _load(thinfilm.parse_stack_text, stack_path, "stack file")
     try:
         resp = thinfilm.stack_response(stack, ray)
@@ -166,8 +175,8 @@ def cmd_coating(cfg, args):
         raise CliFailure(EXIT_NUMERIC, f"stack response failed: {exc}") from None
     print(f"stack_file {stack_path}")
     print(f"layers {len(stack.layers)}")
-    print(f"angle_deg {angle_deg!r}")
-    print(f"wavelength_nm {wavelength_nm!r}")
+    print(f"angle_deg {cfg['angle_deg']!r}")
+    print(f"wavelength_nm {cfg['wavelength_nm']!r}")
     print(f"rs_power {abs(resp.r_s) ** 2!r}")
     print(f"rp_power {abs(resp.r_p) ** 2!r}")
     print(f"phase_gap_pi {resp.phase_gap / math.pi!r}")
@@ -185,8 +194,9 @@ def cmd_per_map(cfg, args):
     except KeyError as exc:
         raise ConfigError(f"unknown state label {exc.args[0]!r} (known: H, V, +, -)")
 
-    scan = _checked(antenna.antenna_per_scan, antenna.DESIGN_GEOMETRY, coating,
-                    cfg["elevations_deg"], cfg["azimuths_deg"], states, cap=cfg["per_cap"])
+    scan = _checked(cfg, lambda el, az, cap: antenna.antenna_per_scan(
+        antenna.DESIGN_GEOMETRY, coating, el, az, states, cap=cap),
+        "elevations_deg", "azimuths_deg", "per_cap")
     path = _write(args.out, "per_map.csv", scan.to_csv())
     print(f"wrote {path}")
     print(f"cells {len(scan.rows)}")
@@ -197,15 +207,15 @@ def cmd_per_map(cfg, args):
 
 def cmd_compensate(cfg, args):
     zero_point, sign, max_slew = cfg["zero_point_deg"], cfg["sign"], cfg["max_slew_deg_per_s"]
-    _checked(compensation.check_tracking, sign, max_slew)
+    _checked(cfg, compensation.check_tracking, "sign", "max_slew_deg_per_s")
 
     if cfg["pass_csv"] is not None:
         passes = [_load(orbit.parse_pass_csv, cfg["pass_csv"], "pass CSV")]
     else:
         tle_path = cfg["tle_file"] or str(data_dir() / "sso_500km.tle")
         rec = _load(tle.parse_tle, tle_path, "TLE file")
-        station = _checked(orbit.GroundStation, cfg["station_lat_deg"], cfg["station_lon_deg"],
-                           cfg["station_alt_m"])
+        station = _checked(cfg, orbit.GroundStation, "station_lat_deg", "station_lon_deg",
+                           "station_alt_m")
         t0 = rec.epoch_posix
         try:
             passes = orbit.extract_passes(rec, station, t0, t0 + cfg["window_hours"] * 3600.0,
@@ -234,9 +244,10 @@ def cmd_compensate(cfg, args):
 
 def cmd_offset_scan(cfg, args):
     ground, sat = cfg["ground_offsets_deg"], cfg["sat_offsets_deg"]
-    grid = _checked(linksim.offset_scan, ground, sat, _coating_from_config(cfg),
-                    azimuth_deg=cfg["azimuth_deg"], elevation_deg=cfg["elevation_deg"],
-                    beta_deg=cfg["beta_deg"])
+    coating = _coating_from_config(cfg)
+    grid = _checked(cfg, lambda g, s, az, el, beta: linksim.offset_scan(
+        g, s, coating, azimuth_deg=az, elevation_deg=el, beta_deg=beta),
+        "ground_offsets_deg", "sat_offsets_deg", "azimuth_deg", "elevation_deg", "beta_deg")
     path = _write(args.out, "offset_scan.csv", linksim.offset_scan_csv(ground, sat, grid))
     i, j = np.unravel_index(np.argmax(grid), grid.shape)
     print(f"wrote {path}")
@@ -247,16 +258,13 @@ def cmd_offset_scan(cfg, args):
 
 
 def cmd_bell(cfg, args):
-    source = _checked(linksim.SourceModel, fidelity=cfg["source_fidelity"],
-                      pair_rate_hz=cfg["pair_rate_hz"])
-    rotation_deg = cfg["channel_rotation_deg"]
-    channel = _checked(linksim.ChannelModel, loss_db=cfg["loss_db"],
-                       rotation=rotator(math.radians(rotation_deg)),
-                       depolarization=cfg["depolarization"])
-    det = _checked(linksim.DetectionModel, efficiency=cfg["detector_efficiency"],
-                   dark_rate_hz=cfg["dark_rate_hz"],
-                   coincidence_window_s=cfg["coincidence_window_ns"] * 1e-9,
-                   integration_time_s=cfg["integration_time_s"])
+    source = _checked(cfg, linksim.SourceModel, "source_fidelity", "pair_rate_hz")
+    channel = _checked(cfg, lambda loss, rotation, depolarization: linksim.ChannelModel(
+        loss, rotator(math.radians(rotation)), depolarization),
+        "loss_db", "channel_rotation_deg", "depolarization")
+    det = _checked(cfg, lambda efficiency, dark, window_ns, time_s: linksim.DetectionModel(
+        efficiency, dark, window_ns * 1e-9, time_s),
+        "detector_efficiency", "dark_rate_hz", "coincidence_window_ns", "integration_time_s")
     s_target, total_target = cfg["calibrate_s_target"], cfg["calibrate_total_coincidences"]
     if not 0.0 < total_target < linksim.POISSON_MEAN_MAX:
         raise ConfigError("key 'calibrate_total_coincidences': expected a positive number "
@@ -282,7 +290,7 @@ def cmd_bell(cfg, args):
             "source_fidelity": source.fidelity,
             "pair_rate_hz": source.pair_rate_hz,
             "loss_db": channel.loss_db,
-            "channel_rotation_deg": rotation_deg,
+            "channel_rotation_deg": cfg["channel_rotation_deg"],
             "depolarization": channel.depolarization,
             "detector_efficiency": det.efficiency,
             "dark_rate_hz": det.dark_rate_hz,
@@ -340,6 +348,8 @@ COMMANDS = {
         ("calibrate_s_target", 2.312, _finite),
         ("calibrate_total_coincidences", 2138.0, _finite))),
 }
+# Every config key's default; a key shared by several commands has one default.
+DEFAULTS = {key: default for _, _, schema in COMMANDS.values() for key, default, _ in schema}
 
 
 def build_parser():

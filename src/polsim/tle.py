@@ -12,6 +12,7 @@ shape and kept as their raw column content.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
@@ -74,12 +75,14 @@ class TleRecord:
 
 def _field(line_no, line, start, stop, parse, spec, what):
     """Columns start+1..stop of `line` read by `parse` (int or float), which
-    must be written exactly as format spec `spec` renders the value."""
+    must be finite and written exactly as format spec `spec` renders it."""
     text = line[start:stop]
     try:
         value = parse(text)
     except ValueError:
         raise TleParseError(line_no, start + 1, f"non-numeric {what}: {text!r}") from None
+    if not math.isfinite(value):
+        raise TleParseError(line_no, start + 1, f"non-finite {what}: {text!r}")
     canonical = format(value, spec)
     if text != canonical:
         raise TleParseError(line_no, start + 1,
@@ -130,6 +133,8 @@ def parse_tle(text):
     classification = l1[7]
     designator = l1[9:17]
     yy = _field(1, l1, 18, 20, int, "02d", "epoch year")
+    if yy < 0:  # "-4" is how 02d writes -4, but format_tle writes a year's last two digits
+        raise TleParseError(1, 19, f"epoch year must be two digits, got {l1[18:20]!r}")
     epoch_year = 2000 + yy if yy < 57 else 1900 + yy
     epoch_day = _field(1, l1, 20, 32, float, "012.8f", "epoch day")
     ndot_raw = l1[33:43]

@@ -190,7 +190,8 @@ CONFIG_SETTINGS = st.sampled_from(sorted(cli.COMMANDS)).flatmap(lambda command: 
 TLE_LINES = (cli.data_dir() / "sso_500km.tle").read_text(encoding="ascii").splitlines()
 # overwritten at any column: single characters, and runs that zero, max out or
 # negate a whole numeric field (mean motion, eccentricity, epoch, ...)
-TLE_TOKENS = ["0", "9", " ", ".", "-", "+", "x", "00000000", "99999999", "-9999999"]
+TLE_TOKENS = ["0", "9", " ", ".", "-", "+", "x", "00000000", "99999999", "-9999999", "nan",
+              "     nan"]
 TLE_MUTATIONS = st.tuples(
     st.integers(1, 2), st.integers(0, 68), st.sampled_from(TLE_TOKENS), st.booleans()
 )
@@ -357,6 +358,17 @@ class TestCompensate:
         cfg.write_text(f"tle_file {bad}\n")
         code, _, err = run(capsys, "compensate", "--config", str(cfg), "--out", str(tmp_path))
         assert code == 2
+
+    @pytest.mark.parametrize("line_no, column, token", [(2, 8, "     nan"), (1, 18, "-4")])
+    def test_unreadable_tle_field_exit_2(self, capsys, tmp_path, line_no, column, token):
+        # a nan inclination used to parse and end in "no pass" (exit 3)
+        bad = tmp_path / "bad.tle"
+        bad.write_text(mutated_tle_text(line_no, column, token, True))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"tle_file {bad}\n")
+        code, _, err = run(capsys, "compensate", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 2
+        assert f"column {column + 1}:" in err
 
     def test_non_ascii_tle_exit_2(self, capsys, tmp_path):
         packaged = (cli.data_dir() / "sso_500km.tle").read_bytes()
@@ -526,7 +538,7 @@ class TestConfigRange:
         assert code == 1
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
-        assert "config error" in err
+        assert err.startswith(f"polsim: config error: key '{setting.split()[0]}': ")
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("setting, key", [
@@ -544,6 +556,30 @@ class TestConfigRange:
         code, _, err = run(capsys, "compensate", "--config", str(cfg), "--out", str(tmp_path))
         assert code == 1
         assert err.startswith(f"polsim: config error: key '{key}': ")
+
+    @pytest.mark.parametrize("command, setting", [
+        ("compensate", "station_alt_m -600"),
+        ("per-map", "per_cap 0"),
+        ("bell", "integration_time_s 0"),
+        ("offset-scan", "beta_deg 1e308\nelevation_deg 95"),
+    ])
+    def test_range_error_names_the_failing_key(self, capsys, tmp_path, command, setting):
+        # the key is found among several passed to one library call
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(setting + "\n")
+        code, _, err = run(capsys, command, "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith(f"polsim: config error: key '{setting.split()[-2]}': ")
+
+    def test_jointly_out_of_range_names_every_key(self):
+        def check(loss_db, depolarization):  # defaults 46 and 0
+            if loss_db + 10.0 * depolarization > 50.0:
+                raise ValueError("too lossy and too noisy")
+        cfg = {**cli.DEFAULTS, "loss_db": 49.5, "depolarization": 0.0}
+        assert cli._checked(cfg, check, "loss_db", "depolarization") is None
+        cfg["depolarization"] = 0.3  # either value alone passes
+        with pytest.raises(cli.ConfigError, match="^keys 'loss_db', 'depolarization': too lossy"):
+            cli._checked(cfg, check, "loss_db", "depolarization")
 
     def test_non_ascii_config(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"

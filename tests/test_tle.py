@@ -126,6 +126,25 @@ class TestParse:
         assert str(err.value) == (f"line 1, column 19: non-canonical epoch year: {year!r} "
                                   "(canonical form is '04')")
 
+    @pytest.mark.parametrize("year", ["-4", "-9"])
+    def test_signed_epoch_year(self, year):
+        # canonical for 02d, but would parse as 1996 and re-format as "96"
+        l1 = ISS_LINES[1][:18] + year + ISS_LINES[1][20:]
+        l1 = l1[:68] + str(T.line_checksum(l1))
+        with pytest.raises(T.TleParseError) as err:
+            T.parse_tle(l1 + "\n" + ISS_LINES[2])
+        assert err.value.column == 19
+        assert str(err.value) == f"line 1, column 19: epoch year must be two digits, got {year!r}"
+
+    @pytest.mark.parametrize("token", ["     nan", "     inf", "    -inf"])
+    def test_non_finite_field(self, token):
+        # format(nan, "8.4f") is "     nan", so the canonical check alone accepts it
+        l2 = ISS_LINES[2][:8] + token + ISS_LINES[2][16:]
+        l2 = l2[:68] + str(T.line_checksum(l2))
+        with pytest.raises(T.TleParseError) as err:
+            T.parse_tle(ISS_LINES[1] + "\n" + l2)
+        assert str(err.value) == f"line 2, column 9: non-finite inclination: {token!r}"
+
     def test_eccentricity_range_guard(self):
         rec = T.parse_tle(ISS)
         assert 0.0 <= rec.eccentricity < 1.0
