@@ -190,9 +190,8 @@ def antenna_per_scan(
     az = np.asarray(azimuths_deg, dtype=float)[None, :, None]
     labels, probes = zip(*states)
     probe = PolarizationState(np.array([p.a_h for p in probes]), np.array([p.a_v for p in probes]))
-    axes = np.array([p.linear_axis() for p in probes])
     out = scanning_head_jones(PointingDirection(az, el), coating).apply(probe).normalized()
-    per = measure_per(out, axes + np.radians(az + el), cap=cap)
+    per = measure_per(out, probe.linear_axis() + np.radians(az + el), cap=cap)
     rows = zip(np.broadcast_to(el, per.shape).ravel().tolist(),
                np.broadcast_to(az, per.shape).ravel().tolist(),
                labels * (per.size // len(labels)), per.ravel().tolist(),

@@ -44,8 +44,18 @@ class CompensationSolveError(RuntimeError):
         self.residual = residual
 
 
+def _value(x, dtype=None):
+    """A number as it is, anything else as an array: checks on one number skip numpy."""
+    return x if isinstance(x, (int, float, complex)) else np.asarray(x, dtype)
+
+
+def _every(ok):
+    """True when the flag `ok`, or every flag of an array of them, is set."""
+    return bool(ok.all()) if isinstance(ok, np.ndarray) else bool(ok)
+
+
 def _check_finite_angle(angle):
-    if not np.isfinite(angle).all():
+    if not _every(abs(_value(angle)) < math.inf):
         raise ValueError(f"angle must be finite, got {angle!r}")
 
 
@@ -76,7 +86,8 @@ class PolarizationState:
         """
         s1 = abs(self.a_h) ** 2 - abs(self.a_v) ** 2
         s2 = 2.0 * (self.a_h.conjugate() * self.a_v).real
-        return 0.5 * math.atan2(s2, s1)
+        axis = 0.5 * np.arctan2(s2, s1)
+        return axis if np.ndim(axis) else float(axis)
 
     @classmethod
     def h(cls):
@@ -124,8 +135,11 @@ class OpticalElement:
                                  self.m10 * state.a_h + self.m11 * state.a_v)
 
     def is_unitary(self, atol=1e-12):
-        m = self.matrix
-        return bool(np.allclose(np.swapaxes(m, -1, -2).conj() @ m, np.eye(2), atol=atol, rtol=0.0))
+        """M^H M = I within `atol`: unit columns (so finite entries), then their overlap."""
+        a, b, c, d = self.m00, self.m01, self.m10, self.m11
+        return (_every((abs(abs(a) ** 2 + abs(c) ** 2 - 1.0) <= atol)
+                       & (abs(abs(b) ** 2 + abs(d) ** 2 - 1.0) <= atol))
+                and _every(abs(np.conj(a) * b + np.conj(c) * d) <= atol))
 
 
 @dataclass(frozen=True)
@@ -142,7 +156,7 @@ class MirrorResponse:
 
     def __post_init__(self):
         a_s, a_p = abs(self.r_s), abs(self.r_p)
-        if not np.all((a_s <= 1.0 + 1e-12) & (a_p <= 1.0 + 1e-12)):
+        if not _every((a_s <= 1.0 + 1e-12) & (a_p <= 1.0 + 1e-12)):
             raise ValueError(
                 f"passive mirror needs finite |r| <= 1, got |r_s|={np.max(a_s):.6g}, "
                 f"|r_p|={np.max(a_p):.6g}"
@@ -188,8 +202,8 @@ def rotator(angle):
 
 def waveplate(angle, retardance):
     """Linear retarder, fast axis at `angle`, retardance `retardance`."""
-    _check_finite_angle(retardance)
-    return _retarder(angle, cmath.exp(1j * retardance))
+    _check_finite_angle(retardance)  # numpy's complex: float64 * Python complex is slow
+    return _retarder(angle, np.complex128(cmath.exp(1j * retardance)))
 
 
 def hwp(angle):
@@ -254,68 +268,52 @@ def measure_per(state, reference_angle, cap=PER_CAP):
 
 # --- fiber compensation: QWP/HWP/QWP inversion of an arbitrary unitary -----
 
-# Transformation into the circular basis |R>,|L>; in that basis any waveplate
-# becomes a rotation about an equatorial axis of the Poincare sphere, which is
-# what makes the closed-form Euler-like decomposition below possible.
-_T_CIRC = np.array([[1.0, 1.0], [-1.0j, 1.0j]], dtype=complex) / math.sqrt(2.0)
 
-
-def _gadget(q1, h, q2):
-    return qwp(q1) @ hwp(h) @ qwp(q2)
-
-
-def _phase_aligned_residual(m):
-    """Operator-norm distance of unitary-ish m from the nearest phase*identity."""
-    tr = m[0, 0] + m[1, 1]
-    if abs(tr) > 1e-12:
-        lam = tr / abs(tr)
-    else:
-        lam = 1.0
-    return float(np.linalg.norm(m - lam * np.eye(2), 2))
-
-
-def _reduce_half_turn(angle):
-    """Reduce a waveplate axis angle to [-pi/2, pi/2); plates are pi-periodic."""
-    a = math.remainder(angle, math.pi)
-    if a >= math.pi / 2.0:
-        a -= math.pi
-    return a
+def _identity_residual(g):
+    """Operator-norm distance of `g` from lam I, lam the phase of tr g (1 where
+    it vanishes): the largest singular value of D = g - lam I, from D's column
+    norms A, B and overlap C as sqrt((A+B)/2 + hypot((A-B)/2, |C|)).  That is
+    (F + sqrt(F^2 - 4|det D|^2))/2 under the root, without its cancellation
+    at the equal singular values of a unitary g."""
+    trace = g.m00 + g.m11
+    small = abs(trace) <= 1e-12
+    lam = np.where(small, 1.0, trace / (abs(trace) + small))
+    d00, d11 = g.m00 - lam, g.m11 - lam
+    col0, col1 = abs(d00) ** 2 + abs(g.m10) ** 2, abs(g.m01) ** 2 + abs(d11) ** 2
+    overlap = abs(np.conj(d00) * g.m01 + np.conj(g.m10) * d11)
+    return np.sqrt((col0 + col1) / 2.0 + np.hypot((col0 - col1) / 2.0, overlap))
 
 
 def solve_fiber_compensation(channel, tol=1e-6):
     """Angles (q1, h, q2) with qwp(q1) @ hwp(h) @ qwp(q2) @ channel ~ identity.
 
-    This undoes a static unitary channel (fibers plus fixed mirrors) with the
-    standard two-quarter-wave-plate / one-half-wave-plate stack.  The solution
-    is analytic: in the circular basis the target splits into an Euler-like
-    triple of equatorial Poincare rotations.
-
-    Angles are reduced to [-pi/2, pi/2).  Raises CompensationSolveError when
-    the residual cannot be brought below `tol`.
+    Undoes a static unitary channel (fibers plus fixed mirrors) with the
+    QWP-HWP-QWP gadget of Simon and Mukunda (Phys. Lett. A 143, 165, 1990),
+    analytically: in the circular basis |R>, |L> every waveplate is a rotation
+    about an equatorial axis of the Poincare sphere, and the target splits into
+    an Euler-like triple of them.  Array entries give arrays of angles, one
+    channel three floats, each in [-pi/2, pi/2).  Raises CompensationSolveError
+    with the worst _identity_residual of gadget @ channel above `tol`.
     """
-    m = channel.matrix
     if not channel.is_unitary(atol=1e-9):
         raise ValueError("channel must be unitary within 1e-9")
+    m00, m01, m10, m11 = channel.m00, channel.m01, channel.m10, channel.m11
 
-    target = m.conj().T  # want the gadget to invert the channel
-    vc = _T_CIRC.conj().T @ target @ _T_CIRC
-    det = vc[0, 0] * vc[1, 1] - vc[0, 1] * vc[1, 0]
-    vc = vc / cmath.sqrt(det)
+    # first row (a, b) of the target m^H in the circular basis, scaled to unit determinant
+    root = 2.0 * np.sqrt(m00 * m11 - m01 * m10 + 0j)
+    a = np.conj((m00 + m11 - 1j * (m01 - m10)) / root)
+    b = np.conj((m00 - m11 - 1j * (m01 + m10)) / root)
+    sigma = np.arctan2(abs(b), abs(a))
+    delta = np.angle(a) * (abs(a) > 1e-15)  # a phase, or 0 where the entry vanishes
+    w = -np.angle(b) * (abs(b) > 1e-15)
 
-    a, b = vc[0, 0], vc[0, 1]
-    sigma = math.atan2(abs(b), abs(a))
-    delta = cmath.phase(a) if abs(a) > 1e-15 else 0.0
-    w = -cmath.phase(b) if abs(b) > 1e-15 else 0.0
+    # Axis longitudes in the circular basis; a plate's angle is -longitude/2.  Each half
+    # lies in [-pi, pi], so one turn of pi (plates are pi-periodic) brings it to [-pi/2, pi/2).
+    q1, h, q2 = (x - math.pi * ((x >= math.pi / 2.0) * 1.0 - (x < -math.pi / 2.0))
+                 for x in (-(w - delta) / 2.0, -(sigma + w) / 2.0, -(w + delta) / 2.0))
 
-    # Circular-basis axis longitudes; physical plate angle is -longitude/2.
-    phi1 = w - delta
-    phi3 = w + delta
-    psi = sigma + w
-    q1 = _reduce_half_turn(-phi1 / 2.0)
-    h = _reduce_half_turn(-psi / 2.0)
-    q2 = _reduce_half_turn(-phi3 / 2.0)
-
-    residual = _phase_aligned_residual((_gadget(q1, h, q2) @ channel).matrix)
-    if residual > tol:
-        raise CompensationSolveError("fiber compensation solver did not converge", residual)
-    return q1, h, q2
+    residual = _identity_residual(qwp(q1) @ hwp(h) @ qwp(q2) @ channel)
+    worst = float(residual.max(initial=0.0))
+    if worst > tol:
+        raise CompensationSolveError("fiber compensation solver did not converge", worst)
+    return (q1, h, q2) if np.ndim(q1) else (float(q1), float(h), float(q2))

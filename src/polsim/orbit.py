@@ -128,6 +128,14 @@ def _position(rec, ellipse, t_posix):
     return _in_plane(a * (cos_e - e), b * sin_e, rot), cos_e, sin_e
 
 
+def _state(rec, ellipse, t_posix):
+    """ECI positions (n, 3), km, and velocities (n, 3), km/s, at 1-d POSIX times."""
+    n_rad, a, b, rot = ellipse
+    pos, cos_e, sin_e = _position(rec, ellipse, t_posix)
+    e_dot = n_rad / (1.0 - rec.eccentricity * cos_e)  # dE/dt
+    return pos, _in_plane(-a * sin_e * e_dot, b * cos_e * e_dot, rot)
+
+
 def propagate_state(rec, t):
     """ECI position (km) and velocity (km/s) on the record's Kepler ellipse.
 
@@ -136,19 +144,13 @@ def propagate_state(rec, t):
     """
     t_posix = np.asarray(t, dtype=float)
     _check_horizon(rec, t_posix)
-    ellipse = n_rad, a, b, rot = _ellipse(rec)
-    pos, cos_e, sin_e = _position(rec, ellipse, np.atleast_1d(t_posix))
-    e_dot = n_rad / (1.0 - rec.eccentricity * cos_e)  # dE/dt
-    vel = _in_plane(-a * sin_e * e_dot, b * cos_e * e_dot, rot)
+    pos, vel = _state(rec, _ellipse(rec), np.atleast_1d(t_posix))
     return (pos[0], vel[0]) if t_posix.ndim == 0 else (pos, vel)
 
 
 def propagate(rec, t):
     """ECI position (km) at time t, shaped as by propagate_state."""
-    t_posix = np.asarray(t, dtype=float)
-    _check_horizon(rec, t_posix)
-    pos = _position(rec, _ellipse(rec), np.atleast_1d(t_posix))[0]
-    return pos[0] if t_posix.ndim == 0 else pos
+    return propagate_state(rec, t)[0]
 
 
 def gmst_rad(t_posix):
@@ -319,7 +321,8 @@ def extract_passes(rec, station, t_start, t_end, threshold_deg=10.0, step_s=1.0)
     their true rise/set times are unknown.  The grid is never built: the scan
     takes every k-th sample, k from elevation_rate_bound, and evaluates a
     sample in between only where _elevation_gain_deg from both neighbouring
-    coarse samples lets it reach the threshold.
+    coarse samples lets it reach the threshold.  The horizon applies to
+    [t_start, t_end]; a set crossing may lie up to step_s / 2 past t_end.
     """
     t0, t1 = float(t_start), float(t_end)
     if not t0 < t1:
@@ -337,7 +340,6 @@ def extract_passes(rec, station, t_start, t_end, threshold_deg=10.0, step_s=1.0)
         )
     # grid sample i sits at t0 + i * dt, as np.arange fills it
     n, dt = math.ceil((t1 + step_s / 2.0 - t0) / step_s), (t0 + step_s) - t0
-    _check_horizon(rec, [t0, t0 + (n - 1) * dt])
     ellipse, site = _ellipse(rec), _site(station)
 
     def sight(t):  # elevation (deg) and range (km) at times t
@@ -383,7 +385,7 @@ def extract_passes(rec, station, t_start, t_end, threshold_deg=10.0, step_s=1.0)
         inner = t0 + np.arange(i, j + 1) * dt
         segments.append(np.r_[tr, inner[(inner > tr) & (inner < ts)], ts])
     times = np.concatenate(segments)
-    pos, vel = propagate_state(rec, times)
+    pos, vel = _state(rec, ellipse, times)  # no horizon check: a set may pass t_end
     az, elev, _ = topocentric(pos, station, times)
     beta = _beta_from_state(pos, vel, station, times)
     cuts = np.cumsum([len(s) for s in segments[:-1]])

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jones import MirrorResponse
+from .jones import MirrorResponse, _every, _value
 
 
 class StackParseError(ValueError):
@@ -45,13 +45,13 @@ class Ray:
     wavelength_nm: float
 
     def __post_init__(self):
-        theta, wl = np.asarray(self.theta_i, float), np.asarray(self.wavelength_nm, float)
-        bad = theta[~((0.0 <= theta) & (theta < math.pi / 2.0))]
-        if bad.size:
+        theta, wl = _value(self.theta_i, float), _value(self.wavelength_nm, float)
+        ok = (0.0 <= theta) & (theta < math.pi / 2.0)
+        if not _every(ok):
+            bad = np.asarray(theta)[np.logical_not(ok)]
             raise ValueError(f"incidence angle must be in [0, pi/2), got {float(bad[0])!r}")
-        if np.count_nonzero(~(wl > 0.0)):
+        if not _every(ok & (wl > 0.0)):  # ok is all True here; `&` checks the shapes broadcast
             raise ValueError("wavelength must be positive")
-        np.broadcast(theta, wl)
 
 
 @dataclass(frozen=True)
@@ -149,14 +149,14 @@ def stack_response(stack, ray):
     overflow the way cos b and sin b would.
     """
     n, cos, beta, rows = _media(stack, ray)
-    eta = np.stack((n * cos, n / cos))  # s and p admittances of every medium
+    eta = np.array((n * cos, n / cos))  # s and p admittances of every medium
     beta, eta_layers = beta[::-1], eta[:, -2:0:-1]  # substrate side first
     phase = np.exp(2j * beta)
     half_diff = (1.0 - phase) / 2.0
     diag = rows((1.0 + phase) / 2.0)
     r = []
-    # M = [[d, m01], [m10, d]]; e holds this polarization's eta_0, eta_sub
-    for e, m01s, m10s in zip(rows(eta[:, [0, -1]]), rows(half_diff / eta_layers),
+    # M = [[d, m01], [m10, d]]; e: this polarization's eta_0, eta_sub (stride len(n) - 1)
+    for e, m01s, m10s in zip(rows(eta[:, ::len(n) - 1]), rows(half_diff / eta_layers),
                              rows(half_diff * eta_layers)):
         b, c = 1.0, e[1]
         for d, m01, m10 in zip(diag, m01s, m10s):
@@ -174,7 +174,7 @@ def stack_response_oracle(stack, ray):
     independent of the characteristic-matrix code path; used to cross-check it.
     """
     n, cos, beta, rows = _media(stack, ray)
-    boundaries = np.stack(_fresnel_amplitudes(n[:-1], n[1:], cos[:-1], cos[1:]))[:, ::-1]
+    boundaries = np.array(_fresnel_amplitudes(n[:-1], n[1:], cos[:-1], cos[1:]))[:, ::-1]
     phase = rows(np.exp(2j * beta)[::-1])
     out = []
     for r_b in rows(boundaries):  # s, then p; boundaries bottom-up, substrate first

@@ -5,7 +5,8 @@ CHSH model that the Werner closed form in `linksim` replaced, the
 one-generator-per-setting sampler that `simulate_chsh_counts` must match draw
 for draw, the single-interface Fresnel equations that an empty `LayerStack`
 reproduces, the dense pass scan that `extract_passes` must match bit for bit,
-and small helpers that only the tests need.
+the SVD residual that the fiber solver's closed form must match, and small
+helpers that only the tests need.
 """
 
 from __future__ import annotations
@@ -210,6 +211,21 @@ def dense_passes(rec, station, t_start, t_end, threshold_deg, step_s):
         az, el, _ = topocentric(pos, station, times)
         passes.append(PassProfile(times, az, el, _beta_from_state(pos, vel, station, times)))
     return passes
+
+
+# --- fiber-compensation residual ----------------------------------------------
+
+
+def phase_aligned_residual(m):
+    """Operator-norm distance, by SVD, of a (..., 2, 2) Jones matrix stack from
+    the nearest phase times identity, the phase taken from each trace (1 where
+    the trace vanishes)."""
+    m = np.asarray(m, dtype=complex)
+    tr = m[..., 0, 0] + m[..., 1, 1]
+    lam = np.ones_like(tr)
+    big = abs(tr) > 1e-12
+    lam[big] = tr[big] / abs(tr[big])
+    return np.linalg.norm(m - lam[..., None, None] * np.eye(2), 2, axis=(-2, -1))
 
 
 # --- helpers -----------------------------------------------------------------

@@ -590,6 +590,14 @@ class TestConfigRange:
         assert len(err.strip().splitlines()) == 1
         assert "config error" in err
 
+    def test_window_at_the_horizon_past_the_last_sample(self, capsys, tmp_path):
+        # at step 11 s the last grid sample of a 168 h window is 2 s past the horizon
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("window_hours 168\nstep_s 11\n")
+        code, out, err = run(capsys, "compensate", "--config", str(cfg), "--out", str(tmp_path))
+        assert (code, err) == (0, "")
+        assert len(list(tmp_path.glob("pass_*_schedule.csv"))) == out.count("samples") > 0
+
     def test_negative_sign_accepted(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("sign -1\nwindow_hours 24\n")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from polsim import antenna as A
 from polsim import jones as J
 from conftest import haar_unitary
+from reference import phase_aligned_residual
 
 H = J.PolarizationState.h()
 V = J.PolarizationState.v()
@@ -40,6 +41,15 @@ class TestStates:
         assert V.linear_axis() == pytest.approx(math.pi / 2)
         assert PLUS.linear_axis() == pytest.approx(math.pi / 4)
         assert MINUS.linear_axis() == pytest.approx(-math.pi / 4)
+
+    def test_linear_axis_broadcasts(self):
+        angles = np.array([0.1, 0.2, -0.7])
+        axes = J.rotator(angles).apply(H).linear_axis()
+        assert axes.shape == (3,)
+        assert np.max(np.abs(axes - angles)) < 1e-15
+        for k, angle in enumerate(angles):
+            one = J.rotator(angle).apply(H).linear_axis()
+            assert type(one) is float and one == axes[k]
 
 
 class TestWaveplates:
@@ -91,6 +101,14 @@ class TestWaveplates:
             with pytest.raises(ValueError):
                 J.qwp(bad)
 
+    @pytest.mark.parametrize("kind", [float, np.float64, np.array, lambda x: [0.1, x]])
+    @pytest.mark.parametrize("make", [J.rotator, J.qwp, J.hwp])
+    def test_angle_checks_by_input_type(self, kind, make):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="angle must be finite"):
+                make(kind(bad))
+        assert make(kind(0.3)).is_unitary()
+
 
 class TestPolarizer:
     def test_full_transmission(self):
@@ -132,6 +150,19 @@ class TestMirror:
         assert resp.phase_gap == pytest.approx(0.9996 * math.pi, abs=1e-12)
         out = J.mirror_element(resp).apply(PLUS).normalized()
         assert J.fidelity(out, MINUS) >= 0.999
+
+    @pytest.mark.parametrize("kind", [complex, np.complex128, np.array])
+    def test_passivity_check_by_input_type(self, kind):
+        for bad in (1.0 + 2e-12, 0.6 + 0.8j + 1e-9j, math.nan, math.inf, complex(0.0, math.nan)):
+            for r_s, r_p in ((bad, 0.5), (0.5, bad)):
+                with pytest.raises(ValueError, match="passive mirror"):
+                    J.MirrorResponse(kind(r_s), kind(r_p))
+        assert J.MirrorResponse(kind(1.0 + 5e-13), kind(-0.6 + 0.8j)).phase_gap != 0.0
+
+    def test_list_entries_are_not_a_mirror(self):
+        # lists were never a MirrorResponse input: abs() of a list is a TypeError
+        with pytest.raises(TypeError):
+            J.MirrorResponse([0.5, 0.5], [0.5, 0.5])
 
     def test_gain_rejected(self):
         with pytest.raises(ValueError):
@@ -207,7 +238,7 @@ class TestFiberCompensation:
     def test_identity_channel(self):
         q1, h, q2 = J.solve_fiber_compensation(J.identity_element())
         m = (self.gadget((q1, h, q2))).matrix
-        assert J._phase_aligned_residual(m) < 1e-6
+        assert phase_aligned_residual(m) < 1e-6
 
     def test_hwp_channel_apply_and_check(self):
         channel = J.hwp(0.2)
@@ -221,7 +252,7 @@ class TestFiberCompensation:
         for _ in range(100):
             channel = J.OpticalElement(*haar_unitary(rng).ravel())
             angles = J.solve_fiber_compensation(channel)
-            residual = J._phase_aligned_residual((self.gadget(angles) @ channel).matrix)
+            residual = phase_aligned_residual((self.gadget(angles) @ channel).matrix)
             assert residual < 1e-6
             for angle in angles:
                 assert -math.pi / 2 <= angle < math.pi / 2
@@ -229,6 +260,60 @@ class TestFiberCompensation:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             J.solve_fiber_compensation(J.polarizer(0.3))
+
+    @staticmethod
+    def batch(matrices):
+        """One OpticalElement whose entries are arrays over an (n, 2, 2) stack."""
+        return J.OpticalElement(*(matrices[:, i, j] for i in (0, 1) for j in (0, 1)))
+
+    def test_batch_matches_per_channel_solves(self, rng):
+        units = np.array([haar_unitary(rng) for _ in range(100)])
+        angles = J.solve_fiber_compensation(self.batch(units))
+        assert all(type(a) is np.ndarray and a.shape == (100,) for a in angles)
+        for k, u in enumerate(units):
+            one = J.solve_fiber_compensation(J.OpticalElement(*u.ravel()))
+            assert all(type(a) is float for a in one)
+            assert max(abs(got[k] - want) for got, want in zip(angles, one)) <= 1e-15
+        assert np.all(phase_aligned_residual((self.gadget(angles) @ self.batch(units)).matrix)
+                      < 1e-14)
+
+    def test_non_unitary_channel_in_batch_rejected(self, rng):
+        units = np.array([haar_unitary(rng) for _ in range(8)])
+        units[5] = J.polarizer(0.3).matrix
+        with pytest.raises(ValueError, match="unitary"):
+            J.solve_fiber_compensation(self.batch(units))
+
+    def test_unmet_tolerance_reports_worst_residual(self, rng):
+        channels = self.batch(np.array([haar_unitary(rng) for _ in range(50)]))
+        angles = J.solve_fiber_compensation(channels)
+        oracle = phase_aligned_residual((self.gadget(angles) @ channels).matrix)
+        assert oracle.max() > 0.0
+        with pytest.raises(J.CompensationSolveError) as err:
+            J.solve_fiber_compensation(channels, tol=0.0)
+        assert err.value.residual == pytest.approx(oracle.max(), rel=1e-12, abs=0.0)
+
+    @settings(max_examples=300)
+    @given(st.tuples(*[st.floats(-10.0, 10.0)] * 6))
+    def test_closed_form_residual_matches_svd(self, angles):
+        # a Haar-style ZXZ channel under an arbitrary, unsolved gadget
+        a, d, c, q1, h, q2 = angles
+        channel = J.rotator(a) @ J.waveplate(0.0, d) @ J.rotator(c)
+        product = self.gadget((q1, h, q2)) @ channel
+        assert abs(J._identity_residual(product) - phase_aligned_residual(product.matrix)) < 1e-12
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-14, 1e-11, 1e-6, 1e-3, 1.0]),
+           st.sampled_from([None, math.nan, math.inf, -math.inf, complex(0.0, math.nan)]),
+           st.integers(0, 3))
+    def test_is_unitary_agrees_with_allclose(self, seed, scale, bad, where):
+        rng = np.random.default_rng(seed)
+        m = haar_unitary(rng) + scale * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        if bad is not None:
+            m.flat[where] = bad
+        with np.errstate(invalid="ignore"):
+            want = bool(np.allclose(m.conj().T @ m, np.eye(2), atol=1e-9, rtol=0.0))
+        for entries in (m.ravel(), m.ravel().tolist()):  # numpy and Python complex entries
+            assert J.OpticalElement(*entries).is_unitary(atol=1e-9) is want
 
 
 ANGLE_ARRAYS = st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=30).map(np.array)

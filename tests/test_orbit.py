@@ -220,6 +220,21 @@ class TestPasses:
             O.extract_passes(sso, O.NGARI_STATION, t0, t0 + 200 * 3600.0)
         assert err.value.name == "t_end"
 
+    def test_horizon_applies_to_the_window_only(self, sso, sso_passes, monkeypatch):
+        # The horizon sits 0.25 s before a set crossing.  At step 2 s the last
+        # two grid samples fall 1.5 s before (up) and 0.5 s after (down) it, so
+        # the last sample and the refined crossing both lie past t_end.
+        t_set = sso_passes[0].t_posix[-1]
+        t_end = t_set - 0.25
+        days = (t_end + 1e-3 - sso.epoch_posix) / O.SECONDS_PER_DAY
+        monkeypatch.setattr(O, "MAX_PROPAGATION_DAYS", days)
+        t0 = t_set - 1.5 - 2.0 * 600
+        passes = O.extract_passes(sso, O.NGARI_STATION, t0, t_end, threshold_deg=10.0, step_s=2.0)
+        assert passes[-1].t_posix[-1] > t_end
+        assert passes[-1].t_posix[-1] == pytest.approx(t_set, abs=1e-5)
+        with pytest.raises(O.ArgumentError, match="horizon"):
+            O.extract_passes(sso, O.NGARI_STATION, t0, t_end + 0.01, step_s=2.0)
+
     def test_rate_bound_nearly_attained_at_zenith(self):
         # polar orbit crossing the zenith of an equatorial station under its node
         rec = T.make_tle(None, 90002, 2024, 1.0, 90.0, 0.0, 0.0, 0.0, 0.0, 15.22)

@@ -222,11 +222,21 @@ class TestArrayRays:
                     assert abs(grid.r_p[i, j] - one.r_p) <= 1e-13
 
     def test_one_ray_gives_python_numbers(self):
-        stack = tf.quarter_wave_stack()
+        for stack in (tf.quarter_wave_stack(), tf.LayerStack(1.0, (), 1.5)):
+            for algorithm in ALGORITHMS:
+                r = algorithm(stack, tf.Ray(math.radians(45.0), 780.0))
+                assert type(r.r_s) is complex and type(r.r_p) is complex
+                assert type(r.phase_gap) is float
+
+    def test_bare_interface_grid_keeps_its_shape(self):
+        angles, wavelengths = np.linspace(0.0, 1.5, 12), np.linspace(400.0, 1600.0, 13)
+        ray = tf.Ray(angles, wavelengths[:, None])
+        want = [fresnel(Interface(1.0, 1.5), a) for a in angles]
         for algorithm in ALGORITHMS:
-            r = algorithm(stack, tf.Ray(math.radians(45.0), 780.0))
-            assert type(r.r_s) is complex and type(r.r_p) is complex
-            assert type(r.phase_gap) is float
+            grid = algorithm(tf.LayerStack(1.0, (), 1.5), ray)
+            assert grid.r_s.shape == grid.r_p.shape == (13, 12)
+            assert np.max(np.abs(grid.r_s - [w.r_s for w in want])) < 1e-15
+            assert np.max(np.abs(grid.r_p - [w.r_p for w in want])) < 1e-15
 
     @pytest.mark.parametrize("angle_deg, wavelength_nm, m_s, m_p, o_s, o_p", PER_RAY_REFERENCE)
     def test_matches_per_ray_reference(self, angle_deg, wavelength_nm, m_s, m_p, o_s, o_p):
@@ -256,6 +266,18 @@ class TestArrayRays:
         with pytest.raises(ValueError):
             tf.Ray(np.zeros(3), np.full(4, 780.0))
         assert tf.Ray(0.5, 780.0) == tf.Ray(0.5, 780.0)
+
+    @pytest.mark.parametrize("kind", [float, np.float64, np.array, lambda x: [0.5, x]])
+    def test_ray_checks_by_input_type(self, kind):
+        for bad in (math.nan, math.inf, -math.inf, -0.1, math.pi / 2.0, 2.0):
+            with pytest.raises(ValueError, match="incidence angle"):
+                tf.Ray(kind(bad), 780.0)
+        for bad in (0.0, -1.0, math.nan, -math.inf):
+            with pytest.raises(ValueError, match="wavelength must be positive"):
+                tf.Ray(0.5, kind(bad))
+        ray = tf.Ray(kind(0.0), kind(780.0))
+        r_s = tf.stack_response(tf.LayerStack(1.0, (), 1.5), ray).r_s
+        assert np.ravel(r_s)[-1] == pytest.approx(-0.2)  # normal incidence, 1.0 / 1.5
 
     def test_stack_arrays_stay_out_of_repr_and_eq(self):
         stack = tf.quarter_wave_stack(pairs=2)
