@@ -202,8 +202,8 @@ def rotator(angle):
 
 def waveplate(angle, retardance):
     """Linear retarder, fast axis at `angle`, retardance `retardance`."""
-    _check_finite_angle(retardance)  # numpy's complex: float64 * Python complex is slow
-    return _retarder(angle, np.complex128(cmath.exp(1j * retardance)))
+    _check_finite_angle(retardance)
+    return _retarder(angle, np.exp(1j * _value(retardance)))
 
 
 def hwp(angle):

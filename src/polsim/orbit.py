@@ -31,7 +31,7 @@ SECONDS_PER_DAY = 86400.0
 MAX_PROPAGATION_DAYS = 7.0
 
 # Most samples extract_passes' step grid may hold (the 7-day horizon at 0.121 s):
-# it is never built, but the scan evaluates every sample at a coarse stride of 1.
+# it is never built, but with no rate bound the scan evaluates every sample at once.
 MAX_GRID_SAMPLES = 5_000_000
 
 
@@ -279,7 +279,7 @@ def _beta_from_state(pos, vel, station, t_posix):
 
 # Bound on d(gmst)/dt from gmst_rad's polynomial within a century of J2000.
 EARTH_RATE_RAD_S = math.radians(360.98564736629 + 0.000776 / 36525.0) / SECONDS_PER_DAY
-SCAN_SWING_DEG = 30.0  # elevation the rate bound may sweep between coarse samples
+SCAN_SWING_DEG = 240.0  # elevation the rate bound may sweep between start samples
 CROSSING_TOL_S = 1e-6
 
 
@@ -303,12 +303,46 @@ def elevation_rate_bound(rec, station):
 
 
 def _elevation_gain_deg(range_km, dt_s, speed, floor):
-    """Most elevation (deg) a line of sight at range_km can gain in dt_s: its
-    rate is at most V / range while the range falls at V to rho_min, so the
-    gain is ln(range / max(range - V dt, rho_min)), then V / rho_min per second."""
+    """Most elevation (deg) a line of sight at range_km can gain or lose in
+    dt_s: its rate either way is at most V / range while the range falls at V
+    to rho_min, so the change is ln(range / max(range - V dt, rho_min)), then
+    V / rho_min per second."""
     shrunk = range_km - speed * dt_s
     return np.degrees(np.log(range_km / np.maximum(shrunk, floor))
                       + np.maximum(floor - shrunk, 0.0) / floor)
+
+
+def _crossing(f, lo, hi, f_lo, f_hi):
+    """A time within tol of a sign change of f in each bracket [lo, hi]
+    (arrays), given f_lo = f(lo) and f_hi = f(hi) on opposite sides (f < 0
+    against f >= 0); tol is CROSSING_TOL_S, or the float spacing of the
+    bracket's times where that is coarser.
+
+    Each round evaluates f, for every open bracket in one call, at t -+ tol
+    around the Illinois regula-falsi point t, kept tol inside the bracket.
+    If the two values fall on opposite sides, f changes sign within tol of t;
+    otherwise the bracket closes to the side they share.  A bracket no wider
+    than 2 tol ends at its midpoint.
+    """
+    tol = np.maximum(CROSSING_TOL_S, np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
+    t, rows, kept = np.empty(len(lo)), np.arange(len(lo)), np.zeros(len(lo))
+    while True:
+        wide = hi - lo > 2.0 * tol
+        t[rows[~wide]] = 0.5 * (lo + hi)[~wide]
+        rows, lo, hi, f_lo, f_hi, tol, kept = (
+            x[wide] for x in (rows, lo, hi, f_lo, f_hi, tol, kept))
+        if not len(rows):
+            return t
+        mid = np.clip(lo + (hi - lo) * (f_lo / (f_lo - f_hi)), lo + tol, hi - tol)
+        left, right = np.split(f(np.r_[mid - tol, mid + tol]), 2)
+        past = (left < 0.0) == (f_lo < 0.0)  # both on lo's side: the change lies past mid + tol
+        # Illinois: an end kept twice running enters the next point at half its value
+        f_lo = np.where(past, right, np.where(kept < 0.0, 0.5, 1.0) * f_lo)
+        f_hi = np.where(past, np.where(kept > 0.0, 0.5, 1.0) * f_hi, left)
+        lo, hi = np.where(past, mid + tol, lo), np.where(past, hi, mid - tol)
+        kept = np.where(past, 1.0, -1.0)  # the end this round kept: hi or lo
+        done = (left < 0.0) != (right < 0.0)
+        lo[done] = hi[done] = mid[done]  # certified: the next round ends it at mid
 
 
 def extract_passes(rec, station, t_start, t_end, threshold_deg=10.0, step_s=1.0):
@@ -316,13 +350,17 @@ def extract_passes(rec, station, t_start, t_end, threshold_deg=10.0, step_s=1.0)
 
     Interior samples sit on the grid np.arange(t_start, t_end + step_s / 2,
     step_s); the first and last sample of each pass are refined to the
-    threshold crossing itself, to CROSSING_TOL_S.  Passes clipped by the
-    window edges (already up at t_start, still up at t_end) are dropped since
-    their true rise/set times are unknown.  The grid is never built: the scan
-    takes every k-th sample, k from elevation_rate_bound, and evaluates a
-    sample in between only where _elevation_gain_deg from both neighbouring
-    coarse samples lets it reach the threshold.  The horizon applies to
-    [t_start, t_end]; a set crossing may lie up to step_s / 2 past t_end.
+    threshold crossing itself, to CROSSING_TOL_S (_crossing).  Passes clipped
+    by the window edges (already up at t_start, still up at t_end) are
+    dropped since their true rise/set times are unknown.  The grid is never
+    built: the scan starts from every k-th sample, k from elevation_rate_bound
+    (every sample if that is infinite), and splits each interval between
+    evaluated samples in up to 4 until it is decided.  With G the
+    _elevation_gain_deg of either end over the interval, which bounds the
+    elevation change either way, an interval is below when both ends are and
+    min(el + G) is, and up when both ends are and max(el - G) is.  The
+    horizon applies to [t_start, t_end]; a set crossing may lie up to
+    step_s / 2 past t_end.
     """
     t0, t1 = float(t_start), float(t_end)
     if not t0 < t1:
@@ -345,40 +383,55 @@ def extract_passes(rec, station, t_start, t_end, threshold_deg=10.0, step_s=1.0)
     def sight(t):  # elevation (deg) and range (km) at times t
         return _look(_position(rec, ellipse, t)[0], t, site)[3:]
 
-    rate_deg_s = math.degrees(elevation_rate_bound(rec, station))
-    k = max(1, int(SCAN_SWING_DEG / (rate_deg_s * step_s)))
-    coarse = np.append(np.arange(0, n - 1, k), n - 1)
-    t_c = t0 + coarse * dt
-    el_c, range_c = sight(t_c)
-    # interior samples of the intervals whose peak the rate bound lets reach the threshold
-    peak = (el_c[:-1] + el_c[1:] + rate_deg_s * np.diff(t_c)) / 2.0
-    near = np.flatnonzero(peak >= threshold_deg)
-    count = np.diff(coarse)[near] - 1
-    a = np.repeat(near, count)
-    fine = coarse[a] + 1 + np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count)
-    t_f = t0 + fine * dt
+    # start samples SCAN_SWING_DEG of rate bound apart; one sight call a round
     closing = _closing_speed(rec, station)
-    reach = np.minimum(*(el_c[j] + _elevation_gain_deg(range_c[j], np.abs(t_f - t_c[j]), *closing)
-                         for j in (a, a + 1)))
-    fine, t_f = fine[reach >= threshold_deg], t_f[reach >= threshold_deg]
+    rate_deg_s = math.degrees(elevation_rate_bound(rec, station))
+    i = np.append(np.arange(0, n - 1, max(1, int(SCAN_SWING_DEG / (rate_deg_s * step_s)))), n - 1)
+    el, rng = sight(t0 + i * dt)
+    seen, seen_el, first, count = [i], [el], [], []
+    pair = np.ones(len(i) - 1, dtype=bool)  # nodes k and k + 1 bound an interval
+    while True:
+        a = np.flatnonzero(pair & (np.diff(i) > 1))
+        gap, el_a, el_b = i[a + 1] - i[a], el[a], el[a + 1]
+        g_a, g_b = (_elevation_gain_deg(rng[k], (gap - 1) * dt, *closing) for k in (a, a + 1))
+        # decided: the ends and the bound put every sample inside below or up
+        low = ((np.minimum(el_a + g_a, el_b + g_b) < threshold_deg)
+               & (np.maximum(el_a, el_b) < threshold_deg))
+        high = ((np.maximum(el_a - g_a, el_b - g_b) >= threshold_deg)
+                & (np.minimum(el_a, el_b) >= threshold_deg))
+        first.append(i[a[high]] + 1)
+        count.append(gap[high] - 1)
+        a, gap = a[~(low | high)], gap[~(low | high)]  # a NaN bound splits
+        if not len(a):
+            break
+        parts = np.minimum(gap, 4)
+        row = np.repeat(np.arange(len(a)), parts + 1)
+        j = np.arange(len(row)) - np.repeat(np.cumsum(parts + 1) - parts - 1, parts + 1)
+        known = a[row] + (j == parts[row])  # node j = 0 and j = parts: the old ends
+        i, el, rng = i[a[row]] + j * gap[row] // parts[row], el[known], rng[known]
+        new = (j > 0) & (j < parts[row])
+        el[new], rng[new] = sight(t0 + i[new] * dt)
+        seen.append(i[new])
+        seen_el.append(el[new])
+        pair = (j < parts[row])[:-1]
 
-    # samples left unevaluated are below threshold; runs of consecutive
-    # samples at or above it are passes, less those touching a window edge
-    up = np.sort(np.r_[coarse[el_c >= threshold_deg], fine[sight(t_f)[0] >= threshold_deg]])
+    # runs of consecutive samples at or above the threshold are passes, less
+    # those touching a window edge; a decided interval's ends lie on its side
+    # of the threshold, so both samples around each crossing were evaluated
+    i, el = np.concatenate(seen), np.concatenate(seen_el)
+    first, count = np.concatenate(first), np.concatenate(count)
+    certified = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+    up = np.sort(np.r_[i[el >= threshold_deg], certified])
     rise, fall = up[np.diff(up, prepend=-2) > 1], up[np.diff(up, append=n + 1) > 1]
     inside = (rise > 0) & (fall < n - 1)
     rise, fall = rise[inside], fall[inside]
     if not len(rise):
         return []
-
-    # bisect all crossings at once; `below` stays under the threshold
-    below = t0 + np.r_[rise - 1, fall + 1] * dt
-    above = t0 + np.r_[rise, fall] * dt
-    for _ in range(max(0, math.ceil(math.log2(step_s / CROSSING_TOL_S)))):
-        mid = 0.5 * (below + above)
-        over = sight(mid)[0] > threshold_deg
-        above, below = np.where(over, mid, above), np.where(over, below, mid)
-    t_rise, t_set = np.split(0.5 * (below + above), 2)
+    order = np.argsort(i)
+    lo, hi = np.r_[rise - 1, fall], np.r_[rise, fall + 1]
+    f_lo, f_hi = (el[order[np.searchsorted(i, x, sorter=order)]] - threshold_deg for x in (lo, hi))
+    t_rise, t_set = np.split(_crossing(lambda t: sight(t)[0] - threshold_deg,
+                                       t0 + lo * dt, t0 + hi * dt, f_lo, f_hi), 2)
 
     segments = []
     for i, j, tr, ts in zip(rise, fall, t_rise, t_set):

@@ -19,8 +19,8 @@ import numpy as np
 
 from polsim.jones import MirrorResponse
 from polsim.linksim import BELL_TEST_SETTINGS, _expected_counts
-from polsim.orbit import (CROSSING_TOL_S, PassProfile, _beta_from_state, propagate,
-                          propagate_state, topocentric)
+from polsim.orbit import (PassProfile, _beta_from_state, _crossing, propagate, propagate_state,
+                          topocentric)
 from polsim.thinfilm import _cos_refracted
 
 # --- density-matrix CHSH model ----------------------------------------------
@@ -186,30 +186,31 @@ def brewster_angle(n0, n):
 
 
 def dense_passes(rec, station, t_start, t_end, threshold_deg, step_s):
-    """extract_passes with no coarse scan: the elevation at every sample of
-    the np.arange step grid, one pass per run of samples at or above the
-    threshold that touches no window edge, rise and set bisected per pass."""
+    """extract_passes with no scan: the elevation at every sample of the
+    np.arange step grid, one pass per run of samples at or above the
+    threshold that touches no window edge, and every rise and set found at
+    once by `_crossing` from the grid samples on either side of it."""
     grid = np.arange(t_start, t_end + step_s / 2.0, step_s)
 
     def elevation(t):
         return topocentric(propagate(rec, t), station, t)[1]
 
-    up = elevation(grid) >= threshold_deg
+    el = elevation(grid)
+    up = el >= threshold_deg
+    runs = [run for run in np.split(np.arange(len(grid)), np.flatnonzero(np.diff(up)) + 1)
+            if up[run[0]] and run[0] > 0 and run[-1] < len(grid) - 1]
+    if not runs:
+        return []
+    lo = np.array([run[0] - 1 for run in runs] + [run[-1] for run in runs])
+    crossings = _crossing(lambda t: elevation(t) - threshold_deg, grid[lo], grid[lo + 1],
+                          el[lo] - threshold_deg, el[lo + 1] - threshold_deg)
     passes = []
-    for run in np.split(np.arange(len(grid)), np.flatnonzero(np.diff(up.astype(np.int8))) + 1):
-        if not up[run[0]] or run[0] == 0 or run[-1] == len(grid) - 1:
-            continue
-        below, above = grid[[run[0] - 1, run[-1] + 1]], grid[[run[0], run[-1]]]
-        for _ in range(max(0, math.ceil(math.log2(step_s / CROSSING_TOL_S)))):
-            mid = 0.5 * (below + above)
-            over = elevation(mid) > threshold_deg
-            above, below = np.where(over, mid, above), np.where(over, below, mid)
-        t_rise, t_set = 0.5 * (below + above)
+    for run, t_rise, t_set in zip(runs, *np.split(crossings, 2)):
         inner = grid[run]
         times = np.r_[t_rise, inner[(inner > t_rise) & (inner < t_set)], t_set]
         pos, vel = propagate_state(rec, times)
-        az, el, _ = topocentric(pos, station, times)
-        passes.append(PassProfile(times, az, el, _beta_from_state(pos, vel, station, times)))
+        az, el_pass, _ = topocentric(pos, station, times)
+        passes.append(PassProfile(times, az, el_pass, _beta_from_state(pos, vel, station, times)))
     return passes
 
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -100,6 +101,24 @@ class TestWaveplates:
                 J.hwp(bad)
             with pytest.raises(ValueError):
                 J.qwp(bad)
+
+    def test_float_retardance_bits_unchanged(self, rng):
+        # np.exp keeps cmath.exp's bits on one number, so qwp and every CLI output stay put
+        for angle, retardance in [(0.3, math.pi / 2.0), *rng.uniform(-10.0, 10.0, (200, 2))]:
+            angle, retardance = float(angle), float(retardance)
+            old = J._retarder(angle, np.complex128(cmath.exp(1j * retardance)))
+            assert J.waveplate(angle, retardance).matrix.tobytes() == old.matrix.tobytes()
+            old_qwp = J._retarder(angle, np.complex128(cmath.exp(1j * math.pi / 2.0)))
+            assert J.qwp(angle).matrix.tobytes() == old_qwp.matrix.tobytes()
+
+    def test_array_retardance_equals_per_element_calls(self, rng):
+        angles, retardances = rng.uniform(-math.pi, math.pi, (2, 50))
+        for angle in (0.7, angles):
+            batch = J.waveplate(angle, retardances).matrix
+            for k, r in enumerate(retardances):
+                one = J.waveplate(np.broadcast_to(angle, retardances.shape)[k], r).matrix
+                assert batch[k].tobytes() == one.tobytes()
+        assert J.waveplate(0.2, [0.1, 0.4]).matrix.shape == (2, 2, 2)
 
     @pytest.mark.parametrize("kind", [float, np.float64, np.array, lambda x: [0.1, x]])
     @pytest.mark.parametrize("make", [J.rotator, J.qwp, J.hwp])

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +276,18 @@ def _dense_elevation(rec):
     return ts, O.topocentric(O.propagate(rec, ts), O.NGARI_STATION, ts)[1]
 
 
+def _start_intervals(rec):
+    """The window's 1 s grid with elevation and range, and for every sample
+    the start samples a <= i <= b of extract_passes around it."""
+    ts = np.arange(rec.epoch_posix, rec.epoch_posix + WINDOW_S + 0.5, 1.0)
+    _, el, rng_km = O.topocentric(O.propagate(rec, ts), O.NGARI_STATION, ts)
+    rate_deg_s = math.degrees(O.elevation_rate_bound(rec, O.NGARI_STATION))
+    k = max(1, int(O.SCAN_SWING_DEG / rate_deg_s))
+    a = np.arange(len(ts)) // k * k
+    b = np.minimum(a + k, len(ts) - 1)
+    return ts, el, rng_km, a, b, O._closing_speed(rec, O.NGARI_STATION)
+
+
 def _assert_no_missed_sample(rec, threshold):
     ts, el = _dense_elevation(rec)
     passes = O.extract_passes(rec, O.NGARI_STATION, ts[0], ts[-1], threshold_deg=threshold)
@@ -324,17 +337,65 @@ class TestPassSearchProperties:
     @given(LEO_ELEMENTS)
     def test_range_aware_bound_within_coarse_intervals(self, elements):
         # every dense 1 s sample lies under the gain bound from both of the
-        # coarse samples extract_passes would take around it
-        rec = _leo(elements)
-        ts = np.arange(rec.epoch_posix, rec.epoch_posix + WINDOW_S + 0.5, 1.0)
-        _, el, rng_km = O.topocentric(O.propagate(rec, ts), O.NGARI_STATION, ts)
-        rate_deg_s = math.degrees(O.elevation_rate_bound(rec, O.NGARI_STATION))
-        k = max(1, int(O.SCAN_SWING_DEG / rate_deg_s))
-        a = np.arange(len(ts)) // k * k
-        b = np.minimum(a + k, len(ts) - 1)
-        closing = O._closing_speed(rec, O.NGARI_STATION)
+        # start samples extract_passes would take around it
+        ts, el, rng_km, a, b, closing = _start_intervals(_leo(elements))
         assert np.all(el[a] + O._elevation_gain_deg(rng_km[a], ts - ts[a], *closing) >= el)
         assert np.all(el[b] + O._elevation_gain_deg(rng_km[b], ts[b] - ts, *closing) >= el)
+
+    @settings(max_examples=25, deadline=None)
+    @given(LEO_ELEMENTS)
+    def test_range_aware_bound_from_below_within_coarse_intervals(self, elements):
+        # the gain bound also bounds a loss: every dense sample lies over
+        # el - G from both start samples, which certifies whole intervals up
+        ts, el, rng_km, a, b, closing = _start_intervals(_leo(elements))
+        assert np.all(el[a] - O._elevation_gain_deg(rng_km[a], ts - ts[a], *closing) <= el)
+        assert np.all(el[b] - O._elevation_gain_deg(rng_km[b], ts[b] - ts, *closing) <= el)
+
+    @settings(max_examples=25, deadline=None)
+    @given(LEO_ELEMENTS, st.floats(0.0, 79.999))
+    def test_crossings_carry_their_certificate(self, elements, threshold):
+        # the elevations CROSSING_TOL_S either side of every rise and set
+        # straddle the threshold, in the pass's direction
+        rec = _leo(elements)
+        passes = O.extract_passes(rec, O.NGARI_STATION, rec.epoch_posix,
+                                  rec.epoch_posix + WINDOW_S, threshold_deg=threshold)
+        for p in passes:
+            for t, rising in ((p.t_posix[0], True), (p.t_posix[-1], False)):
+                ts = np.array([t - O.CROSSING_TOL_S, t + O.CROSSING_TOL_S])
+                before, after = O.topocentric(O.propagate(rec, ts), O.NGARI_STATION, ts)[1]
+                assert (before >= threshold, after >= threshold) == (not rising, rising)
+
+    @settings(max_examples=25, deadline=None)
+    @given(LEO_ELEMENTS, st.floats(0.0, 79.999))
+    def test_crossings_match_dense_bisection(self, elements, threshold):
+        # 40 bisection rounds on the 1 s grid bracket of every rise and set
+        # land within CROSSING_TOL_S, plus the float spacing of the times
+        # (2.4e-7 s in 2024) that rounds t -+ tol and stalls the bisection
+        rec = _leo(elements)
+        ts, el = _dense_elevation(rec)
+        passes = O.extract_passes(rec, O.NGARI_STATION, ts[0], ts[-1], threshold_deg=threshold)
+        assume(passes)
+        found = np.array([t for p in passes for t in (p.t_posix[0], p.t_posix[-1])])
+        # the bracket of each crossing: the grid samples around it
+        hi = np.searchsorted(ts, found)
+        lo_t, hi_t = ts[hi - 1], ts[hi]
+        up_lo = el[hi - 1] >= threshold
+        for _ in range(40):
+            mid = 0.5 * (lo_t + hi_t)
+            up = O.topocentric(O.propagate(rec, mid), O.NGARI_STATION, mid)[1] >= threshold
+            lo_t, hi_t = np.where(up == up_lo, mid, lo_t), np.where(up == up_lo, hi_t, mid)
+        bisected = 0.5 * (lo_t + hi_t)
+        assert np.all(np.abs(found - bisected) <= O.CROSSING_TOL_S + 2.0 * np.spacing(found))
+
+    def test_sub_surface_perigee_scans_every_sample(self):
+        # perigee 54 km under the station: no rate bound, so the scan takes
+        # every sample and never forms a gain bound (no log of a negative)
+        rec = T.make_tle(None, 90000, 2024, 1.0, 50.0, 120.0, 0.03, 0.0, 0.0, 16.5)
+        assert O.elevation_rate_bound(rec, O.NGARI_STATION) == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, _, passes = _assert_no_missed_sample(rec, 10.0)
+        assert passes
 
     @pytest.mark.parametrize("step_s, start_h, hours", [
         (0.1, 16.5, 3.5), (0.121, 16.5, 3.5), (1.0, 0.0, 48.0), (3.7, 0.0, 48.0), (10.0, 0.0, 48.0),
@@ -349,6 +410,44 @@ class TestPassSearchProperties:
         for p, q in zip(passes, expected):
             for field in ("t_posix", "azimuth_deg", "elevation_deg", "beta_deg"):
                 assert np.array_equal(getattr(p, field), getattr(q, field))
+
+    def test_week_scan_evaluates_few_samples(self, sso, monkeypatch):
+        # refinement and crossings together evaluate under 10,000 of the
+        # 604,801 grid samples; the last _look call forms the pass rows
+        sizes = []
+        look = O._look
+
+        def counting(sat_eci_km, t_posix, site):
+            sizes.append(np.size(t_posix))
+            return look(sat_eci_km, t_posix, site)
+
+        monkeypatch.setattr(O, "_look", counting)
+        t0 = sso.epoch_posix
+        passes = O.extract_passes(sso, O.NGARI_STATION, t0, t0 + 7 * 86400.0)
+        rows = sum(len(p.t_posix) for p in passes)
+        assert passes and sizes[-1] == rows
+        assert sum(sizes) - rows < 10_000
+
+    def test_crossing_tolerance_widens_to_float_spacing(self):
+        # in the year 9000 POSIX seconds are 3.1e-5 s apart, more than
+        # CROSSING_TOL_S; the crossing search still ends, at that spacing
+        rec = T.make_tle(None, 90000, 9000, 1.0, 97.4, 10.0, 0.001, 30.0, 60.0, 15.22)
+        t0 = rec.epoch_posix
+        passes = O.extract_passes(rec, O.NGARI_STATION, t0, t0 + 86400.0)
+        assert passes
+        for p in passes:
+            assert abs(p.elevation_deg[0] - 10.0) < 1e-4 and abs(p.elevation_deg[-1] - 10.0) < 1e-4
+
+    def test_dip_between_up_start_samples_found(self):
+        # an inclined, eccentric near-geosynchronous orbit whose elevation
+        # dips under 35 deg briefly, between start samples 6 h apart that are
+        # both up: only the lower bound, not the ends, may certify an interval
+        rec = T.make_tle(None, 90001, 2024, 1.0, 10.0, 280.0, 0.05, 0.0, 240.0, 1.0027)
+        t0, t1 = rec.epoch_posix, rec.epoch_posix + 2 * 86400.0
+        passes = O.extract_passes(rec, O.NGARI_STATION, t0, t1, threshold_deg=35.0, step_s=10.0)
+        expected = dense_passes(rec, O.NGARI_STATION, t0, t1, 35.0, 10.0)
+        assert len(passes) == len(expected) == 1
+        assert np.array_equal(passes[0].t_posix, expected[0].t_posix)
 
     def test_week_scan_allocates_less_than_its_grid(self, sso):
         t0 = sso.epoch_posix
