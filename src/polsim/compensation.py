@@ -98,6 +98,14 @@ def check_tracking(sign, max_slew_deg_per_s):
         raise ValueError(f"slew limit must be positive, got {max_slew_deg_per_s!r}")
 
 
+def _unwrap_deg(series):
+    """np.unwrap(series, period=360.0) bit for bit; with no step of 180 degrees
+    or more, that only adds +0.0 past the first entry."""
+    if (np.abs(np.diff(series)) < 180.0).all():
+        return np.concatenate((series[:1], series[1:] + 0.0))
+    return np.unwrap(series, period=360.0)
+
+
 def schedule_from_pass(pass_profile, zero_point_deg=DEFAULT_ZERO_POINT_DEG, sign=1,
                        max_slew_deg_per_s=DEFAULT_MAX_SLEW_DEG_PER_S):
     """Compensation schedule for a pass, with slew-rate bookkeeping.
@@ -108,8 +116,7 @@ def schedule_from_pass(pass_profile, zero_point_deg=DEFAULT_ZERO_POINT_DEG, sign
     (the schedule is still produced).
     """
     check_tracking(sign, max_slew_deg_per_s)
-    az = np.unwrap(pass_profile.azimuth_deg, period=360.0)
-    beta = np.unwrap(pass_profile.beta_deg, period=360.0)
+    az, beta = _unwrap_deg(pass_profile.azimuth_deg), _unwrap_deg(pass_profile.beta_deg)
     raw = _hwp_command(az, pass_profile.elevation_deg, beta, zero_point_deg, sign)
 
     dt = np.diff(pass_profile.t_posix)

@@ -72,13 +72,13 @@ def solve_kepler(mean_anomaly, eccentricity, tol=1e-13, max_iter=60):
     mean = np.asarray(mean_anomaly, dtype=float)
     m = np.remainder(mean, 2.0 * np.pi)
     e = eccentricity
-    ecc_anom = m.copy() if e < 0.8 else np.full_like(m, np.pi)
+    ecc_anom = m if e < 0.8 else np.full_like(m, np.pi)
     for _ in range(max_iter):
         step = (ecc_anom - e * np.sin(ecc_anom) - m) / (1.0 - e * np.cos(ecc_anom))
         ecc_anom = ecc_anom - step
-        if np.all(np.abs(step) < tol):
+        if (np.abs(step) < tol).all():
             break
-    residual = np.max(np.abs(ecc_anom - e * np.sin(ecc_anom) - m), initial=0.0)
+    residual = np.abs(ecc_anom - e * np.sin(ecc_anom) - m).max(initial=0.0)
     if not residual < 1e-12:
         raise ValueError(f"Kepler solve did not converge: residual {residual!r}")
     ecc_anom = ecc_anom + (mean - m)
@@ -179,8 +179,11 @@ def station_ecef(station):
 def _rotate_z(vec, angle_rad):
     """Vectors (..., 3) turned by `angle_rad` about z; +GMST maps ECEF to ECI."""
     c, s = np.cos(angle_rad), np.sin(angle_rad)
-    x, y, z = np.moveaxis(np.asarray(vec, dtype=float), -1, 0)
-    return np.stack([c * x - s * y, s * x + c * y, z], axis=-1)
+    vec = np.asarray(vec, dtype=float)
+    x, y = vec[..., 0], vec[..., 1]
+    out = np.empty(np.broadcast_shapes(x.shape, np.shape(c)) + (3,))
+    out[..., 0], out[..., 1], out[..., 2] = c * x - s * y, s * x + c * y, vec[..., 2]
+    return out
 
 
 def _site(station):
@@ -192,14 +195,21 @@ def _site(station):
     return station_ecef(station), (east, north, up)
 
 
-def _look(sat_eci_km, t_posix, site):
-    """East and north components, horizontal distance, elevation (deg) and
-    range (km) of the line of sight from `site` (see _site)."""
+def _look(sat_eci_km, gmst, site):
+    """East and north components, horizontal distance, elevation (deg) and range
+    (km) of the line of sight from `site` (see _site) at sidereal angles `gmst`."""
     origin, (east, north, up) = site
-    rel = _rotate_z(sat_eci_km, -gmst_rad(t_posix)) - origin
+    rel = _rotate_z(sat_eci_km, -gmst)
+    rel -= origin
     e, n, u = rel @ east, rel @ north, rel @ up
     horizontal = np.hypot(e, n)
     return e, n, horizontal, np.degrees(np.arctan2(u, horizontal)), np.hypot(horizontal, u)
+
+
+def _az_el(sat_eci_km, gmst, site):
+    """Azimuth (deg, 0 at the zenith), elevation (deg) and range (km); see _look."""
+    e, n, horizontal, el, rng = _look(sat_eci_km, gmst, site)
+    return np.where(horizontal < 1e-9, 0.0, np.degrees(np.arctan2(e, n)) % 360.0), el, rng
 
 
 def topocentric(sat_eci_km, station, t):
@@ -208,8 +218,7 @@ def topocentric(sat_eci_km, station, t):
     Floats for one ECI position, arrays for positions (n, 3) at n times.
     Azimuth is undefined at the zenith and returned there as 0.
     """
-    e, n, horizontal, el, rng = _look(sat_eci_km, t, _site(station))
-    az = np.where(horizontal < 1e-9, 0.0, np.degrees(np.arctan2(e, n)) % 360.0)
+    az, el, rng = _az_el(sat_eci_km, gmst_rad(t), _site(station))
     if rng.ndim == 0:
         return float(az), float(el), float(rng)
     return az, el, rng
@@ -225,16 +234,16 @@ class PassProfile:
     beta_deg: np.ndarray
 
     def __post_init__(self):
-        for name in ("t_posix", "azimuth_deg", "elevation_deg", "beta_deg"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        n = len(self.t_posix)
-        if n < 2:
+        columns = [np.asarray(getattr(self, f), dtype=float) for f in self.__dataclass_fields__]
+        for name, column in zip(self.__dataclass_fields__, columns):
+            object.__setattr__(self, name, column)
+        if len(columns[0]) < 2:
             raise ValueError("a pass needs at least two samples")
-        if any(len(getattr(self, f)) != n for f in ("azimuth_deg", "elevation_deg", "beta_deg")):
+        if any(len(column) != len(columns[0]) for column in columns[1:]):
             raise ValueError("pass sample arrays must share one length")
-        if not all(np.all(np.isfinite(getattr(self, f))) for f in self.__dataclass_fields__):
+        if not np.isfinite(np.concatenate(columns)).all():
             raise ValueError("pass samples must be finite")
-        if not np.all(np.diff(self.t_posix) > 0.0):
+        if not (self.t_posix[1:] > self.t_posix[:-1]).all():
             raise ValueError("pass timestamps must be strictly increasing")
 
     @property
@@ -264,17 +273,23 @@ def parse_pass_csv(text):
     return PassProfile(*np.array(rows, dtype=float).reshape(-1, 4).T)
 
 
-def _beta_from_state(pos, vel, station, t_posix):
-    """Satellite telescope angle per sample, degrees, from ECI states: the
-    signed in-plane off-nadir angle of the station line of sight in the
-    satellite's nadir-pointing frame (positive when the station is ahead
-    along track).
-    """
-    los = _rotate_z(np.broadcast_to(station_ecef(station), pos.shape), gmst_rad(t_posix)) - pos
-    r_hat = pos / np.linalg.norm(pos, axis=-1, keepdims=True)
-    along = vel - np.sum(vel * r_hat, axis=-1, keepdims=True) * r_hat
-    along = along / np.linalg.norm(along, axis=-1, keepdims=True)
-    return np.degrees(np.arctan2(np.sum(los * along, axis=-1), -np.sum(los * r_hat, axis=-1)))
+def _beta_from_state(pos, vel, origin, gmst):
+    """Satellite telescope angle per sample, degrees, from ECI states (n, 3) at
+    sidereal angles `gmst`: the signed in-plane off-nadir angle of the line of
+    sight to ECEF `origin` (km) in the satellite's nadir-pointing frame
+    (positive when the station is ahead along track).  Sums run x, y, z in
+    turn, as in np.linalg.norm and np.sum over the last axis."""
+    los = _rotate_z(origin, gmst)
+    los -= pos
+    x, y, z = pos.T
+    r_hat = pos / np.sqrt(x * x + y * y + z * z)[:, None]
+    (rx, ry, rz), (vx, vy, vz) = r_hat.T, vel.T
+    along = (vx * rx + vy * ry + vz * rz)[:, None] * r_hat
+    np.subtract(vel, along, out=along)
+    ax, ay, az = along.T
+    along /= np.sqrt(ax * ax + ay * ay + az * az)[:, None]
+    lx, ly, lz = los.T
+    return np.degrees(np.arctan2(lx * ax + ly * ay + lz * az, -(lx * rx + ly * ry + lz * rz)))
 
 
 # Bound on d(gmst)/dt from gmst_rad's polynomial within a century of J2000.
@@ -333,8 +348,8 @@ def _crossing(f, lo, hi, f_lo, f_hi):
             x[wide] for x in (rows, lo, hi, f_lo, f_hi, tol, kept))
         if not len(rows):
             return t
-        mid = np.clip(lo + (hi - lo) * (f_lo / (f_lo - f_hi)), lo + tol, hi - tol)
-        left, right = np.split(f(np.r_[mid - tol, mid + tol]), 2)
+        mid = np.minimum(np.maximum(lo + (hi - lo) * (f_lo / (f_lo - f_hi)), lo + tol), hi - tol)
+        left, right = f(np.concatenate((mid - tol, mid + tol))).reshape(2, -1)
         past = (left < 0.0) == (f_lo < 0.0)  # both on lo's side: the change lies past mid + tol
         # Illinois: an end kept twice running enters the next point at half its value
         f_lo = np.where(past, right, np.where(kept < 0.0, 0.5, 1.0) * f_lo)
@@ -381,7 +396,7 @@ def extract_passes(rec, station, t_start, t_end, threshold_deg=10.0, step_s=1.0)
     ellipse, site = _ellipse(rec), _site(station)
 
     def sight(t):  # elevation (deg) and range (km) at times t
-        return _look(_position(rec, ellipse, t)[0], t, site)[3:]
+        return _look(_position(rec, ellipse, t)[0], gmst_rad(t), site)[3:]
 
     # start samples SCAN_SWING_DEG of rate bound apart; one sight call a round
     closing = _closing_speed(rec, station)
@@ -427,20 +442,23 @@ def extract_passes(rec, station, t_start, t_end, threshold_deg=10.0, step_s=1.0)
     rise, fall = rise[inside], fall[inside]
     if not len(rise):
         return []
-    order = np.argsort(i)
+    order = np.argsort(i, kind="stable")  # i: a few sorted runs, no repeats
     lo, hi = np.r_[rise - 1, fall], np.r_[rise, fall + 1]
     f_lo, f_hi = (el[order[np.searchsorted(i, x, sorter=order)]] - threshold_deg for x in (lo, hi))
     t_rise, t_set = np.split(_crossing(lambda t: sight(t)[0] - threshold_deg,
                                        t0 + lo * dt, t0 + hi * dt, f_lo, f_hi), 2)
 
-    segments = []
-    for i, j, tr, ts in zip(rise, fall, t_rise, t_set):
-        inner = t0 + np.arange(i, j + 1) * dt
-        segments.append(np.r_[tr, inner[(inner > tr) & (inner < ts)], ts])
-    times = np.concatenate(segments)
+    # each pass: its rise, the grid samples rise..fall strictly between, its set
+    size = fall - rise + 3
+    end = np.cumsum(size)
+    times = t0 + (np.repeat(rise - 1 - end + size, size) + np.arange(end[-1])) * dt
+    keep = (times > np.repeat(t_rise, size)) & (times < np.repeat(t_set, size))
+    times[end - size], times[end - 1] = t_rise, t_set
+    keep[end - size] = keep[end - 1] = True
+    times = times[keep]
     pos, vel = _state(rec, ellipse, times)  # no horizon check: a set may pass t_end
-    az, elev, _ = topocentric(pos, station, times)
-    beta = _beta_from_state(pos, vel, station, times)
-    cuts = np.cumsum([len(s) for s in segments[:-1]])
-    columns = (np.split(x, cuts) for x in (times, az, elev, beta))
-    return [PassProfile(*cols) for cols in zip(*columns)]
+    gmst = gmst_rad(times)
+    az, elev = _az_el(pos, gmst, site)[:2]
+    beta = _beta_from_state(pos, vel, site[0], gmst)
+    cuts = [0, *np.cumsum(keep)[end - 1].tolist()]
+    return [PassProfile(times[a:b], az[a:b], elev[a:b], beta[a:b]) for a, b in zip(cuts, cuts[1:])]

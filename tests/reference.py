@@ -5,8 +5,9 @@ CHSH model that the Werner closed form in `linksim` replaced, the
 one-generator-per-setting sampler that `simulate_chsh_counts` must match draw
 for draw, the single-interface Fresnel equations that an empty `LayerStack`
 reproduces, the dense pass scan that `extract_passes` must match bit for bit,
-the SVD residual that the fiber solver's closed form must match, and small
-helpers that only the tests need.
+with its azimuth, elevation and beta rows built by formulas frozen in their
+earlier (n, 3) form, the SVD residual that the fiber solver's closed form
+must match, and small helpers that only the tests need.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 
 from polsim.jones import MirrorResponse
 from polsim.linksim import BELL_TEST_SETTINGS, _expected_counts
-from polsim.orbit import (PassProfile, _beta_from_state, _crossing, propagate, propagate_state,
-                          topocentric)
+from polsim.orbit import (PassProfile, _crossing, gmst_rad, propagate, propagate_state,
+                          station_ecef)
 from polsim.thinfilm import _cos_refracted
 
 # --- density-matrix CHSH model ----------------------------------------------
@@ -182,6 +183,41 @@ def brewster_angle(n0, n):
     return math.atan2(float(n), float(n0))
 
 
+# --- frozen pass-row formulas -----------------------------------------------
+# The (n, 3) forms polsim.orbit used before its rows shared one GMST and
+# summed beta's norms and dot products component by component; the dense scan
+# below builds its rows with them, so extract_passes must keep their bits.
+
+
+def rotate_z(vec, angle_rad):
+    """Vectors (..., 3) turned by `angle_rad` about z."""
+    c, s = np.cos(angle_rad), np.sin(angle_rad)
+    x, y, z = np.moveaxis(np.asarray(vec, dtype=float), -1, 0)
+    return np.stack([c * x - s * y, s * x + c * y, z], axis=-1)
+
+
+def look_angles(sat_eci_km, station, t):
+    """(azimuth_deg, elevation_deg) arrays of ECI positions (n, 3) at times t."""
+    lat, lon = math.radians(station.latitude_deg), math.radians(station.longitude_deg)
+    sl, cl, so, co = math.sin(lat), math.cos(lat), math.sin(lon), math.cos(lon)
+    rel = rotate_z(sat_eci_km, -gmst_rad(t)) - station_ecef(station)
+    e = rel @ np.array([-so, co, 0.0])
+    n = rel @ np.array([-sl * co, -sl * so, cl])
+    u = rel @ np.array([cl * co, cl * so, sl])
+    horizontal = np.hypot(e, n)
+    az = np.where(horizontal < 1e-9, 0.0, np.degrees(np.arctan2(e, n)) % 360.0)
+    return az, np.degrees(np.arctan2(u, horizontal))
+
+
+def beta_from_state(pos, vel, station, t):
+    """Satellite telescope angle, degrees, of ECI states (n, 3) at times t."""
+    los = rotate_z(np.broadcast_to(station_ecef(station), pos.shape), gmst_rad(t)) - pos
+    r_hat = pos / np.linalg.norm(pos, axis=-1, keepdims=True)
+    along = vel - np.sum(vel * r_hat, axis=-1, keepdims=True) * r_hat
+    along = along / np.linalg.norm(along, axis=-1, keepdims=True)
+    return np.degrees(np.arctan2(np.sum(los * along, axis=-1), -np.sum(los * r_hat, axis=-1)))
+
+
 # --- dense pass scan ---------------------------------------------------------
 
 
@@ -193,7 +229,7 @@ def dense_passes(rec, station, t_start, t_end, threshold_deg, step_s):
     grid = np.arange(t_start, t_end + step_s / 2.0, step_s)
 
     def elevation(t):
-        return topocentric(propagate(rec, t), station, t)[1]
+        return look_angles(propagate(rec, t), station, t)[1]
 
     el = elevation(grid)
     up = el >= threshold_deg
@@ -209,8 +245,8 @@ def dense_passes(rec, station, t_start, t_end, threshold_deg, step_s):
         inner = grid[run]
         times = np.r_[t_rise, inner[(inner > t_rise) & (inner < t_set)], t_set]
         pos, vel = propagate_state(rec, times)
-        az, el_pass, _ = topocentric(pos, station, times)
-        passes.append(PassProfile(times, az, el_pass, _beta_from_state(pos, vel, station, times)))
+        az, el_pass = look_angles(pos, station, times)
+        passes.append(PassProfile(times, az, el_pass, beta_from_state(pos, vel, station, times)))
     return passes
 
 

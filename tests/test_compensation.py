@@ -130,6 +130,17 @@ class TestSchedule:
                                         np.unwrap(beta, period=360.0), zero, sign)
         assert np.array_equal(sched.angle_deg, expected)
 
+    @given(st.lists(st.one_of(st.floats(-90.0, 90.0), st.just(-0.0)), min_size=1, max_size=30),
+           st.lists(st.sampled_from([0.0, 360.0, -360.0, 720.0]), min_size=30, max_size=30))
+    def test_unwrap_equals_numpy(self, values, seams):
+        # values within +-90 deg step under 180 deg (exactly 180 only from one
+        # end to the other) and keep their -0.0; added seams need np.unwrap
+        base = np.array(values)
+        for series in (base, base + np.array(seams[:len(base)])):
+            got, expected = C._unwrap_deg(series), np.unwrap(series, period=360.0)
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+
     def test_angles_reduced_and_continuous(self, sso_pass):
         sched = C.schedule_from_pass(sso_pass)
         assert np.all(sched.angle_deg >= 0.0)
