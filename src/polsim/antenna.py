@@ -183,8 +183,8 @@ def antenna_per_scan(
     """
     if not len(elevations_deg) or not len(azimuths_deg) or not states:
         raise ValueError("scan grids must be non-empty")
-    if not 0.0 < cap < math.inf:
-        raise ValueError(f"PER cap must be finite and positive, got {cap!r}")
+    if not 1.0 <= cap < math.inf:  # PER is at least 1
+        raise ValueError(f"PER cap must be finite and at least 1, got {cap!r}")
     # cells on axes (elevation, azimuth, state), the row order of the table
     el = np.asarray(elevations_deg, dtype=float)[:, None, None]
     az = np.asarray(azimuths_deg, dtype=float)[None, :, None]

@@ -21,6 +21,7 @@ window.  Randomness comes from a counter-based Philox generator keyed as
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -73,8 +74,9 @@ class ChannelModel:
             raise ValueError("depolarization probability must be in [0, 1]")
         if self.rotation is None:
             object.__setattr__(self, "rotation", identity_element())
-        if not self.rotation.is_unitary():
-            raise ValueError("channel rotation must be a unitary Jones matrix")
+        if not (all(map(np.isscalar, vars(self.rotation).values()))  # a batch has no hash
+                and self.rotation.is_unitary()):
+            raise ValueError("channel rotation must be one unitary Jones matrix")
 
     @property
     def transmission(self):
@@ -105,6 +107,18 @@ def _philox_key(seed, stream):
     return np.array([seed, stream], dtype=np.uint64)
 
 
+@functools.lru_cache(maxsize=32)
+def _analyzer_factor(settings, rotation):
+    """Read-only |a^T U b|^2 / 2, a row (pp, mm, pm, mp) per setting: no seed or link value."""
+    # amp[k, i, j]: setting k, satellite port i, ground port j (0 = axis, 1 = orthogonal)
+    a, b = (np.array([[[math.cos(p), math.sin(p)], [-math.sin(p), math.cos(p)]] for p in phis])
+            for phis in zip(*settings))
+    amp = np.abs(a @ rotation.matrix @ b.transpose(0, 2, 1)) ** 2 / 2.0
+    amp = amp.reshape(-1, 4)[:, [0, 3, 1, 2]]  # (i, j) at 2i + j
+    amp.flags.writeable = False
+    return amp
+
+
 def _expected_counts(source, channel, det, settings):
     """Expected (true + accidental) coincidence means, a row (pp, mm, pm, mp) per setting.
 
@@ -114,11 +128,7 @@ def _expected_counts(source, channel, det, settings):
     the marginal I/2 whatever the analyzer port.
     """
     w = (4.0 * source.fidelity - 1.0) / 3.0 * (1.0 - channel.depolarization)
-    # amp[k, i, j]: setting k, satellite port i, ground port j (0 = axis, 1 = orthogonal)
-    a, b = (np.array([[[math.cos(p), math.sin(p)], [-math.sin(p), math.cos(p)]] for p in phis])
-            for phis in zip(*settings))
-    amp = np.abs(a @ channel.rotation.matrix @ b.transpose(0, 2, 1)) ** 2 / 2.0
-    probs = w * amp.reshape(-1, 4)[:, [0, 3, 1, 2]] + (1.0 - w) / 4.0  # (i, j) at 2i + j
+    probs = w * _analyzer_factor(tuple(map(tuple, settings)), channel.rotation) + (1.0 - w) / 4.0
     rate, trans = source.pair_rate_hz, channel.transmission
     eta, t = det.efficiency, det.integration_time_s
     pair_rate = rate * trans * eta * eta
@@ -141,12 +151,12 @@ def simulate_chsh_counts(source, channel, det, settings=BELL_TEST_SETTINGS, seed
         raise ValueError(f"expected coincidence count {means.max():.6g} exceeds the Poisson "
                          f"sampler's limit {POISSON_MEAN_MAX:.6g}")
     bitgen = np.random.Philox(key=_philox_key(seed, 0))
-    rng, fresh = np.random.Generator(bitgen), bitgen.state
-    counts = []
+    rng, counts = np.random.Generator(bitgen), []
     for k, row in enumerate(means.tolist()):
         if k:  # counter 0 and an empty buffer under key (seed, k): a new Philox(key=[seed, k])
-            fresh["state"]["key"][1] = k
-            bitgen.state = fresh
+            bitgen.state = {"bit_generator": "Philox", "buffer": (0,) * 4, "buffer_pos": 4,
+                            "state": {"counter": (0,) * 4, "key": (seed, k)},
+                            "has_uint32": 0, "uinteger": 0}
         counts.append(tuple(map(rng.poisson, row)))
     return counts
 

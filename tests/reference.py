@@ -1,13 +1,16 @@
 """Textbook oracles the tests check polsim against.
 
 Nothing in `polsim` runs this code.  It holds the general density-matrix
-CHSH model that the Werner closed form in `linksim` replaced, the
+CHSH model that the Werner closed form in `linksim` replaced, that closed
+form's count means frozen as one uncached expression (`_expected_counts`
+must match it bit for bit, whatever its cache holds), the
 one-generator-per-setting sampler that `simulate_chsh_counts` must match draw
-for draw, the single-interface Fresnel equations that an empty `LayerStack`
-reproduces, the dense pass scan that `extract_passes` must match bit for bit,
-with its azimuth, elevation and beta rows built by formulas frozen in their
-earlier (n, 3) form, the SVD residual that the fiber solver's closed form
-must match, and small helpers that only the tests need.
+for draw on those frozen means, the single-interface Fresnel equations that
+an empty `LayerStack` reproduces, the dense pass scan that `extract_passes`
+must match bit for bit, with its azimuth, elevation and beta rows built by
+formulas frozen in their earlier (n, 3) form, the SVD residual that the
+fiber solver's closed form must match, and small helpers that only the tests
+need.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from polsim.jones import MirrorResponse
-from polsim.linksim import BELL_TEST_SETTINGS, _expected_counts
+from polsim.linksim import BELL_TEST_SETTINGS
 from polsim.orbit import (PassProfile, _crossing, gmst_rad, propagate, propagate_state,
                           station_ecef)
 from polsim.thinfilm import _cos_refracted
@@ -116,13 +119,29 @@ def density_matrix_counts(source, channel, det, phi1, phi2):
     return rate * trans * eta * eta * probs * t + acc * det.coincidence_window_s * t
 
 
+def frozen_expected_counts(source, channel, det, settings):
+    """The Werner count means as one expression, recomputed on every call:
+    w |a^T U b|^2 / 2 + (1 - w)/4 per port pair, times the true pair rate and
+    integration time, plus S1 S2 window time accidentals."""
+    w = (4.0 * source.fidelity - 1.0) / 3.0 * (1.0 - channel.depolarization)
+    a, b = (np.array([[[math.cos(p), math.sin(p)], [-math.sin(p), math.cos(p)]] for p in phis])
+            for phis in zip(*settings))
+    amp = np.abs(a @ channel.rotation.matrix @ b.transpose(0, 2, 1)) ** 2 / 2.0
+    probs = w * amp.reshape(-1, 4)[:, [0, 3, 1, 2]] + (1.0 - w) / 4.0
+    rate, trans = source.pair_rate_hz, channel.transmission
+    eta, t = det.efficiency, det.integration_time_s
+    s1 = rate * trans * eta / 2.0 + det.dark_rate_hz
+    s2 = rate * eta / 2.0 + det.dark_rate_hz
+    return rate * trans * eta * eta * probs * t + s1 * s2 * det.coincidence_window_s * t
+
+
 def fresh_philox_counts(source, channel, det, settings, seed):
     """The sampling contract one setting at a time: setting k's counts are
     Poisson draws, in (pp, mm, pm, mp) order, from a fresh
     Generator(Philox(key=[seed, k])) on that setting's own means."""
     counts = []
     for k, setting in enumerate(settings):
-        means = _expected_counts(source, channel, det, (setting,))[0]
+        means = frozen_expected_counts(source, channel, det, (setting,))[0]
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))
         counts.append(tuple(int(c) for c in rng.poisson(means)))
     return counts

@@ -111,6 +111,12 @@ class TestPerScan:
         per = J.measure_per(out, math.radians(45.0) + math.radians(45.0 + 50.0))
         assert scan.rows[0][3] == pytest.approx(per, rel=1e-12)
 
+    def test_mean_per_is_mean_of_rows(self):
+        scan = A.antenna_per_scan(A.DESIGN_GEOMETRY, A.HR_COATING)
+        per = np.array([row[3] for row in scan.rows])
+        assert scan.mean_per == pytest.approx(per.sum() / 96.0, rel=1e-12)
+        assert scan.min_per < scan.mean_per < per.max()
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             A.antenna_per_scan(A.DESIGN_GEOMETRY, A.HR_COATING, elevations_deg=[])

@@ -525,6 +525,8 @@ class TestConfigRange:
         ("per-map", "per_cap inf"),
         ("per-map", "per_cap 0"),
         ("per-map", "per_cap -1"),
+        ("per-map", "per_cap 0.5"),  # PER is at least 1
+        ("per-map", "per_cap 1e-300"),
         ("offset-scan", "beta_deg nan"),
         ("offset-scan", "sat_offsets_deg nan"),
         ("coating", "angle_deg 95"),

@@ -118,6 +118,22 @@ class TestSchedule:
         assert sched.max_rate_deg_per_s == pytest.approx(fd, rel=1e-12)
         assert sched.max_rate_deg_per_s < 0.5
 
+    def test_rates_on_quarter_second_pass(self):
+        # 0.25 s rows between a rise and a set that sit off the grid, as
+        # refined crossings do; azimuth crosses north, so it is unwrapped
+        s = np.concatenate([[0.0], 0.13 + 0.25 * np.arange(40.0), [0.13 + 0.25 * 39 + 0.07]])
+        az = (350.0 + 2.0 * s + 0.01 * s**2) % 360.0
+        el, beta = 10.0 + 3.0 * s - 0.02 * s**2, -20.0 + 0.5 * s
+        t = 1.6e9 + s
+        sched = C.schedule_from_pass(O.PassProfile(t, az, el, beta), zero_point_deg=20.0,
+                                     max_slew_deg_per_s=1e9)
+        raw = 20.0 + (np.unwrap(az, period=360.0) + el + beta) / 2.0
+        want = np.concatenate([[0.0], np.diff(raw) / np.diff(t)])
+        np.testing.assert_allclose(sched.rate_deg_per_s, want, rtol=1e-9, atol=0.0)
+        # the command moves as 2.75 s - 0.0025 s^2 deg, so a secant is 2.75 - 0.005 (s0 + s1)
+        secants = 2.75 - 0.005 * (s[:-1] + s[1:])
+        np.testing.assert_allclose(sched.rate_deg_per_s[[1, -1]], secants[[0, -1]], rtol=1e-6)
+
     @given(st.integers(2, 40).flatmap(lambda n: st.tuples(*[
         st.lists(st.floats(lo, hi), min_size=n, max_size=n).map(np.array)
         for lo, hi in ((0.0, 359.999), (0.0, 90.0), (-180.0, 179.999))])),

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polsim import antenna as A
@@ -243,6 +243,15 @@ class TestMetrics:
         expected = 0.9993**2 / 0.0374**2
         assert J.measure_per(state, 0.0) == pytest.approx(expected, rel=1e-12)
         assert J.measure_per(state, 0.0) == pytest.approx(714.0, abs=0.5)
+
+    @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+    @example(psi=0.4, ref=0.25)
+    def test_measure_per_of_linear_state_off_axis(self, psi, ref):
+        # linear at psi against the ref analyzer pair: cos^2 and sin^2 of psi - ref
+        d = psi - ref
+        assume(abs(math.sin(2.0 * d)) > 1e-3)  # below that the ratio nears the cap
+        per = J.measure_per(J.PolarizationState(math.cos(psi), math.sin(psi)), ref)
+        assert per == pytest.approx(max(math.tan(d) ** -2, math.tan(d) ** 2), rel=1e-9)
 
     def test_measure_per_overflowing_ratio_is_capped(self):
         # i_max / i_min = 1e320 overflows; it is clamped like any PER above the cap

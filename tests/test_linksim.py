@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,13 +12,21 @@ from polsim import antenna as A
 from polsim import jones as J
 from polsim import linksim as L
 from polsim.table import read_table
-from conftest import random_pure_qubit
+from conftest import haar_unitary, random_pure_qubit
 from reference import (TwoQubitState, chsh_analytic, correlation, density_matrix_counts,
-                       fresh_philox_counts, make_source)
+                       fresh_philox_counts, frozen_expected_counts, make_source)
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 ANGLES = st.floats(-math.pi, math.pi)
 SETTINGS = st.lists(st.tuples(ANGLES, ANGLES), min_size=1, max_size=6).map(tuple)
+# the same settings as a tuple of tuples or as a list of lists
+SETTING_FORMS = SETTINGS.flatmap(lambda s: st.sampled_from([s, [list(pair) for pair in s]]))
+ROTATIONS = st.one_of(
+    st.just(J.identity_element()),
+    ANGLES.map(J.rotator),
+    st.integers(0, 2**32 - 1).map(
+        lambda seed: J.OpticalElement(*haar_unitary(np.random.default_rng(seed)).ravel())),
+)
 # (source, channel, detector) over the model's whole parameter range
 MODELS = st.tuples(
     st.builds(L.SourceModel, st.floats(0.25, 1.0), st.floats(1.0, 1e9)),
@@ -231,6 +240,40 @@ class TestSimulation:
         assert got == fresh_philox_counts(*models, settings_, seed)
         assert all(type(c) is int for quad in got for c in quad)
 
+    @settings(max_examples=100, deadline=None)
+    @given(MODELS, SETTING_FORMS, ROTATIONS, SETTING_FORMS, ROTATIONS)
+    def test_means_match_frozen_expression(self, models, settings_a, rot_a, settings_b, rot_b):
+        src, ch, det = models
+        # A, B, A: a stale or mis-keyed factor from the cache hands B's to A
+        a, b = (settings_a, replace(ch, rotation=rot_a)), (settings_b, replace(ch, rotation=rot_b))
+        for settings_, channel in (a, b, a):
+            got = L._expected_counts(src, channel, det, settings_)
+            assert np.array_equal(got, frozen_expected_counts(src, channel, det, settings_))
+
+    def test_interleaved_points_keep_their_means(self):
+        src, det = L.SourceModel(0.9329, 1e6), L.DetectionModel()
+        turned = L.BELL_TEST_SETTINGS[1:] + L.BELL_TEST_SETTINGS[:1]
+        points = [(L.BELL_TEST_SETTINGS, L.ChannelModel(46.0)),
+                  (turned, L.ChannelModel(44.0, J.rotator(0.3))),
+                  (L.BELL_TEST_SETTINGS, L.ChannelModel(46.0, J.rotator(0.3))),
+                  (turned, L.ChannelModel(46.0))]
+        for settings_, channel in points + points[::-1] + points:
+            got = L._expected_counts(src, channel, det, settings_)
+            assert np.array_equal(got, frozen_expected_counts(src, channel, det, settings_))
+
+    def test_cached_factor_read_only_and_means_fresh(self):
+        src, ch, det = L.SourceModel(0.9329, 1e6), L.ChannelModel(46.0), L.DetectionModel()
+        factor = L._analyzer_factor(L.BELL_TEST_SETTINGS, ch.rotation)
+        assert not factor.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            factor[0, 0] = 1.0
+        means = L._expected_counts(src, ch, det, [list(s) for s in L.BELL_TEST_SETTINGS])
+        assert means.flags.writeable and not np.shares_memory(means, factor)
+        means[:] = -1.0  # a caller's edit reaches neither the cache nor the next call
+        again = L._expected_counts(src, ch, det, L.BELL_TEST_SETTINGS)
+        assert np.array_equal(again, frozen_expected_counts(src, ch, det, L.BELL_TEST_SETTINGS))
+        assert L._analyzer_factor(L.BELL_TEST_SETTINGS, ch.rotation) is factor
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_key_range_rejected(self, seed):
         model = (L.SourceModel(0.9329, 1e6), L.ChannelModel(46.0), L.DetectionModel())
@@ -243,9 +286,13 @@ class TestSimulation:
         J.OpticalElement(1.0, 1.0, 0.0, 0.0),  # Frobenius norm^2 = 2, like a unitary
         J.polarizer(0.3),
         J.mirror_element(J.MirrorResponse.from_powers(0.99, 0.98, math.pi)),
+        # not one matrix: a batch of 4 would rotate each setting its own way
+        J.rotator(np.array([0.1, 0.2])),
+        J.rotator(np.array([0.0, 0.1, 0.2, 0.3])),
+        J.OpticalElement(np.array(1.0), 0.0, 0.0, 1.0),
     ])
     def test_non_unitary_rotation_rejected(self, element):
-        with pytest.raises(ValueError, match="unitary"):
+        with pytest.raises(ValueError, match="^channel rotation must be one unitary Jones matrix"):
             L.ChannelModel(0.0, rotation=element)
 
     @pytest.mark.parametrize("build", [

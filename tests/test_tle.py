@@ -89,6 +89,17 @@ class TestParse:
         assert err.value.line_no == 2
         assert err.value.column == 9
 
+    @pytest.mark.parametrize("start, column, what", [(44, 45, "second-derivative"),
+                                                     (53, 54, "drag")])
+    def test_malformed_exponent_field_names_its_first_column(self, start, column, what):
+        # columns 45-52 and 54-61 of line 1 hold the implied-exponent fields
+        l1 = ISS_LINES[1][:start] + " 1234x-5" + ISS_LINES[1][start + 8:]
+        l1 = l1[:68] + str(T.line_checksum(l1))
+        with pytest.raises(T.TleParseError) as err:
+            T.parse_tle(l1 + "\n" + ISS_LINES[2])
+        assert (err.value.line_no, err.value.column) == (1, column)
+        assert str(err.value) == f"line 1, column {column}: malformed {what} field: ' 1234x-5'"
+
     def test_single_digit_mutations_all_detected(self):
         # mutating any digit anywhere breaks that line's checksum (a digit
         # change shifts the mod-10 sum by a nonzero amount, and touching the
