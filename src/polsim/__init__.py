@@ -41,7 +41,6 @@ from .orbit import GroundStation, NGARI_STATION, PassProfile, extract_passes, pr
 from .compensation import (
     CompensationSchedule,
     compensation_angle,
-    quantization_error,
     schedule_from_pass,
     verify_compensation,
 )

@@ -47,34 +47,11 @@ class TelescopeGeometry:
     primary_semidiameter_mm: float
     secondary_focal_mm: float
     secondary_semidiameter_mm: float
-    conic: float = -1.0
-
-    def __post_init__(self):
-        for name in (
-            "primary_focal_mm",
-            "primary_semidiameter_mm",
-            "secondary_focal_mm",
-            "secondary_semidiameter_mm",
-        ):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-
-    @classmethod
-    def from_radii(cls, primary_radius_mm, primary_semidiameter_mm,
-                   secondary_radius_mm, secondary_semidiameter_mm, conic=-1.0):
-        """Build from vertex radii of curvature (f = |R|/2 for a paraboloid)."""
-        return cls(
-            abs(primary_radius_mm) / 2.0,
-            primary_semidiameter_mm,
-            abs(secondary_radius_mm) / 2.0,
-            secondary_semidiameter_mm,
-            conic,
-        )
 
 
 # Design values of the transmitting antenna: primary R=-1625 mm over a 190 mm
-# semi-aperture, secondary R=-65 mm over 7.6 mm, both conic -1.
-DESIGN_GEOMETRY = TelescopeGeometry.from_radii(-1625.0, 190.0, -65.0, 7.6)
+# semi-aperture, secondary R=-65 mm over 7.6 mm, both conic -1 (f = |R|/2).
+DESIGN_GEOMETRY = TelescopeGeometry(812.5, 190.0, 32.5, 7.6)
 
 
 @dataclass(frozen=True)
@@ -93,29 +70,6 @@ class PointingDirection:
         bad_el = el[~((0.0 <= el) & (el <= 90.0))]
         if bad_el.size:
             raise ValueError(f"elevation must be in [0, 90], got {float(bad_el[0])!r}")
-
-
-def parabola_incidence_angle(focal_mm, ray_height_mm, semidiameter_mm=None):
-    """Incidence angle of an axis-parallel ray on a paraboloid, atan(h / 2f).
-
-    The surface z = r^2 / (4 f) has slope h / (2 f) at ray height h, which is
-    also the angle between the incoming ray and the surface normal.
-    """
-    if ray_height_mm < 0.0:
-        raise ValueError("ray height must be non-negative")
-    if semidiameter_mm is not None and ray_height_mm > semidiameter_mm:
-        raise ValueError(
-            f"ray height {ray_height_mm!r} outside the {semidiameter_mm!r} mm aperture"
-        )
-    return math.atan2(ray_height_mm, 2.0 * focal_mm)
-
-
-def max_incidence_angle(geom):
-    """Largest paraboloid incidence angle over both apertures."""
-    return max(
-        parabola_incidence_angle(geom.primary_focal_mm, geom.primary_semidiameter_mm),
-        parabola_incidence_angle(geom.secondary_focal_mm, geom.secondary_semidiameter_mm),
-    )
 
 
 def scanning_head_jones(direction, coating):

@@ -141,26 +141,6 @@ def schedule_from_pass(pass_profile, zero_point_deg=DEFAULT_ZERO_POINT_DEG, sign
     )
 
 
-@dataclass(frozen=True)
-class QuantizationError:
-    """Both readings of the HWP-accuracy error figure.
-
-    `rotation_rad` expresses the plate accuracy itself in radians (0.01 deg is
-    1.745e-4, about 0.017%); `infidelity` is the resulting worst-case state
-    infidelity sin^2(2 * accuracy), which for the same accuracy is ~1.2e-7.
-    """
-
-    rotation_rad: float
-    infidelity: float
-
-
-def quantization_error(hwp_accuracy_deg):
-    if hwp_accuracy_deg < 0.0:
-        raise ValueError("accuracy must be non-negative")
-    acc = math.radians(hwp_accuracy_deg)
-    return QuantizationError(rotation_rad=acc, infidelity=math.sin(2.0 * acc) ** 2)
-
-
 def compensated_chain(direction, beta_deg, hwp_angle_deg, coating):
     """Jones element: antenna at (az, el), frame rotation beta, then the HWP.
 
@@ -201,21 +181,17 @@ def calibrate_zero_point(coating, state=None):
     return zero if zero < 90.0 else 0.0
 
 
-def verify_compensation(pass_profile, coating, state=None,
-                        zero_point_deg=None, sign=1, hwp_angles_deg=None):
+def verify_compensation(pass_profile, coating, state=None, zero_point_deg=None, sign=1):
     """End-to-end fidelity of the compensated chain at every pass sample.
 
     With ideal mirrors the cancellation is exact (fidelity 1 to rounding).
     `zero_point_deg=None` calibrates the simulated chain's own zero point.
-    Passing `hwp_angles_deg` overrides the schedule (e.g. a constant array to
-    model a disabled compensator).
     """
     if state is None:
         state = PolarizationState.h()
     if zero_point_deg is None:
         zero_point_deg = calibrate_zero_point(coating, state)
-    if hwp_angles_deg is None:
-        hwp_angles_deg = schedule_from_pass(pass_profile, zero_point_deg, sign).angle_deg
+    hwp_angles_deg = schedule_from_pass(pass_profile, zero_point_deg, sign).angle_deg
 
     az = (pass_profile.azimuth_deg + 180.0) % 360.0 - 180.0
     chain = compensated_chain(PointingDirection(az, pass_profile.elevation_deg),

@@ -69,8 +69,8 @@ class PolarizationState:
     def norm_sq(self):
         return abs(self.a_h) ** 2 + abs(self.a_v) ** 2
 
-    def is_normalized(self, atol=_NORM_ATOL):
-        return bool(np.all(abs(self.norm_sq() - 1.0) <= atol))
+    def is_normalized(self):
+        return bool(np.all(abs(self.norm_sq() - 1.0) <= _NORM_ATOL))
 
     def normalized(self):
         n = np.sqrt(self.norm_sq())

@@ -34,6 +34,10 @@ MAX_PROPAGATION_DAYS = 7.0
 # it is never built, but with no rate bound the scan evaluates every sample at once.
 MAX_GRID_SAMPLES = 5_000_000
 
+# solve_kepler stops once every Newton step is below this, within this many steps.
+KEPLER_STEP_TOL = 1e-13
+KEPLER_MAX_ITER = 60
+
 
 class ArgumentError(ValueError):
     """An out-of-range argument; `name` is the parameter that carried it."""
@@ -60,12 +64,13 @@ class GroundStation:
 NGARI_STATION = GroundStation(32.3258527778, 80.0261611111, 5047.0)
 
 
-def solve_kepler(mean_anomaly, eccentricity, tol=1e-13, max_iter=60):
+def solve_kepler(mean_anomaly, eccentricity):
     """Eccentric anomaly E with E - e sin E = M, by Newton on every M at once.
 
     Takes a scalar or an array of mean anomalies and returns a float or an
-    array.  Iterates until every Newton step is below `tol`, then checks the
-    residual contract |E - e sin E - M| < 1e-12 on M reduced to [0, 2 pi).
+    array.  Iterates until every Newton step is below KEPLER_STEP_TOL, then
+    checks the residual contract |E - e sin E - M| < 1e-12 on M reduced to
+    [0, 2 pi).
     """
     if not 0.0 <= eccentricity < 1.0:
         raise ValueError(f"eccentricity must be in [0, 1), got {eccentricity!r}")
@@ -73,10 +78,10 @@ def solve_kepler(mean_anomaly, eccentricity, tol=1e-13, max_iter=60):
     m = np.remainder(mean, 2.0 * np.pi)
     e = eccentricity
     ecc_anom = m if e < 0.8 else np.full_like(m, np.pi)
-    for _ in range(max_iter):
+    for _ in range(KEPLER_MAX_ITER):
         step = (ecc_anom - e * np.sin(ecc_anom) - m) / (1.0 - e * np.cos(ecc_anom))
         ecc_anom = ecc_anom - step
-        if (np.abs(step) < tol).all():
+        if (np.abs(step) < KEPLER_STEP_TOL).all():
             break
     residual = np.abs(ecc_anom - e * np.sin(ecc_anom) - m).max(initial=0.0)
     if not residual < 1e-12:

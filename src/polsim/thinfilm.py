@@ -227,8 +227,7 @@ def _finite_floats(tokens):
 
 
 def parse_stack_text(text):
-    ambient = None
-    substrate = None
+    header = {}  # 'ambient' and 'substrate' indices
     layers = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -244,14 +243,9 @@ def parse_stack_text(text):
                 raise StackParseError(
                     line_no, f"non-numeric or non-finite index in {raw.strip()!r}"
                 ) from None
-            if tokens[0] == "ambient":
-                if ambient is not None:
-                    raise StackParseError(line_no, "duplicate 'ambient' line")
-                ambient = value
-            else:
-                if substrate is not None:
-                    raise StackParseError(line_no, "duplicate 'substrate' line")
-                substrate = value
+            if tokens[0] in header:
+                raise StackParseError(line_no, f"duplicate '{tokens[0]}' line")
+            header[tokens[0]] = value
         else:
             if len(tokens) != 3:
                 raise StackParseError(
@@ -268,11 +262,10 @@ def parse_stack_text(text):
             if n_re == n_im == 0.0:
                 raise StackParseError(line_no, "layer index must be non-zero")
             layers.append((complex(n_re, n_im), d))
-    if ambient is None:
-        raise StackParseError(0, "missing 'ambient' line")
-    if substrate is None:
-        raise StackParseError(0, "missing 'substrate' line")
-    return LayerStack(ambient, tuple(layers), substrate)
+    for word in ("ambient", "substrate"):
+        if word not in header:
+            raise StackParseError(0, f"missing '{word}' line")
+    return LayerStack(header["ambient"], tuple(layers), header["substrate"])
 
 
 def load_stack_file(path):

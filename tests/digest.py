@@ -1,0 +1,129 @@
+"""Output digests for a bit-identity check: python tests/digest.py [SRC]
+
+Imports polsim from SRC (default: this repository's src/) and prints one
+SHA-256 per output family:
+
+* pass fields, pass CSVs, schedule CSV+JSON: `extract_passes` over a week at
+  Ngari (threshold 10 degrees, steps 1 s and 0.25 s) for the packaged TLE and
+  three seeded LEO TLEs for each of the seeds 3, 5, 11 and 29, and
+  `schedule_from_pass` of every pass;
+* coating, per-map, compensate, offset-scan, bell: each subcommand at its
+  defaults, stdout and every file it writes (paths are masked);
+* thin film: `stack_response` and `stack_response_oracle` of the packaged and
+  quarter-wave stacks on a 5-angle x 9-wavelength grid, ray by ray and as one
+  grid call.
+
+Run it on two trees and diff the output: a family whose digest moved has an
+output that moved, to the last bit.  It is a cross-commit tool, not a golden
+file (libm and numpy builds can move last bits), so pytest does not collect it.
+"""
+
+import contextlib
+import hashlib
+import io
+import math
+import os
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+SRC = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parents[1] / "src")
+sys.path.insert(0, str(SRC.resolve()))
+os.environ.pop("POLSIM_DATA_DIR", None)
+
+from polsim import cli, compensation, orbit, thinfilm, tle  # noqa: E402
+
+DATA = SRC.resolve() / "polsim" / "data"
+SEEDS = (3, 5, 11, 29)
+STEPS_S = (1.0, 0.25)
+ANGLES_DEG = (35.0, 40.0, 45.0, 50.0, 55.0)
+WAVELENGTHS_NM = tuple(float(w) for w in np.linspace(760.0, 800.0, 9))
+
+
+def seeded_tles(seed, count=3):
+    """LEO element sets drawn from seed, rounded to TLE precision."""
+    rng = np.random.default_rng([seed, 1])
+    return [tle.format_tle(tle.make_tle(
+        name=f"SYN-{k}", satellite_number=90000 + k, epoch_year=2024, epoch_day=1.0,
+        inclination_deg=round(float(rng.uniform(85.0, 100.0)), 4),
+        raan_deg=round(float(rng.uniform(0.0, 359.0)), 4),
+        eccentricity=round(float(rng.uniform(1e-4, 5e-3)), 7),
+        arg_perigee_deg=round(float(rng.uniform(0.0, 359.0)), 4),
+        mean_anomaly_deg=round(float(rng.uniform(0.0, 359.0)), 4),
+        mean_motion_rev_per_day=round(float(rng.uniform(14.9, 15.5)), 8),
+    )) for k in range(count)]
+
+
+def feed(digest, *parts):
+    """Hash each part with its length, so no two part sequences collide."""
+    for part in parts:
+        data = part.encode() if isinstance(part, str) else part
+        digest.update(len(data).to_bytes(8, "little") + data)
+
+
+def pass_families(families):
+    texts = [(DATA / "sso_500km.tle").read_text(encoding="ascii")]
+    texts += [text for seed in SEEDS for text in seeded_tles(seed)]
+    fields, csvs, schedules = (families[k] for k in ("pass fields", "pass csv", "schedule"))
+    counts = [0, 0]
+    for text in texts:
+        rec = tle.parse_tle(text)
+        for step in STEPS_S:
+            passes = orbit.extract_passes(rec, orbit.NGARI_STATION, rec.epoch_posix,
+                                          rec.epoch_posix + 7 * 86400.0, 10.0, step)
+            feed(fields, str(len(passes)))
+            counts[0] += len(passes)
+            counts[1] += sum(len(p.t_posix) for p in passes)
+            for p in passes:
+                feed(fields, *(np.asarray(getattr(p, name), dtype=float).tobytes()
+                               for name in p.__dataclass_fields__))
+                feed(csvs, p.to_csv())
+                s = compensation.schedule_from_pass(p)
+                feed(schedules, s.to_csv(), s.metadata_json())
+    return f"{len(texts)} TLE-weeks x {len(STEPS_S)} steps: {counts[0]} passes, {counts[1]} rows"
+
+
+def cli_families(families, work):
+    for command in ("coating", "per-map", "compensate", "offset-scan", "bell"):
+        out_dir = work / command
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main([command, "--out", str(out_dir)])
+        text = stdout.getvalue().replace(str(out_dir), "<out>").replace(str(DATA), "<data>")
+        feed(families[command], str(code), text, stderr.getvalue())
+        for path in sorted(out_dir.iterdir()) if out_dir.exists() else ():
+            feed(families[command], path.name, path.read_bytes())
+
+
+def thinfilm_family(digest):
+    stacks = (thinfilm.load_stack_file(DATA / "hr_coating_stack.txt"), thinfilm.quarter_wave_stack())
+    rays = [thinfilm.Ray(math.radians(a), w) for w in WAVELENGTHS_NM for a in ANGLES_DEG]
+    grid = thinfilm.Ray(np.radians(ANGLES_DEG)[None, :], np.array(WAVELENGTHS_NM)[:, None])
+    for stack in stacks:
+        for solve in (thinfilm.stack_response, thinfilm.stack_response_oracle):
+            responses = [solve(stack, ray) for ray in rays]
+            responses.append(solve(stack, grid))
+            for r in responses:
+                feed(digest, np.asarray(r.r_s, dtype=complex).tobytes(),
+                     np.asarray(r.r_p, dtype=complex).tobytes())
+
+
+def main():
+    start = time.perf_counter()
+    names = ("pass fields", "pass csv", "schedule", "coating", "per-map", "compensate",
+             "offset-scan", "bell", "thin film")
+    families = {name: hashlib.sha256() for name in names}
+    summary = pass_families(families)
+    with tempfile.TemporaryDirectory() as work:
+        cli_families(families, Path(work))
+    thinfilm_family(families["thin film"])
+    for name in names:
+        print(f"{families[name].hexdigest()}  {name}")
+    print(f"polsim from {SRC}; {summary}; {time.perf_counter() - start:.1f} s", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

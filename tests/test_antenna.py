@@ -8,34 +8,37 @@ from polsim import jones as J
 from polsim.table import read_table
 
 
+def incidence_deg(focal_mm, semidiameter_mm):
+    """Incidence of an axis-parallel edge ray on a paraboloid: the surface
+    z = r^2 / (4 f) has slope h / (2 f) at ray height h."""
+    return math.degrees(math.atan2(semidiameter_mm, 2.0 * focal_mm))
+
+
 class TestGeometry:
     def test_design_values(self):
+        # f = |R| / 2 for the design radii -1625 mm and -65 mm
         g = A.DESIGN_GEOMETRY
-        assert g.primary_focal_mm == pytest.approx(812.5)
-        assert g.secondary_focal_mm == pytest.approx(32.5)
-        assert g.conic == -1.0
-
-    def test_vertex_ray(self):
-        assert A.parabola_incidence_angle(812.5, 0.0) == 0.0
+        assert (g.primary_focal_mm, g.primary_semidiameter_mm) == (1625.0 / 2.0, 190.0)
+        assert (g.secondary_focal_mm, g.secondary_semidiameter_mm) == (65.0 / 2.0, 7.6)
 
     def test_primary_edge_ray(self):
-        # atan(190 / 1625) from the design radius -1625 mm
-        angle = A.parabola_incidence_angle(812.5, 190.0)
-        assert math.degrees(angle) == pytest.approx(math.degrees(math.atan(190.0 / 1625.0)))
-        assert math.degrees(angle) == pytest.approx(6.66, abs=0.02)
+        g = A.DESIGN_GEOMETRY
+        angle = incidence_deg(g.primary_focal_mm, g.primary_semidiameter_mm)
+        assert angle == pytest.approx(math.degrees(math.atan(190.0 / 1625.0)))
+        assert angle == pytest.approx(6.66, abs=0.02)
 
     def test_secondary_edge_ray(self):
-        angle = A.parabola_incidence_angle(32.5, 7.6)
-        assert math.degrees(angle) == pytest.approx(math.degrees(math.atan(7.6 / 65.0)))
-        assert math.degrees(angle) == pytest.approx(6.67, abs=0.02)
+        g = A.DESIGN_GEOMETRY
+        angle = incidence_deg(g.secondary_focal_mm, g.secondary_semidiameter_mm)
+        assert angle == pytest.approx(math.degrees(math.atan(7.6 / 65.0)))
+        assert angle == pytest.approx(6.67, abs=0.02)
 
     def test_small_angle_claim(self):
-        # every aperture ray of the design stays below 7 degrees incidence
-        assert math.degrees(A.max_incidence_angle(A.DESIGN_GEOMETRY)) < 7.0
-
-    def test_aperture_guard(self):
-        with pytest.raises(ValueError):
-            A.parabola_incidence_angle(812.5, 200.0, semidiameter_mm=190.0)
+        # every aperture ray of the design stays below 7 degrees incidence, so
+        # the paraboloids are treated as polarization-neutral
+        g = A.DESIGN_GEOMETRY
+        assert max(incidence_deg(g.primary_focal_mm, g.primary_semidiameter_mm),
+                   incidence_deg(g.secondary_focal_mm, g.secondary_semidiameter_mm)) < 7.0
 
 
 class TestScanningHead:
@@ -79,6 +82,21 @@ class TestScanningHead:
             A.PointingDirection(180.0, 10.0)
         with pytest.raises(ValueError):
             A.PointingDirection(0.0, 91.0)
+
+    @pytest.mark.parametrize("az, el", [(-180.0, 10.0), (np.nextafter(180.0, 0.0), 10.0),
+                                        (0.0, 0.0), (0.0, 90.0)])
+    def test_closed_bounds_accepted(self, az, el):
+        A.PointingDirection(az, el)
+        A.PointingDirection(np.array([az, 0.0]), np.array([el, 45.0]))
+
+    @pytest.mark.parametrize("az, el, word", [
+        (np.nextafter(-180.0, -np.inf), 10.0, "azimuth"),
+        (0.0, np.nextafter(90.0, np.inf), "elevation"),
+        (0.0, np.nextafter(0.0, -np.inf), "elevation"),
+    ])
+    def test_just_past_bounds_rejected(self, az, el, word):
+        with pytest.raises(ValueError, match=f"^{word} must be in "):
+            A.PointingDirection(az, el)
 
 
 class TestPerScan:

@@ -390,6 +390,15 @@ class TestCompensate:
         assert code == 3
         assert "no pass" in err
 
+    def test_zero_threshold_runs(self, capsys, tmp_path):
+        # the closed end of threshold_deg's [0, 90): passes from the horizon up
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("threshold_deg 0\n")
+        code, out, err = run(capsys, "compensate", "--config", str(cfg), "--out", str(tmp_path))
+        assert (code, err) == (0, "")
+        # it keeps the low passes the default 10-degree threshold drops
+        assert min(float(v) for v in re.findall(r"max_el_deg (\S+)", out)) < 10.0
+
     def test_kepler_failure_exit_3(self, capsys, tmp_path, monkeypatch):
         # a numeric failure inside pass extraction is not a config error
         def diverge(mean_anomaly, eccentricity):
@@ -549,8 +558,10 @@ class TestConfigRange:
         ("step_s 1e-6", "step_s"),
         ("threshold_deg 95", "threshold_deg"),
         ("threshold_deg -1", "threshold_deg"),
+        ("threshold_deg 90", "threshold_deg"),  # the open end of [0, 90)
         ("step_s 0", "step_s"),
         ("step_s -5", "step_s"),
+        ("max_slew_deg_per_s 0", "max_slew_deg_per_s"),
     ])
     def test_window_error_names_key(self, capsys, tmp_path, setting, key):
         cfg = tmp_path / "c.cfg"

@@ -82,22 +82,32 @@ class TestAngleFormula:
             C.compensation_angle(*args)
 
 
+def plate_error_infidelity(accuracy_deg):
+    """1 - F of H through hwp(a + accuracy) against hwp(a), at several plate
+    angles a; each should be the worst-case figure sin^2(2 * accuracy)."""
+    h = J.PolarizationState.h()
+    return [1.0 - J.fidelity(J.hwp(math.radians(a + accuracy_deg)).apply(h),
+                             J.hwp(math.radians(a)).apply(h))
+            for a in (0.0, 22.5, 37.0, C.DEFAULT_ZERO_POINT_DEG)]
+
+
 class TestQuantization:
+    """The HWP-accuracy figure: a plate set off by d turns the output by 2d."""
+
     def test_design_accuracy(self):
-        q = C.quantization_error(0.01)
-        assert q.rotation_rad == pytest.approx(1.745e-4, rel=1e-3)  # the 0.017% figure
-        assert q.infidelity == pytest.approx(math.sin(2 * math.radians(0.01)) ** 2, rel=1e-12)
-        assert q.infidelity == pytest.approx(1.22e-7, rel=0.01)
+        # 0.01 deg of plate accuracy is 1.745e-4 rad, the paper's 0.017%
+        assert math.radians(0.01) == pytest.approx(1.745e-4, rel=1e-3)
+        expected = math.sin(2 * math.radians(0.01)) ** 2
+        assert expected == pytest.approx(1.22e-7, rel=0.01)
+        assert plate_error_infidelity(0.01) == pytest.approx([expected] * 4, rel=0, abs=1e-15)
 
     def test_zero(self):
-        q = C.quantization_error(0.0)
-        assert q.rotation_rad == 0.0
-        assert q.infidelity == 0.0
+        assert plate_error_infidelity(0.0) == pytest.approx([0.0] * 4, rel=0, abs=1e-15)
 
     def test_tenth_degree(self):
-        q = C.quantization_error(0.1)
-        assert q.rotation_rad == pytest.approx(1.745e-3, rel=1e-3)
-        assert q.infidelity == pytest.approx(1.22e-5, rel=0.01)
+        expected = math.sin(2 * math.radians(0.1)) ** 2
+        assert expected == pytest.approx(1.22e-5, rel=0.01)
+        assert plate_error_infidelity(0.1) == pytest.approx([expected] * 4, rel=0, abs=1e-15)
 
 
 class TestSchedule:
@@ -172,6 +182,9 @@ class TestSchedule:
         sched = C.schedule_from_pass(bumpy)
         assert len(sched.warnings) == 1
         assert "slew" in sched.warnings[0]
+        # a rate exactly at the limit is within it
+        limit = sched.max_rate_deg_per_s
+        assert C.schedule_from_pass(bumpy, max_slew_deg_per_s=limit).warnings == ()
 
     def test_csv_and_metadata_roundtrip(self, sso_pass, tmp_path):
         sched = C.schedule_from_pass(sso_pass)
@@ -212,8 +225,11 @@ class TestVerification:
     def test_disabled_schedule_matches_rotation_oracle(self, sso_pass):
         # fixed HWP: fidelity drops as cos^2 of the accumulated frame rotation
         zero = C.calibrate_zero_point(J.IDEAL_MIRROR)
-        fids = C.verify_compensation(sso_pass, J.IDEAL_MIRROR,
-                                     zero_point_deg=zero, hwp_angles_deg=zero)
+        h = J.PolarizationState.h()
+        az = (sso_pass.azimuth_deg + 180.0) % 360.0 - 180.0
+        chain = C.compensated_chain(A.PointingDirection(az, sso_pass.elevation_deg),
+                                    sso_pass.beta_deg, zero, J.IDEAL_MIRROR)
+        fids = J.fidelity(chain.apply(h).normalized(), h)
         az_u = np.unwrap(sso_pass.azimuth_deg, period=360.0)
         delta = np.radians(az_u + sso_pass.elevation_deg + sso_pass.beta_deg)
         assert np.max(np.abs(fids - np.cos(delta) ** 2)) < 1e-9

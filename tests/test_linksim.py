@@ -282,6 +282,13 @@ class TestSimulation:
         with pytest.raises(ValueError, match=re.escape("[0, 2**64)")):
             L.estimate_chsh([(220, 210, 40, 35)] * 4, error_method="bootstrap", boot_seed=seed)
 
+    def test_poisson_mean_max_is_the_samplers_limit(self):
+        # the largest mean numpy's Poisson sampler draws from, to the last bit
+        rng = np.random.default_rng(0)
+        assert rng.poisson(L.POISSON_MEAN_MAX) >= 0
+        with pytest.raises(ValueError, match="^lam value too large$"):
+            rng.poisson(np.nextafter(L.POISSON_MEAN_MAX, np.inf))
+
     @pytest.mark.parametrize("element", [
         J.OpticalElement(1.0, 1.0, 0.0, 0.0),  # Frobenius norm^2 = 2, like a unitary
         J.polarizer(0.3),

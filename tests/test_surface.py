@@ -14,11 +14,6 @@ PACKAGE = ROOT / "src" / "polsim"
 # Names the paper's chain needs although nothing calls them yet; a member is
 # written `Class.member`.
 ALLOWED = {
-    # the < 7 degree paraboloid incidence that lets the antenna model treat the
-    # telescope mirrors as polarization-neutral
-    "max_incidence_angle",
-    # the paper's HWP-accuracy figure, the README's "quantization analysis"
-    "quantization_error",
     # the README lists polarizers in the Jones-calculus API
     "polarizer",
 }

@@ -346,8 +346,27 @@ substrate 1.52 0.0
         bad = "ambient 1.0 0.0\nsubstrate 1.5 0.0\n1.4 0.0 -5.0\n"
         with pytest.raises(tf.StackParseError):
             tf.parse_stack_text(bad)
+        with pytest.raises(ValueError, match="^layer 0: thickness must be positive, got 0.0$"):
+            tf.LayerStack(1.0, ((1.4, 0.0),), 1.5)
 
     def test_duplicate_header_rejected(self):
         bad = "ambient 1.0 0.0\nambient 1.0 0.0\nsubstrate 1.5 0.0\n"
         with pytest.raises(tf.StackParseError):
             tf.parse_stack_text(bad)
+
+    @pytest.mark.parametrize("text, line_no, message", [
+        ("ambient 1.0 0.0\nambient 1.0 0.0\nsubstrate 1.5 0.0\n", 2, "duplicate 'ambient' line"),
+        ("substrate 1.5 0.0\nambient 1.0 0.0\n1.4 0.0 9.0\nsubstrate 1.6 0.0\n", 4,
+         "duplicate 'substrate' line"),
+        ("substrate 1.5 0.0\n1.4 0.0 100.0\n", 0, "missing 'ambient' line"),
+        ("ambient 1.0 0.0\n1.4 0.0 100.0\n", 0, "missing 'substrate' line"),
+        ("# no header\n", 0, "missing 'ambient' line"),  # ambient is named first
+        ("ambient 1.0\nsubstrate 1.5 0.0\n", 1, "'ambient' needs 2 numbers, got 1"),
+        ("ambient 1.0 0.0\nsubstrate 1.5 0 0\n", 2, "'substrate' needs 2 numbers, got 3"),
+        ("ambient 1.0 0.0\n substrate nan 0 \n", 2,
+         "non-numeric or non-finite index in 'substrate nan 0'"),
+    ])
+    def test_header_error_message(self, text, line_no, message):
+        with pytest.raises(tf.StackParseError) as err:
+            tf.parse_stack_text(text)
+        assert (err.value.line_no, str(err.value)) == (line_no, f"line {line_no}: {message}")
