@@ -11,7 +11,13 @@ SHA-256 per output family:
   defaults, stdout and every file it writes (paths are masked);
 * thin film: `stack_response` and `stack_response_oracle` of the packaged and
   quarter-wave stacks on a 5-angle x 9-wavelength grid, ray by ray and as one
-  grid call.
+  grid call;
+* library: calls no subcommand makes at their defaults: `verify_compensation`
+  with `HR_COATING` on the packaged TLE's passes, `offset_scan` on a 21 x 5
+  grid, `calibrate_bell` and `expected_chsh` at the paper's point, 20 seeds of
+  `simulate_chsh_counts` through both `estimate_chsh` methods,
+  `solve_fiber_compensation` on seeded Haar channels and the layers of
+  `quarter_wave_stack()`.
 
 Run it on two trees and diff the output: a family whose digest moved has an
 output that moved, to the last bit.  It is a cross-commit tool, not a golden
@@ -34,7 +40,7 @@ SRC = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent
 sys.path.insert(0, str(SRC.resolve()))
 os.environ.pop("POLSIM_DATA_DIR", None)
 
-from polsim import cli, compensation, orbit, thinfilm, tle  # noqa: E402
+from polsim import antenna, cli, compensation, jones, linksim, orbit, thinfilm, tle  # noqa: E402
 
 DATA = SRC.resolve() / "polsim" / "data"
 SEEDS = (3, 5, 11, 29)
@@ -111,15 +117,51 @@ def thinfilm_family(digest):
                      np.asarray(r.r_p, dtype=complex).tobytes())
 
 
+def library_family(digest):
+    rec = tle.parse_tle((DATA / "sso_500km.tle").read_text(encoding="ascii"))
+    passes = orbit.extract_passes(rec, orbit.NGARI_STATION, rec.epoch_posix,
+                                  rec.epoch_posix + 7 * 86400.0, 10.0, 1.0)
+    for mirror in (antenna.HR_COATING, jones.IDEAL_MIRROR):
+        feed(digest, repr(compensation.calibrate_zero_point(mirror)))
+    for p in passes:
+        feed(digest, compensation.verify_compensation(p, antenna.HR_COATING).tobytes())
+    ground, sat = np.linspace(-5.0, 5.0, 21), (-2.0, -1.0, 0.0, 1.0, 2.0)
+    feed(digest, linksim.offset_scan(ground, sat, antenna.HR_COATING).tobytes())
+
+    source, channel, det = (linksim.SourceModel(0.9329, 1e6), linksim.ChannelModel(46.0),
+                            linksim.DetectionModel(integration_time_s=80.0))
+    feed(digest, repr(linksim.expected_chsh(source, channel, det)))
+    channel, det = linksim.calibrate_bell(source, channel, det, 2.312, 2138.0)
+    feed(digest, repr((channel, det)), repr(linksim.expected_chsh(source, channel, det)))
+    for seed in range(20):
+        counts = linksim.simulate_chsh_counts(source, channel, det, seed=seed)
+        feed(digest, repr(counts), linksim.counts_to_csv(counts))
+        for method in ("propagation", "bootstrap"):
+            feed(digest, linksim.estimate_chsh(counts, error_method=method).to_json())
+
+    # Haar-random channels as rotator @ retarder @ rotator (ZXZ Euler angles)
+    rng = np.random.default_rng([7, 3])
+    a, c = rng.uniform(0.0, math.pi, size=(2, 50))
+    d = np.arccos(rng.uniform(-1.0, 1.0, size=50))
+    retarder = jones.OpticalElement(1.0, 0.0, 0.0, np.exp(1j * d))
+    channels = jones.rotator(a) @ retarder @ jones.rotator(c)
+    feed(digest, *(np.asarray(x).tobytes() for x in jones.solve_fiber_compensation(channels)))
+    for k in range(5):
+        one = jones.OpticalElement(*(complex(np.asarray(m)[k]) for m in vars(channels).values()))
+        feed(digest, repr(jones.solve_fiber_compensation(one)))
+    feed(digest, repr(thinfilm.quarter_wave_stack().layers))
+
+
 def main():
     start = time.perf_counter()
     names = ("pass fields", "pass csv", "schedule", "coating", "per-map", "compensate",
-             "offset-scan", "bell", "thin film")
+             "offset-scan", "bell", "thin film", "library")
     families = {name: hashlib.sha256() for name in names}
     summary = pass_families(families)
     with tempfile.TemporaryDirectory() as work:
         cli_families(families, Path(work))
     thinfilm_family(families["thin film"])
+    library_family(families["library"])
     for name in names:
         print(f"{families[name].hexdigest()}  {name}")
     print(f"polsim from {SRC}; {summary}; {time.perf_counter() - start:.1f} s", file=sys.stderr)
