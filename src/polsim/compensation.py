@@ -9,8 +9,8 @@ about its axis (g -> 2 alpha - g), scheduling
 
 cancels the accumulated rotation exactly: the output angle is constant at
 2 * zero_point - g_in, whatever the pass geometry does.  The zero point is a
-per-installation calibration; the deployed system used 145.8 degrees, a
-simulated chain calibrates its own in closed form (`calibrate_zero_point`).
+per-installation calibration; the deployed system used 145.8 degrees, and a
+simulated chain's is 0 (`calibrate_zero_point`).
 Note the H/V basis is restored exactly while diagonal/circular components
 come back conjugated - a fixed, known flip absorbed by receiver calibration.
 
@@ -20,7 +20,6 @@ rates are always computed on the unwrapped series.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +35,6 @@ DEFAULT_ZERO_POINT_DEG = 145.8
 # this are flagged in the schedule metadata.
 DEFAULT_MAX_SLEW_DEG_PER_S = 5.0
 
-# The zero-point fidelity is a quadratic form in (cos 2z, sin 2z); below this
-# anisotropy, relative to its trace, every z is optimal.
-_ISOTROPIC_RTOL = 1e-13
-
 
 def _hwp_command(theta_deg, phi_deg, beta_deg, zero_point_deg, sign):
     """zero + sign*(theta+phi+beta)/2, before the mod-180 reduction."""
@@ -49,14 +44,13 @@ def _hwp_command(theta_deg, phi_deg, beta_deg, zero_point_deg, sign):
     return raw
 
 
-def compensation_angle(theta_deg, phi_deg, beta_deg, zero_point_deg=DEFAULT_ZERO_POINT_DEG,
-                       sign=1):
-    """Scheduled HWP angle zero + sign*(theta+phi+beta)/2, reduced to [0, 180).
+def compensation_angle(theta_deg, phi_deg, beta_deg, zero_point_deg=DEFAULT_ZERO_POINT_DEG):
+    """Scheduled HWP angle zero + (theta+phi+beta)/2, reduced to [0, 180).
 
-    Broadcasts over arrays.  `sign` flips the tracking sense for installations
-    whose mirror chain rotates the frame the other way; +1 is the deployed sense.
+    Broadcasts over arrays.  This is the deployed tracking sense;
+    `schedule_from_pass` also takes the opposite one.
     """
-    return _hwp_command(theta_deg, phi_deg, beta_deg, zero_point_deg, sign) % 180.0
+    return _hwp_command(theta_deg, phi_deg, beta_deg, zero_point_deg, 1) % 180.0
 
 
 @dataclass(frozen=True)
@@ -74,17 +68,14 @@ class CompensationSchedule:
     def to_csv(self):
         return write_table(SCHEDULE_FORMAT, (self.t_posix, self.angle_deg, self.rate_deg_per_s))
 
-    def metadata(self):
-        return {
+    def metadata_json(self):
+        return json_text({
             "zero_point_deg": self.zero_point_deg,
             "sign": self.sign,
             "max_rate_deg_per_s": self.max_rate_deg_per_s,
             "samples": int(len(self.t_posix)),
             "warnings": list(self.warnings),
-        }
-
-    def metadata_json(self):
-        return json_text(self.metadata())
+        })
 
 
 SCHEDULE_FORMAT = (("t_iso8601", posix_from_iso), ("hwp_deg", float), ("rate_deg_per_s", float))
@@ -109,6 +100,9 @@ def _unwrap_deg(series):
 def schedule_from_pass(pass_profile, zero_point_deg=DEFAULT_ZERO_POINT_DEG, sign=1,
                        max_slew_deg_per_s=DEFAULT_MAX_SLEW_DEG_PER_S):
     """Compensation schedule for a pass, with slew-rate bookkeeping.
+
+    `sign` -1 flips the tracking sense for installations whose mirror chain
+    rotates the frame the other way; +1 is the deployed sense.
 
     Azimuth and beta are unwrapped before the formula so the rate series sees
     no artificial 360-degree seams; the emitted angle is reduced mod 180
@@ -153,45 +147,29 @@ def compensated_chain(direction, beta_deg, hwp_angle_deg, coating):
     )
 
 
-def calibrate_zero_point(coating, state=None):
+def calibrate_zero_point(coating):
     """Simulated zero-point determination, mirroring the deployed procedure.
 
-    Sends `state` s (default H) through the chain at the reference direction
-    (azimuth 0, elevation 0, beta 0), hwp(z) @ D @ D, and returns the HWP
-    angle z that maximizes the fidelity of what comes back.  With v = D D s
-    normalized, <s|hwp(z)|v> = A cos 2z + B sin 2z for A = s0* v0 - s1* v1
-    and B = s0* v1 + s1* v0, so the fidelity is u^T M u in u = (cos 2z, sin 2z)
-    with M = [[|A|^2, Re(A* B)], [Re(A* B), |B|^2]], and its top eigenvector
-    gives 4z = atan2(2 Re(A* B), |A|^2 - |B|^2).
-
-    Turning a half-wave plate by 90 degrees only flips the global phase, so z
-    is returned in [0, 90) degrees; it is 0 when M is proportional to the
-    identity, where every z is optimal.
+    Sends H through the chain at the reference direction (azimuth 0,
+    elevation 0, beta 0), hwp(z) @ D @ D, and returns the HWP angle z in
+    [0, 90) degrees that maximizes the fidelity of what comes back (turning
+    a half-wave plate by 90 degrees only flips the global phase).  With
+    v = D D H normalized, <H|hwp(z)|v> = A cos 2z + B sin 2z for A = v0 and
+    B = v1, so the fidelity is maximal at 4z = atan2(2 Re(A* B), |A|^2 - |B|^2).
+    At the reference direction D D = diag(r_s^2, r_p^2), so v is H up to a
+    phase, B = 0 and z = 0 for every coating.
     """
-    s = PolarizationState.h() if state is None else state
-    if not s.is_normalized():
-        raise ValueError("calibration requires a normalized state")
-    v = scanning_head_jones(PointingDirection(0.0, 0.0), coating).apply(s).normalized()
-    a = np.conj(s.a_h) * v.a_h - np.conj(s.a_v) * v.a_v
-    b = np.conj(s.a_h) * v.a_v + np.conj(s.a_v) * v.a_h
-    diag, off = abs(a) ** 2 - abs(b) ** 2, 2.0 * (np.conj(a) * b).real
-    if math.hypot(diag, off) <= _ISOTROPIC_RTOL * (abs(a) ** 2 + abs(b) ** 2):
-        return 0.0
-    zero = math.degrees(0.25 * math.atan2(off, diag)) % 90.0
-    return zero if zero < 90.0 else 0.0
+    return 0.0
 
 
-def verify_compensation(pass_profile, coating, state=None, zero_point_deg=None, sign=1):
-    """End-to-end fidelity of the compensated chain at every pass sample.
+def verify_compensation(pass_profile, coating, zero_point_deg=0.0):
+    """End-to-end fidelity of H through the compensated chain at every pass sample.
 
     With ideal mirrors the cancellation is exact (fidelity 1 to rounding).
-    `zero_point_deg=None` calibrates the simulated chain's own zero point.
+    The default zero point is the simulated chain's own (`calibrate_zero_point`).
     """
-    if state is None:
-        state = PolarizationState.h()
-    if zero_point_deg is None:
-        zero_point_deg = calibrate_zero_point(coating, state)
-    hwp_angles_deg = schedule_from_pass(pass_profile, zero_point_deg, sign).angle_deg
+    state = PolarizationState.h()
+    hwp_angles_deg = schedule_from_pass(pass_profile, zero_point_deg).angle_deg
 
     az = (pass_profile.azimuth_deg + 180.0) % 360.0 - 180.0
     chain = compensated_chain(PointingDirection(az, pass_profile.elevation_deg),

@@ -35,6 +35,9 @@ PER_CAP = 1e9
 # Tolerance for "is this state normalized" input checks.
 _NORM_ATOL = 1e-6
 
+# Largest operator-norm residual the fiber-compensation solver may leave.
+FIBER_RESIDUAL_TOL = 1e-6
+
 
 class CompensationSolveError(RuntimeError):
     """Raised when the fiber-compensation solver cannot reach its residual."""
@@ -284,7 +287,7 @@ def _identity_residual(g):
     return np.sqrt((col0 + col1) / 2.0 + np.hypot((col0 - col1) / 2.0, overlap))
 
 
-def solve_fiber_compensation(channel, tol=1e-6):
+def solve_fiber_compensation(channel):
     """Angles (q1, h, q2) with qwp(q1) @ hwp(h) @ qwp(q2) @ channel ~ identity.
 
     Undoes a static unitary channel (fibers plus fixed mirrors) with the
@@ -293,7 +296,7 @@ def solve_fiber_compensation(channel, tol=1e-6):
     about an equatorial axis of the Poincare sphere, and the target splits into
     an Euler-like triple of them.  Array entries give arrays of angles, one
     channel three floats, each in [-pi/2, pi/2).  Raises CompensationSolveError
-    with the worst _identity_residual of gadget @ channel above `tol`.
+    with the worst _identity_residual of gadget @ channel above FIBER_RESIDUAL_TOL.
     """
     if not channel.is_unitary(atol=1e-9):
         raise ValueError("channel must be unitary within 1e-9")
@@ -314,6 +317,6 @@ def solve_fiber_compensation(channel, tol=1e-6):
 
     residual = _identity_residual(qwp(q1) @ hwp(h) @ qwp(q2) @ channel)
     worst = float(residual.max(initial=0.0))
-    if worst > tol:
+    if worst > FIBER_RESIDUAL_TOL:
         raise CompensationSolveError("fiber compensation solver did not converge", worst)
     return (q1, h, q2) if np.ndim(q1) else (float(q1), float(h), float(q2))

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .antenna import PointingDirection
-from .compensation import calibrate_zero_point, compensated_chain, compensation_angle
+from .compensation import compensated_chain, compensation_angle
 from .jones import OpticalElement, PolarizationState, fidelity, identity_element, rotator
 from .table import json_text, write_table
 
@@ -40,6 +40,10 @@ BELL_TEST_SETTINGS = (
     (math.pi / 4.0, math.pi / 8.0),
     (math.pi / 4.0, 3.0 * math.pi / 8.0),
 )
+
+# The bootstrap error draws this many Poisson resamples of the counts, from
+# Philox key (0, 2**32): a stream no simulation seed's (seed, k) can reach.
+BOOTSTRAP_RESAMPLES = 500
 
 # numpy's Poisson sampler refuses a mean above int64 max - 10 sqrt(int64 max)
 POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
@@ -108,18 +112,18 @@ def _philox_key(seed, stream):
 
 
 @functools.lru_cache(maxsize=32)
-def _analyzer_factor(settings, rotation):
-    """Read-only |a^T U b|^2 / 2, a row (pp, mm, pm, mp) per setting: no seed or link value."""
+def _analyzer_factor(rotation):
+    """Read-only |a^T U b|^2 / 2, a row (pp, mm, pm, mp) per Bell-test setting."""
     # amp[k, i, j]: setting k, satellite port i, ground port j (0 = axis, 1 = orthogonal)
     a, b = (np.array([[[math.cos(p), math.sin(p)], [-math.sin(p), math.cos(p)]] for p in phis])
-            for phis in zip(*settings))
+            for phis in zip(*BELL_TEST_SETTINGS))
     amp = np.abs(a @ rotation.matrix @ b.transpose(0, 2, 1)) ** 2 / 2.0
     amp = amp.reshape(-1, 4)[:, [0, 3, 1, 2]]  # (i, j) at 2i + j
     amp.flags.writeable = False
     return amp
 
 
-def _expected_counts(source, channel, det, settings):
+def _expected_counts(source, channel, det):
     """Expected (true + accidental) coincidence means, a row (pp, mm, pm, mp) per setting.
 
     The channel keeps the source a Werner state: with w = V (1 - p) and
@@ -128,7 +132,7 @@ def _expected_counts(source, channel, det, settings):
     the marginal I/2 whatever the analyzer port.
     """
     w = (4.0 * source.fidelity - 1.0) / 3.0 * (1.0 - channel.depolarization)
-    probs = w * _analyzer_factor(tuple(map(tuple, settings)), channel.rotation) + (1.0 - w) / 4.0
+    probs = w * _analyzer_factor(channel.rotation) + (1.0 - w) / 4.0
     rate, trans = source.pair_rate_hz, channel.transmission
     eta, t = det.efficiency, det.integration_time_s
     pair_rate = rate * trans * eta * eta
@@ -144,9 +148,10 @@ def _expected_counts(source, channel, det, settings):
     return pair_rate * probs * t + accidental
 
 
-def simulate_chsh_counts(source, channel, det, settings=BELL_TEST_SETTINGS, seed=0):
-    """Poisson (c_pp, c_mm, c_pm, c_mp) per setting; setting k draws from Philox (seed, k)."""
-    means = _expected_counts(source, channel, det, settings)
+def simulate_chsh_counts(source, channel, det, seed=0):
+    """Poisson (c_pp, c_mm, c_pm, c_mp) per Bell-test setting; setting k draws
+    from Philox (seed, k)."""
+    means = _expected_counts(source, channel, det)
     if means.max() > POISSON_MEAN_MAX:  # finite: _expected_counts checks for overflow
         raise ValueError(f"expected coincidence count {means.max():.6g} exceeds the Poisson "
                          f"sampler's limit {POISSON_MEAN_MAX:.6g}")
@@ -163,7 +168,6 @@ def simulate_chsh_counts(source, channel, det, settings=BELL_TEST_SETTINGS, seed
 
 @dataclass(frozen=True)
 class ChshResult:
-    settings: tuple  # four (phi1, phi2) pairs
     correlations: tuple  # four E values
     correlation_errors: tuple  # four sigma_E
     s_value: float
@@ -172,7 +176,7 @@ class ChshResult:
 
     def to_json(self, extra=None):
         return json_text({
-            "settings_rad": [list(s) for s in self.settings],
+            "settings_rad": [list(s) for s in BELL_TEST_SETTINGS],
             "E": list(self.correlations),
             "sigma_E": list(self.correlation_errors),
             "S": self.s_value,
@@ -198,9 +202,8 @@ def _correlation_from_counts(quad):
     return e, math.sqrt(var), n
 
 
-def estimate_chsh(counts, settings=BELL_TEST_SETTINGS, error_method="propagation",
-                  n_boot=500, boot_seed=0):
-    """CHSH estimate from four coincidence quadruples.
+def estimate_chsh(counts, error_method="propagation"):
+    """CHSH estimate from the four Bell-test settings' coincidence quadruples.
 
     Errors come from first-order Poisson propagation by default; the
     `bootstrap` method resamples every count as Poisson(C) instead, which
@@ -217,10 +220,9 @@ def estimate_chsh(counts, settings=BELL_TEST_SETTINGS, error_method="propagation
         e_errs = [p[1] for p in per_setting]
         s_err = math.sqrt(sum(err**2 for err in e_errs))
     elif error_method == "bootstrap":
-        if n_boot < 2:
-            raise ValueError(f"bootstrap needs n_boot >= 2 resamples, got {n_boot!r}")
-        rng = np.random.Generator(np.random.Philox(key=_philox_key(boot_seed, 2**32)))
-        resampled = rng.poisson(np.asarray(counts, dtype=float), size=(n_boot, 4, 4))
+        rng = np.random.Generator(np.random.Philox(key=_philox_key(0, 2**32)))
+        resampled = rng.poisson(np.asarray(counts, dtype=float),
+                                size=(BOOTSTRAP_RESAMPLES, 4, 4))
         same = resampled[..., 0] + resampled[..., 1]
         cross = resampled[..., 2] + resampled[..., 3]
         n = same + cross
@@ -232,7 +234,6 @@ def estimate_chsh(counts, settings=BELL_TEST_SETTINGS, error_method="propagation
         raise ValueError(f"unknown error method {error_method!r}")
 
     return ChshResult(
-        settings=tuple(tuple(s) for s in settings),
         correlations=tuple(e_vals),
         correlation_errors=tuple(float(x) for x in e_errs),
         s_value=float(s_value),
@@ -241,14 +242,13 @@ def estimate_chsh(counts, settings=BELL_TEST_SETTINGS, error_method="propagation
     )
 
 
-def expected_chsh(source, channel, det, settings=BELL_TEST_SETTINGS):
+def expected_chsh(source, channel, det):
     """S and total coincidences of the full count model, evaluated on means."""
-    result = estimate_chsh(_expected_counts(source, channel, det, settings), settings)
+    result = estimate_chsh(_expected_counts(source, channel, det))
     return result.s_value, result.total_coincidences
 
 
-def calibrate_bell(source, channel, det, s_target, total_target,
-                   settings=BELL_TEST_SETTINGS):
+def calibrate_bell(source, channel, det, s_target, total_target):
     """Solve for channel depolarization and integration time.
 
     Sets the effective visibility (via the channel depolarization knob) that
@@ -261,15 +261,15 @@ def calibrate_bell(source, channel, det, s_target, total_target,
     Raises ValueError when the calibrated model misses either target by more
     than 1e-9 relative.
     """
-    s_max, _ = expected_chsh(source, replace(channel, depolarization=0.0), det, settings)
+    s_max, _ = expected_chsh(source, replace(channel, depolarization=0.0), det)
     if s_target > s_max:
         raise ValueError(f"target S {s_target} above the model's reach {s_max:.4f}")
     depol = 1.0 - s_target / s_max if s_max > 0.0 else 0.0
     channel = replace(channel, depolarization=depol)
 
-    _, total_now = expected_chsh(source, channel, det, settings)
+    _, total_now = expected_chsh(source, channel, det)
     det = replace(det, integration_time_s=det.integration_time_s * total_target / total_now)
-    s_got, total_got = expected_chsh(source, channel, det, settings)
+    s_got, total_got = expected_chsh(source, channel, det)
     # subnormal counts lose the digits the two scalings need
     if not (abs(s_got - s_target) <= 1e-9 * s_target
             and abs(total_got - total_target) <= 1e-9 * total_target):
@@ -285,17 +285,16 @@ COUNTS_FORMAT = (("setting_phi1_rad", float), ("setting_phi2_rad", float), ("c_p
                  ("c_mm", float), ("c_pm", float), ("c_mp", float))
 
 
-def counts_to_csv(counts, settings=BELL_TEST_SETTINGS):
-    return write_table(COUNTS_FORMAT, (*zip(*settings), *zip(*counts)))
+def counts_to_csv(counts):
+    return write_table(COUNTS_FORMAT, (*zip(*BELL_TEST_SETTINGS), *zip(*counts)))
 
 
 # --- offset-angle fidelity scan ---------------------------------------------
 
 
-def offset_scan(ground_offsets_deg, sat_offsets_deg, coating, state=None,
-                azimuth_deg=30.0, elevation_deg=50.0, beta_deg=0.0,
-                zero_point_deg=None, sign=1):
-    """Compensated-uplink fidelity over (ground, satellite) offset angles.
+def offset_scan(ground_offsets_deg, sat_offsets_deg, coating, azimuth_deg=30.0,
+                elevation_deg=50.0, beta_deg=0.0, zero_point_deg=0.0):
+    """Compensated-uplink fidelity of H over (ground, satellite) offset angles.
 
     The ground offset is added to the scheduled HWP angle; through the HWP's
     factor-of-two lever a ground offset g and satellite analyzer-frame offset
@@ -304,13 +303,9 @@ def offset_scan(ground_offsets_deg, sat_offsets_deg, coating, state=None,
     """
     if len(ground_offsets_deg) == 0 or len(sat_offsets_deg) == 0:
         raise ValueError("offset grids must be non-empty")
-    if state is None:
-        state = PolarizationState.h()
-    if zero_point_deg is None:
-        zero_point_deg = calibrate_zero_point(coating, state)
-
+    state = PolarizationState.h()
     direction = PointingDirection(azimuth_deg, elevation_deg)
-    alpha = compensation_angle(azimuth_deg, elevation_deg, beta_deg, zero_point_deg, sign)
+    alpha = compensation_angle(azimuth_deg, elevation_deg, beta_deg, zero_point_deg)
     ground = alpha + np.asarray(ground_offsets_deg, dtype=float)[:, None]
     out = compensated_chain(direction, beta_deg, ground, coating).apply(state).normalized()
     received = rotator(np.radians(np.asarray(sat_offsets_deg, dtype=float))).apply(out)

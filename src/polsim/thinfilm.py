@@ -186,28 +186,17 @@ def stack_response_oracle(stack, ray):
     return MirrorResponse(out[0], out[1])
 
 
-def quarter_wave_stack(
-    n_high=2.10,
-    n_low=1.45,
-    pairs=25,
-    wavelength_nm=780.0,
-    design_angle=math.radians(45.0),
-    n_ambient=1.0,
-    n_substrate=1.52,
-):
-    """Alternating high/low stack, each layer a quarter wave at the design angle.
+def quarter_wave_stack():
+    """Alternating high/low stack, each layer a quarter wave at 45 degrees / 780 nm.
 
     Layer thickness is lambda / (4 n cos t) with t the internal angle, so the
     stopband of both polarizations is centered on the design wavelength at the
-    design incidence.  The default 25 pairs (50 layers) of Ta2O5/SiO2-class
-    indices stands in for a commercial high reflector at 45 degrees / 780 nm.
+    design incidence.  25 pairs (50 layers) of Ta2O5/SiO2-class indices 2.10
+    and 1.45 in air on glass (1.52) stand in for a commercial high reflector.
     """
-    layers = []
-    for _ in range(pairs):
-        for n in (n_high, n_low):
-            c = _cos_refracted(n_ambient, n, design_angle).real
-            layers.append((n, wavelength_nm / (4.0 * n * c)))
-    return LayerStack(n_ambient, tuple(layers), n_substrate)
+    pair = tuple((n, 780.0 / (4.0 * n * _cos_refracted(1.0, n, math.radians(45.0)).real))
+                 for n in (2.10, 1.45))
+    return LayerStack(1.0, pair * 25, 1.52)
 
 
 # --- stack description files ------------------------------------------------

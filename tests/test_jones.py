@@ -276,6 +276,13 @@ class TestFiberCompensation:
             out = combo.apply(state).normalized()
             assert J.fidelity(out, state) >= 1.0 - 1e-9
 
+    def test_plate_angles_at_the_wrap_boundary(self):
+        # hwp(pi/4) gives raw angles of exactly +pi/2, which the wrap turns to
+        # -pi/2; diag(i, -i) gives a raw h of exactly -pi/2, which it keeps
+        half = math.pi / 2
+        assert J.solve_fiber_compensation(J.hwp(math.pi / 4)) == (-half, math.pi / 4, -half)
+        assert J.solve_fiber_compensation(J.OpticalElement(1j, 0, 0, -1j))[1] == -half
+
     def test_hundred_random_unitaries(self, rng):
         for _ in range(100):
             channel = J.OpticalElement(*haar_unitary(rng).ravel())
@@ -311,13 +318,14 @@ class TestFiberCompensation:
         with pytest.raises(ValueError, match="unitary"):
             J.solve_fiber_compensation(self.batch(units))
 
-    def test_unmet_tolerance_reports_worst_residual(self, rng):
+    def test_unmet_tolerance_reports_worst_residual(self, rng, monkeypatch):
         channels = self.batch(np.array([haar_unitary(rng) for _ in range(50)]))
         angles = J.solve_fiber_compensation(channels)
         oracle = phase_aligned_residual((self.gadget(angles) @ channels).matrix)
         assert oracle.max() > 0.0
+        monkeypatch.setattr(J, "FIBER_RESIDUAL_TOL", 0.0)
         with pytest.raises(J.CompensationSolveError) as err:
-            J.solve_fiber_compensation(channels, tol=0.0)
+            J.solve_fiber_compensation(channels)
         assert err.value.residual == pytest.approx(oracle.max(), rel=1e-12, abs=0.0)
 
     @settings(max_examples=300)

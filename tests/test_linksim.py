@@ -18,9 +18,6 @@ from reference import (TwoQubitState, chsh_analytic, correlation, density_matrix
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 ANGLES = st.floats(-math.pi, math.pi)
-SETTINGS = st.lists(st.tuples(ANGLES, ANGLES), min_size=1, max_size=6).map(tuple)
-# the same settings as a tuple of tuples or as a list of lists
-SETTING_FORMS = SETTINGS.flatmap(lambda s: st.sampled_from([s, [list(pair) for pair in s]]))
 ROTATIONS = st.one_of(
     st.just(J.identity_element()),
     ANGLES.map(J.rotator),
@@ -153,11 +150,12 @@ class TestChshAnalytic:
 class TestSimulation:
     def test_perfect_correlations(self):
         src = L.SourceModel(1.0, 1e6)
-        ch = L.ChannelModel(0.0)
+        # turning the uplink photon by -pi/8 aligns setting 0's analyzers (0, pi/8)
+        ch = L.ChannelModel(0.0, rotation=J.rotator(-math.pi / 8))
         # negligible window so the singles-accidental floor stays at zero
         det = L.DetectionModel(efficiency=1.0, dark_rate_hz=0.0,
                                coincidence_window_s=1e-15, integration_time_s=1.0)
-        c_pp, c_mm, c_pm, c_mp = L.simulate_chsh_counts(src, ch, det, ((0.0, 0.0),), seed=3)[0]
+        c_pp, c_mm, c_pm, c_mp = L.simulate_chsh_counts(src, ch, det, seed=3)[0]
         total = c_pp + c_mm
         assert abs(total - 1e6) < 5.0 * math.sqrt(1e6)
         assert c_pm + c_mp <= 5  # 5-sigma of a ~zero-mean Poisson
@@ -167,7 +165,7 @@ class TestSimulation:
         src = L.SourceModel(1.0, 1e6)
         det = L.DetectionModel(efficiency=1.0, dark_rate_hz=0.0,
                                coincidence_window_s=1e-15, integration_time_s=100.0)
-        counts = L.simulate_chsh_counts(src, L.ChannelModel(46.0), det, ((0.0, 0.0),), seed=4)[0]
+        counts = L.simulate_chsh_counts(src, L.ChannelModel(46.0), det, seed=4)[0]
         expected = 1e6 * 10.0 ** (-4.6) * 100.0
         assert abs(sum(counts) - expected) < 5.0 * math.sqrt(expected)
 
@@ -176,8 +174,8 @@ class TestSimulation:
         src = L.SourceModel(1.0, 1e8)
         det = L.DetectionModel(efficiency=1.0, dark_rate_hz=0.0,
                                coincidence_window_s=1e-15, integration_time_s=100.0)
-        n20 = sum(L.simulate_chsh_counts(src, L.ChannelModel(20.0), det, ((0.0, 0.0),), seed=5)[0])
-        n40 = sum(L.simulate_chsh_counts(src, L.ChannelModel(40.0), det, ((0.0, 0.0),), seed=6)[0])
+        n20 = sum(L.simulate_chsh_counts(src, L.ChannelModel(20.0), det, seed=5)[0])
+        n40 = sum(L.simulate_chsh_counts(src, L.ChannelModel(40.0), det, seed=6)[0])
         expected40 = 1e8 * 1e-4 * 100.0
         assert abs(n40 - expected40) < 5.0 * math.sqrt(expected40)
         assert abs(n20 - expected40 * 100.0) < 5.0 * math.sqrt(expected40 * 100.0)
@@ -188,7 +186,7 @@ class TestSimulation:
         ch = L.ChannelModel(0.0)
         det = L.DetectionModel(efficiency=1.0, dark_rate_hz=1000.0,
                                coincidence_window_s=1e-6, integration_time_s=100.0)
-        counts = L.simulate_chsh_counts(src, ch, det, ((0.0, 0.0),), seed=7)[0]
+        counts = L.simulate_chsh_counts(src, ch, det, seed=7)[0]
         mean = 1000.0**2 * 1e-6 * 100.0
         for c in counts:
             assert abs(c - mean) < 5.0 * math.sqrt(mean)
@@ -204,83 +202,77 @@ class TestSimulation:
         assert a != c
 
     def test_channel_rotation_applied_to_uplink_photon(self):
-        # rotating photon 1 by pi/4 kills the (0, 0) correlation of Phi+ and
-        # moves the perfect correlation to a satellite analyzer at pi/4
+        # rotating photon 1 by r gives E = cos 2(phi2 + r - phi1) on the settings
+        # (0, pi/8), (0, 3pi/8), (pi/4, pi/8), (pi/4, 3pi/8): r = -pi/8 moves the
+        # perfect correlation onto the first and last, r = +pi/8 onto the middle two
         src = L.SourceModel(1.0, 1e6)
-        ch = L.ChannelModel(0.0, rotation=J.rotator(math.pi / 4))
         # a window this short leaves the accidentals below 1e-12 of the true counts
         det = L.DetectionModel(efficiency=1.0, dark_rate_hz=0.0,
                                coincidence_window_s=1e-24, integration_time_s=1.0)
-
-        means = L._expected_counts(src, ch, det, ((0.0, 0.0), (math.pi / 4, 0.0),
-                                                  (0.0, math.pi / 4)))
-        e = [L._correlation_from_counts(row)[0] for row in means]
-        assert e[0] == pytest.approx(0.0, abs=1e-12)
-        assert e[1] == pytest.approx(1.0, abs=1e-12)
-        # E = cos 2(phi2 + pi/4 - phi1): turning the ground analyzer goes the other way
-        assert e[2] == pytest.approx(-1.0, abs=1e-12)
+        for turn, want in ((-math.pi / 8, (1.0, 0.0, 0.0, 1.0)),
+                           (math.pi / 8, (0.0, -1.0, 1.0, 0.0))):
+            means = L._expected_counts(src, L.ChannelModel(0.0, J.rotator(turn)), det)
+            e = [L._correlation_from_counts(row)[0] for row in means]
+            assert e == pytest.approx(want, abs=1e-12)
 
     @settings(max_examples=200, deadline=None)
-    @given(MODELS, SETTINGS)
-    def test_closed_form_matches_density_matrix(self, models, settings_):
-        got = L._expected_counts(*models, settings_)
-        assert got.shape == (len(settings_), 4)
-        for row, (phi1, phi2) in zip(got, settings_):
+    @given(MODELS)
+    def test_closed_form_matches_density_matrix(self, models):
+        got = L._expected_counts(*models)
+        assert got.shape == (4, 4)
+        for row, (phi1, phi2) in zip(got, L.BELL_TEST_SETTINGS):
             want = density_matrix_counts(*models, phi1, phi2)
             # a port pair with zero probability carries only the reference's rounding
             # noise, so the absolute floor is relative to the setting's largest mean
             np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-12 * want.max())
 
     @settings(max_examples=100, deadline=None)
-    @given(MODELS, SETTINGS, st.sampled_from([0, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1))
-    def test_streams_match_fresh_philox_per_setting(self, models, settings_, seed):
+    @given(MODELS, st.sampled_from([0, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1))
+    def test_streams_match_fresh_philox_per_setting(self, models, seed):
         # one re-keyed generator and scalar draws give what a fresh
         # Philox(key=[seed, k]) gives on setting k's own means
-        got = L.simulate_chsh_counts(*models, settings_, seed=seed)
-        assert got == fresh_philox_counts(*models, settings_, seed)
+        got = L.simulate_chsh_counts(*models, seed=seed)
+        assert got == fresh_philox_counts(*models, L.BELL_TEST_SETTINGS, seed)
         assert all(type(c) is int for quad in got for c in quad)
 
     @settings(max_examples=100, deadline=None)
-    @given(MODELS, SETTING_FORMS, ROTATIONS, SETTING_FORMS, ROTATIONS)
-    def test_means_match_frozen_expression(self, models, settings_a, rot_a, settings_b, rot_b):
+    @given(MODELS, ROTATIONS, ROTATIONS)
+    def test_means_match_frozen_expression(self, models, rot_a, rot_b):
         src, ch, det = models
         # A, B, A: a stale or mis-keyed factor from the cache hands B's to A
-        a, b = (settings_a, replace(ch, rotation=rot_a)), (settings_b, replace(ch, rotation=rot_b))
-        for settings_, channel in (a, b, a):
-            got = L._expected_counts(src, channel, det, settings_)
-            assert np.array_equal(got, frozen_expected_counts(src, channel, det, settings_))
+        a, b = replace(ch, rotation=rot_a), replace(ch, rotation=rot_b)
+        for channel in (a, b, a):
+            got = L._expected_counts(src, channel, det)
+            assert np.array_equal(got, frozen_expected_counts(src, channel, det,
+                                                              L.BELL_TEST_SETTINGS))
 
     def test_interleaved_points_keep_their_means(self):
         src, det = L.SourceModel(0.9329, 1e6), L.DetectionModel()
-        turned = L.BELL_TEST_SETTINGS[1:] + L.BELL_TEST_SETTINGS[:1]
-        points = [(L.BELL_TEST_SETTINGS, L.ChannelModel(46.0)),
-                  (turned, L.ChannelModel(44.0, J.rotator(0.3))),
-                  (L.BELL_TEST_SETTINGS, L.ChannelModel(46.0, J.rotator(0.3))),
-                  (turned, L.ChannelModel(46.0))]
-        for settings_, channel in points + points[::-1] + points:
-            got = L._expected_counts(src, channel, det, settings_)
-            assert np.array_equal(got, frozen_expected_counts(src, channel, det, settings_))
+        points = [L.ChannelModel(46.0), L.ChannelModel(44.0, J.rotator(0.3)),
+                  L.ChannelModel(46.0, J.rotator(0.3)), L.ChannelModel(44.0)]
+        for channel in points + points[::-1] + points:
+            got = L._expected_counts(src, channel, det)
+            assert np.array_equal(got, frozen_expected_counts(src, channel, det,
+                                                              L.BELL_TEST_SETTINGS))
 
     def test_cached_factor_read_only_and_means_fresh(self):
         src, ch, det = L.SourceModel(0.9329, 1e6), L.ChannelModel(46.0), L.DetectionModel()
-        factor = L._analyzer_factor(L.BELL_TEST_SETTINGS, ch.rotation)
+        factor = L._analyzer_factor(ch.rotation)
         assert not factor.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             factor[0, 0] = 1.0
-        means = L._expected_counts(src, ch, det, [list(s) for s in L.BELL_TEST_SETTINGS])
+        means = L._expected_counts(src, ch, det)
         assert means.flags.writeable and not np.shares_memory(means, factor)
         means[:] = -1.0  # a caller's edit reaches neither the cache nor the next call
-        again = L._expected_counts(src, ch, det, L.BELL_TEST_SETTINGS)
+        again = L._expected_counts(src, ch, det)
         assert np.array_equal(again, frozen_expected_counts(src, ch, det, L.BELL_TEST_SETTINGS))
-        assert L._analyzer_factor(L.BELL_TEST_SETTINGS, ch.rotation) is factor
+        assert L._analyzer_factor(ch.rotation) is factor
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_key_range_rejected(self, seed):
         model = (L.SourceModel(0.9329, 1e6), L.ChannelModel(46.0), L.DetectionModel())
         with pytest.raises(ValueError, match=re.escape("[0, 2**64)")):
             L.simulate_chsh_counts(*model, seed=seed)
-        with pytest.raises(ValueError, match=re.escape("[0, 2**64)")):
-            L.estimate_chsh([(220, 210, 40, 35)] * 4, error_method="bootstrap", boot_seed=seed)
 
     def test_poisson_mean_max_is_the_samplers_limit(self):
         # the largest mean numpy's Poisson sampler draws from, to the last bit
@@ -344,29 +336,21 @@ class TestEstimator:
     def test_bootstrap_agrees_with_propagation(self):
         counts = [(220, 210, 40, 35), (30, 45, 200, 215), (205, 220, 45, 30), (210, 200, 35, 45)]
         prop = L.estimate_chsh(counts)
-        boot = L.estimate_chsh(counts, error_method="bootstrap", n_boot=4000, boot_seed=1)
+        boot = L.estimate_chsh(counts, error_method="bootstrap")
         assert boot.s_value == prop.s_value
         assert boot.s_error == pytest.approx(prop.s_error, rel=0.15)
 
-    @pytest.mark.parametrize("counts, n_boot, boot_seed", [
-        ([(220, 210, 40, 35), (30, 45, 200, 215), (205, 220, 45, 30), (210, 200, 35, 45)], 500, 0),
-        ([(220, 210, 40, 35), (30, 45, 200, 215), (205, 220, 45, 30), (210, 200, 35, 45)], 64, 7),
-        ([(1, 0, 0, 0), (0, 1, 0, 0), (2, 0, 1, 0), (0, 0, 0, 1)], 500, 3),
+    @pytest.mark.parametrize("counts", [
+        [(220, 210, 40, 35), (30, 45, 200, 215), (205, 220, 45, 30), (210, 200, 35, 45)],
+        [(1, 0, 0, 0), (0, 1, 0, 0), (2, 0, 1, 0), (0, 0, 0, 1)],
     ])
-    def test_bootstrap_matches_resample_loop(self, counts, n_boot, boot_seed):
-        e_errs, s_err, empty = bootstrap_loop(counts, n_boot, boot_seed)
-        result = L.estimate_chsh(counts, error_method="bootstrap", n_boot=n_boot,
-                                 boot_seed=boot_seed)
+    def test_bootstrap_matches_resample_loop(self, counts):
+        e_errs, s_err, empty = bootstrap_loop(counts, 500, 0)
+        result = L.estimate_chsh(counts, error_method="bootstrap")
         assert result.correlation_errors == e_errs
         assert result.s_error == s_err
         if min(sum(q) for q in counts) <= 2:
             assert empty > 0  # resamples with no coincidence at a setting did occur
-
-    @pytest.mark.parametrize("n_boot", [0, 1])
-    def test_bootstrap_needs_two_resamples(self, n_boot):
-        counts = [(220, 210, 40, 35), (30, 45, 200, 215), (205, 220, 45, 30), (210, 200, 35, 45)]
-        with pytest.raises(ValueError, match="n_boot"):
-            L.estimate_chsh(counts, error_method="bootstrap", n_boot=n_boot)
 
     def test_zero_total_raises(self):
         with pytest.raises(L.EstimationError):
