@@ -34,9 +34,11 @@ from .jones import (
 )
 from .table import write_table
 
-# Coating response of the scanning-head plane mirrors at 780 nm, built from
-# the vendor-measured power reflectances and s/p phase gap.
-HR_COATING = MirrorResponse.from_powers(0.999908, 0.998168, 0.9996 * math.pi)
+# Vendor-measured power reflectances |r_s|^2 and |r_p|^2 and s/p phase gap (in
+# units of pi) of the scanning-head plane mirrors at 780 nm, and the coating
+# response built from them.  The CLI's mirror keys default to these numbers.
+_MEASURED = (0.999908, 0.998168, 0.9996)
+HR_COATING = MirrorResponse.from_powers(_MEASURED[0], _MEASURED[1], _MEASURED[2] * math.pi)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,12 @@ One subcommand per reproducible experiment:
     polsim bell         Monte Carlo CHSH run -> counts CSV + result JSON
 
 Commands read a flat key-value config file (`key value` per line, '#'
-comments); every physical key carries its unit as a suffix, all config angles
-are degrees, and the CLI is the only place degrees are converted to the
-radians the library modules speak.  Outputs are deterministic for a given
-config and seed.
+comments); every physical key carries its unit as a suffix and all config
+angles are degrees.  Library angles named `*_deg` are degrees too: pointing
+directions, pass profiles, HWP schedules and compensation checks, the offset
+scan and ground stations take them as they are.  The Jones-calculus functions
+and thin-film rays take radians, and the CLI converts for them.  Outputs are
+deterministic for a given config and seed.
 
 Exit codes: 0 success, 1 usage/config error, 2 input parse error,
 3 numeric/estimation failure.
@@ -144,11 +146,6 @@ def _load(parse, path, what):
         raise CliFailure(EXIT_PARSE, f"{what} {path}: {exc}") from None
 
 
-def _coating_from_config(cfg):
-    return _checked(cfg, lambda rs, rp, gap: MirrorResponse.from_powers(rs, rp, gap * math.pi),
-                    *(key for key, _, _ in MIRROR_KEYS))
-
-
 def _write(out_dir, name, text):
     path = Path(out_dir) / name
     try:
@@ -187,16 +184,18 @@ def cmd_coating(cfg, args):
 _STATES_BY_LABEL = dict(antenna.DEFAULT_SCAN_STATES)
 
 
-def cmd_per_map(cfg, args):
-    coating = _coating_from_config(cfg)
+def _scan_states(labels):
     try:
-        states = tuple((lab, _STATES_BY_LABEL[lab]) for lab in cfg["states"].split(","))
+        return tuple((lab, _STATES_BY_LABEL[lab]) for lab in labels.split(","))
     except KeyError as exc:
-        raise ConfigError(f"unknown state label {exc.args[0]!r} (known: H, V, +, -)")
+        raise ValueError(f"unknown state label {exc.args[0]!r} (known: H, V, +, -)") from None
 
-    scan = _checked(cfg, lambda el, az, cap: antenna.antenna_per_scan(
-        antenna.DESIGN_GEOMETRY, coating, el, az, states, cap=cap),
-        "elevations_deg", "azimuths_deg", "per_cap")
+
+def cmd_per_map(cfg, args):
+    scan = _checked(cfg, lambda rs, rp, gap, labels, el, az, cap: antenna.antenna_per_scan(
+        antenna.DESIGN_GEOMETRY, MirrorResponse.from_powers(rs, rp, gap * math.pi), el, az,
+        _scan_states(labels), cap=cap),
+        *_MIRROR_NAMES, "states", "elevations_deg", "azimuths_deg", "per_cap")
     path = _write(args.out, "per_map.csv", scan.to_csv())
     print(f"wrote {path}")
     print(f"cells {len(scan.rows)}")
@@ -244,10 +243,11 @@ def cmd_compensate(cfg, args):
 
 def cmd_offset_scan(cfg, args):
     ground, sat = cfg["ground_offsets_deg"], cfg["sat_offsets_deg"]
-    coating = _coating_from_config(cfg)
-    grid = _checked(cfg, lambda g, s, az, el, beta: linksim.offset_scan(
-        g, s, coating, azimuth_deg=az, elevation_deg=el, beta_deg=beta),
-        "ground_offsets_deg", "sat_offsets_deg", "azimuth_deg", "elevation_deg", "beta_deg")
+    grid = _checked(cfg, lambda rs, rp, gap, g, s, az, el, beta: linksim.offset_scan(
+        g, s, MirrorResponse.from_powers(rs, rp, gap * math.pi), azimuth_deg=az,
+        elevation_deg=el, beta_deg=beta),
+        *_MIRROR_NAMES, "ground_offsets_deg", "sat_offsets_deg", "azimuth_deg", "elevation_deg",
+        "beta_deg")
     path = _write(args.out, "offset_scan.csv", linksim.offset_scan_csv(ground, sat, grid))
     i, j = np.unravel_index(np.argmax(grid), grid.shape)
     print(f"wrote {path}")
@@ -310,8 +310,8 @@ def cmd_bell(cfg, args):
 # --- entry point ----------------------------------------------------------------
 
 
-MIRROR_KEYS = (("mirror_rs_power", 0.999908, _finite), ("mirror_rp_power", 0.998168, _finite),
-               ("mirror_phase_gap_pi", 0.9996, _finite))
+_MIRROR_NAMES = ("mirror_rs_power", "mirror_rp_power", "mirror_phase_gap_pi")
+MIRROR_KEYS = tuple((key, value, _finite) for key, value in zip(_MIRROR_NAMES, antenna._MEASURED))
 
 # Each subcommand's run function, help text and config schema: its keys in
 # read order, each with its default (None: unset, or the packaged file) and

@@ -1,18 +1,21 @@
 """Two-line element set parsing and formatting.
 
 Lines are exactly 69 characters; the final digit is a mod-10 checksum of the
-digits (plus one per '-') in the first 68 columns.  Orbital fields on line 2
-are fixed-column fixed-precision decimals and are re-rendered canonically by
-`format_tle`; the parser rejects records whose fields are not already in that
-canonical layout, which is what makes parse -> format byte-identical.  The
-three implied-decimal drag fields on line 1 admit several encodings of the
-same value and a two-body model reads none of them, so they are checked for
-shape and kept as their raw column content.
+digits (plus one per '-') in the first 68 columns.  `_LAYOUT` is the one
+description of the columns: `parse_tle` reads each field from it and
+`format_tle` writes each field into it.  Numeric fields are fixed-column
+fixed-precision decimals; the parser rejects records whose fields are not
+already in the canonical form `format_tle` writes, which is what makes
+parse -> format byte-identical.  The three implied-decimal drag fields on
+line 1 admit several encodings of the same value and a two-body model reads
+none of them, so they are checked for shape and kept as their raw column
+content.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
@@ -43,14 +46,14 @@ def line_checksum(line):
 @dataclass(frozen=True)
 class TleRecord:
     name: str | None
-    satellite_number: str  # 5-column field kept verbatim
+    satellite_number: str  # kept verbatim
     classification: str
-    intl_designator: str  # 8-column field kept verbatim
+    intl_designator: str  # kept verbatim
     epoch_year: int  # full 4-digit year
     epoch_day: float  # fractional day of year, 1-based
-    ndot_raw: str  # columns 34-43 verbatim (dn/dt / 2, rev/day^2)
-    nddot_raw: str  # columns 45-52 verbatim (implied decimal)
-    bstar_raw: str  # columns 54-61 verbatim (implied decimal)
+    ndot_raw: str  # dn/dt / 2 (rev/day^2), verbatim
+    nddot_raw: str  # d2n/dt2 / 6, verbatim (implied decimal)
+    bstar_raw: str  # B* drag term, verbatim (implied decimal)
     ephemeris_type: str
     element_set_number: int
     inclination_deg: float
@@ -73,33 +76,33 @@ class TleRecord:
         return self.epoch.timestamp()
 
 
-def _field(line_no, line, start, stop, parse, spec, what):
-    """Columns start+1..stop of `line` read by `parse` (int or float), which
-    must be finite and written exactly as format spec `spec` renders it."""
-    text = line[start:stop]
-    try:
-        value = parse(text)
-    except ValueError:
-        raise TleParseError(line_no, start + 1, f"non-numeric {what}: {text!r}") from None
-    if not math.isfinite(value):
-        raise TleParseError(line_no, start + 1, f"non-finite {what}: {text!r}")
-    canonical = format(value, spec)
-    if text != canonical:
-        raise TleParseError(line_no, start + 1,
-                            f"non-canonical {what}: {text!r} (canonical form is {canonical!r})")
-    return value
+_DRAG = re.compile(r"[ +-]\d{5}[+-]\d")  # implied decimal point and exponent: " 12345-4"
 
-
-def _check_implied_exponent(line_no, start, field, what):
-    ok = (
-        len(field) == 8
-        and field[0] in " +-"
-        and field[1:6].isdigit()
-        and field[6] in "+-"
-        and field[7].isdigit()
-    )
-    if not ok:
-        raise TleParseError(line_no, start + 1, f"malformed {what} field: {field!r}")
+# Every field of the two lines in column order: line, first and last column
+# (1-based, inclusive), TleRecord field, format and the name in error messages.
+# A format string is the spec a number is written in (an int for "d", else a
+# float), a pattern is the shape of a drag field, and None keeps text verbatim.
+# Each line starts with its number and a space and ends in the checksum.
+_LAYOUT = (
+    (1, 3, 7, "satellite_number", None, "satellite number"),
+    (1, 8, 8, "classification", None, "classification"),
+    (1, 10, 17, "intl_designator", None, "international designator"),
+    (1, 19, 20, "epoch_year", "02d", "epoch year"),
+    (1, 21, 32, "epoch_day", "012.8f", "epoch day"),
+    (1, 34, 43, "ndot_raw", re.compile(r"[ +-]\.\d{8}"), "mean-motion-derivative"),
+    (1, 45, 52, "nddot_raw", _DRAG, "second-derivative"),
+    (1, 54, 61, "bstar_raw", _DRAG, "drag"),
+    (1, 63, 63, "ephemeris_type", None, "ephemeris type"),
+    (1, 65, 68, "element_set_number", "4d", "element set number"),
+    (2, 3, 7, "satellite_number", None, "satellite number"),
+    (2, 9, 16, "inclination_deg", "8.4f", "inclination"),
+    (2, 18, 25, "raan_deg", "8.4f", "RAAN"),
+    (2, 27, 33, "eccentricity", "07d", "eccentricity"),  # decimal point assumed
+    (2, 35, 42, "arg_perigee_deg", "8.4f", "argument of perigee"),
+    (2, 44, 51, "mean_anomaly_deg", "8.4f", "mean anomaly"),
+    (2, 53, 63, "mean_motion_rev_per_day", "11.8f", "mean motion"),
+    (2, 64, 68, "rev_number", "5d", "revolution number"),
+)
 
 
 def parse_tle(text):
@@ -107,14 +110,13 @@ def parse_tle(text):
     lines = [ln.rstrip("\r") for ln in text.splitlines() if ln.strip() != ""]
     if len(lines) == 2:
         name = None
-        l1, l2 = lines
     elif len(lines) == 3:
-        name = lines[0].strip()
-        l1, l2 = lines[1], lines[2]
+        name = lines.pop(0).strip()
     else:
         raise TleParseError(0, None, f"expected 2 or 3 non-empty lines, got {len(lines)}")
 
-    for line_no, line, lead in ((1, l1, "1"), (2, l2, "2")):
+    for line_no, line in enumerate(lines, start=1):
+        lead = str(line_no)
         if len(line) != 69:
             raise TleParseError(line_no, None, f"line must be 69 characters, got {len(line)}")
         if line[0] != lead:
@@ -125,65 +127,41 @@ def parse_tle(text):
                 line_no, 69, f"checksum mismatch: expected {expected}, found {line[68]!r}"
             )
 
+    l1, l2 = lines
     if l1[2:7] != l2[2:7]:
         raise TleParseError(2, 3, f"satellite number differs between lines: {l1[2:7]!r} vs {l2[2:7]!r}")
 
-    # line 1
-    satnum = l1[2:7]
-    classification = l1[7]
-    designator = l1[9:17]
-    yy = _field(1, l1, 18, 20, int, "02d", "epoch year")
-    if yy < 0:  # "-4" is how 02d writes -4, but format_tle writes a year's last two digits
-        raise TleParseError(1, 19, f"epoch year must be two digits, got {l1[18:20]!r}")
-    epoch_year = 2000 + yy if yy < 57 else 1900 + yy
-    epoch_day = _field(1, l1, 20, 32, float, "012.8f", "epoch day")
-    ndot_raw = l1[33:43]
-    if not (ndot_raw[0] in " +-" and ndot_raw[1] == "." and ndot_raw[2:10].isdigit()):
-        raise TleParseError(1, 34, f"malformed mean-motion-derivative field: {ndot_raw!r}")
-    nddot_raw = l1[44:52]
-    _check_implied_exponent(1, 44, nddot_raw, "second-derivative")
-    bstar_raw = l1[53:61]
-    _check_implied_exponent(1, 53, bstar_raw, "drag")
-    ephemeris_type = l1[62]
-    elset = _field(1, l1, 64, 68, int, "4d", "element set number")
-
-    # line 2
-    inclination = _field(2, l2, 8, 16, float, "8.4f", "inclination")
-    raan = _field(2, l2, 17, 25, float, "8.4f", "RAAN")
-    ecc_digits = l2[26:33]
-    if not ecc_digits.isdigit():
-        raise TleParseError(2, 27, f"non-numeric eccentricity: {ecc_digits!r}")
-    eccentricity = int(ecc_digits) / 1e7
-    argp = _field(2, l2, 34, 42, float, "8.4f", "argument of perigee")
-    mean_anomaly = _field(2, l2, 43, 51, float, "8.4f", "mean anomaly")
-    mean_motion = _field(2, l2, 52, 63, float, "11.8f", "mean motion")
-    rev_number = _field(2, l2, 63, 68, int, "5d", "revolution number")
-
-    if not 0.0 <= eccentricity < 1.0:
-        raise TleParseError(2, 27, f"eccentricity out of range: {eccentricity!r}")
+    fields = {"name": name}
+    for line_no, column, last, field, spec, what in _LAYOUT:
+        text = fields[field] = lines[line_no - 1][column - 1:last]
+        if isinstance(spec, re.Pattern):
+            if not spec.fullmatch(text):
+                raise TleParseError(line_no, column, f"malformed {what} field: {text!r}")
+        elif field == "eccentricity":
+            if not text.isdigit():
+                raise TleParseError(line_no, column, f"non-numeric eccentricity: {text!r}")
+            fields[field] = int(text) / 1e7
+        elif spec is not None:
+            try:
+                value = (int if spec.endswith("d") else float)(text)
+            except ValueError:
+                raise TleParseError(line_no, column, f"non-numeric {what}: {text!r}") from None
+            if not math.isfinite(value):
+                raise TleParseError(line_no, column, f"non-finite {what}: {text!r}")
+            canonical = format(value, spec)
+            if text != canonical:
+                raise TleParseError(line_no, column, f"non-canonical {what}: {text!r} "
+                                    f"(canonical form is {canonical!r})")
+            if field == "epoch_year":
+                if value < 0:  # how 02d writes -4, but format_tle writes a year's last two digits
+                    raise TleParseError(line_no, column,
+                                        f"epoch year must be two digits, got {text!r}")
+                value += 2000 if value < 57 else 1900
+            fields[field] = value
+    mean_motion = fields["mean_motion_rev_per_day"]
     if not 0.0 < mean_motion < 20.0:
         raise TleParseError(2, 53, f"mean motion out of range: {mean_motion!r}")
-
-    return TleRecord(
-        name=name,
-        satellite_number=satnum,
-        classification=classification,
-        intl_designator=designator,
-        epoch_year=epoch_year,
-        epoch_day=epoch_day,
-        ndot_raw=ndot_raw,
-        nddot_raw=nddot_raw,
-        bstar_raw=bstar_raw,
-        ephemeris_type=ephemeris_type,
-        element_set_number=elset,
-        inclination_deg=inclination,
-        raan_deg=raan,
-        eccentricity=eccentricity,
-        arg_perigee_deg=argp,
-        mean_anomaly_deg=mean_anomaly,
-        mean_motion_rev_per_day=mean_motion,
-        rev_number=rev_number,
-    )
+    return TleRecord(**fields)
 
 
 def load_tle_file(path):
@@ -192,26 +170,23 @@ def load_tle_file(path):
 
 
 def format_tle(rec):
-    """Render the record back to TLE text (with the name line when present)."""
-    yy = rec.epoch_year % 100
-    body1 = (
-        f"1 {rec.satellite_number}{rec.classification} {rec.intl_designator} "
-        f"{yy:02d}{rec.epoch_day:012.8f} {rec.ndot_raw} {rec.nddot_raw} "
-        f"{rec.bstar_raw} {rec.ephemeris_type} {rec.element_set_number:4d}"
-    )
-    ecc_digits = f"{int(round(rec.eccentricity * 1e7)):07d}"
-    body2 = (
-        f"2 {rec.satellite_number} {rec.inclination_deg:8.4f} {rec.raan_deg:8.4f} "
-        f"{ecc_digits} {rec.arg_perigee_deg:8.4f} {rec.mean_anomaly_deg:8.4f} "
-        f"{rec.mean_motion_rev_per_day:11.8f}{rec.rev_number:5d}"
-    )
-    lines = []
-    if rec.name is not None:
-        lines.append(rec.name)
-    for body in (body1, body2):
-        if len(body) != 68:
-            raise ValueError(f"internal formatting error, body length {len(body)}")
-        lines.append(body + str(line_checksum(body)))
+    """Render the record back to TLE text (with the name line when present).
+    A field too wide or too narrow for its columns is a ValueError."""
+    bodies = ["1".ljust(68), "2".ljust(68)]
+    for line_no, first, last, field, spec, what in _LAYOUT:
+        value = getattr(rec, field)
+        if field == "epoch_year":
+            value %= 100
+        elif field == "eccentricity":
+            value = int(round(value * 1e7))
+        text = format(value, spec if isinstance(spec, str) else "")
+        if len(text) != last - first + 1:
+            raise ValueError(f"{what} {text!r} does not fit line {line_no}, "
+                             f"columns {first}-{last}")
+        body = bodies[line_no - 1]
+        bodies[line_no - 1] = body[:first - 1] + text + body[last:]
+    lines = [] if rec.name is None else [rec.name]
+    lines += [body + str(line_checksum(body)) for body in bodies]
     return "\n".join(lines) + "\n"
 
 

@@ -17,7 +17,12 @@ SHA-256 per output family:
   grid, `calibrate_bell` and `expected_chsh` at the paper's point, 20 seeds of
   `simulate_chsh_counts` through both `estimate_chsh` methods,
   `solve_fiber_compensation` on seeded Haar channels and the layers of
-  `quarter_wave_stack()`.
+  `quarter_wave_stack()`;
+* tle: `parse_tle` and `format_tle` of the packaged and seeded TLEs, the
+  seeded `make_tle` records, and the outcome (error text, line and column, or
+  record and re-formatted text) of `parse_tle` on every single-character
+  mutation of the packaged TLE over a fixed alphabet and on 2,000 seeded
+  double mutations, each with the checksums as mutated and fixed.
 
 Run it on two trees and diff the output: a family whose digest moved has an
 output that moved, to the last bit.  It is a cross-commit tool, not a golden
@@ -29,6 +34,7 @@ import hashlib
 import io
 import math
 import os
+import random
 import sys
 import tempfile
 import time
@@ -47,12 +53,13 @@ SEEDS = (3, 5, 11, 29)
 STEPS_S = (1.0, 0.25)
 ANGLES_DEG = (35.0, 40.0, 45.0, 50.0, 55.0)
 WAVELENGTHS_NM = tuple(float(w) for w in np.linspace(760.0, 800.0, 9))
+MUTATION_CHARS = " +-.0159AUXe"
 
 
-def seeded_tles(seed, count=3):
+def seeded_records(seed, count=3):
     """LEO element sets drawn from seed, rounded to TLE precision."""
     rng = np.random.default_rng([seed, 1])
-    return [tle.format_tle(tle.make_tle(
+    return [tle.make_tle(
         name=f"SYN-{k}", satellite_number=90000 + k, epoch_year=2024, epoch_day=1.0,
         inclination_deg=round(float(rng.uniform(85.0, 100.0)), 4),
         raan_deg=round(float(rng.uniform(0.0, 359.0)), 4),
@@ -60,7 +67,13 @@ def seeded_tles(seed, count=3):
         arg_perigee_deg=round(float(rng.uniform(0.0, 359.0)), 4),
         mean_anomaly_deg=round(float(rng.uniform(0.0, 359.0)), 4),
         mean_motion_rev_per_day=round(float(rng.uniform(14.9, 15.5)), 8),
-    )) for k in range(count)]
+    ) for k in range(count)]
+
+
+def tle_texts():
+    """The packaged TLE, then three seeded ones for each seed."""
+    texts = [(DATA / "sso_500km.tle").read_text(encoding="ascii")]
+    return texts + [tle.format_tle(rec) for seed in SEEDS for rec in seeded_records(seed)]
 
 
 def feed(digest, *parts):
@@ -71,8 +84,7 @@ def feed(digest, *parts):
 
 
 def pass_families(families):
-    texts = [(DATA / "sso_500km.tle").read_text(encoding="ascii")]
-    texts += [text for seed in SEEDS for text in seeded_tles(seed)]
+    texts = tle_texts()
     fields, csvs, schedules = (families[k] for k in ("pass fields", "pass csv", "schedule"))
     counts = [0, 0]
     for text in texts:
@@ -152,19 +164,53 @@ def library_family(digest):
     feed(digest, repr(thinfilm.quarter_wave_stack().layers))
 
 
+def parse_outcome(text):
+    try:
+        rec = tle.parse_tle(text)
+    except tle.TleParseError as exc:
+        return f"{exc} | {exc.line_no} | {exc.column}"
+    return f"{rec!r} | {tle.format_tle(rec)}"
+
+
+def tle_family(digest):
+    texts = tle_texts()
+    for text in texts:
+        feed(digest, parse_outcome(text))
+    feed(digest, *(repr(rec) for seed in SEEDS for rec in seeded_records(seed)))
+    lines = texts[0].splitlines()
+
+    def mutated(edits, fix_checksum):
+        out = list(lines)
+        for row, col, ch in edits:
+            out[row] = out[row][:col] + ch + out[row][col + 1:]
+        if fix_checksum:
+            out[1:] = [line[:68] + str(tle.line_checksum(line)) for line in out[1:]]
+        return "\n".join(out) + "\n"
+
+    singles = [(row, col, ch) for row in (1, 2) for col in range(69) for ch in MUTATION_CHARS
+               if ch != lines[row][col]]
+    rng = random.Random(0)
+    corpus = [(edit,) for edit in singles] + [tuple(rng.sample(singles, 2)) for _ in range(2000)]
+    for edits in corpus:
+        feed(digest, *(parse_outcome(mutated(edits, fix)) for fix in (False, True)))
+    return len(corpus)
+
+
 def main():
     start = time.perf_counter()
     names = ("pass fields", "pass csv", "schedule", "coating", "per-map", "compensate",
-             "offset-scan", "bell", "thin film", "library")
+             "offset-scan", "bell", "thin film", "library", "tle")
     families = {name: hashlib.sha256() for name in names}
     summary = pass_families(families)
     with tempfile.TemporaryDirectory() as work:
         cli_families(families, Path(work))
     thinfilm_family(families["thin film"])
     library_family(families["library"])
+    mutations = tle_family(families["tle"])
     for name in names:
         print(f"{families[name].hexdigest()}  {name}")
-    print(f"polsim from {SRC}; {summary}; {time.perf_counter() - start:.1f} s", file=sys.stderr)
+    print(f"polsim from {SRC}; {summary}; {2 * mutations} TLE mutations; "
+          f"{time.perf_counter() - start:.1f} s", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -584,6 +584,31 @@ class TestConfigRange:
         assert code == 1
         assert err.startswith(f"polsim: config error: key '{setting.split()[-2]}': ")
 
+    @pytest.mark.parametrize("command, setting, message", [
+        # a zero power builds a mirror, and the scan then fails on the zero state it sends
+        ("per-map", "mirror_rs_power 0", "key 'mirror_rs_power': cannot normalize the zero state"),
+        ("offset-scan", "mirror_rs_power 0",
+         "key 'mirror_rs_power': cannot normalize the zero state"),
+        ("per-map", "mirror_rs_power 0\nelevations_deg 95",
+         "key 'mirror_rs_power': cannot normalize the zero state"),
+        ("per-map", "mirror_rs_power 1.5",
+         "key 'mirror_rs_power': power reflectances must lie in [0, 1]"),
+        ("offset-scan", "mirror_rs_power 1.5",
+         "key 'mirror_rs_power': power reflectances must lie in [0, 1]"),
+        ("per-map", "mirror_phase_gap_pi 1e308",
+         "key 'mirror_phase_gap_pi': phase gap must be finite, got inf"),
+        ("offset-scan", "mirror_phase_gap_pi 1e308",
+         "key 'mirror_phase_gap_pi': phase gap must be finite, got inf"),
+        ("per-map", "mirror_rs_power 1.5\nstates H,Q",
+         "key 'mirror_rs_power': power reflectances must lie in [0, 1]"),
+        ("per-map", "states H,Q", "key 'states': unknown state label 'Q' (known: H, V, +, -)"),
+    ])
+    def test_mirror_error_names_its_key(self, capsys, tmp_path, command, setting, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(setting + "\n")
+        code, _, err = run(capsys, command, "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert (code, err) == (1, f"polsim: config error: {message}\n")
+
     def test_jointly_out_of_range_names_every_key(self):
         def check(loss_db, depolarization):  # defaults 46 and 0
             if loss_db + 10.0 * depolarization > 50.0:

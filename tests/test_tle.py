@@ -156,6 +156,30 @@ class TestParse:
             T.parse_tle(ISS_LINES[1] + "\n" + l2)
         assert str(err.value) == f"line 2, column 9: non-finite inclination: {token!r}"
 
+    @pytest.mark.parametrize("token, value", [(" 0.00000000", 0.0), ("20.00000000", 20.0),
+                                              ("-1.00000000", -1.0)])
+    def test_mean_motion_outside_open_range(self, token, value):
+        # the parser accepts a mean motion only in (0, 20) rev/day, both ends excluded
+        l2 = ISS_LINES[2][:52] + token + ISS_LINES[2][63:]
+        l2 = l2[:68] + str(T.line_checksum(l2))
+        with pytest.raises(T.TleParseError) as err:
+            T.parse_tle(ISS_LINES[1] + "\n" + l2)
+        assert str(err.value) == f"line 2, column 53: mean motion out of range: {value!r}"
+
+    @pytest.mark.parametrize("token, value", [(" 0.00000001", 1e-8), ("19.99999999", 19.99999999)])
+    def test_mean_motion_just_inside_range(self, token, value):
+        l2 = ISS_LINES[2][:52] + token + ISS_LINES[2][63:]
+        l2 = l2[:68] + str(T.line_checksum(l2))
+        assert T.parse_tle(ISS_LINES[1] + "\n" + l2).mean_motion_rev_per_day == value
+
+    def test_first_fault_in_column_order_is_reported(self):
+        # a signed epoch year (column 19) and a bad epoch day (column 21): the year is first
+        l1 = ISS_LINES[1][:18] + "-4" + "x" + ISS_LINES[1][21:]
+        l1 = l1[:68] + str(T.line_checksum(l1))
+        with pytest.raises(T.TleParseError) as err:
+            T.parse_tle(l1 + "\n" + ISS_LINES[2])
+        assert str(err.value) == "line 1, column 19: epoch year must be two digits, got '-4'"
+
     def test_eccentricity_range_guard(self):
         rec = T.parse_tle(ISS)
         assert 0.0 <= rec.eccentricity < 1.0
@@ -171,6 +195,30 @@ class TestMakeTle:
         assert T.format_tle(back) == text
         assert back.inclination_deg == pytest.approx(97.4)
         assert back.eccentricity == pytest.approx(0.001)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("satellite_number", 123456, "satellite number '123456' does not fit line 1, columns 3-7"),
+    ("rev_number", 100000, "revolution number '100000' does not fit line 2, columns 64-68"),
+    ("inclination_deg", 1000.0, "inclination '1000.0000' does not fit line 2, columns 9-16"),
+    ("element_set_number", 10000, "element set number '10000' does not fit line 1, columns 65-68"),
+])
+def test_format_refuses_a_field_wider_than_its_columns(field, value, message):
+    elements = dict(name=None, satellite_number=99999, epoch_year=2024, epoch_day=1.0,
+                    inclination_deg=97.4, raan_deg=104.0, eccentricity=0.001,
+                    arg_perigee_deg=0.0, mean_anomaly_deg=0.0, mean_motion_rev_per_day=15.22)
+    rec = T.make_tle(**{**elements, field: value})
+    with pytest.raises(ValueError) as err:
+        T.format_tle(rec)
+    assert str(err.value) == message
+
+
+def test_format_refuses_a_narrow_field():
+    # a 6-character designator in 8 columns would shift every later column of line 1 left
+    rec = T.make_tle(None, 99999, 2024, 1.0, 97.4, 104.0, 0.001, 0.0, 0.0, 15.22,
+                     intl_designator="24001A")
+    with pytest.raises(ValueError, match="international designator '24001A' does not fit"):
+        T.format_tle(rec)
 
 
 def fixed_point(digits, low, high):
