@@ -16,7 +16,10 @@ S = |E1 - E2 + E3 + E4| over the four setting pairs.  Counts are Poisson
 with means = pair rate x transmission x efficiencies x probability x time,
 plus accidentals from singles (dark counts included) inside the coincidence
 window.  Randomness comes from a counter-based Philox generator keyed as
-(seed, setting index), so every run is bit-reproducible.
+(seed, setting index), so every run is bit-reproducible.  Each generator is
+put at counter 0 under its key directly, so none reads OS entropy for a seed
+the key then replaces, and the count means of a link model are computed once
+and shared by all of its seeds.
 """
 
 from __future__ import annotations
@@ -105,10 +108,31 @@ class DetectionModel:
             raise ValueError("integration time must be finite and positive")
 
 
-def _philox_key(seed, stream):
+@functools.cache
+def _zero_seed():
+    """A stateless seed source of zeros: a Philox built from it reads no OS
+    entropy.  Made on first use, since naming numpy.random imports it."""
+    class ZeroSeed(np.random.bit_generator.ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype=dtype)
+    return ZeroSeed()
+
+
+def _rekey(bitgen, seed, stream):
+    """Counter 0 and an empty buffer under key (seed, stream): what a new
+    Philox(key=[seed, stream]) holds."""
+    bitgen.state = {"bit_generator": "Philox", "buffer": (0,) * 4, "buffer_pos": 4,
+                    "state": {"counter": (0,) * 4, "key": (seed, stream)},
+                    "has_uint32": 0, "uinteger": 0}
+
+
+def _philox(seed, stream):
+    """Philox at counter 0 under key (seed, stream)."""
     if not 0 <= seed < 2**64:  # a key word is 64 bits; numpy raises OverflowError
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    return np.array([seed, stream], dtype=np.uint64)
+    bitgen = np.random.Philox(_zero_seed())
+    _rekey(bitgen, seed, stream)
+    return bitgen
 
 
 @functools.lru_cache(maxsize=32)
@@ -148,20 +172,29 @@ def _expected_counts(source, channel, det):
     return pair_rate * probs * t + accidental
 
 
-def simulate_chsh_counts(source, channel, det, seed=0):
-    """Poisson (c_pp, c_mm, c_pm, c_mp) per Bell-test setting; setting k draws
-    from Philox (seed, k)."""
+@functools.lru_cache(maxsize=32)
+def _count_means(source, channel, det):
+    """`_expected_counts` as rows of Python floats, checked against the Poisson
+    sampler's limit; a model that fails raises again on every call."""
     means = _expected_counts(source, channel, det)
     if means.max() > POISSON_MEAN_MAX:  # finite: _expected_counts checks for overflow
         raise ValueError(f"expected coincidence count {means.max():.6g} exceeds the Poisson "
                          f"sampler's limit {POISSON_MEAN_MAX:.6g}")
-    bitgen = np.random.Philox(key=_philox_key(seed, 0))
+    return tuple(map(tuple, means.tolist()))
+
+
+def simulate_chsh_counts(source, channel, det, seed=0):
+    """Poisson (c_pp, c_mm, c_pm, c_mp) per Bell-test setting; setting k draws
+    from Philox (seed, k)."""
+    try:
+        means = _count_means(source, channel, det)
+    except TypeError:  # a model holding a 0-d array has no hash
+        means = _count_means.__wrapped__(source, channel, det)
+    bitgen = _philox(seed, 0)
     rng, counts = np.random.Generator(bitgen), []
-    for k, row in enumerate(means.tolist()):
-        if k:  # counter 0 and an empty buffer under key (seed, k): a new Philox(key=[seed, k])
-            bitgen.state = {"bit_generator": "Philox", "buffer": (0,) * 4, "buffer_pos": 4,
-                            "state": {"counter": (0,) * 4, "key": (seed, k)},
-                            "has_uint32": 0, "uinteger": 0}
+    for k, row in enumerate(means):
+        if k:
+            _rekey(bitgen, seed, k)
         counts.append(tuple(map(rng.poisson, row)))
     return counts
 
@@ -220,7 +253,7 @@ def estimate_chsh(counts, error_method="propagation"):
         e_errs = [p[1] for p in per_setting]
         s_err = math.sqrt(sum(err**2 for err in e_errs))
     elif error_method == "bootstrap":
-        rng = np.random.Generator(np.random.Philox(key=_philox_key(0, 2**32)))
+        rng = np.random.Generator(_philox(0, 2**32))
         resampled = rng.poisson(np.asarray(counts, dtype=float),
                                 size=(BOOTSTRAP_RESAMPLES, 4, 4))
         same = resampled[..., 0] + resampled[..., 1]

@@ -1,15 +1,16 @@
 """Two-line element set parsing and formatting.
 
 Lines are exactly 69 characters; the final digit is a mod-10 checksum of the
-digits (plus one per '-') in the first 68 columns.  `_LAYOUT` is the one
+ASCII digits (plus one per '-') in the first 68 columns.  `_LAYOUT` is the one
 description of the columns: `parse_tle` reads each field from it and
-`format_tle` writes each field into it.  Numeric fields are fixed-column
-fixed-precision decimals; the parser rejects records whose fields are not
-already in the canonical form `format_tle` writes, which is what makes
-parse -> format byte-identical.  The three implied-decimal drag fields on
-line 1 admit several encodings of the same value and a two-body model reads
-none of them, so they are checked for shape and kept as their raw column
-content.
+`format_tle` writes each field into it; every column between two fields must
+be a space.  Numeric fields are fixed-column fixed-precision decimals; the
+parser rejects records whose fields are not already in the canonical form
+`format_tle` writes, which is what makes parse -> format byte-identical.  The
+three implied-decimal drag fields on line 1 admit several encodings of the same
+value and a two-body model reads none of them, so they are checked for shape
+and kept as their raw column content.  `parse_tle` strips the name line, so
+`format_tle` refuses a name that is empty, padded or more than one line.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ class TleParseError(ValueError):
 
 
 def line_checksum(line):
-    """Mod-10 sum of digits in the first 68 columns, counting '-' as 1."""
+    """Mod-10 sum of the ASCII digits in the first 68 columns, counting '-' as 1."""
     total = 0
     for ch in line[:68]:
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # str.isdigit also takes '²', which int refuses
             total += int(ch)
         elif ch == "-":
             total += 1
@@ -82,7 +83,8 @@ _DRAG = re.compile(r"[ +-]\d{5}[+-]\d")  # implied decimal point and exponent: "
 # (1-based, inclusive), TleRecord field, format and the name in error messages.
 # A format string is the spec a number is written in (an int for "d", else a
 # float), a pattern is the shape of a drag field, and None keeps text verbatim.
-# Each line starts with its number and a space and ends in the checksum.
+# Each line starts with its number and ends in the checksum; every column
+# between two fields is a separator and holds a space.
 _LAYOUT = (
     (1, 3, 7, "satellite_number", None, "satellite number"),
     (1, 8, 8, "classification", None, "classification"),
@@ -131,14 +133,20 @@ def parse_tle(text):
     if l1[2:7] != l2[2:7]:
         raise TleParseError(2, 3, f"satellite number differs between lines: {l1[2:7]!r} vs {l2[2:7]!r}")
 
-    fields = {"name": name}
+    fields, read = {"name": name}, {1: 1, 2: 1}  # last column read per line
     for line_no, column, last, field, spec, what in _LAYOUT:
-        text = fields[field] = lines[line_no - 1][column - 1:last]
+        line = lines[line_no - 1]
+        for gap in range(read[line_no] + 1, column):
+            if line[gap - 1] != " ":
+                raise TleParseError(line_no, gap,
+                                    f"separator must be a space, got {line[gap - 1]!r}")
+        read[line_no] = last
+        text = fields[field] = line[column - 1:last]
         if isinstance(spec, re.Pattern):
             if not spec.fullmatch(text):
                 raise TleParseError(line_no, column, f"malformed {what} field: {text!r}")
         elif field == "eccentricity":
-            if not text.isdigit():
+            if not (text.isascii() and text.isdigit()):
                 raise TleParseError(line_no, column, f"non-numeric eccentricity: {text!r}")
             fields[field] = int(text) / 1e7
         elif spec is not None:
@@ -171,7 +179,11 @@ def load_tle_file(path):
 
 def format_tle(rec):
     """Render the record back to TLE text (with the name line when present).
-    A field too wide or too narrow for its columns is a ValueError."""
+    A field too wide or too narrow for its columns, or a name that `parse_tle`
+    would not give back, is a ValueError."""
+    if rec.name is not None and rec.name.strip().splitlines() != [rec.name]:
+        raise ValueError(f"name {rec.name!r} does not round-trip: it must be one non-empty "
+                         "line without leading or trailing whitespace")
     bodies = ["1".ljust(68), "2".ljust(68)]
     for line_no, first, last, field, spec, what in _LAYOUT:
         value = getattr(rec, field)

@@ -383,6 +383,20 @@ class TestCompensate:
         assert "TLE file" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("digit", ["²", "٣"])
+    def test_non_ascii_digit_tle_exit_2(self, capsys, tmp_path, digit):
+        # in the eccentricity's last column, with the checksum of the ASCII digits fixed
+        bad = tmp_path / "bad.tle"
+        bad.write_text(mutated_tle_text(2, 32, digit, True), encoding="utf-8")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"tle_file {bad}\n")
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "compensate", "--config", str(cfg), "--out", str(out_dir))
+        assert (code, out) == (2, "")
+        assert len(err.strip().splitlines()) == 1
+        assert "TLE file" in err
+        assert not out_dir.exists()
+
     def test_no_pass_exit_3(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("threshold_deg 89.99\nwindow_hours 2\nstep_s 5\n")
@@ -774,6 +788,16 @@ class TestImports:
                               env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "False"
+
+    def test_numpy_random_stays_lazy(self):
+        # numpy loads numpy.random on first use; importing polsim must not use it
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        probe = "import sys, polsim, polsim.cli; print('numpy.random' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
 
 class TestHarness:

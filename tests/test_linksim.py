@@ -268,11 +268,60 @@ class TestSimulation:
         assert np.array_equal(again, frozen_expected_counts(src, ch, det, L.BELL_TEST_SETTINGS))
         assert L._analyzer_factor(ch.rotation) is factor
 
+    def test_count_means_cached_per_model(self):
+        src, det = L.SourceModel(0.9329, 1e6), L.DetectionModel()
+        a, b = L.ChannelModel(46.0), L.ChannelModel(44.0, J.rotator(0.3))
+        L._count_means.cache_clear()
+        # A, B, A: a stale or mis-keyed entry hands B's means to A
+        got = [L._count_means(src, channel, det) for channel in (a, b, a)]
+        for means, channel in zip(got, (a, b, a)):
+            want = frozen_expected_counts(src, channel, det, L.BELL_TEST_SETTINGS)
+            assert means == tuple(map(tuple, want.tolist()))
+            assert all(type(m) is float for row in means for m in row)
+        assert got[0] is got[2]
+        # equal but distinct model objects share one entry
+        again = L._count_means(L.SourceModel(0.9329, 1e6), L.ChannelModel(46.0),
+                               L.DetectionModel())
+        assert again is got[0]
+        assert L._count_means.cache_info()[:2] == (2, 2)  # (hits, misses)
+        with pytest.raises(TypeError):
+            again[0] = (0.0,) * 4
+        with pytest.raises(TypeError):
+            again[0][0] = 0.0
+
+    def test_mean_over_sampler_limit_raises_every_call(self):
+        # 6.7e300 expected coincidences: finite, but far above the sampler's limit
+        model = (L.SourceModel(0.9329, 1e6), L.ChannelModel(46.0),
+                 L.DetectionModel(integration_time_s=1e300))
+        L._count_means.cache_clear()
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError, match="exceeds the Poisson sampler's limit") as err:
+                L.simulate_chsh_counts(*model, seed=0)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert L._count_means.cache_info().currsize == 0
+
+    def test_model_of_0d_arrays_keeps_its_counts(self):
+        # such a model has no hash, so its means are not cached
+        model = (L.SourceModel(0.9329, 1e6), L.ChannelModel(46.0), L.DetectionModel())
+        arrays = (L.SourceModel(np.array(0.9329), np.array(1e6)), L.ChannelModel(np.array(46.0)),
+                  L.DetectionModel(efficiency=np.array(0.5)))
+        assert L.simulate_chsh_counts(*arrays, seed=4) == fresh_philox_counts(
+            *model, L.BELL_TEST_SETTINGS, 4)
+
+    @pytest.mark.parametrize("seed, key", [(3.0, 3), (np.uint64(3), 3), (True, 1)])
+    def test_seed_types_accepted_keep_their_counts(self, seed, key):
+        model = (L.SourceModel(0.9329, 1e6), L.ChannelModel(46.0), L.DetectionModel())
+        got = L.simulate_chsh_counts(*model, seed=seed)
+        assert got == fresh_philox_counts(*model, L.BELL_TEST_SETTINGS, key)
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_key_range_rejected(self, seed):
         model = (L.SourceModel(0.9329, 1e6), L.ChannelModel(46.0), L.DetectionModel())
-        with pytest.raises(ValueError, match=re.escape("[0, 2**64)")):
+        with pytest.raises(ValueError, match=re.escape("[0, 2**64)")) as err:
             L.simulate_chsh_counts(*model, seed=seed)
+        assert str(err.value) == f"seed must be an integer in [0, 2**64), got {seed!r}"
 
     def test_poisson_mean_max_is_the_samplers_limit(self):
         # the largest mean numpy's Poisson sampler draws from, to the last bit
@@ -300,10 +349,16 @@ class TestSimulation:
         lambda: L.SourceModel(0.9, math.inf),
         lambda: L.DetectionModel(dark_rate_hz=math.nan),
         lambda: L.DetectionModel(integration_time_s=math.inf),
+        lambda: L.DetectionModel(dark_rate_hz=math.inf),
     ])
     def test_non_finite_model_values_rejected(self, build):
         with pytest.raises(ValueError):
             build()
+
+    @pytest.mark.parametrize("window", [0.0, math.inf])
+    def test_coincidence_window_bounds_excluded(self, window):
+        with pytest.raises(ValueError, match="^coincidence window must be finite and positive$"):
+            L.DetectionModel(coincidence_window_s=window)
 
 
 class TestEstimator:
@@ -469,6 +524,27 @@ class TestCalibration:
         with pytest.raises(ValueError, match="calibrated model gives"):
             L.calibrate_bell(src, L.ChannelModel(46.0),
                              L.DetectionModel(integration_time_s=1e-320), 2.312, 2138.0)
+
+    def test_maximally_mixed_source_calibrates_to_zero(self):
+        # S(0) = 0 exactly, so no depolarization is needed and S = 0 is hit exactly
+        src = L.SourceModel(0.25, 1e6)
+        channel, det = L.calibrate_bell(src, L.ChannelModel(46.0), L.DetectionModel(), 0.0, 2138.0)
+        assert channel.depolarization == 0.0
+        s, total = L.expected_chsh(src, channel, det)
+        assert s == 0.0
+        assert total == pytest.approx(2138.0, rel=1e-12)
+
+    def test_tolerance_relative_to_each_target(self):
+        src = L.SourceModel(0.9329, 1e6)
+        # this start time leaves the total 2.3e-10 off 1e6, within 1e-9 x 1e6
+        channel, det = L.calibrate_bell(src, L.ChannelModel(46.0),
+                                        L.DetectionModel(integration_time_s=1e-5), 2.312, 1e6)
+        assert L.expected_chsh(src, channel, det)[1] == pytest.approx(1e6, rel=1e-9, abs=0.0)
+        # this subnormal start time leaves S 1.2e-9 off 0.1, beyond 1e-9 x 0.1
+        # (the total lands 7e-11 relative off, within its bound)
+        with pytest.raises(ValueError, match="calibrated model gives S 0.100000001 and"):
+            L.calibrate_bell(src, L.ChannelModel(46.0),
+                             L.DetectionModel(integration_time_s=1.2757763e-317), 0.1, 2138.0)
 
     @pytest.mark.parametrize("det", [L.DetectionModel(integration_time_s=1e308),
                                      L.DetectionModel(dark_rate_hz=1e200)])

@@ -1,3 +1,6 @@
+import contextlib
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,6 +22,12 @@ class TestChecksum:
 
     def test_minus_counts_one(self):
         assert T.line_checksum("-" * 68) == 68 % 10
+
+    @pytest.mark.parametrize("digit", ["²", "٣"])
+    def test_only_ascii_digits_count(self, digit):
+        # str.isdigit takes both, and int("٣") is 3, but neither is a TLE digit
+        assert T.line_checksum(digit * 68) == 0
+        assert T.line_checksum("7" + digit * 67) == 7
 
 
 class TestParse:
@@ -180,6 +189,53 @@ class TestParse:
             T.parse_tle(l1 + "\n" + ISS_LINES[2])
         assert str(err.value) == "line 1, column 19: epoch year must be two digits, got '-4'"
 
+    @pytest.mark.parametrize("line_no, column", [
+        (1, 2), (1, 9), (1, 18), (1, 33), (1, 44), (1, 53), (1, 62), (1, 64),
+        (2, 2), (2, 8), (2, 17), (2, 26), (2, 34), (2, 43), (2, 52),
+    ])
+    @pytest.mark.parametrize("token", ["X", "0", "-"])
+    def test_separator_must_be_a_space(self, line_no, column, token):
+        lines = list(ISS_LINES)
+        line = lines[line_no][:column - 1] + token + lines[line_no][column:]
+        lines[line_no] = line[:68] + str(T.line_checksum(line))
+        with pytest.raises(T.TleParseError) as err:
+            T.parse_tle("\n".join(lines) + "\n")
+        assert (err.value.line_no, err.value.column) == (line_no, column)
+        assert str(err.value) == (f"line {line_no}, column {column}: "
+                                  f"separator must be a space, got {token!r}")
+
+    def test_separator_checked_in_column_order(self):
+        # column 18 is a separator, 19-20 the epoch year and 33 the next separator
+        for edits, column in (({17: "X", 18: "x"}, 18), ({18: "x", 32: "X"}, 19)):
+            l1 = "".join(edits.get(i, ch) for i, ch in enumerate(ISS_LINES[1]))
+            l1 = l1[:68] + str(T.line_checksum(l1))
+            with pytest.raises(T.TleParseError) as err:
+                T.parse_tle(l1 + "\n" + ISS_LINES[2])
+            assert (err.value.line_no, err.value.column) == (1, column)
+
+    @pytest.mark.parametrize("column, digit, field_column, message", [
+        # int("٣") is 3, so an eccentricity of "000229٣" used to parse as 0.0002293
+        (33, "²", 27, "non-numeric eccentricity: '000229²'"),
+        (33, "٣", 27, "non-numeric eccentricity: '000229٣'"),
+        (16, "²", 9, "non-numeric inclination: ' 51.644²'"),
+        (16, "٣", 9, "non-canonical inclination: ' 51.644٣' (canonical form is ' 51.6443')"),
+    ])
+    def test_non_ascii_digit_names_its_field(self, column, digit, field_column, message):
+        l2 = ISS_LINES[2][:column - 1] + digit + ISS_LINES[2][column:]
+        l2 = l2[:68] + str(T.line_checksum(l2))
+        with pytest.raises(T.TleParseError) as err:
+            T.parse_tle(ISS_LINES[1] + "\n" + l2)
+        assert (err.value.line_no, err.value.column) == (2, field_column)
+        assert str(err.value) == f"line 2, column {field_column}: {message}"
+
+    @pytest.mark.parametrize("digit", ["²", "٣"])
+    def test_non_ascii_digit_in_place_of_a_digit_fails_the_checksum(self, digit):
+        l1 = ISS_LINES[1][:2] + digit + ISS_LINES[1][3:]  # the satellite number's leading 2
+        with pytest.raises(T.TleParseError) as err:
+            T.parse_tle(l1 + "\n" + ISS_LINES[2])
+        assert (err.value.line_no, err.value.column) == (1, 69)
+        assert "checksum mismatch: expected 0, found '2'" in str(err.value)
+
     def test_eccentricity_range_guard(self):
         rec = T.parse_tle(ISS)
         assert 0.0 <= rec.eccentricity < 1.0
@@ -213,6 +269,21 @@ def test_format_refuses_a_field_wider_than_its_columns(field, value, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("name", ["", " ", "SAT ", " SAT", "\tSAT", "A\nB", "A\rB", "A\r\nB",
+                                  "A\x0bB", "A\x1cB", "A\x85B", "A\u2028B", "SAT\n"])
+def test_format_refuses_a_name_parse_would_change(name):
+    rec = T.make_tle(name, 99999, 2024, 1.0, 97.4, 104.0, 0.001, 0.0, 0.0, 15.22)
+    with pytest.raises(ValueError) as err:
+        T.format_tle(rec)
+    assert str(err.value).startswith(f"name {name!r} does not round-trip")
+
+
+@pytest.mark.parametrize("name", ["S", "ISS (ZARYA)", "A  B", "0 1", "SAT-Ü", "1 25544U"])
+def test_name_round_trips(name):
+    rec = T.make_tle(name, 99999, 2024, 1.0, 97.4, 104.0, 0.001, 0.0, 0.0, 15.22)
+    assert T.parse_tle(T.format_tle(rec)) == rec
+
+
 def test_format_refuses_a_narrow_field():
     # a 6-character designator in 8 columns would shift every later column of line 1 left
     rec = T.make_tle(None, 99999, 2024, 1.0, 97.4, 104.0, 0.001, 0.0, 0.0, 15.22,
@@ -228,10 +299,12 @@ def fixed_point(digits, low, high):
 
 
 NAMES = st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 -()/", min_size=1, max_size=24)
+# names parse_tle may not give back: empty, padded, or holding a line break
+ODD_NAMES = st.text(alphabet="AB \t\n\r\x0b\x0c\x1c\x85\u2028\u3000", max_size=6)
 
 RECORDS = st.builds(
     T.make_tle,
-    name=st.none() | NAMES.map(str.strip).filter(bool),
+    name=st.none() | NAMES.map(str.strip).filter(bool) | NAMES | ODD_NAMES,
     satellite_number=st.integers(0, 99999),
     epoch_year=st.integers(1957, 2056),
     epoch_day=fixed_point(8, 1.0, 366.99999999),
@@ -249,7 +322,15 @@ RECORDS = st.builds(
 
 @given(RECORDS)
 def test_format_parse_format_is_identity(rec):
-    text = T.format_tle(rec)
+    try:
+        text = T.format_tle(rec)
+    except ValueError as err:
+        # refused only for a name that the name line parses to something else
+        assert str(err).startswith(f"name {rec.name!r} does not round-trip")
+        body = T.format_tle(replace(rec, name=None))
+        with contextlib.suppress(T.TleParseError):
+            assert T.parse_tle(rec.name + "\n" + body).name != rec.name
+        return
     back = T.parse_tle(text)
     assert T.format_tle(back) == text
     assert back == rec
