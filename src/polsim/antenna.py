@@ -19,10 +19,10 @@ imperfections direction-dependently otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .frozen import frozen
 from .jones import (
     PER_CAP,
     MirrorResponse,
@@ -41,7 +41,7 @@ _MEASURED = (0.999908, 0.998168, 0.9996)
 HR_COATING = MirrorResponse.from_powers(_MEASURED[0], _MEASURED[1], _MEASURED[2] * math.pi)
 
 
-@dataclass(frozen=True)
+@frozen
 class TelescopeGeometry:
     """Paraboloid parameters of the two off-axis telescope mirrors (mm)."""
 
@@ -56,7 +56,7 @@ class TelescopeGeometry:
 DESIGN_GEOMETRY = TelescopeGeometry(812.5, 190.0, 32.5, 7.6)
 
 
-@dataclass(frozen=True)
+@frozen
 class PointingDirection:
     """Azimuth in [-180, 180) and elevation in [0, 90], degrees; floats or
     broadcastable arrays for a batch of directions."""
@@ -86,7 +86,7 @@ def scanning_head_jones(direction, coating):
     return rotator(phi) @ d @ rotator(-theta) @ d
 
 
-@dataclass(frozen=True)
+@frozen
 class PerScanResult:
     """PER scan over (elevation, azimuth, input state) cells."""
 

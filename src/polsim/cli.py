@@ -50,10 +50,7 @@ class CliFailure(Exception):
 
 def data_dir():
     """Reference-data directory; POLSIM_DATA_DIR overrides the packaged one."""
-    override = os.environ.get("POLSIM_DATA_DIR")
-    if override:
-        return Path(override)
-    return Path(__file__).parent / "data"
+    return Path(os.environ.get("POLSIM_DATA_DIR") or Path(__file__).parent / "data")
 
 
 # --- config files -------------------------------------------------------------
@@ -223,10 +220,8 @@ def cmd_compensate(cfg, args):
         except orbit.ArgumentError as exc:
             key = "window_hours" if exc.name == "t_end" else exc.name
             raise ConfigError(f"key {key!r}: {exc}") from None
-
     if not passes:
         raise CliFailure(EXIT_NUMERIC, "no pass above the elevation threshold in the window")
-
     for k, pass_profile in enumerate(passes, start=1):
         schedule = compensation.schedule_from_pass(pass_profile, zero_point, sign, max_slew)
         csv_path = _write(args.out, f"pass_{k:02d}_schedule.csv", schedule.to_csv())
@@ -384,7 +379,12 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         run, _, schema = COMMANDS[args.command]
-        return run(read_config(args.config, schema), args)
+        code = run(read_config(args.config, schema), args)
+        sys.stdout.flush()  # a closed pipe raises here, inside this try
+        return code
+    except BrokenPipeError:  # the reader left early: `polsim compensate | head -1`
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # quiet exit flush
+        return 1  # Python's own exit status on a broken pipe
     except CliFailure as exc:
         print(f"polsim: error: {exc}", file=sys.stderr)
         return exc.code

@@ -20,11 +20,10 @@ rates are always computed on the unwrapped series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .antenna import PointingDirection, scanning_head_jones
+from .frozen import frozen
 from .jones import PolarizationState, fidelity, hwp, rotator
 from .table import json_text, posix_from_iso, write_table
 
@@ -53,7 +52,7 @@ def compensation_angle(theta_deg, phi_deg, beta_deg, zero_point_deg=DEFAULT_ZERO
     return _hwp_command(theta_deg, phi_deg, beta_deg, zero_point_deg, 1) % 180.0
 
 
-@dataclass(frozen=True)
+@frozen
 class CompensationSchedule:
     """Per-sample HWP commands for one pass."""
 

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from .frozen import frozen
 
 # Measured PER is clamped here: real power meters have finite dynamic range
 # and an infinity would poison CSV/JSON output.
@@ -62,7 +63,7 @@ def _check_finite_angle(angle):
         raise ValueError(f"angle must be finite, got {angle!r}")
 
 
-@dataclass(frozen=True)
+@frozen
 class PolarizationState:
     """Pure polarization state(s): complex amplitude pair (a_h, a_v)."""
 
@@ -111,7 +112,7 @@ class PolarizationState:
         return cls(r, -r)
 
 
-@dataclass(frozen=True)
+@frozen
 class OpticalElement:
     """2x2 complex Jones matrix (or a batch of them) with composition helpers."""
 
@@ -145,7 +146,7 @@ class OpticalElement:
                 and _every(abs(np.conj(a) * b + np.conj(c) * d) <= atol))
 
 
-@dataclass(frozen=True)
+@frozen
 class MirrorResponse:
     """Complex amplitude reflectances of one mirror for s and p polarization.
 

@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .antenna import PointingDirection
 from .compensation import compensated_chain, compensation_angle
+from .frozen import frozen
 from .jones import OpticalElement, PolarizationState, fidelity, identity_element, rotator
 from .table import json_text, write_table
 
@@ -56,8 +57,9 @@ class EstimationError(ValueError):
     """Raised when counts cannot support a CHSH estimate."""
 
 
-@dataclass(frozen=True)
+@frozen
 class SourceModel:
+    """Entangled-pair source: Werner-state fidelity and pair rate (Hz)."""
     fidelity: float
     pair_rate_hz: float
 
@@ -68,8 +70,9 @@ class SourceModel:
             raise ValueError("pair rate must be finite and positive")
 
 
-@dataclass(frozen=True)
+@frozen
 class ChannelModel:
+    """Uplink channel: loss (dB), unitary rotation (identity if None), depolarization."""
     loss_db: float
     rotation: OpticalElement = None
     depolarization: float = 0.0
@@ -90,8 +93,9 @@ class ChannelModel:
         return 10.0 ** (-self.loss_db / 10.0)
 
 
-@dataclass(frozen=True)
+@frozen
 class DetectionModel:
+    """Detectors: efficiency, dark rate (Hz), coincidence window and integration time (s)."""
     efficiency: float = 0.5
     dark_rate_hz: float = 100.0
     coincidence_window_s: float = 2.5e-9
@@ -199,8 +203,9 @@ def simulate_chsh_counts(source, channel, det, seed=0):
     return counts
 
 
-@dataclass(frozen=True)
+@frozen
 class ChshResult:
+    """CHSH estimate: the four correlations, S, their errors and the coincidences."""
     correlations: tuple  # four E values
     correlation_errors: tuple  # four sigma_E
     s_value: float

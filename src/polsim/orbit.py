@@ -17,10 +17,10 @@ antisymmetric about culmination for a zenith-crossing pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .frozen import frozen
 from .table import posix_from_iso, read_table, write_table
 
 MU_EARTH_KM3_S2 = 398600.4418
@@ -47,8 +47,9 @@ class ArgumentError(ValueError):
         self.name = name
 
 
-@dataclass(frozen=True)
+@frozen
 class GroundStation:
+    """Ground site on a spherical Earth: latitude, longitude (degrees), altitude (m)."""
     latitude_deg: float
     longitude_deg: float
     altitude_m: float = 0.0
@@ -96,7 +97,7 @@ def _check_horizon(rec, t_posix):
     if span > MAX_PROPAGATION_DAYS * SECONDS_PER_DAY:
         raise ArgumentError(
             "t_end",
-            f"propagation {span / SECONDS_PER_DAY:.2f} days from epoch exceeds the "
+            f"propagation {span / SECONDS_PER_DAY:.6g} days from epoch exceeds the "
             f"{MAX_PROPAGATION_DAYS:.0f}-day two-body accuracy horizon"
         )
 
@@ -229,7 +230,7 @@ def topocentric(sat_eci_km, station, t):
     return az, el, rng
 
 
-@dataclass(frozen=True)
+@frozen
 class PassProfile:
     """One satellite passage: time series of azimuth, elevation, beta."""
 
@@ -240,8 +241,7 @@ class PassProfile:
 
     def __post_init__(self):
         columns = [np.asarray(getattr(self, f), dtype=float) for f in self.__dataclass_fields__]
-        for name, column in zip(self.__dataclass_fields__, columns):
-            object.__setattr__(self, name, column)
+        vars(self).update(zip(self.__dataclass_fields__, columns))
         if len(columns[0]) < 2:
             raise ValueError("a pass needs at least two samples")
         if any(len(column) != len(columns[0]) for column in columns[1:]):

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
+from .frozen import frozen
 from .jones import MirrorResponse, _every, _value
 
 
@@ -36,7 +37,7 @@ class StackParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
+@frozen
 class Ray:
     """Incidence angle (radians) and vacuum wavelength (nm); floats or
     broadcastable arrays for a grid of rays."""
@@ -54,7 +55,7 @@ class Ray:
             raise ValueError("wavelength must be positive")
 
 
-@dataclass(frozen=True)
+@frozen
 class LayerStack:
     """Coating stack: ambient index, ordered (index, thickness_nm) layers, substrate.
 

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+
+from .frozen import frozen
 
 
 class TleParseError(ValueError):
@@ -44,8 +45,9 @@ def line_checksum(line):
     return total % 10
 
 
-@dataclass(frozen=True)
+@frozen
 class TleRecord:
+    """One parsed TLE: every field of both lines, the name line if any."""
     name: str | None
     satellite_number: str  # kept verbatim
     classification: str

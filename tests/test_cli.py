@@ -789,6 +789,31 @@ class TestImports:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "False"
 
+    def test_import_compiles_no_source(self):
+        # dataclass and namedtuple build their methods by exec/eval of source
+        # text, which no .pyc caches; module code objects are what imports run
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        probe = (
+            "import builtins, numpy\n"
+            "seen = []\n"
+            "def watch(fn):\n"
+            "    def watched(source, *args, **kwargs):\n"
+            "        module = fn.__name__ == 'compile' and str(args[0]).endswith('.py')  # an import\n"
+            "        if isinstance(source, (str, bytes)) and not module:\n"
+            "            seen.append(fn.__name__ + ': ' + str(source)[:60])\n"
+            "        return fn(source, *args, **kwargs)\n"
+            "    return watched\n"
+            "for name in ('exec', 'eval', 'compile'):\n"
+            "    setattr(builtins, name, watch(getattr(builtins, name)))\n"
+            "import polsim.cli\n"
+            "print(repr(seen))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
     def test_numpy_random_stays_lazy(self):
         # numpy loads numpy.random on first use; importing polsim must not use it
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -846,6 +871,21 @@ class TestHarness:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
         assert "cannot write output" in err
+
+    @pytest.mark.parametrize("command", ["coating", "compensate"])
+    def test_closed_stdout_exits_1_quietly(self, tmp_path, command):
+        # as in `polsim compensate | head -1`: the reader has closed the pipe
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "polsim.cli", command, "--out",
+                                   str(tmp_path)], stdout=write_end, stderr=subprocess.PIPE,
+                                  env=env, text=True, timeout=300)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, "")
 
     def test_config_value_type_error(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -136,6 +136,13 @@ class TestTopocentric:
     def test_gmst_at_j2000(self):
         assert O.gmst_rad(946728000.0) == pytest.approx(math.radians(280.46061837), abs=1e-15)
 
+    @pytest.mark.parametrize("t_posix, gmst_deg", [
+        (545011200.0, 197.693195),  # Meeus, Astronomical Algorithms, Example 12.a: 1987-04-10 0h UT
+        (545080860.0, 128.7378734),  # Example 12.b: 1987-04-10 19:21:00 UT
+    ])
+    def test_gmst_meeus_examples(self, t_posix, gmst_deg):
+        assert math.degrees(float(O.gmst_rad(t_posix))) == pytest.approx(gmst_deg, abs=1e-6)
+
     @given(st.lists(st.tuples(*[st.floats(-5e4, 5e4)] * 3), min_size=1, max_size=20),
            st.floats(-100.0, 100.0))
     def test_z_rotation_round_trip(self, vectors, angle):
@@ -213,6 +220,7 @@ class TestPasses:
         with pytest.raises(O.ArgumentError, match="samples") as err:
             O.extract_passes(sso, O.NGARI_STATION, t0, t0 + 48 * 3600.0, step_s=1e-6)
         assert err.value.name == "step_s"
+        assert str(err.value) == "a 172800 s window at step_s 1e-06 needs more than 5000000 samples"
         assert issubclass(O.ArgumentError, ValueError)
 
     def test_horizon_is_a_window_error(self, sso):
@@ -220,6 +228,14 @@ class TestPasses:
         with pytest.raises(O.ArgumentError, match="horizon") as err:
             O.extract_passes(sso, O.NGARI_STATION, t0, t0 + 200 * 3600.0)
         assert err.value.name == "t_end"
+
+    def test_horizon_message_stays_short(self, sso):
+        # 1e300 hours is 4.2e298 days: six significant digits, not 299 digits
+        t0 = sso.epoch_posix
+        with pytest.raises(O.ArgumentError) as err:
+            O.extract_passes(sso, O.NGARI_STATION, t0, t0 + 1e300 * 3600.0)
+        assert str(err.value) == ("propagation 4.16667e+298 days from epoch exceeds the 7-day "
+                                  "two-body accuracy horizon")
 
     def test_horizon_applies_to_the_window_only(self, sso, sso_passes, monkeypatch):
         # The horizon sits 0.25 s before a set crossing.  At step 2 s the last
