@@ -31,6 +31,7 @@ import numpy as np
 
 from . import antenna, compensation, linksim, orbit, thinfilm, tle
 from .jones import PER_CAP, MirrorResponse, rotator
+from .table import finite_float
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -56,23 +57,16 @@ def data_dir():
 # --- config files -------------------------------------------------------------
 
 
-def _finite(text):
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError
-    return value
-
-
 def _finite_list(text):
-    values = tuple(_finite(tok) for tok in text.split(",") if tok.strip() != "")
+    values = tuple(finite_float(tok) for tok in text.split(",") if tok.strip() != "")
     if not values:
         raise ValueError
     return values
 
 
 # What each schema parse function expects, as a config error names it.
-_EXPECTED = {_finite: "a finite number", int: "an integer", str: "text",
-            _finite_list: "comma-separated finite numbers"}
+_EXPECTED = {finite_float: "a finite number", int: "an integer", str: "text",
+             _finite_list: "comma-separated finite numbers"}
 
 
 def read_config(path, schema):
@@ -144,6 +138,7 @@ def _load(parse, path, what):
 
 
 def _write(out_dir, name, text):
+    """Write `text` to out_dir/name and print 'wrote <path>'."""
     path = Path(out_dir) / name
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -151,7 +146,7 @@ def _write(out_dir, name, text):
             fh.write(text)
     except OSError as exc:
         raise CliFailure(EXIT_USAGE, f"cannot write output: {exc}") from None
-    return path
+    print(f"wrote {path}")
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -160,8 +155,12 @@ def _write(out_dir, name, text):
 def cmd_coating(cfg, args):
     stack_path = (args.stack if args.stack is not None
                   else cfg["stack_file"] or str(data_dir() / "hr_coating_stack.txt"))
-    ray = _checked(cfg, lambda angle, wavelength: thinfilm.Ray(math.radians(angle), wavelength),
-                   "angle_deg", "wavelength_nm")
+    def ray(angle, wavelength):  # Ray's own check speaks radians
+        if not 0.0 <= angle < 90.0:
+            raise ValueError(f"incidence angle must be in [0, 90) degrees, got {angle!r}")
+        return thinfilm.Ray(math.radians(angle), wavelength)
+
+    ray = _checked(cfg, ray, "angle_deg", "wavelength_nm")
     stack = _load(thinfilm.parse_stack_text, stack_path, "stack file")
     try:
         resp = thinfilm.stack_response(stack, ray)
@@ -193,8 +192,7 @@ def cmd_per_map(cfg, args):
         antenna.DESIGN_GEOMETRY, MirrorResponse.from_powers(rs, rp, gap * math.pi), el, az,
         _scan_states(labels), cap=cap),
         *_MIRROR_NAMES, "states", "elevations_deg", "azimuths_deg", "per_cap")
-    path = _write(args.out, "per_map.csv", scan.to_csv())
-    print(f"wrote {path}")
+    _write(args.out, "per_map.csv", scan.to_csv())
     print(f"cells {len(scan.rows)}")
     print(f"min_per {scan.min_per!r}")
     print(f"mean_per {scan.mean_per!r}")
@@ -224,15 +222,13 @@ def cmd_compensate(cfg, args):
         raise CliFailure(EXIT_NUMERIC, "no pass above the elevation threshold in the window")
     for k, pass_profile in enumerate(passes, start=1):
         schedule = compensation.schedule_from_pass(pass_profile, zero_point, sign, max_slew)
-        csv_path = _write(args.out, f"pass_{k:02d}_schedule.csv", schedule.to_csv())
-        meta_path = _write(args.out, f"pass_{k:02d}_schedule.json", schedule.metadata_json())
         print(f"pass {k}: samples {len(pass_profile.t_posix)} "
               f"duration_s {pass_profile.duration_s!r} "
               f"max_el_deg {pass_profile.max_elevation_deg!r} "
               f"max_rate_deg_per_s {schedule.max_rate_deg_per_s!r} "
               f"warnings {len(schedule.warnings)}")
-        print(f"wrote {csv_path}")
-        print(f"wrote {meta_path}")
+        _write(args.out, f"pass_{k:02d}_schedule.csv", schedule.to_csv())
+        _write(args.out, f"pass_{k:02d}_schedule.json", schedule.metadata_json())
     return EXIT_OK
 
 
@@ -243,9 +239,8 @@ def cmd_offset_scan(cfg, args):
         elevation_deg=el, beta_deg=beta),
         *_MIRROR_NAMES, "ground_offsets_deg", "sat_offsets_deg", "azimuth_deg", "elevation_deg",
         "beta_deg")
-    path = _write(args.out, "offset_scan.csv", linksim.offset_scan_csv(ground, sat, grid))
+    _write(args.out, "offset_scan.csv", linksim.offset_scan_csv(ground, sat, grid))
     i, j = np.unravel_index(np.argmax(grid), grid.shape)
-    print(f"wrote {path}")
     print(f"peak_ground_offset_deg {ground[int(i)]!r}")
     print(f"peak_sat_offset_deg {sat[int(j)]!r}")
     print(f"peak_fidelity {float(grid[i, j])!r}")
@@ -278,7 +273,7 @@ def cmd_bell(cfg, args):
         raise CliFailure(EXIT_NUMERIC, f"estimation failed: {exc} "
                          "(increase integration_time_s or reduce loss_db)")
 
-    counts_path = _write(args.out, "bell_counts.csv", linksim.counts_to_csv(counts))
+    _write(args.out, "bell_counts.csv", linksim.counts_to_csv(counts))
     extra = {
         "seed": args.seed,
         "model": {
@@ -293,9 +288,7 @@ def cmd_bell(cfg, args):
             "integration_time_s": det.integration_time_s,
         },
     }
-    result_path = _write(args.out, "bell_result.json", result.to_json(extra))
-    print(f"wrote {counts_path}")
-    print(f"wrote {result_path}")
+    _write(args.out, "bell_result.json", result.to_json(extra))
     print(f"S {result.s_value!r}")
     print(f"sigma_S {result.s_error!r}")
     print(f"total_coincidences {result.total_coincidences!r}")
@@ -306,42 +299,42 @@ def cmd_bell(cfg, args):
 
 
 _MIRROR_NAMES = ("mirror_rs_power", "mirror_rp_power", "mirror_phase_gap_pi")
-MIRROR_KEYS = tuple((key, value, _finite) for key, value in zip(_MIRROR_NAMES, antenna._MEASURED))
+MIRROR_KEYS = tuple((k, v, finite_float) for k, v in zip(_MIRROR_NAMES, antenna._MEASURED))
 
 # Each subcommand's run function, help text and config schema: its keys in
 # read order, each with its default (None: unset, or the packaged file) and
 # its parse function, one of _EXPECTED's.
 COMMANDS = {
     "coating": (cmd_coating, "reflectance of a coating stack", (
-        ("stack_file", None, str), ("angle_deg", 45.0, _finite),
-        ("wavelength_nm", 780.0, _finite))),
+        ("stack_file", None, str), ("angle_deg", 45.0, finite_float),
+        ("wavelength_nm", 780.0, finite_float))),
     "per-map": (cmd_per_map, "simulated local PER scan", (
         ("elevations_deg", antenna.DEFAULT_SCAN_ELEVATIONS, _finite_list),
         ("azimuths_deg", antenna.DEFAULT_SCAN_AZIMUTHS, _finite_list),
-        ("states", "H,V,+,-", str), *MIRROR_KEYS, ("per_cap", PER_CAP, _finite))),
+        ("states", "H,V,+,-", str), *MIRROR_KEYS, ("per_cap", PER_CAP, finite_float))),
     "compensate": (cmd_compensate, "HWP schedules for passes", (
         ("tle_file", None, str), ("pass_csv", None, str),
-        ("station_lat_deg", orbit.NGARI_STATION.latitude_deg, _finite),
-        ("station_lon_deg", orbit.NGARI_STATION.longitude_deg, _finite),
-        ("station_alt_m", orbit.NGARI_STATION.altitude_m, _finite),
-        ("threshold_deg", 10.0, _finite), ("step_s", 1.0, _finite),
-        ("window_hours", 48.0, _finite),
-        ("zero_point_deg", compensation.DEFAULT_ZERO_POINT_DEG, _finite), ("sign", 1, int),
-        ("max_slew_deg_per_s", compensation.DEFAULT_MAX_SLEW_DEG_PER_S, _finite))),
+        ("station_lat_deg", orbit.NGARI_STATION.latitude_deg, finite_float),
+        ("station_lon_deg", orbit.NGARI_STATION.longitude_deg, finite_float),
+        ("station_alt_m", orbit.NGARI_STATION.altitude_m, finite_float),
+        ("threshold_deg", 10.0, finite_float), ("step_s", 1.0, finite_float),
+        ("window_hours", 48.0, finite_float),
+        ("zero_point_deg", compensation.DEFAULT_ZERO_POINT_DEG, finite_float), ("sign", 1, int),
+        ("max_slew_deg_per_s", compensation.DEFAULT_MAX_SLEW_DEG_PER_S, finite_float))),
     "offset-scan": (cmd_offset_scan, "fidelity vs offset angles", (
         ("ground_offsets_deg", tuple(float(g) for g in range(-5, 6)), _finite_list),
-        ("sat_offsets_deg", (0.0, -1.0), _finite_list), ("azimuth_deg", 30.0, _finite),
-        ("elevation_deg", 50.0, _finite), ("beta_deg", 0.0, _finite), *MIRROR_KEYS)),
+        ("sat_offsets_deg", (0.0, -1.0), _finite_list), ("azimuth_deg", 30.0, finite_float),
+        ("elevation_deg", 50.0, finite_float), ("beta_deg", 0.0, finite_float), *MIRROR_KEYS)),
     "bell": (cmd_bell, "Monte Carlo CHSH run", (
-        ("source_fidelity", 0.9329, _finite), ("pair_rate_hz", 1e6, _finite),
-        ("channel_rotation_deg", 0.0, _finite), ("loss_db", 46.0, _finite),
-        ("depolarization", 0.0, _finite), ("detector_efficiency", 0.5, _finite),
-        ("dark_rate_hz", 100.0, _finite), ("coincidence_window_ns", 2.5, _finite),
-        ("integration_time_s", 80.0, _finite),
+        ("source_fidelity", 0.9329, finite_float), ("pair_rate_hz", 1e6, finite_float),
+        ("channel_rotation_deg", 0.0, finite_float), ("loss_db", 46.0, finite_float),
+        ("depolarization", 0.0, finite_float), ("detector_efficiency", 0.5, finite_float),
+        ("dark_rate_hz", 100.0, finite_float), ("coincidence_window_ns", 2.5, finite_float),
+        ("integration_time_s", 80.0, finite_float),
         # the default run is calibrated to the flight-test headline numbers;
         # calibrate_s_target 0 simulates the raw configured model instead
-        ("calibrate_s_target", 2.312, _finite),
-        ("calibrate_total_coincidences", 2138.0, _finite))),
+        ("calibrate_s_target", 2.312, finite_float),
+        ("calibrate_total_coincidences", 2138.0, finite_float))),
 }
 # Every config key's default; a key shared by several commands has one default.
 DEFAULTS = {key: default for _, _, schema in COMMANDS.values() for key, default, _ in schema}

@@ -19,7 +19,7 @@ window.  Randomness comes from a counter-based Philox generator keyed as
 (seed, setting index), so every run is bit-reproducible.  Each generator is
 put at counter 0 under its key directly, so none reads OS entropy for a seed
 the key then replaces, and the count means of a link model are computed once
-and shared by all of its seeds.
+and shared by all of its seeds and by calibration.
 """
 
 from __future__ import annotations
@@ -139,18 +139,6 @@ def _philox(seed, stream):
     return bitgen
 
 
-@functools.lru_cache(maxsize=32)
-def _analyzer_factor(rotation):
-    """Read-only |a^T U b|^2 / 2, a row (pp, mm, pm, mp) per Bell-test setting."""
-    # amp[k, i, j]: setting k, satellite port i, ground port j (0 = axis, 1 = orthogonal)
-    a, b = (np.array([[[math.cos(p), math.sin(p)], [-math.sin(p), math.cos(p)]] for p in phis])
-            for phis in zip(*BELL_TEST_SETTINGS))
-    amp = np.abs(a @ rotation.matrix @ b.transpose(0, 2, 1)) ** 2 / 2.0
-    amp = amp.reshape(-1, 4)[:, [0, 3, 1, 2]]  # (i, j) at 2i + j
-    amp.flags.writeable = False
-    return amp
-
-
 def _expected_counts(source, channel, det):
     """Expected (true + accidental) coincidence means, a row (pp, mm, pm, mp) per setting.
 
@@ -159,8 +147,12 @@ def _expected_counts(source, channel, det):
     (a, b) fires with P = w |a^T U b|^2 / 2 + (1 - w)/4, and both photons keep
     the marginal I/2 whatever the analyzer port.
     """
+    # amp[k, i, j]: setting k, satellite port i, ground port j (0 = axis, 1 = orthogonal)
+    a, b = (np.array([[[math.cos(p), math.sin(p)], [-math.sin(p), math.cos(p)]] for p in phis])
+            for phis in zip(*BELL_TEST_SETTINGS))
+    amp = np.abs(a @ channel.rotation.matrix @ b.transpose(0, 2, 1)) ** 2 / 2.0
     w = (4.0 * source.fidelity - 1.0) / 3.0 * (1.0 - channel.depolarization)
-    probs = w * _analyzer_factor(channel.rotation) + (1.0 - w) / 4.0
+    probs = w * amp.reshape(-1, 4)[:, [0, 3, 1, 2]] + (1.0 - w) / 4.0  # (i, j) at 2i + j
     rate, trans = source.pair_rate_hz, channel.transmission
     eta, t = det.efficiency, det.integration_time_s
     pair_rate = rate * trans * eta * eta
@@ -177,23 +169,27 @@ def _expected_counts(source, channel, det):
 
 
 @functools.lru_cache(maxsize=32)
+def _cached_count_means(source, channel, det):
+    return tuple(map(tuple, _expected_counts(source, channel, det).tolist()))
+
+
 def _count_means(source, channel, det):
-    """`_expected_counts` as rows of Python floats, checked against the Poisson
-    sampler's limit; a model that fails raises again on every call."""
-    means = _expected_counts(source, channel, det)
-    if means.max() > POISSON_MEAN_MAX:  # finite: _expected_counts checks for overflow
-        raise ValueError(f"expected coincidence count {means.max():.6g} exceeds the Poisson "
-                         f"sampler's limit {POISSON_MEAN_MAX:.6g}")
-    return tuple(map(tuple, means.tolist()))
+    """`_expected_counts` as rows of Python floats, computed once per link
+    model; a model holding a 0-d array has no hash and is computed each call."""
+    try:
+        return _cached_count_means(source, channel, det)
+    except TypeError:
+        return _cached_count_means.__wrapped__(source, channel, det)
 
 
 def simulate_chsh_counts(source, channel, det, seed=0):
     """Poisson (c_pp, c_mm, c_pm, c_mp) per Bell-test setting; setting k draws
     from Philox (seed, k)."""
-    try:
-        means = _count_means(source, channel, det)
-    except TypeError:  # a model holding a 0-d array has no hash
-        means = _count_means.__wrapped__(source, channel, det)
+    means = _count_means(source, channel, det)
+    peak = max(map(max, means))  # finite: _expected_counts checks for overflow
+    if peak > POISSON_MEAN_MAX:
+        raise ValueError(f"expected coincidence count {peak:.6g} exceeds the Poisson "
+                         f"sampler's limit {POISSON_MEAN_MAX:.6g}")
     bitgen = _philox(seed, 0)
     rng, counts = np.random.Generator(bitgen), []
     for k, row in enumerate(means):
@@ -282,7 +278,7 @@ def estimate_chsh(counts, error_method="propagation"):
 
 def expected_chsh(source, channel, det):
     """S and total coincidences of the full count model, evaluated on means."""
-    result = estimate_chsh(_expected_counts(source, channel, det))
+    result = estimate_chsh(_count_means(source, channel, det))
     return result.s_value, result.total_coincidences
 
 

@@ -5,18 +5,37 @@ the code that owns the data.  `kind` turns a cell's text into a value: float,
 str, or posix_from_iso for an ISO 8601 UTC timestamp.  A table is a header
 line of the column names, then one comma-separated row per record, numbers
 written with repr so they read back bit for bit and timestamps a column at a
-time by iso_from_posix.
+time by iso_from_posix.  Every reader of an input file raises ParseError.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from datetime import datetime, timezone
 
 import numpy as np
 
 # 0001-01-01T00:00:00Z and 9999-12-31T23:59:59.999999Z in POSIX microseconds
 _FIRST_US, _LAST_US = -62_135_596_800_000_000, 253_402_300_799_999_999
+
+
+class ParseError(ValueError):
+    """An input-file error at a 1-based line (0: the whole file) and, when
+    known, column: 'line N[, column C]: message'."""
+
+    def __init__(self, line_no, message, column=None):
+        where = f"line {line_no}" if column is None else f"line {line_no}, column {column}"
+        super().__init__(f"{where}: {message}")
+        self.line_no, self.column = line_no, column
+
+
+def finite_float(text):
+    """float(text), refusing NaN and inf with ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def iso_from_posix(t):
@@ -67,7 +86,7 @@ def read_table(text, fmt, fill=()):
 
     Blank lines, '#' lines and header lines are skipped.  The last len(fill)
     columns may be missing from a row and then take the `fill` values.  Every
-    error names the 1-based line.
+    error is a ParseError at the 1-based line.
     """
     kinds = [kind for _, kind in fmt]
     least = len(kinds) - len(fill)
@@ -78,11 +97,11 @@ def read_table(text, fmt, fill=()):
             continue
         if not least <= len(cells) <= len(kinds):
             expected = f"{least} to {len(kinds)}" if fill else len(kinds)
-            raise ValueError(f"line {line_no}: expected {expected} columns, got {len(cells)}")
+            raise ParseError(line_no, f"expected {expected} columns, got {len(cells)}")
         try:
             row = tuple([kind(cell) for kind, cell in zip(kinds, cells)])
         except ValueError as exc:
-            raise ValueError(f"line {line_no}: {exc}") from None
+            raise ParseError(line_no, str(exc)) from None
         rows.append(row + fill[len(cells) - least:])
     return rows
 

@@ -27,14 +27,7 @@ import numpy as np
 
 from .frozen import frozen
 from .jones import MirrorResponse, _every, _value
-
-
-class StackParseError(ValueError):
-    """Stack-file syntax error; carries the offending 1-based line number."""
-
-    def __init__(self, line_no, message):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+from .table import ParseError, finite_float
 
 
 @frozen
@@ -209,13 +202,6 @@ def quarter_wave_stack():
 # '#' starts a comment; blank lines are ignored.
 
 
-def _finite_floats(tokens):
-    values = [float(t) for t in tokens]
-    if not all(map(math.isfinite, values)):
-        raise ValueError
-    return values
-
-
 def parse_stack_text(text):
     header = {}  # 'ambient' and 'substrate' indices
     layers = []
@@ -226,35 +212,34 @@ def parse_stack_text(text):
         tokens = line.split()
         if tokens[0] in ("ambient", "substrate"):
             if len(tokens) != 3:
-                raise StackParseError(line_no, f"'{tokens[0]}' needs 2 numbers, got {len(tokens) - 1}")
+                raise ParseError(line_no, f"'{tokens[0]}' needs 2 numbers, got {len(tokens) - 1}")
             try:
-                value = complex(*_finite_floats(tokens[1:]))
+                value = complex(*map(finite_float, tokens[1:]))
             except ValueError:
-                raise StackParseError(
+                raise ParseError(
                     line_no, f"non-numeric or non-finite index in {raw.strip()!r}"
                 ) from None
             if tokens[0] in header:
-                raise StackParseError(line_no, f"duplicate '{tokens[0]}' line")
+                raise ParseError(line_no, f"duplicate '{tokens[0]}' line")
             header[tokens[0]] = value
         else:
             if len(tokens) != 3:
-                raise StackParseError(
-                    line_no, f"layer line needs 'n_real n_imag thickness_nm', got {raw.strip()!r}"
-                )
+                raise ParseError(line_no, "layer line needs 'n_real n_imag thickness_nm', "
+                                 f"got {raw.strip()!r}")
             try:
-                n_re, n_im, d = _finite_floats(tokens)
+                n_re, n_im, d = map(finite_float, tokens)
             except ValueError:
-                raise StackParseError(
+                raise ParseError(
                     line_no, f"non-numeric or non-finite layer field in {raw.strip()!r}"
                 ) from None
             if d <= 0.0:
-                raise StackParseError(line_no, f"layer thickness must be positive, got {d!r}")
+                raise ParseError(line_no, f"layer thickness must be positive, got {d!r}")
             if n_re == n_im == 0.0:
-                raise StackParseError(line_no, "layer index must be non-zero")
+                raise ParseError(line_no, "layer index must be non-zero")
             layers.append((complex(n_re, n_im), d))
     for word in ("ambient", "substrate"):
         if word not in header:
-            raise StackParseError(0, f"missing '{word}' line")
+            raise ParseError(0, f"missing '{word}' line")
     return LayerStack(header["ambient"], tuple(layers), header["substrate"])
 
 

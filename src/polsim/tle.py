@@ -20,18 +20,7 @@ import re
 from datetime import datetime, timedelta, timezone
 
 from .frozen import frozen
-
-
-class TleParseError(ValueError):
-    """TLE syntax/semantic error with 1-based line and column location."""
-
-    def __init__(self, line_no, column, message):
-        where = f"line {line_no}"
-        if column is not None:
-            where += f", column {column}"
-        super().__init__(f"{where}: {message}")
-        self.line_no = line_no
-        self.column = column
+from .table import ParseError
 
 
 def line_checksum(line):
@@ -117,60 +106,59 @@ def parse_tle(text):
     elif len(lines) == 3:
         name = lines.pop(0).strip()
     else:
-        raise TleParseError(0, None, f"expected 2 or 3 non-empty lines, got {len(lines)}")
+        raise ParseError(0, f"expected 2 or 3 non-empty lines, got {len(lines)}")
 
     for line_no, line in enumerate(lines, start=1):
         lead = str(line_no)
         if len(line) != 69:
-            raise TleParseError(line_no, None, f"line must be 69 characters, got {len(line)}")
+            raise ParseError(line_no, f"line must be 69 characters, got {len(line)}")
         if line[0] != lead:
-            raise TleParseError(line_no, 1, f"line must start with {lead!r}, got {line[0]!r}")
+            raise ParseError(line_no, f"line must start with {lead!r}, got {line[0]!r}", 1)
         expected = line_checksum(line)
         if line[68] != str(expected):
-            raise TleParseError(
-                line_no, 69, f"checksum mismatch: expected {expected}, found {line[68]!r}"
-            )
+            raise ParseError(line_no, f"checksum mismatch: expected {expected}, "
+                             f"found {line[68]!r}", 69)
 
     l1, l2 = lines
     if l1[2:7] != l2[2:7]:
-        raise TleParseError(2, 3, f"satellite number differs between lines: {l1[2:7]!r} vs {l2[2:7]!r}")
+        raise ParseError(2, "satellite number differs between lines: "
+                         f"{l1[2:7]!r} vs {l2[2:7]!r}", 3)
 
     fields, read = {"name": name}, {1: 1, 2: 1}  # last column read per line
     for line_no, column, last, field, spec, what in _LAYOUT:
         line = lines[line_no - 1]
         for gap in range(read[line_no] + 1, column):
             if line[gap - 1] != " ":
-                raise TleParseError(line_no, gap,
-                                    f"separator must be a space, got {line[gap - 1]!r}")
+                raise ParseError(line_no, f"separator must be a space, got {line[gap - 1]!r}", gap)
         read[line_no] = last
         text = fields[field] = line[column - 1:last]
         if isinstance(spec, re.Pattern):
             if not spec.fullmatch(text):
-                raise TleParseError(line_no, column, f"malformed {what} field: {text!r}")
+                raise ParseError(line_no, f"malformed {what} field: {text!r}", column)
         elif field == "eccentricity":
             if not (text.isascii() and text.isdigit()):
-                raise TleParseError(line_no, column, f"non-numeric eccentricity: {text!r}")
+                raise ParseError(line_no, f"non-numeric eccentricity: {text!r}", column)
             fields[field] = int(text) / 1e7
         elif spec is not None:
             try:
                 value = (int if spec.endswith("d") else float)(text)
             except ValueError:
-                raise TleParseError(line_no, column, f"non-numeric {what}: {text!r}") from None
+                raise ParseError(line_no, f"non-numeric {what}: {text!r}", column) from None
             if not math.isfinite(value):
-                raise TleParseError(line_no, column, f"non-finite {what}: {text!r}")
+                raise ParseError(line_no, f"non-finite {what}: {text!r}", column)
             canonical = format(value, spec)
             if text != canonical:
-                raise TleParseError(line_no, column, f"non-canonical {what}: {text!r} "
-                                    f"(canonical form is {canonical!r})")
+                raise ParseError(line_no, f"non-canonical {what}: {text!r} "
+                                 f"(canonical form is {canonical!r})", column)
             if field == "epoch_year":
                 if value < 0:  # how 02d writes -4, but format_tle writes a year's last two digits
-                    raise TleParseError(line_no, column,
-                                        f"epoch year must be two digits, got {text!r}")
+                    raise ParseError(line_no, f"epoch year must be two digits, got {text!r}",
+                                     column)
                 value += 2000 if value < 57 else 1900
             fields[field] = value
     mean_motion = fields["mean_motion_rev_per_day"]
     if not 0.0 < mean_motion < 20.0:
-        raise TleParseError(2, 53, f"mean motion out of range: {mean_motion!r}")
+        raise ParseError(2, f"mean motion out of range: {mean_motion!r}", 53)
     return TleRecord(**fields)
 
 

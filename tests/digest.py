@@ -46,7 +46,8 @@ SRC = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent
 sys.path.insert(0, str(SRC.resolve()))
 os.environ.pop("POLSIM_DATA_DIR", None)
 
-from polsim import antenna, cli, compensation, jones, linksim, orbit, thinfilm, tle  # noqa: E402
+from polsim import (antenna, cli, compensation, jones, linksim, orbit, table,  # noqa: E402
+                    thinfilm, tle)
 
 DATA = SRC.resolve() / "polsim" / "data"
 SEEDS = (3, 5, 11, 29)
@@ -167,7 +168,7 @@ def library_family(digest):
 def parse_outcome(text):
     try:
         rec = tle.parse_tle(text)
-    except tle.TleParseError as exc:
+    except table.ParseError as exc:
         return f"{exc} | {exc.line_no} | {exc.column}"
     return f"{rec!r} | {tle.format_tle(rec)}"
 

@@ -19,6 +19,7 @@ from polsim import linksim as L
 from polsim import orbit as O
 from polsim import thinfilm as tf
 from polsim import tle as T
+from polsim.table import ParseError
 from reference import (Interface, brewster_angle, chsh_analytic, fresnel,
                        fresnel_transmission, is_north_to_south, make_source)
 
@@ -156,7 +157,7 @@ def test_07_tle_parser():
                     continue
                 mutated = list(lines)
                 mutated[idx] = original[:pos] + repl + original[pos + 1:]
-                with pytest.raises(T.TleParseError):
+                with pytest.raises(ParseError):
                     T.parse_tle("\n".join(mutated) + "\n")
                 mutations += 1
     # byte-identical round trip

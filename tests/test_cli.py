@@ -55,6 +55,21 @@ class TestCoating:
         assert code == 0
         assert "mean_power" in out
 
+    @pytest.mark.parametrize("angle", ["90", "-1", "1e300"])
+    def test_angle_out_of_range_named_in_degrees(self, capsys, tmp_path, angle):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"angle_deg {angle}\n")
+        code, out, err = run(capsys, "coating", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == ("polsim: config error: key 'angle_deg': incidence angle must be in "
+                       f"[0, 90) degrees, got {float(angle)!r}\n")
+
+    def test_angle_just_below_90_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"angle_deg {math.nextafter(90.0, 0.0)!r}\n")
+        code, _, err = run(capsys, "coating", "--config", str(cfg))
+        assert (code, err) == (0, "")
+
     def test_parse_failure_exit_2(self, capsys, tmp_path):
         stack = tmp_path / "bad.txt"
         stack.write_text("ambient 1.0 0.0\nsubstrate 1.5 0.0\n1.4 0.0 nope\n")
@@ -668,6 +683,13 @@ class TestBell:
         assert abs(result["total_coincidences"] - 2138.0) < 5.0 * (2138.0**0.5)
         rows = read_table((tmp_path / "bell_counts.csv").read_text(), L.COUNTS_FORMAT)
         assert len(rows) == 4
+
+    def test_failed_result_write_keeps_counts_line(self, capsys, tmp_path):
+        (tmp_path / "bell_result.json").mkdir()  # the second write cannot open a directory
+        code, out, err = run(capsys, "bell", "--out", str(tmp_path))
+        assert code == 1
+        assert out == f"wrote {tmp_path / 'bell_counts.csv'}\n"
+        assert err.startswith("polsim: error: cannot write output: ")
 
     def test_lossless_long_run_hits_tsirelson(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"

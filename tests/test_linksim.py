@@ -257,50 +257,56 @@ class TestSimulation:
 
     def test_cached_factor_read_only_and_means_fresh(self):
         src, ch, det = L.SourceModel(0.9329, 1e6), L.ChannelModel(46.0), L.DetectionModel()
-        factor = L._analyzer_factor(ch.rotation)
-        assert not factor.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            factor[0, 0] = 1.0
         means = L._expected_counts(src, ch, det)
-        assert means.flags.writeable and not np.shares_memory(means, factor)
-        means[:] = -1.0  # a caller's edit reaches neither the cache nor the next call
+        assert means.flags.writeable
+        means[:] = -1.0  # a caller's edit does not reach the next call
         again = L._expected_counts(src, ch, det)
         assert np.array_equal(again, frozen_expected_counts(src, ch, det, L.BELL_TEST_SETTINGS))
-        assert L._analyzer_factor(ch.rotation) is factor
 
     def test_count_means_cached_per_model(self):
         src, det = L.SourceModel(0.9329, 1e6), L.DetectionModel()
         a, b = L.ChannelModel(46.0), L.ChannelModel(44.0, J.rotator(0.3))
-        L._count_means.cache_clear()
+        L._cached_count_means.cache_clear()
         # A, B, A: a stale or mis-keyed entry hands B's means to A
-        got = [L._count_means(src, channel, det) for channel in (a, b, a)]
+        got = [L._cached_count_means(src, channel, det) for channel in (a, b, a)]
         for means, channel in zip(got, (a, b, a)):
             want = frozen_expected_counts(src, channel, det, L.BELL_TEST_SETTINGS)
             assert means == tuple(map(tuple, want.tolist()))
             assert all(type(m) is float for row in means for m in row)
         assert got[0] is got[2]
         # equal but distinct model objects share one entry
-        again = L._count_means(L.SourceModel(0.9329, 1e6), L.ChannelModel(46.0),
-                               L.DetectionModel())
+        again = L._cached_count_means(L.SourceModel(0.9329, 1e6), L.ChannelModel(46.0),
+                                      L.DetectionModel())
         assert again is got[0]
-        assert L._count_means.cache_info()[:2] == (2, 2)  # (hits, misses)
+        assert L._cached_count_means.cache_info()[:2] == (2, 2)  # (hits, misses)
         with pytest.raises(TypeError):
             again[0] = (0.0,) * 4
         with pytest.raises(TypeError):
             again[0][0] = 0.0
 
+    def test_calibration_and_seeds_share_count_means(self):
+        model = (L.SourceModel(0.9329, 1e6), L.ChannelModel(46.0), L.DetectionModel())
+        L._cached_count_means.cache_clear()
+        L.expected_chsh(*model)
+        for seed in range(2):
+            L.simulate_chsh_counts(*model, seed=seed)
+        assert L._cached_count_means.cache_info()[:2] == (2, 1)  # (hits, misses)
+        # a model with no hash is computed uncached, to the same value
+        arrays = (L.SourceModel(np.array(0.9329), 1e6), *model[1:])
+        assert L.expected_chsh(*arrays) == L.expected_chsh(*model)
+
     def test_mean_over_sampler_limit_raises_every_call(self):
         # 6.7e300 expected coincidences: finite, but far above the sampler's limit
         model = (L.SourceModel(0.9329, 1e6), L.ChannelModel(46.0),
                  L.DetectionModel(integration_time_s=1e300))
-        L._count_means.cache_clear()
+        L._cached_count_means.cache_clear()
         messages = []
         for _ in range(2):
             with pytest.raises(ValueError, match="exceeds the Poisson sampler's limit") as err:
                 L.simulate_chsh_counts(*model, seed=0)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
-        assert L._count_means.cache_info().currsize == 0
+        assert L._cached_count_means.cache_info()[:2] == (1, 1)  # the second call is a hit
 
     def test_model_of_0d_arrays_keeps_its_counts(self):
         # such a model has no hash, so its means are not cached

@@ -349,6 +349,15 @@ class TestPassSearchProperties:
         bound = math.degrees(O.elevation_rate_bound(rec, O.NGARI_STATION))
         assert np.max(np.abs(np.diff(el) / np.diff(ts))) <= bound
 
+    def test_gain_bound_closed_form(self):
+        # 1000 km closing at 8 km/s onto a 500 km floor: ln(1000 / 600) rad
+        # before the floor (50 s); at 100 s the range would be 200 km, so
+        # ln(1000 / 500) rad to the floor and then 300 km / 500 km more
+        gain = O._elevation_gain_deg(1000.0, np.array([50.0, 100.0]), 8.0, 500.0)
+        want = [math.degrees(math.log(1000.0 / 600.0)), math.degrees(math.log(2.0) + 0.6)]
+        assert gain == pytest.approx(want, rel=1e-12)
+        assert gain[1] == pytest.approx(74.0918757, abs=1e-7)
+
     @settings(max_examples=25, deadline=None)
     @given(LEO_ELEMENTS)
     def test_range_aware_bound_within_coarse_intervals(self, elements):

@@ -1,4 +1,5 @@
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from polsim import antenna as A
 from polsim import compensation as C
 from polsim import linksim as L
 from polsim import orbit as O
-from polsim import table
+from polsim import table, thinfilm, tle
 
 FLOATS = st.floats(allow_nan=False)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -102,9 +103,38 @@ def test_error_names_the_line(parse, good, bad_line):
         parse(f"{good}{bad_line}\n")
 
 
+def _bad_checksum_tle():
+    name, line1, line2 = (Path(table.__file__).parent / "data" / "sso_500km.tle").read_text(
+        encoding="ascii").splitlines()
+    return f"{name}\n{line1[:68]}{(int(line1[68]) + 1) % 10}\n{line2}\n"
+
+
+@pytest.mark.parametrize("parse, text, line_no, column", [
+    (thinfilm.parse_stack_text, "ambient 1.0 0.0\nsubstrate 1.5 0.0\n1.4 0.0 abc\n", 3, None),
+    (thinfilm.parse_stack_text, "substrate 1.5 0.0\n", 0, None),  # 0: the whole file
+    (tle.parse_tle, _bad_checksum_tle(), 1, 69),
+    (tle.parse_tle, "", 0, None),
+    (O.parse_pass_csv, f"t_iso8601,az_deg,el_deg\n{T0},10.0\n", 2, None),
+    (O.parse_pass_csv, f"t_iso8601,az_deg,el_deg\n\n{T0},10.0,high\n", 3, None),
+    (reader(L.COUNTS_FORMAT), "0.0,0.39,1,2,3,4\n0.0,0.39,1,2,3,four\n", 2, None),
+])
+def test_every_reader_raises_parse_error(parse, text, line_no, column):
+    with pytest.raises(table.ParseError) as err:
+        parse(text)
+    assert (err.value.line_no, err.value.column) == (line_no, column)
+    where = f"line {line_no}" + ("" if column is None else f", column {column}")
+    assert str(err.value).startswith(f"{where}: ")
+
+
 def test_comments_blank_lines_and_headers_skipped():
     text = "# made by hand\n\nground_offset_deg,sat_offset_deg,fidelity\n  \n1.0,-1.0,0.5\n"
     assert table.read_table(text, L.OFFSET_SCAN_FORMAT) == [(1.0, -1.0, 0.5)]
+
+
+def test_missing_trailing_columns_take_fill():
+    fmt = (("a", float), ("b", float), ("c", float))
+    rows = table.read_table("1.0\n1.0,2.0\n1.0,2.0,3.0\n", fmt, fill=(8.0, 9.0))
+    assert rows == [(1.0, 8.0, 9.0), (1.0, 2.0, 9.0), (1.0, 2.0, 3.0)]
 
 
 def test_json_refuses_nan():
@@ -145,6 +175,9 @@ class TestIsoFromPosix:
                 table.iso_from_posix(times)
         else:
             assert table.iso_from_posix(np.array(times)).tolist() == want
+
+    def test_first_microsecond_of_year_one(self):
+        assert table.iso_from_posix(FIRST_S) == "0001-01-01T00:00:00.000000Z"
 
     def test_year_9999_rounding_up_raises(self):
         # the last microsecond of 9999 reads back as the first second of 10000

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from polsim import thinfilm as tf
 from polsim.jones import MirrorResponse
+from polsim.table import ParseError
 from reference import (Interface, brewster_angle, format_stack, fresnel, fresnel_transmission,
                        snell)
 
@@ -340,26 +341,36 @@ substrate 1.52 0.0
         assert tf.parse_stack_text(format_stack(stack)) == stack
 
     def test_missing_header(self):
-        with pytest.raises(tf.StackParseError):
+        with pytest.raises(ParseError):
             tf.parse_stack_text("substrate 1.5 0.0\n1.4 0.0 100.0\n")
 
     def test_error_carries_line_number(self):
         bad = "ambient 1.0 0.0\nsubstrate 1.5 0.0\n1.4 0.0 abc\n"
-        with pytest.raises(tf.StackParseError) as err:
+        with pytest.raises(ParseError) as err:
             tf.parse_stack_text(bad)
         assert err.value.line_no == 3
         assert "line 3" in str(err.value)
 
     def test_nonpositive_thickness_rejected(self):
         bad = "ambient 1.0 0.0\nsubstrate 1.5 0.0\n1.4 0.0 -5.0\n"
-        with pytest.raises(tf.StackParseError):
+        with pytest.raises(ParseError):
             tf.parse_stack_text(bad)
         with pytest.raises(ValueError, match="^layer 0: thickness must be positive, got 0.0$"):
             tf.LayerStack(1.0, ((1.4, 0.0),), 1.5)
 
+    def test_zero_thickness_line_is_parse_error(self):
+        bad = "ambient 1.0 0.0\nsubstrate 1.5 0.0\n1.4 0.0 0\n"
+        with pytest.raises(ParseError, match="^line 3: layer thickness must be positive, got 0.0$"):
+            tf.parse_stack_text(bad)
+
+    @pytest.mark.parametrize("ambient, substrate", [(1j, 1.5), (1.0, 2j)])
+    def test_zero_real_part_rejected(self, ambient, substrate):
+        with pytest.raises(ValueError, match="need a positive real part"):
+            tf.LayerStack(ambient, (), substrate)
+
     def test_duplicate_header_rejected(self):
         bad = "ambient 1.0 0.0\nambient 1.0 0.0\nsubstrate 1.5 0.0\n"
-        with pytest.raises(tf.StackParseError):
+        with pytest.raises(ParseError):
             tf.parse_stack_text(bad)
 
     @pytest.mark.parametrize("text, line_no, message", [
@@ -375,6 +386,6 @@ substrate 1.52 0.0
          "non-numeric or non-finite index in 'substrate nan 0'"),
     ])
     def test_header_error_message(self, text, line_no, message):
-        with pytest.raises(tf.StackParseError) as err:
+        with pytest.raises(ParseError) as err:
             tf.parse_stack_text(text)
         assert (err.value.line_no, str(err.value)) == (line_no, f"line {line_no}: {message}")

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polsim import tle as T
+from polsim.table import ParseError
 
 # real historical record (valid checksums by provenance)
 ISS = """ISS (ZARYA)
@@ -69,7 +70,7 @@ class TestParse:
 
     def test_wrong_length(self):
         bad = ISS_LINES[1][:68] + "\n" + ISS_LINES[2]
-        with pytest.raises(T.TleParseError) as err:
+        with pytest.raises(ParseError) as err:
             T.parse_tle(bad)
         assert err.value.line_no == 1
         assert "69" in str(err.value)
@@ -78,7 +79,7 @@ class TestParse:
         l1 = ISS_LINES[1]
         digit = "5" if l1[68] != "5" else "6"
         bad = l1[:68] + digit + "\n" + ISS_LINES[2]
-        with pytest.raises(T.TleParseError) as err:
+        with pytest.raises(ParseError) as err:
             T.parse_tle(bad)
         assert err.value.line_no == 1
         assert "checksum" in str(err.value)
@@ -86,14 +87,14 @@ class TestParse:
     def test_satnum_mismatch(self):
         l2 = "2 25545" + ISS_LINES[2][7:]
         l2 = l2[:68] + str(T.line_checksum(l2))
-        with pytest.raises(T.TleParseError) as err:
+        with pytest.raises(ParseError) as err:
             T.parse_tle(ISS_LINES[1] + "\n" + l2)
         assert "satellite number" in str(err.value)
 
     def test_non_numeric_field_reports_column(self):
         l2 = ISS_LINES[2][:8] + "  x1.644" + ISS_LINES[2][16:]
         l2 = l2[:68] + str(T.line_checksum(l2))
-        with pytest.raises(T.TleParseError) as err:
+        with pytest.raises(ParseError) as err:
             T.parse_tle(ISS_LINES[1] + "\n" + l2)
         assert err.value.line_no == 2
         assert err.value.column == 9
@@ -104,7 +105,7 @@ class TestParse:
         # columns 45-52 and 54-61 of line 1 hold the implied-exponent fields
         l1 = ISS_LINES[1][:start] + " 1234x-5" + ISS_LINES[1][start + 8:]
         l1 = l1[:68] + str(T.line_checksum(l1))
-        with pytest.raises(T.TleParseError) as err:
+        with pytest.raises(ParseError) as err:
             T.parse_tle(l1 + "\n" + ISS_LINES[2])
         assert (err.value.line_no, err.value.column) == (1, column)
         assert str(err.value) == f"line 1, column {column}: malformed {what} field: ' 1234x-5'"
@@ -123,7 +124,7 @@ class TestParse:
                     if repl == ch:
                         continue
                     lines[line_idx] = original[:pos] + repl + original[pos + 1:]
-                    with pytest.raises(T.TleParseError):
+                    with pytest.raises(ParseError):
                         T.parse_tle("\n".join(lines) + "\n")
             lines[line_idx] = original
 
@@ -132,7 +133,7 @@ class TestParse:
         # canonical fixed-precision form, so strict parsing refuses it
         l2 = ISS_LINES[2][:17] + "075.4313" + ISS_LINES[2][25:]
         l2 = l2[:68] + str(T.line_checksum(l2))
-        with pytest.raises(T.TleParseError) as err:
+        with pytest.raises(ParseError) as err:
             T.parse_tle(ISS_LINES[1] + "\n" + l2)
         assert "non-canonical" in str(err.value)
 
@@ -141,7 +142,7 @@ class TestParse:
         # int() reads both as 4, but format_tle writes "04"
         l1 = ISS_LINES[1][:18] + year + ISS_LINES[1][20:]
         l1 = l1[:68] + str(T.line_checksum(l1))
-        with pytest.raises(T.TleParseError) as err:
+        with pytest.raises(ParseError) as err:
             T.parse_tle(l1 + "\n" + ISS_LINES[2])
         assert str(err.value) == (f"line 1, column 19: non-canonical epoch year: {year!r} "
                                   "(canonical form is '04')")
@@ -151,17 +152,24 @@ class TestParse:
         # canonical for 02d, but would parse as 1996 and re-format as "96"
         l1 = ISS_LINES[1][:18] + year + ISS_LINES[1][20:]
         l1 = l1[:68] + str(T.line_checksum(l1))
-        with pytest.raises(T.TleParseError) as err:
+        with pytest.raises(ParseError) as err:
             T.parse_tle(l1 + "\n" + ISS_LINES[2])
         assert err.value.column == 19
         assert str(err.value) == f"line 1, column 19: epoch year must be two digits, got {year!r}"
+
+    @pytest.mark.parametrize("year, full", [("00", 2000), ("56", 2056), ("57", 1957),
+                                            ("99", 1999)])
+    def test_two_digit_epoch_year_window(self, year, full):
+        l1 = ISS_LINES[1][:18] + year + ISS_LINES[1][20:]
+        l1 = l1[:68] + str(T.line_checksum(l1))
+        assert T.parse_tle(l1 + "\n" + ISS_LINES[2]).epoch_year == full
 
     @pytest.mark.parametrize("token", ["     nan", "     inf", "    -inf"])
     def test_non_finite_field(self, token):
         # format(nan, "8.4f") is "     nan", so the canonical check alone accepts it
         l2 = ISS_LINES[2][:8] + token + ISS_LINES[2][16:]
         l2 = l2[:68] + str(T.line_checksum(l2))
-        with pytest.raises(T.TleParseError) as err:
+        with pytest.raises(ParseError) as err:
             T.parse_tle(ISS_LINES[1] + "\n" + l2)
         assert str(err.value) == f"line 2, column 9: non-finite inclination: {token!r}"
 
@@ -171,7 +179,7 @@ class TestParse:
         # the parser accepts a mean motion only in (0, 20) rev/day, both ends excluded
         l2 = ISS_LINES[2][:52] + token + ISS_LINES[2][63:]
         l2 = l2[:68] + str(T.line_checksum(l2))
-        with pytest.raises(T.TleParseError) as err:
+        with pytest.raises(ParseError) as err:
             T.parse_tle(ISS_LINES[1] + "\n" + l2)
         assert str(err.value) == f"line 2, column 53: mean motion out of range: {value!r}"
 
@@ -185,7 +193,7 @@ class TestParse:
         # a signed epoch year (column 19) and a bad epoch day (column 21): the year is first
         l1 = ISS_LINES[1][:18] + "-4" + "x" + ISS_LINES[1][21:]
         l1 = l1[:68] + str(T.line_checksum(l1))
-        with pytest.raises(T.TleParseError) as err:
+        with pytest.raises(ParseError) as err:
             T.parse_tle(l1 + "\n" + ISS_LINES[2])
         assert str(err.value) == "line 1, column 19: epoch year must be two digits, got '-4'"
 
@@ -198,7 +206,7 @@ class TestParse:
         lines = list(ISS_LINES)
         line = lines[line_no][:column - 1] + token + lines[line_no][column:]
         lines[line_no] = line[:68] + str(T.line_checksum(line))
-        with pytest.raises(T.TleParseError) as err:
+        with pytest.raises(ParseError) as err:
             T.parse_tle("\n".join(lines) + "\n")
         assert (err.value.line_no, err.value.column) == (line_no, column)
         assert str(err.value) == (f"line {line_no}, column {column}: "
@@ -209,7 +217,7 @@ class TestParse:
         for edits, column in (({17: "X", 18: "x"}, 18), ({18: "x", 32: "X"}, 19)):
             l1 = "".join(edits.get(i, ch) for i, ch in enumerate(ISS_LINES[1]))
             l1 = l1[:68] + str(T.line_checksum(l1))
-            with pytest.raises(T.TleParseError) as err:
+            with pytest.raises(ParseError) as err:
                 T.parse_tle(l1 + "\n" + ISS_LINES[2])
             assert (err.value.line_no, err.value.column) == (1, column)
 
@@ -223,7 +231,7 @@ class TestParse:
     def test_non_ascii_digit_names_its_field(self, column, digit, field_column, message):
         l2 = ISS_LINES[2][:column - 1] + digit + ISS_LINES[2][column:]
         l2 = l2[:68] + str(T.line_checksum(l2))
-        with pytest.raises(T.TleParseError) as err:
+        with pytest.raises(ParseError) as err:
             T.parse_tle(ISS_LINES[1] + "\n" + l2)
         assert (err.value.line_no, err.value.column) == (2, field_column)
         assert str(err.value) == f"line 2, column {field_column}: {message}"
@@ -231,7 +239,7 @@ class TestParse:
     @pytest.mark.parametrize("digit", ["²", "٣"])
     def test_non_ascii_digit_in_place_of_a_digit_fails_the_checksum(self, digit):
         l1 = ISS_LINES[1][:2] + digit + ISS_LINES[1][3:]  # the satellite number's leading 2
-        with pytest.raises(T.TleParseError) as err:
+        with pytest.raises(ParseError) as err:
             T.parse_tle(l1 + "\n" + ISS_LINES[2])
         assert (err.value.line_no, err.value.column) == (1, 69)
         assert "checksum mismatch: expected 0, found '2'" in str(err.value)
@@ -328,7 +336,7 @@ def test_format_parse_format_is_identity(rec):
         # refused only for a name that the name line parses to something else
         assert str(err).startswith(f"name {rec.name!r} does not round-trip")
         body = T.format_tle(replace(rec, name=None))
-        with contextlib.suppress(T.TleParseError):
+        with contextlib.suppress(ParseError):
             assert T.parse_tle(rec.name + "\n" + body).name != rec.name
         return
     back = T.parse_tle(text)
