@@ -37,7 +37,7 @@ from .antenna import (
     scanning_head_jones,
 )
 from .tle import TleRecord, format_tle, parse_tle
-from .orbit import GroundStation, NGARI_STATION, PassProfile, extract_passes, propagate, topocentric
+from .orbit import GroundStation, NGARI_STATION, PassProfile, extract_passes
 from .compensation import (
     CompensationSchedule,
     compensation_angle,

@@ -49,9 +49,7 @@ class CliFailure(Exception):
         self.code = code
 
 
-def data_dir():
-    """Reference-data directory; POLSIM_DATA_DIR overrides the packaged one."""
-    return Path(os.environ.get("POLSIM_DATA_DIR") or Path(__file__).parent / "data")
+DATA_DIR = Path(__file__).parent / "data"  # the packaged reference files
 
 
 # --- config files -------------------------------------------------------------
@@ -153,20 +151,18 @@ def _write(out_dir, name, text):
 
 
 def cmd_coating(cfg, args):
-    stack_path = (args.stack if args.stack is not None
-                  else cfg["stack_file"] or str(data_dir() / "hr_coating_stack.txt"))
     def ray(angle, wavelength):  # Ray's own check speaks radians
         if not 0.0 <= angle < 90.0:
             raise ValueError(f"incidence angle must be in [0, 90) degrees, got {angle!r}")
         return thinfilm.Ray(math.radians(angle), wavelength)
 
     ray = _checked(cfg, ray, "angle_deg", "wavelength_nm")
-    stack = _load(thinfilm.parse_stack_text, stack_path, "stack file")
+    stack = _load(thinfilm.parse_stack_text, cfg["stack_file"], "stack file")
     try:
         resp = thinfilm.stack_response(stack, ray)
     except ValueError as exc:  # a floating-point fault or a non-passive response
         raise CliFailure(EXIT_NUMERIC, f"stack response failed: {exc}") from None
-    print(f"stack_file {stack_path}")
+    print(f"stack_file {cfg['stack_file']}")
     print(f"layers {len(stack.layers)}")
     print(f"angle_deg {cfg['angle_deg']!r}")
     print(f"wavelength_nm {cfg['wavelength_nm']!r}")
@@ -201,13 +197,12 @@ def cmd_per_map(cfg, args):
 
 def cmd_compensate(cfg, args):
     zero_point, sign, max_slew = cfg["zero_point_deg"], cfg["sign"], cfg["max_slew_deg_per_s"]
-    _checked(cfg, compensation.check_tracking, "sign", "max_slew_deg_per_s")
+    _checked(cfg, compensation.check_tracking, "zero_point_deg", "sign", "max_slew_deg_per_s")
 
     if cfg["pass_csv"] is not None:
         passes = [_load(orbit.parse_pass_csv, cfg["pass_csv"], "pass CSV")]
     else:
-        tle_path = cfg["tle_file"] or str(data_dir() / "sso_500km.tle")
-        rec = _load(tle.parse_tle, tle_path, "TLE file")
+        rec = _load(tle.parse_tle, cfg["tle_file"], "TLE file")
         station = _checked(cfg, orbit.GroundStation, "station_lat_deg", "station_lon_deg",
                            "station_alt_m")
         t0 = rec.epoch_posix
@@ -302,18 +297,18 @@ _MIRROR_NAMES = ("mirror_rs_power", "mirror_rp_power", "mirror_phase_gap_pi")
 MIRROR_KEYS = tuple((k, v, finite_float) for k, v in zip(_MIRROR_NAMES, antenna._MEASURED))
 
 # Each subcommand's run function, help text and config schema: its keys in
-# read order, each with its default (None: unset, or the packaged file) and
-# its parse function, one of _EXPECTED's.
+# read order, each with its default (None: unset) and its parse function, one
+# of _EXPECTED's.
 COMMANDS = {
     "coating": (cmd_coating, "reflectance of a coating stack", (
-        ("stack_file", None, str), ("angle_deg", 45.0, finite_float),
-        ("wavelength_nm", 780.0, finite_float))),
+        ("stack_file", str(DATA_DIR / "hr_coating_stack.txt"), str),
+        ("angle_deg", 45.0, finite_float), ("wavelength_nm", 780.0, finite_float))),
     "per-map": (cmd_per_map, "simulated local PER scan", (
         ("elevations_deg", antenna.DEFAULT_SCAN_ELEVATIONS, _finite_list),
         ("azimuths_deg", antenna.DEFAULT_SCAN_AZIMUTHS, _finite_list),
         ("states", "H,V,+,-", str), *MIRROR_KEYS, ("per_cap", PER_CAP, finite_float))),
     "compensate": (cmd_compensate, "HWP schedules for passes", (
-        ("tle_file", None, str), ("pass_csv", None, str),
+        ("tle_file", str(DATA_DIR / "sso_500km.tle"), str), ("pass_csv", None, str),
         ("station_lat_deg", orbit.NGARI_STATION.latitude_deg, finite_float),
         ("station_lon_deg", orbit.NGARI_STATION.longitude_deg, finite_float),
         ("station_alt_m", orbit.NGARI_STATION.altitude_m, finite_float),
@@ -358,8 +353,6 @@ def build_parser():
 
     for name, (_, help_text, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        if name == "coating":
-            p.add_argument("--stack", default=None, help="stack description file")
         p.add_argument("--config", default=None, help="key-value config file")
         if name == "bell":
             p.add_argument("--seed", type=seed, default=0, help="random seed in [0, 2**64)")

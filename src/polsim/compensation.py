@@ -80,8 +80,11 @@ class CompensationSchedule:
 SCHEDULE_FORMAT = (("t_iso8601", posix_from_iso), ("hwp_deg", float), ("rate_deg_per_s", float))
 
 
-def check_tracking(sign, max_slew_deg_per_s):
-    """Raise ValueError unless `sign` is 1 or -1 and the slew limit is positive."""
+def check_tracking(zero_point_deg, sign, max_slew_deg_per_s):
+    """Raise ValueError unless the zero point is in [-360, 360] degrees, `sign`
+    is 1 or -1 and the slew limit is positive."""
+    if not -360.0 <= zero_point_deg <= 360.0:
+        raise ValueError(f"zero point must be in [-360, 360] degrees, got {zero_point_deg!r}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be 1 or -1, got {sign!r}")
     if not max_slew_deg_per_s > 0.0:
@@ -108,7 +111,7 @@ def schedule_from_pass(pass_profile, zero_point_deg=DEFAULT_ZERO_POINT_DEG, sign
     afterwards.  A rate above `max_slew_deg_per_s` is recorded as a warning
     (the schedule is still produced).
     """
-    check_tracking(sign, max_slew_deg_per_s)
+    check_tracking(zero_point_deg, sign, max_slew_deg_per_s)
     az, beta = _unwrap_deg(pass_profile.azimuth_deg), _unwrap_deg(pass_profile.beta_deg)
     raw = _hwp_command(az, pass_profile.elevation_deg, beta, zero_point_deg, sign)
 

@@ -186,16 +186,17 @@ def simulate_chsh_counts(source, channel, det, seed=0):
     """Poisson (c_pp, c_mm, c_pm, c_mp) per Bell-test setting; setting k draws
     from Philox (seed, k)."""
     means = _count_means(source, channel, det)
-    peak = max(map(max, means))  # finite: _expected_counts checks for overflow
-    if peak > POISSON_MEAN_MAX:
-        raise ValueError(f"expected coincidence count {peak:.6g} exceeds the Poisson "
-                         f"sampler's limit {POISSON_MEAN_MAX:.6g}")
     bitgen = _philox(seed, 0)
     rng, counts = np.random.Generator(bitgen), []
-    for k, row in enumerate(means):
-        if k:
-            _rekey(bitgen, seed, k)
-        counts.append(tuple(map(rng.poisson, row)))
+    try:
+        for k, row in enumerate(means):
+            if k:
+                _rekey(bitgen, seed, k)
+            counts.append(tuple(map(rng.poisson, row)))
+    except ValueError:  # numpy's "lam value too large": the means are finite and not
+        peak = max(map(max, means))  # negative, so one is above POISSON_MEAN_MAX
+        raise ValueError(f"expected coincidence count {peak:.6g} exceeds the Poisson "
+                         f"sampler's limit {POISSON_MEAN_MAX:.6g}") from None
     return counts
 
 

@@ -142,23 +142,6 @@ def _state(rec, ellipse, t_posix):
     return pos, _in_plane(-a * sin_e * e_dot, b * cos_e * e_dot, rot)
 
 
-def propagate_state(rec, t):
-    """ECI position (km) and velocity (km/s) on the record's Kepler ellipse.
-
-    Vectorized over t, in POSIX seconds: scalar t gives shape-(3,) arrays,
-    an array of times gives shape (n, 3).
-    """
-    t_posix = np.asarray(t, dtype=float)
-    _check_horizon(rec, t_posix)
-    pos, vel = _state(rec, _ellipse(rec), np.atleast_1d(t_posix))
-    return (pos[0], vel[0]) if t_posix.ndim == 0 else (pos, vel)
-
-
-def propagate(rec, t):
-    """ECI position (km) at time t, shaped as by propagate_state."""
-    return propagate_state(rec, t)[0]
-
-
 def gmst_rad(t_posix):
     """Greenwich mean sidereal time, radians (IAU 1982-style polynomial)."""
     d = (np.asarray(t_posix, dtype=float) - 946728000.0) / SECONDS_PER_DAY  # days from J2000.0
@@ -216,18 +199,6 @@ def _az_el(sat_eci_km, gmst, site):
     """Azimuth (deg, 0 at the zenith), elevation (deg) and range (km); see _look."""
     e, n, horizontal, el, rng = _look(sat_eci_km, gmst, site)
     return np.where(horizontal < 1e-9, 0.0, np.degrees(np.arctan2(e, n)) % 360.0), el, rng
-
-
-def topocentric(sat_eci_km, station, t):
-    """(azimuth_deg, elevation_deg, range_km) of a satellite from a station.
-
-    Floats for one ECI position, arrays for positions (n, 3) at n times.
-    Azimuth is undefined at the zenith and returned there as 0.
-    """
-    az, el, rng = _az_el(sat_eci_km, gmst_rad(t), _site(station))
-    if rng.ndim == 0:
-        return float(az), float(el), float(rng)
-    return az, el, rng
 
 
 @frozen

@@ -33,7 +33,6 @@ import contextlib
 import hashlib
 import io
 import math
-import os
 import random
 import sys
 import tempfile
@@ -44,7 +43,6 @@ import numpy as np
 
 SRC = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parents[1] / "src")
 sys.path.insert(0, str(SRC.resolve()))
-os.environ.pop("POLSIM_DATA_DIR", None)
 
 from polsim import (antenna, cli, compensation, jones, linksim, orbit, table,  # noqa: E402
                     thinfilm, tle)

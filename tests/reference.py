@@ -23,7 +23,7 @@ import numpy as np
 
 from polsim.jones import MirrorResponse
 from polsim.linksim import BELL_TEST_SETTINGS
-from polsim.orbit import (PassProfile, _crossing, gmst_rad, propagate, propagate_state,
+from polsim.orbit import (PassProfile, _az_el, _crossing, _ellipse, _site, _state, gmst_rad,
                           station_ecef)
 from polsim.thinfilm import _cos_refracted
 
@@ -237,6 +237,22 @@ def beta_from_state(pos, vel, station, t):
     return np.degrees(np.arctan2(np.sum(los * along, axis=-1), -np.sum(los * r_hat, axis=-1)))
 
 
+# --- orbit geometry ----------------------------------------------------------
+# Short entry points into polsim.orbit's private geometry for the tests.
+
+
+def state(rec, t):
+    """ECI positions (km) and velocities (km/s), shape (n, 3), at POSIX times t
+    (a scalar is one time), on the record's Kepler ellipse."""
+    return _state(rec, _ellipse(rec), np.atleast_1d(np.asarray(t, dtype=float)))
+
+
+def az_el_range(sat_eci_km, station, t):
+    """Azimuth (deg, 0 at the zenith), elevation (deg) and range (km) arrays of
+    ECI positions (3,) or (n, 3) from `station` at POSIX times t."""
+    return _az_el(sat_eci_km, gmst_rad(t), _site(station))
+
+
 # --- dense pass scan ---------------------------------------------------------
 
 
@@ -248,7 +264,7 @@ def dense_passes(rec, station, t_start, t_end, threshold_deg, step_s):
     grid = np.arange(t_start, t_end + step_s / 2.0, step_s)
 
     def elevation(t):
-        return look_angles(propagate(rec, t), station, t)[1]
+        return look_angles(state(rec, t)[0], station, t)[1]
 
     el = elevation(grid)
     up = el >= threshold_deg
@@ -263,7 +279,7 @@ def dense_passes(rec, station, t_start, t_end, threshold_deg, step_s):
     for run, t_rise, t_set in zip(runs, *np.split(crossings, 2)):
         inner = grid[run]
         times = np.r_[t_rise, inner[(inner > t_rise) & (inner < t_set)], t_set]
-        pos, vel = propagate_state(rec, times)
+        pos, vel = state(rec, times)
         az, el_pass = look_angles(pos, station, times)
         passes.append(PassProfile(times, az, el_pass, beta_from_state(pos, vel, station, times)))
     return passes

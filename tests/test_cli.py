@@ -29,6 +29,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def coating_with(capsys, tmp_path, stack, settings=""):
+    """`polsim coating` on the stack file `stack`, named by its config."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"stack_file {stack}\n{settings}")
+    return run(capsys, "coating", "--config", str(cfg))
+
+
 class TestCoating:
     def test_default_reference_stack(self, capsys):
         code, out, _ = run(capsys, "coating")
@@ -41,9 +48,7 @@ class TestCoating:
     def test_empty_stack_fresnel(self, capsys, tmp_path):
         stack = tmp_path / "bare.txt"
         stack.write_text("ambient 1.0 0.0\nsubstrate 1.5 0.0\n")
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("angle_deg 0\n")
-        code, out, _ = run(capsys, "coating", "--stack", str(stack), "--config", str(cfg))
+        code, out, _ = coating_with(capsys, tmp_path, stack, "angle_deg 0\n")
         assert code == 0
         values = dict(line.split(None, 1) for line in out.strip().splitlines())
         assert float(values["rs_power"]) == pytest.approx(0.04, abs=1e-12)
@@ -73,28 +78,13 @@ class TestCoating:
     def test_parse_failure_exit_2(self, capsys, tmp_path):
         stack = tmp_path / "bad.txt"
         stack.write_text("ambient 1.0 0.0\nsubstrate 1.5 0.0\n1.4 0.0 nope\n")
-        code, _, err = run(capsys, "coating", "--stack", str(stack))
+        code, _, err = coating_with(capsys, tmp_path, stack)
         assert code == 2
         assert "line 3" in err
 
-    def test_stack_flag_overrides_config(self, capsys, tmp_path):
-        packaged = str(cli.data_dir() / "hr_coating_stack.txt")
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("stack_file /nonexistent\n")
-        code, out, err = run(capsys, "coating", "--stack", packaged, "--config", str(cfg))
-        assert (code, err) == (0, "")
-        assert out.splitlines()[:2] == [f"stack_file {packaged}", "layers 50"]
-
     def test_missing_file_exit_2(self, capsys, tmp_path):
-        code, _, err = run(capsys, "coating", "--stack", str(tmp_path / "absent.txt"))
+        code, _, err = coating_with(capsys, tmp_path, tmp_path / "absent.txt")
         assert code == 2
-
-    def test_empty_stack_path_exit_2(self, capsys):
-        # an empty --stack is a path that cannot be read, not an unset flag
-        code, out, err = run(capsys, "coating", "--stack", "")
-        assert (code, out) == (2, "")
-        assert err.startswith("polsim: error: stack file : ")
-        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("content", [
         b"ambient 1.0 0.0\nsubstrate 1.5 0.0 # \xc3\xa9\n",
@@ -106,7 +96,7 @@ class TestCoating:
     def test_bad_stack_exit_2(self, capsys, tmp_path, content):
         stack = tmp_path / "bad.txt"
         stack.write_bytes(content)
-        code, out, err = run(capsys, "coating", "--stack", str(stack))
+        code, out, err = coating_with(capsys, tmp_path, stack)
         assert code == 2
         assert out == ""
         assert len(err.strip().splitlines()) == 1
@@ -118,13 +108,11 @@ class TestCoating:
         ("ambient 1.0 0.0\nsubstrate 1e-320 0.0\n2.1 0.0 100\n", ""),
     ])
     def test_non_finite_response_exit_3(self, capsys, tmp_path, stack, setting):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text(setting + "\n")
-        argv = ["coating", "--config", str(cfg)]
+        path = cli.DATA_DIR / "hr_coating_stack.txt"
         if stack is not None:
-            (tmp_path / "s.txt").write_text(stack)
-            argv += ["--stack", str(tmp_path / "s.txt")]
-        code, out, err = run(capsys, *argv)
+            path = tmp_path / "s.txt"
+            path.write_text(stack)
+        code, out, err = coating_with(capsys, tmp_path, path, setting + "\n")
         assert code == 3
         assert out == ""
         assert len(err.strip().splitlines()) == 1
@@ -135,7 +123,7 @@ EXTREME_FLOATS = st.sampled_from([
     0.0, -0.0, 1e308, -1e308, 1e-320, -1e-320, 5e-324, 2.2250738585072014e-308,
     math.nan, math.inf, -math.inf, 45.0, 780.0,
 ]) | st.floats(-100.0, 2000.0)
-STACK_LINES = (cli.data_dir() / "hr_coating_stack.txt").read_text(encoding="ascii").splitlines()
+STACK_LINES = (cli.DATA_DIR / "hr_coating_stack.txt").read_text(encoding="ascii").splitlines()
 STACK_DATA_LINES = [k for k, line in enumerate(STACK_LINES) if line.strip() and line[0] != "#"]
 # non-finite numbers, a zero index, a huge imaginary index, a negative thickness, ...
 STACK_TOKENS = ["nan", "inf", "-inf", "0", "-0", "1e308", "-1e308", "1e-320", "5e-324", "-5", "1e5"]
@@ -182,12 +170,12 @@ class TestCoatingExitContract:
     def test_exit_code_contract(self, angle_deg, wavelength_nm, mutation):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = Path(tmp) / "c.cfg"
-            cfg.write_text(f"angle_deg {angle_deg!r}\nwavelength_nm {wavelength_nm!r}\n")
-            argv = ["coating", "--config", str(cfg)]
+            text = f"angle_deg {angle_deg!r}\nwavelength_nm {wavelength_nm!r}\n"
             if mutation is not None:
                 (Path(tmp) / "s.txt").write_text(mutated_stack_text(*mutation))
-                argv += ["--stack", str(Path(tmp) / "s.txt")]
-            check_exit_contract(argv, Path(tmp) / "out")
+                text += f"stack_file {Path(tmp) / 's.txt'}\n"
+            cfg.write_text(text)
+            check_exit_contract(["coating", "--config", str(cfg)], Path(tmp) / "out")
 
 
 def schema(command):
@@ -202,7 +190,7 @@ CONFIG_SETTINGS = st.sampled_from(sorted(cli.COMMANDS)).flatmap(lambda command: 
 ))
 
 
-TLE_LINES = (cli.data_dir() / "sso_500km.tle").read_text(encoding="ascii").splitlines()
+TLE_LINES = (cli.DATA_DIR / "sso_500km.tle").read_text(encoding="ascii").splitlines()
 # overwritten at any column: single characters, and runs that zero, max out or
 # negate a whole numeric field (mean motion, eccentricity, epoch, ...)
 TLE_TOKENS = ["0", "9", " ", ".", "-", "+", "x", "00000000", "99999999", "-9999999", "nan",
@@ -386,7 +374,7 @@ class TestCompensate:
         assert f"column {column + 1}:" in err
 
     def test_non_ascii_tle_exit_2(self, capsys, tmp_path):
-        packaged = (cli.data_dir() / "sso_500km.tle").read_bytes()
+        packaged = (cli.DATA_DIR / "sso_500km.tle").read_bytes()
         bad = tmp_path / "bad.tle"
         bad.write_bytes(packaged.replace(b"TEST", b"T\xc3\xa9T", 1))
         cfg = tmp_path / "c.cfg"
@@ -556,6 +544,8 @@ class TestConfigRange:
         ("bell", "calibrate_total_coincidences 0"),
         ("compensate", "zero_point_deg nan"),
         ("compensate", "zero_point_deg inf"),
+        ("compensate", "zero_point_deg 1e300"),  # every HWP angle would read 0.0
+        ("compensate", "zero_point_deg -361"),
         ("compensate", "max_slew_deg_per_s nan"),
         ("compensate", "max_slew_deg_per_s -1"),
         ("compensate", "station_lon_deg nan"),
@@ -864,24 +854,13 @@ class TestHarness:
         assert err == "polsim: error: unrecognized arguments: --seed 5\n"
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("argv", [["bell", "--se", "3"], ["coating", "--st", "FILE"],
+    @pytest.mark.parametrize("argv", [["bell", "--se", "3"], ["coating", "--conf", "FILE"],
                                       ["per-map", "--c", "x"], ["offset-scan", "--o", "x"]])
     def test_flags_must_be_spelled_in_full(self, capsys, tmp_path, argv):
         code, out, err = run(capsys, *argv, "--out", str(tmp_path / "o"))
         assert (code, out) == (1, "")
         assert not (tmp_path / "o").exists()
         assert err == f"polsim: error: unrecognized arguments: {' '.join(argv[1:])}\n"
-
-    def test_data_dir_override(self, capsys, tmp_path, monkeypatch):
-        stack = tmp_path / "hr_coating_stack.txt"
-        stack.write_text("ambient 1.0 0.0\nsubstrate 1.9 0.0\n")
-        monkeypatch.setenv("POLSIM_DATA_DIR", str(tmp_path))
-        code, out, _ = run(capsys, "coating")
-        assert code == 0
-        values = dict(line.split(None, 1) for line in out.strip().splitlines())
-        # bare 1.0/1.9 interface at 45 degrees, not the packaged 50-layer stack
-        assert float(values["layers"]) == 0
-        assert float(values["rs_power"]) < 0.5
 
     @pytest.mark.parametrize("command", ["per-map", "offset-scan", "bell"])
     def test_unwritable_out_exit_1(self, capsys, tmp_path, command):
@@ -896,7 +875,8 @@ class TestHarness:
 
     @pytest.mark.parametrize("command", ["coating", "compensate"])
     def test_closed_stdout_exits_1_quietly(self, tmp_path, command):
-        # as in `polsim compensate | head -1`: the reader has closed the pipe
+        # as in `polsim compensate | head -1`: the reader has closed the pipe, so
+        # the first flush raises BrokenPipeError, which main turns into exit 1
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         read_end, write_end = os.pipe()
@@ -918,12 +898,15 @@ class TestHarness:
 
 def test_readme_config_table_matches_schema():
     # rows `| command | `key` | default |`, the default written as the config
-    # text that gives it, or "packaged file" / "none" for an unset path key
+    # text that gives it, "packaged `NAME`" for a file in cli.DATA_DIR, or
+    # "none" for an unset path key
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = re.findall(r"^\| ([\w-]+) +\| `(\w+)` +\| (.+?) +\|$", readme, re.MULTILINE)
     assert [row[:2] for row in rows] == [
         (command, key) for command in cli.COMMANDS for key, _, _ in schema(command)]
     for command, key, written in rows:
         [(default, parse)] = [(d, p) for k, d, p in schema(command) if k == key]
-        value = None if written in ("packaged file", "none") else parse(written.strip("`"))
+        packaged = re.fullmatch(r"packaged `(.+)`", written)
+        value = (str(cli.DATA_DIR / packaged[1]) if packaged
+                 else None if written == "none" else parse(written.strip("`")))
         assert value == default, (command, key)

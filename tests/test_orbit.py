@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from polsim import orbit as O
 from polsim import tle as T
-from reference import dense_passes, is_north_to_south
+from reference import az_el_range, dense_passes, is_north_to_south, state
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "polsim" / "data"
 
@@ -73,7 +73,7 @@ class TestKepler:
 class TestPropagation:
     def test_circular_radius(self):
         rec = T.make_tle(None, 90000, 2024, 1.0, 97.4, 0.0, 0.0, 0.0, 0.0, 15.22)
-        pos = O.propagate(rec, rec.epoch_posix)
+        pos = state(rec, rec.epoch_posix)[0]
         n_rad = 15.22 * 2.0 * math.pi / 86400.0
         assert np.linalg.norm(pos) == pytest.approx(
             (O.MU_EARTH_KM3_S2 / n_rad**2) ** (1.0 / 3.0), rel=1e-12
@@ -82,21 +82,24 @@ class TestPropagation:
     def test_periodicity(self):
         rec = T.make_tle(None, 90000, 2024, 1.0, 97.4, 10.0, 0.001, 30.0, 60.0, 15.22)
         period = 86400.0 / 15.22
-        p0 = O.propagate(rec, rec.epoch_posix)
-        p1 = O.propagate(rec, rec.epoch_posix + period)
+        p0 = state(rec, rec.epoch_posix)[0]
+        p1 = state(rec, rec.epoch_posix + period)[0]
         assert np.linalg.norm(p1 - p0) < 1e-6
 
     def test_energy_conservation_week(self):
         rec = T.make_tle(None, 90000, 2024, 1.0, 97.4, 10.0, 0.001, 30.0, 60.0, 15.22)
         ts = rec.epoch_posix + np.linspace(0.0, 7.0 * 86400.0, 3000)
-        pos, vel = O.propagate_state(rec, ts)
+        pos, vel = state(rec, ts)
         energy = 0.5 * np.sum(vel**2, axis=1) - O.MU_EARTH_KM3_S2 / np.linalg.norm(pos, axis=1)
         assert (energy.max() - energy.min()) / abs(energy.mean()) < 1e-9
 
     def test_horizon_guard(self):
+        # the two-body horizon holds before the epoch as well as after it
         rec = T.make_tle(None, 90000, 2024, 1.0, 97.4, 10.0, 0.001, 30.0, 60.0, 15.22)
-        with pytest.raises(ValueError):
-            O.propagate(rec, rec.epoch_posix + 8.0 * 86400.0)
+        t0 = rec.epoch_posix
+        with pytest.raises(O.ArgumentError, match="^propagation 8 days from epoch") as err:
+            O.extract_passes(rec, O.NGARI_STATION, t0 - 8.0 * 86400.0, t0 - 86400.0)
+        assert err.value.name == "t_end"
 
 
 class TestTopocentric:
@@ -106,7 +109,7 @@ class TestTopocentric:
         station = O.GroundStation(0.0, 0.0, 0.0)
         overhead_ecef = O.station_ecef(station) * (1.0 + 600.0 / O.R_EARTH_KM)
         sat_eci = O._rotate_z(overhead_ecef, O.gmst_rad(self.T0))
-        az, el, rng_km = O.topocentric(sat_eci, station, self.T0)
+        az, el, rng_km = az_el_range(sat_eci, station, self.T0)
         assert el == pytest.approx(90.0, abs=1e-6)
         assert az == 0.0  # undefined at zenith, returned as 0
 
@@ -116,7 +119,7 @@ class TestTopocentric:
         east = np.array([0.0, 1.0, 0.0])
         sat_ecef = up + east * 500.0  # tangent direction
         sat_eci = O._rotate_z(sat_ecef, O.gmst_rad(self.T0))
-        _, el, _ = O.topocentric(sat_eci, station, self.T0)
+        _, el, _ = az_el_range(sat_eci, station, self.T0)
         assert el == pytest.approx(0.0, abs=1e-9)
 
     def test_hand_geometry(self):
@@ -124,7 +127,7 @@ class TestTopocentric:
         station = O.GroundStation(0.0, 0.0, 0.0)
         sat_ecef = np.array([0.0, O.R_EARTH_KM + 600.0, 0.0])
         sat_eci = O._rotate_z(sat_ecef, O.gmst_rad(self.T0))
-        az, el, _ = O.topocentric(sat_eci, station, self.T0)
+        az, el, _ = az_el_range(sat_eci, station, self.T0)
         assert az == pytest.approx(90.0, abs=1e-9)
         assert el < 0.0
 
@@ -186,8 +189,15 @@ class TestPasses:
             assert p.elevation_deg[-1] == pytest.approx(threshold, abs=1e-4)
             # maximality: one step outside the pass the elevation is below
             for t_out in (p.t_posix[0] - 1.0, p.t_posix[-1] + 1.0):
-                _, el, _ = O.topocentric(O.propagate(sso, t_out), O.NGARI_STATION, t_out)
+                _, el, _ = az_el_range(state(sso, t_out)[0], O.NGARI_STATION, t_out)
                 assert el < threshold
+
+    def test_pass_clipped_by_window_edge_dropped(self, sso, sso_passes):
+        # the window ends (starts) 0.75 s before the set (after the rise), so
+        # the grid's last (first) sample is still up and the pass is dropped
+        t_rise, t_set = sso_passes[0].t_posix[[0, -1]]
+        for window in ((t_rise - 600.0, t_set - 0.75), (t_rise + 0.75, t_set + 600.0)):
+            assert O.extract_passes(sso, O.NGARI_STATION, *window) == []
 
     def test_window_validation(self, sso):
         with pytest.raises(ValueError):
@@ -257,18 +267,17 @@ class TestPasses:
         rec = T.make_tle(None, 90002, 2024, 1.0, 90.0, 0.0, 0.0, 0.0, 0.0, 15.22)
         station = O.GroundStation(0.0, -math.degrees(float(O.gmst_rad(rec.epoch_posix))) % 360.0)
         ts = rec.epoch_posix + np.arange(-240.0, 241.0, 1.0)
-        el = O.topocentric(O.propagate(rec, ts), station, ts)[1]
+        el = az_el_range(state(rec, ts)[0], station, ts)[1]
         assert el.max() > 89.9
         bound = math.degrees(O.elevation_rate_bound(rec, station))
         assert 0.9 * bound < np.max(np.abs(np.diff(el))) <= bound
 
     def test_array_topocentric_matches_scalar(self, sso):
         ts = sso.epoch_posix + np.arange(0.0, 6000.0, 97.0)
-        az, el, rng_km = O.topocentric(O.propagate(sso, ts), O.NGARI_STATION, ts)
+        az, el, rng_km = az_el_range(state(sso, ts)[0], O.NGARI_STATION, ts)
         for k in range(0, len(ts), 7):
-            one = O.topocentric(O.propagate(sso, ts[k]), O.NGARI_STATION, ts[k])
-            assert all(type(v) is float for v in one)
-            assert one == pytest.approx((az[k], el[k], rng_km[k]), abs=1e-9)
+            one = az_el_range(state(sso, ts[k])[0][0], O.NGARI_STATION, ts[k])
+            assert tuple(map(float, one)) == pytest.approx((az[k], el[k], rng_km[k]), abs=1e-9)
 
 
 LEO_ELEMENTS = st.fixed_dictionaries({
@@ -289,14 +298,14 @@ def _leo(elements):
 def _dense_elevation(rec):
     """Elevation at every sample of the window's 1 s grid, with no coarse scan."""
     ts = np.arange(rec.epoch_posix, rec.epoch_posix + WINDOW_S + 0.5, 1.0)
-    return ts, O.topocentric(O.propagate(rec, ts), O.NGARI_STATION, ts)[1]
+    return ts, az_el_range(state(rec, ts)[0], O.NGARI_STATION, ts)[1]
 
 
 def _start_intervals(rec):
     """The window's 1 s grid with elevation and range, and for every sample
     the start samples a <= i <= b of extract_passes around it."""
     ts = np.arange(rec.epoch_posix, rec.epoch_posix + WINDOW_S + 0.5, 1.0)
-    _, el, rng_km = O.topocentric(O.propagate(rec, ts), O.NGARI_STATION, ts)
+    _, el, rng_km = az_el_range(state(rec, ts)[0], O.NGARI_STATION, ts)
     rate_deg_s = math.degrees(O.elevation_rate_bound(rec, O.NGARI_STATION))
     k = max(1, int(O.SCAN_SWING_DEG / rate_deg_s))
     a = np.arange(len(ts)) // k * k
@@ -387,7 +396,7 @@ class TestPassSearchProperties:
         for p in passes:
             for t, rising in ((p.t_posix[0], True), (p.t_posix[-1], False)):
                 ts = np.array([t - O.CROSSING_TOL_S, t + O.CROSSING_TOL_S])
-                before, after = O.topocentric(O.propagate(rec, ts), O.NGARI_STATION, ts)[1]
+                before, after = az_el_range(state(rec, ts)[0], O.NGARI_STATION, ts)[1]
                 assert (before >= threshold, after >= threshold) == (not rising, rising)
 
     @settings(max_examples=25, deadline=None)
@@ -407,7 +416,7 @@ class TestPassSearchProperties:
         up_lo = el[hi - 1] >= threshold
         for _ in range(40):
             mid = 0.5 * (lo_t + hi_t)
-            up = O.topocentric(O.propagate(rec, mid), O.NGARI_STATION, mid)[1] >= threshold
+            up = az_el_range(state(rec, mid)[0], O.NGARI_STATION, mid)[1] >= threshold
             lo_t, hi_t = np.where(up == up_lo, mid, lo_t), np.where(up == up_lo, hi_t, mid)
         bisected = 0.5 * (lo_t + hi_t)
         assert np.all(np.abs(found - bisected) <= O.CROSSING_TOL_S + 2.0 * np.spacing(found))
@@ -501,10 +510,10 @@ class TestBeta:
         # place the station directly under that node so the pass crosses zenith
         station = O.GroundStation(0.0, -math.degrees(g) % 360.0, 0.0)
         ts = t_eq + np.arange(-240.0, 241.0, 1.0)
-        beta = O._beta_from_state(*O.propagate_state(rec, ts), O.station_ecef(station),
+        beta = O._beta_from_state(*state(rec, ts), O.station_ecef(station),
                                   O.gmst_rad(ts))
         el = np.array([
-            O.topocentric(O.propagate(rec, t), station, t)[1] for t in ts[::40]
+            az_el_range(state(rec, t)[0], station, t)[1] for t in ts[::40]
         ])
         assert el.max() > 89.0  # genuinely crosses the zenith
         # antisymmetric about the culmination sample via a mirrored-pass check
@@ -549,10 +558,11 @@ class TestPassCsv:
         assert "line 2" in str(err.value)
 
     def test_non_monotonic_rejected(self):
-        text = (
-            "t_iso8601,az_deg,el_deg\n"
-            "2024-01-01T00:00:01.000000Z,10.0,20.0\n"
-            "2024-01-01T00:00:00.000000Z,11.0,21.0\n"
-        )
-        with pytest.raises(ValueError):
-            O.parse_pass_csv(text)
+        for second in ("00", "01"):  # a time earlier than the one before it, then equal
+            text = (
+                "t_iso8601,az_deg,el_deg\n"
+                "2024-01-01T00:00:01.000000Z,10.0,20.0\n"
+                f"2024-01-01T00:00:{second}.000000Z,11.0,21.0\n"
+            )
+            with pytest.raises(ValueError, match="strictly increasing"):
+                O.parse_pass_csv(text)
