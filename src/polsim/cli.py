@@ -108,9 +108,9 @@ def read_config(path, schema):
 
 
 def _checked(cfg, check, *keys):
-    """check(*values of keys): library code on config values.  Its ValueError
-    means a value is out of range, a config error naming the first key whose
-    value fails with the other keys at their defaults."""
+    """check(*values of keys): library code on config values.  Its ValueError is
+    a config error naming the first key that fails with the others at their
+    defaults, or else every key set away from its default."""
     def call(key=None):
         return check(*(cfg[k] if key in (None, k) else DEFAULTS[k] for k in keys))
     try:
@@ -122,6 +122,7 @@ def _checked(cfg, check, *keys):
             call(key)
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: {exc}") from None
+    keys = [k for k in keys if cfg[k] != DEFAULTS[k]]
     raise ConfigError(f"keys {', '.join(map(repr, keys))}: {error}") from None
 
 
@@ -206,13 +207,10 @@ def cmd_compensate(cfg, args):
         station = _checked(cfg, orbit.GroundStation, "station_lat_deg", "station_lon_deg",
                            "station_alt_m")
         t0 = rec.epoch_posix
-        try:
-            passes = orbit.extract_passes(rec, station, t0, t0 + cfg["window_hours"] * 3600.0,
-                                          threshold_deg=cfg["threshold_deg"],
-                                          step_s=cfg["step_s"])
-        except orbit.ArgumentError as exc:
-            key = "window_hours" if exc.name == "t_end" else exc.name
-            raise ConfigError(f"key {key!r}: {exc}") from None
+        _checked(cfg, lambda deg, step, hours: orbit.check_window(
+            rec, t0, t0 + hours * 3600.0, deg, step), "threshold_deg", "step_s", "window_hours")
+        passes = orbit.extract_passes(rec, station, t0, t0 + cfg["window_hours"] * 3600.0,
+                                      threshold_deg=cfg["threshold_deg"], step_s=cfg["step_s"])
     if not passes:
         raise CliFailure(EXIT_NUMERIC, "no pass above the elevation threshold in the window")
     for k, pass_profile in enumerate(passes, start=1):
@@ -251,9 +249,7 @@ def cmd_bell(cfg, args):
         efficiency, dark, window_ns * 1e-9, time_s),
         "detector_efficiency", "dark_rate_hz", "coincidence_window_ns", "integration_time_s")
     s_target, total_target = cfg["calibrate_s_target"], cfg["calibrate_total_coincidences"]
-    if not 0.0 < total_target < linksim.POISSON_MEAN_MAX:
-        raise ConfigError("key 'calibrate_total_coincidences': expected a positive number "
-                          f"below {linksim.POISSON_MEAN_MAX:.6g}, got {total_target!r}")
+    _checked(cfg, linksim.check_targets, "calibrate_s_target", "calibrate_total_coincidences")
 
     if s_target > 0.0:
         try:
@@ -264,7 +260,7 @@ def cmd_bell(cfg, args):
     counts = linksim.simulate_chsh_counts(source, channel, det, seed=args.seed)
     try:
         result = linksim.estimate_chsh(counts)
-    except linksim.EstimationError as exc:
+    except ValueError as exc:
         raise CliFailure(EXIT_NUMERIC, f"estimation failed: {exc} "
                          "(increase integration_time_s or reduce loss_db)")
 

@@ -53,10 +53,6 @@ BOOTSTRAP_RESAMPLES = 500
 POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
-class EstimationError(ValueError):
-    """Raised when counts cannot support a CHSH estimate."""
-
-
 @frozen
 class SourceModel:
     """Entangled-pair source: Werner-state fidelity and pair rate (Hz)."""
@@ -224,12 +220,12 @@ class ChshResult:
 def _correlation_from_counts(quad):
     c_pp, c_mm, c_pm, c_mp = (float(c) for c in quad)
     if not all(0.0 <= c < math.inf for c in (c_pp, c_mm, c_pm, c_mp)):
-        raise EstimationError("coincidence counts must be finite and non-negative")
+        raise ValueError("coincidence counts must be finite and non-negative")
     same = c_pp + c_mm
     cross = c_pm + c_mp
     n = same + cross
     if n <= 0.0:
-        raise EstimationError("zero total coincidences at a setting")
+        raise ValueError("zero total coincidences at a setting")
     e = (same - cross) / n
     # first-order Poisson propagation (var C = C) collapses to 4 A B / N^3,
     # written so that no intermediate overflows
@@ -245,7 +241,7 @@ def estimate_chsh(counts, error_method="propagation"):
     behaves better when individual counts are nearly zero.
     """
     if len(counts) != 4:
-        raise EstimationError("need counts for exactly four settings")
+        raise ValueError("need counts for exactly four settings")
     per_setting = [_correlation_from_counts(q) for q in counts]
     e_vals = [p[0] for p in per_setting]
     s_value = abs(e_vals[0] - e_vals[1] + e_vals[2] + e_vals[3])
@@ -283,6 +279,15 @@ def expected_chsh(source, channel, det):
     return result.s_value, result.total_coincidences
 
 
+def check_targets(s_target, total_target):
+    """Raise ValueError unless s_target >= 0 and 0 < total_target < POISSON_MEAN_MAX."""
+    if not s_target >= 0.0:
+        raise ValueError(f"S target must be non-negative, got {s_target!r}")
+    if not 0.0 < total_target < POISSON_MEAN_MAX:
+        raise ValueError(f"expected a positive number below {POISSON_MEAN_MAX:.6g}, "
+                         f"got {total_target!r}")
+
+
 def calibrate_bell(source, channel, det, s_target, total_target):
     """Solve for channel depolarization and integration time.
 
@@ -293,9 +298,10 @@ def calibrate_bell(source, channel, det, s_target, total_target):
     pure-state correlation, N_k the true and A_k the accidental coincidences
     per port pair; neither depends on p, so S(p) = (1 - p) S(0).
     Attributes no physical cause; it is an effective-noise calibration.
-    Raises ValueError when the calibrated model misses either target by more
-    than 1e-9 relative.
+    Raises ValueError on targets check_targets refuses, or when the
+    calibrated model misses either target by more than 1e-9 relative.
     """
+    check_targets(s_target, total_target)
     s_max, _ = expected_chsh(source, replace(channel, depolarization=0.0), det)
     if s_target > s_max:
         raise ValueError(f"target S {s_target} above the model's reach {s_max:.4f}")

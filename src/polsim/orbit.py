@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .frozen import frozen
-from .table import posix_from_iso, read_table, write_table
+from .table import ParseError, posix_from_iso, read_table, write_table
 
 MU_EARTH_KM3_S2 = 398600.4418
 R_EARTH_KM = 6371.0
@@ -37,14 +37,6 @@ MAX_GRID_SAMPLES = 5_000_000
 # solve_kepler stops once every Newton step is below this, within this many steps.
 KEPLER_STEP_TOL = 1e-13
 KEPLER_MAX_ITER = 60
-
-
-class ArgumentError(ValueError):
-    """An out-of-range argument; `name` is the parameter that carried it."""
-
-    def __init__(self, name, message):
-        super().__init__(message)
-        self.name = name
 
 
 @frozen
@@ -89,17 +81,6 @@ def solve_kepler(mean_anomaly, eccentricity):
         raise ValueError(f"Kepler solve did not converge: residual {residual!r}")
     ecc_anom = ecc_anom + (mean - m)
     return float(ecc_anom) if ecc_anom.ndim == 0 else ecc_anom
-
-
-def _check_horizon(rec, t_posix):
-    t_posix = np.asarray(t_posix, dtype=float)
-    span = np.max(np.abs(t_posix - rec.epoch_posix), initial=0.0)
-    if span > MAX_PROPAGATION_DAYS * SECONDS_PER_DAY:
-        raise ArgumentError(
-            "t_end",
-            f"propagation {span / SECONDS_PER_DAY:.6g} days from epoch exceeds the "
-            f"{MAX_PROPAGATION_DAYS:.0f}-day two-body accuracy horizon"
-        )
 
 
 def _ellipse(rec):
@@ -246,7 +227,10 @@ def parse_pass_csv(text):
     a present one is taken verbatim (injected-series mode).
     """
     rows = read_table(text, PASS_FORMAT, fill=(0.0,))
-    return PassProfile(*np.array(rows, dtype=float).reshape(-1, 4).T)
+    try:
+        return PassProfile(*np.array(rows, dtype=float).reshape(-1, 4).T)
+    except ValueError as exc:
+        raise ParseError(0, str(exc)) from None
 
 
 def _beta_from_state(pos, vel, origin, gmst):
@@ -336,6 +320,25 @@ def _crossing(f, lo, hi, f_lo, f_hi):
         lo[done] = hi[done] = mid[done]  # certified: the next round ends it at mid
 
 
+def check_window(rec, t_start, t_end, threshold_deg, step_s):
+    """extract_passes' argument checks: ValueError unless the window is non-empty
+    and within the horizon, and threshold_deg and step_s are in range."""
+    t0, t1 = float(t_start), float(t_end)
+    if not t0 < t1:
+        raise ValueError("empty time window")
+    if not 0.0 <= threshold_deg < 90.0:
+        raise ValueError(f"threshold must be in [0, 90), got {threshold_deg!r}")
+    if not 0.0 < step_s < math.inf:
+        raise ValueError(f"step_s must be finite and positive, got {step_s!r}")
+    span = max(abs(t0 - rec.epoch_posix), abs(t1 - rec.epoch_posix))
+    if span > MAX_PROPAGATION_DAYS * SECONDS_PER_DAY:
+        raise ValueError(f"propagation {span / SECONDS_PER_DAY:.6g} days from epoch exceeds "
+                         f"the {MAX_PROPAGATION_DAYS:.0f}-day two-body accuracy horizon")
+    if (t1 - t0) / step_s >= MAX_GRID_SAMPLES:
+        raise ValueError(f"a {t1 - t0:.6g} s window at step_s {step_s!r} needs more than "
+                         f"{MAX_GRID_SAMPLES} samples")
+
+
 def extract_passes(rec, station, t_start, t_end, threshold_deg=10.0, step_s=1.0):
     """All complete passes with elevation >= threshold inside [t_start, t_end].
 
@@ -354,19 +357,7 @@ def extract_passes(rec, station, t_start, t_end, threshold_deg=10.0, step_s=1.0)
     step_s / 2 past t_end.
     """
     t0, t1 = float(t_start), float(t_end)
-    if not t0 < t1:
-        raise ArgumentError("t_end", "empty time window")
-    if not 0.0 <= threshold_deg < 90.0:
-        raise ArgumentError("threshold_deg", f"threshold must be in [0, 90), got {threshold_deg!r}")
-    if not 0.0 < step_s < math.inf:
-        raise ArgumentError("step_s", f"step_s must be finite and positive, got {step_s!r}")
-    _check_horizon(rec, [t0, t1])
-    if (t1 - t0) / step_s >= MAX_GRID_SAMPLES:
-        raise ArgumentError(
-            "step_s",
-            f"a {t1 - t0:.6g} s window at step_s {step_s!r} needs more than "
-            f"{MAX_GRID_SAMPLES} samples",
-        )
+    check_window(rec, t0, t1, threshold_deg, step_s)
     # grid sample i sits at t0 + i * dt, as np.arange fills it
     n, dt = math.ceil((t1 + step_s / 2.0 - t0) / step_s), (t0 + step_s) - t0
     ellipse, site = _ellipse(rec), _site(station)

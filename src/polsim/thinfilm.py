@@ -240,7 +240,10 @@ def parse_stack_text(text):
     for word in ("ambient", "substrate"):
         if word not in header:
             raise ParseError(0, f"missing '{word}' line")
-    return LayerStack(header["ambient"], tuple(layers), header["substrate"])
+    try:
+        return LayerStack(header["ambient"], tuple(layers), header["substrate"])
+    except ValueError as exc:
+        raise ParseError(0, str(exc)) from None
 
 
 def load_stack_file(path):

@@ -192,40 +192,27 @@ def format_tle(rec):
     return "\n".join(lines) + "\n"
 
 
-def make_tle(
-    name,
-    satellite_number,
-    epoch_year,
-    epoch_day,
-    inclination_deg,
-    raan_deg,
-    eccentricity,
-    arg_perigee_deg,
-    mean_anomaly_deg,
-    mean_motion_rev_per_day,
-    intl_designator="00000A  ",
-    classification="U",
-    rev_number=1,
-    element_set_number=999,
-):
-    """Convenience constructor for synthetic records (drag terms zeroed)."""
+def make_tle(name, satellite_number, epoch_year, epoch_day, inclination_deg, raan_deg,
+             eccentricity, arg_perigee_deg, mean_anomaly_deg, mean_motion_rev_per_day):
+    """Convenience constructor for synthetic records: drag terms zeroed,
+    unclassified, designator '00000A', revolution 1, element set 999."""
     return TleRecord(
         name=name,
         satellite_number=f"{int(satellite_number):5d}",
-        classification=classification,
-        intl_designator=intl_designator,
+        classification="U",
+        intl_designator="00000A  ",
         epoch_year=epoch_year,
         epoch_day=epoch_day,
         ndot_raw=" .00000000",
         nddot_raw=" 00000+0",
         bstar_raw=" 00000+0",
         ephemeris_type="0",
-        element_set_number=element_set_number,
+        element_set_number=999,
         inclination_deg=inclination_deg,
         raan_deg=raan_deg,
         eccentricity=eccentricity,
         arg_perigee_deg=arg_perigee_deg,
         mean_anomaly_deg=mean_anomaly_deg,
         mean_motion_rev_per_day=mean_motion_rev_per_day,
-        rev_number=rev_number,
+        rev_number=1,
     )

@@ -3,10 +3,13 @@
 Draws COUNT operator sites (default 20) of src/polsim/MODULE.py with
 random.Random(SEED) (default 0), and swaps one per mutant: + and -, * and /,
 < and <=, > and >=, == and !=.  Each mutant runs tests/test_MODULE.py and
-tests/test_acceptance.py in a temporary copy of src/ and tests/, and prints
-its file, line and fate; the survivors are listed again at the end.  A
-survivor is a test gap unless the swap is equivalent or differs only at one
-exact boundary value.  pytest does not collect this file.
+tests/test_acceptance.py in a temporary copy of src/, tests/ and README.md,
+and prints its file, line and fate; the survivors are listed again at the
+end.  The unmutated tests run first: if they fail, the probe prints their
+tail and exits 1, and otherwise a mutant still running after 10 times their
+wall time (at least 60 s) is killed.  A survivor is a test gap unless the
+swap is equivalent or differs only at one exact boundary value.  pytest does
+not collect this file.
 """
 
 import ast
@@ -16,6 +19,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -60,12 +64,19 @@ def main(module, count=20, seed=0):
     with tempfile.TemporaryDirectory() as tmp:
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, Path(tmp, name), ignore=shutil.ignore_patterns("*.pyc"))
-        shutil.copy(ROOT / "pyproject.toml", tmp)
+        for name in ("pyproject.toml", "README.md"):  # test_cli reads README's config table
+            shutil.copy(ROOT / name, tmp)
+        started = time.perf_counter()
+        baseline = subprocess.run(command, cwd=tmp, env=env, capture_output=True, text=True)
+        if baseline.returncode:
+            print("the unmutated tests fail:", *baseline.stdout.splitlines()[-20:], sep="\n")
+            sys.exit(1)
+        timeout = max(60.0, 10.0 * (time.perf_counter() - started))
         for k in picks:
             text, line, label = mutate(source, k)
             Path(tmp, rel).write_text(text)
             try:
-                run = subprocess.run(command, cwd=tmp, env=env, capture_output=True, timeout=600)
+                run = subprocess.run(command, cwd=tmp, env=env, capture_output=True, timeout=timeout)
                 status = "survived" if run.returncode == 0 else "killed"
             except subprocess.TimeoutExpired:
                 status = "killed (timeout)"

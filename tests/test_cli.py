@@ -589,6 +589,26 @@ class TestConfigRange:
         assert code == 1
         assert err.startswith(f"polsim: config error: key '{key}': ")
 
+    @pytest.mark.parametrize("command, setting, message", [
+        # fine only jointly: the keys set away from their defaults are named
+        ("compensate", "window_hours 168\nstep_s 0.1",
+         "keys 'step_s', 'window_hours': a 604800 s window at step_s 0.1 needs more than "
+         "5000000 samples"),
+        # the horizon fails only jointly; step_s fails alone, at the default window
+        ("compensate", "window_hours 200\nstep_s 1e-6",
+         "key 'step_s': a 172800 s window at step_s 1e-06 needs more than 5000000 samples"),
+        ("bell", "calibrate_s_target -1",
+         "key 'calibrate_s_target': S target must be non-negative, got -1.0"),
+        ("bell", "calibrate_total_coincidences 0", "key 'calibrate_total_coincidences': "
+         "expected a positive number below 9.22337e+18, got 0.0"),
+    ])
+    def test_checked_message(self, capsys, tmp_path, command, setting, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(setting + "\n")
+        code, out, err = run(capsys, command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert (code, out, err) == (1, "", f"polsim: config error: {message}\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command, setting", [
         ("compensate", "station_alt_m -600"),
         ("per-map", "per_cap 0"),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from polsim import antenna as A
 from polsim import compensation as C
 from polsim import jones as J
+from polsim import linksim as L
 from polsim import orbit as O
 from polsim import tle as T
 from polsim.table import read_table
@@ -67,6 +68,24 @@ class TestAngleFormula:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             C.compensation_angle(math.nan, 0.0, 0.0)
+
+    @pytest.mark.parametrize("zero", [1e300, -361.0])
+    def test_zero_point_out_of_range_rejected(self, zero):
+        # the range check_tracking gives the CLI holds for every HWP command
+        for call in (lambda: C.compensation_angle(10.0, 20.0, 0.0, zero),
+                     lambda: L.offset_scan([0.0], [0.0], J.IDEAL_MIRROR, zero_point_deg=zero)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == f"zero point must be in [-360, 360] degrees, got {zero!r}"
+
+    @pytest.mark.parametrize("zero", [-360.0, 360.0])
+    def test_zero_point_range_is_closed(self, zero):
+        C.check_tracking(zero, 1, 5.0)
+        assert C.compensation_angle(10.0, 20.0, 0.0, zero) == 15.0
+
+    def test_zero_slew_limit_refused(self):
+        with pytest.raises(ValueError, match=r"^slew limit must be positive, got 0\.0$"):
+            C.check_tracking(145.8, 1, 0.0)
 
     @given(ANGLE_BATCHES, st.floats(-360.0, 360.0))
     def test_batch_equals_per_element(self, batch, zero):

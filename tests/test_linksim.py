@@ -414,12 +414,12 @@ class TestEstimator:
             assert empty > 0  # resamples with no coincidence at a setting did occur
 
     def test_zero_total_raises(self):
-        with pytest.raises(L.EstimationError):
+        with pytest.raises(ValueError, match="^zero total coincidences at a setting$"):
             L.estimate_chsh([(0, 0, 0, 0)] * 4)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_non_finite_or_negative_count_raises(self, bad):
-        with pytest.raises(L.EstimationError, match="finite and non-negative"):
+        with pytest.raises(ValueError, match="finite and non-negative"):
             L.estimate_chsh([(220, 210, 40, 35)] * 3 + [(210, 200, 35, bad)])
 
     def test_huge_counts_do_not_overflow(self):
@@ -431,7 +431,7 @@ class TestEstimator:
         assert huge.s_error == pytest.approx(small.s_error / 1e150, rel=1e-12)
 
     def test_wrong_arity(self):
-        with pytest.raises(L.EstimationError):
+        with pytest.raises(ValueError, match="^need counts for exactly four settings$"):
             L.estimate_chsh([(1, 1, 1, 1)] * 3)
 
 
@@ -515,6 +515,19 @@ class TestCalibration:
         with pytest.raises(ValueError):
             L.calibrate_bell(src, L.ChannelModel(46.0), L.DetectionModel(),
                              s_target=2.7, total_target=2138.0)
+
+    @pytest.mark.parametrize("s_target, total, message", [
+        (-1.0, 2138.0, "S target must be non-negative, got -1.0"),
+        (2.312, 0.0, "expected a positive number below 9.22337e+18, got 0.0"),
+        (2.312, 1e300, "expected a positive number below 9.22337e+18, got 1e+300"),
+    ])
+    def test_targets_checked_first(self, s_target, total, message):
+        # a negative S would otherwise ask for a depolarization above 1
+        assert L.check_targets(0.0, 2138.0) is None
+        with pytest.raises(ValueError) as err:
+            L.calibrate_bell(L.SourceModel(0.9329, 1e6), L.ChannelModel(46.0),
+                             L.DetectionModel(), s_target, total)
+        assert str(err.value) == message
 
     def test_start_time_cancels(self):
         src = L.SourceModel(0.9329, 1e6)

@@ -115,8 +115,8 @@ def call_edges(trees):
 
     Returns (direct, passed): `direct` holds `name.parameter` set by a value,
     `passed` maps `caller.parameter` to the `callee.parameter` it is handed
-    to unchanged.  A call with `**` sets every parameter; one with `*` sets
-    none after the star.
+    to unchanged.  A `**` argument sets no parameter, and a `*` one sets none
+    after the star.
     """
     signatures = {}
     for tree in trees:
@@ -133,15 +133,12 @@ def call_edges(trees):
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
         own = defaulted(caller, False)[1] if caller else set()
         for positional, params in signatures.get(name, ()):
-            if any(kw.arg is None for kw in node.keywords):
-                direct.update(f"{name}.{p}" for p in params)
-                continue
             bound = []
             for arg, param in zip(node.args, positional):
                 if isinstance(arg, ast.Starred):
                     break
                 bound.append((param, arg))
-            bound += [(kw.arg, kw.value) for kw in node.keywords]
+            bound += [(kw.arg, kw.value) for kw in node.keywords if kw.arg is not None]
             for param, value in bound:
                 if param not in params:
                     continue

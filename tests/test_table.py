@@ -126,6 +126,20 @@ def test_every_reader_raises_parse_error(parse, text, line_no, column):
     assert str(err.value).startswith(f"{where}: ")
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (thinfilm.parse_stack_text, "ambient -1 0\nsubstrate 1.5 0.0\n",
+     "ambient/substrate indices need a positive real part"),
+    (O.parse_pass_csv, f"2024-01-01T00:00:01Z,10.0,20.0\n{T0},11.0,21.0\n",
+     "pass timestamps must be strictly increasing"),
+    (O.parse_pass_csv, f"{T0},10.0,20.0\n", "a pass needs at least two samples"),
+])
+def test_values_the_class_refuses_are_a_whole_file_error(parse, text, message):
+    with pytest.raises(table.ParseError) as err:
+        parse(text)
+    assert (err.value.line_no, err.value.column) == (0, None)
+    assert str(err.value) == f"line 0: {message}"
+
+
 def test_comments_blank_lines_and_headers_skipped():
     text = "# made by hand\n\nground_offset_deg,sat_offset_deg,fidelity\n  \n1.0,-1.0,0.5\n"
     assert table.read_table(text, L.OFFSET_SCAN_FORMAT) == [(1.0, -1.0, 0.5)]

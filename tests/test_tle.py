@@ -271,7 +271,7 @@ def test_format_refuses_a_field_wider_than_its_columns(field, value, message):
     elements = dict(name=None, satellite_number=99999, epoch_year=2024, epoch_day=1.0,
                     inclination_deg=97.4, raan_deg=104.0, eccentricity=0.001,
                     arg_perigee_deg=0.0, mean_anomaly_deg=0.0, mean_motion_rev_per_day=15.22)
-    rec = T.make_tle(**{**elements, field: value})
+    rec = replace(T.make_tle(**elements), **{field: value})
     with pytest.raises(ValueError) as err:
         T.format_tle(rec)
     assert str(err.value) == message
@@ -294,8 +294,8 @@ def test_name_round_trips(name):
 
 def test_format_refuses_a_narrow_field():
     # a 6-character designator in 8 columns would shift every later column of line 1 left
-    rec = T.make_tle(None, 99999, 2024, 1.0, 97.4, 104.0, 0.001, 0.0, 0.0, 15.22,
-                     intl_designator="24001A")
+    rec = replace(T.make_tle(None, 99999, 2024, 1.0, 97.4, 104.0, 0.001, 0.0, 0.0, 15.22),
+                  intl_designator="24001A")
     with pytest.raises(ValueError, match="international designator '24001A' does not fit"):
         T.format_tle(rec)
 
@@ -311,17 +311,20 @@ NAMES = st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 -()/", min_size=1
 ODD_NAMES = st.text(alphabet="AB \t\n\r\x0b\x0c\x1c\x85\u2028\u3000", max_size=6)
 
 RECORDS = st.builds(
-    T.make_tle,
-    name=st.none() | NAMES.map(str.strip).filter(bool) | NAMES | ODD_NAMES,
-    satellite_number=st.integers(0, 99999),
-    epoch_year=st.integers(1957, 2056),
-    epoch_day=fixed_point(8, 1.0, 366.99999999),
-    inclination_deg=fixed_point(4, 0.0, 180.0),
-    raan_deg=fixed_point(4, 0.0, 359.9999),
-    eccentricity=fixed_point(7, 0.0, 0.9999999),
-    arg_perigee_deg=fixed_point(4, 0.0, 359.9999),
-    mean_anomaly_deg=fixed_point(4, 0.0, 359.9999),
-    mean_motion_rev_per_day=fixed_point(8, 1e-8, 19.99999999),
+    replace,
+    st.builds(
+        T.make_tle,
+        name=st.none() | NAMES.map(str.strip).filter(bool) | NAMES | ODD_NAMES,
+        satellite_number=st.integers(0, 99999),
+        epoch_year=st.integers(1957, 2056),
+        epoch_day=fixed_point(8, 1.0, 366.99999999),
+        inclination_deg=fixed_point(4, 0.0, 180.0),
+        raan_deg=fixed_point(4, 0.0, 359.9999),
+        eccentricity=fixed_point(7, 0.0, 0.9999999),
+        arg_perigee_deg=fixed_point(4, 0.0, 359.9999),
+        mean_anomaly_deg=fixed_point(4, 0.0, 359.9999),
+        mean_motion_rev_per_day=fixed_point(8, 1e-8, 19.99999999),
+    ),
     classification=st.sampled_from("UCS"),
     rev_number=st.integers(0, 99999),
     element_set_number=st.integers(0, 9999),
