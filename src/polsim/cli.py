@@ -31,7 +31,7 @@ import numpy as np
 
 from . import antenna, compensation, linksim, orbit, thinfilm, tle
 from .jones import PER_CAP, MirrorResponse, rotator
-from .table import finite_float
+from .table import check_degrees, finite_float
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -241,10 +241,12 @@ def cmd_offset_scan(cfg, args):
 
 
 def cmd_bell(cfg, args):
+    def channel(loss, rotation, depolarization):  # the model sees only the Jones matrix
+        check_degrees("channel rotation", rotation)
+        return linksim.ChannelModel(loss, rotator(math.radians(rotation)), depolarization)
+
     source = _checked(cfg, linksim.SourceModel, "source_fidelity", "pair_rate_hz")
-    channel = _checked(cfg, lambda loss, rotation, depolarization: linksim.ChannelModel(
-        loss, rotator(math.radians(rotation)), depolarization),
-        "loss_db", "channel_rotation_deg", "depolarization")
+    channel = _checked(cfg, channel, "loss_db", "channel_rotation_deg", "depolarization")
     det = _checked(cfg, lambda efficiency, dark, window_ns, time_s: linksim.DetectionModel(
         efficiency, dark, window_ns * 1e-9, time_s),
         "detector_efficiency", "dark_rate_hz", "coincidence_window_ns", "integration_time_s")

@@ -25,7 +25,7 @@ import numpy as np
 from .antenna import PointingDirection, scanning_head_jones
 from .frozen import frozen
 from .jones import PolarizationState, fidelity, hwp, rotator
-from .table import json_text, posix_from_iso, write_table
+from .table import check_degrees, json_text, posix_from_iso, write_table
 
 # The deployed installation's empirically determined HWP zero point, degrees.
 DEFAULT_ZERO_POINT_DEG = 145.8
@@ -35,14 +35,9 @@ DEFAULT_ZERO_POINT_DEG = 145.8
 DEFAULT_MAX_SLEW_DEG_PER_S = 5.0
 
 
-def _check_zero_point(zero_point_deg):  # every HWP command and check_tracking
-    if not -360.0 <= zero_point_deg <= 360.0:
-        raise ValueError(f"zero point must be in [-360, 360] degrees, got {zero_point_deg!r}")
-
-
 def _hwp_command(theta_deg, phi_deg, beta_deg, zero_point_deg, sign):
     """zero + sign*(theta+phi+beta)/2, before the mod-180 reduction."""
-    _check_zero_point(zero_point_deg)
+    check_degrees("zero point", zero_point_deg)
     raw = zero_point_deg + sign * (theta_deg + phi_deg + beta_deg) / 2.0
     if not np.isfinite(raw).all():
         raise ValueError(f"HWP command needs finite inputs, got {raw!r}")
@@ -89,7 +84,7 @@ SCHEDULE_FORMAT = (("t_iso8601", posix_from_iso), ("hwp_deg", float), ("rate_deg
 def check_tracking(zero_point_deg, sign, max_slew_deg_per_s):
     """Raise ValueError unless the zero point is in [-360, 360] degrees, `sign`
     is 1 or -1 and the slew limit is positive."""
-    _check_zero_point(zero_point_deg)
+    check_degrees("zero point", zero_point_deg)
     if sign not in (1, -1):
         raise ValueError(f"sign must be 1 or -1, got {sign!r}")
     if not max_slew_deg_per_s > 0.0:

@@ -187,6 +187,9 @@ class MirrorResponse:
 # Ideal plane mirror: unit reflectance, pi phase between s and p.
 IDEAL_MIRROR = MirrorResponse(1.0, -1.0)
 
+# The element that changes no polarization.
+IDENTITY = OpticalElement(1.0, 0.0, 0.0, 1.0)
+
 
 def _retarder(angle, eigenvalue):
     """R(angle) @ diag(1, eigenvalue) @ R(-angle): passes the `angle` axis and
@@ -232,10 +235,6 @@ def polarizer(angle):
 def mirror_element(resp):
     """Jones matrix diag(r_s, r_p) of a coated mirror in its s/p frame."""
     return OpticalElement(resp.r_s, 0.0, 0.0, resp.r_p)
-
-
-def identity_element():
-    return OpticalElement(1.0, 0.0, 0.0, 1.0)
 
 
 def fidelity(a, b):

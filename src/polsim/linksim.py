@@ -33,8 +33,8 @@ import numpy as np
 from .antenna import PointingDirection
 from .compensation import compensated_chain, compensation_angle
 from .frozen import frozen
-from .jones import OpticalElement, PolarizationState, fidelity, identity_element, rotator
-from .table import json_text, write_table
+from .jones import IDENTITY, OpticalElement, PolarizationState, fidelity, rotator
+from .table import check_degrees, json_text, write_table
 
 # Analyzer settings of the uplink Bell test: (satellite, ground) angle pairs
 # in the order (p1,p2), (p1,p2'), (p1',p2), (p1',p2') used by the S formula.
@@ -64,13 +64,14 @@ class SourceModel:
             raise ValueError("source fidelity must be in [0.25, 1]")
         if not 0.0 < self.pair_rate_hz < math.inf:
             raise ValueError("pair rate must be finite and positive")
+        vars(self).update({name: float(value) for name, value in vars(self).items()})
 
 
 @frozen
 class ChannelModel:
-    """Uplink channel: loss (dB), unitary rotation (identity if None), depolarization."""
+    """Uplink channel: loss (dB), unitary rotation, depolarization."""
     loss_db: float
-    rotation: OpticalElement = None
+    rotation: OpticalElement = IDENTITY
     depolarization: float = 0.0
 
     def __post_init__(self):
@@ -78,11 +79,10 @@ class ChannelModel:
             raise ValueError("loss must be finite and non-negative (dB)")
         if not 0.0 <= self.depolarization <= 1.0:
             raise ValueError("depolarization probability must be in [0, 1]")
-        if self.rotation is None:
-            object.__setattr__(self, "rotation", identity_element())
         if not (all(map(np.isscalar, vars(self.rotation).values()))  # a batch has no hash
                 and self.rotation.is_unitary()):
             raise ValueError("channel rotation must be one unitary Jones matrix")
+        vars(self).update(loss_db=float(self.loss_db), depolarization=float(self.depolarization))
 
     @property
     def transmission(self):
@@ -106,6 +106,7 @@ class DetectionModel:
             raise ValueError("coincidence window must be finite and positive")
         if not 0.0 < self.integration_time_s < math.inf:
             raise ValueError("integration time must be finite and positive")
+        vars(self).update({name: float(value) for name, value in vars(self).items()})
 
 
 @functools.cache
@@ -135,8 +136,10 @@ def _philox(seed, stream):
     return bitgen
 
 
-def _expected_counts(source, channel, det):
-    """Expected (true + accidental) coincidence means, a row (pp, mm, pm, mp) per setting.
+@functools.lru_cache(maxsize=32)
+def _count_means(source, channel, det):
+    """Expected (true + accidental) coincidence means, a row (pp, mm, pm, mp) of
+    Python floats per setting, computed once per link model.
 
     The channel keeps the source a Werner state: with w = V (1 - p) and
     |psi> = (U x I)|Phi+>, rho = w |psi><psi| + (1 - w) I/4, so a port pair
@@ -161,21 +164,7 @@ def _expected_counts(source, channel, det):
     # gives inf, where the array arithmetic below would warn
     if not pair_rate * t + accidental < math.inf:
         raise ValueError("expected coincidence counts overflow")
-    return pair_rate * probs * t + accidental
-
-
-@functools.lru_cache(maxsize=32)
-def _cached_count_means(source, channel, det):
-    return tuple(map(tuple, _expected_counts(source, channel, det).tolist()))
-
-
-def _count_means(source, channel, det):
-    """`_expected_counts` as rows of Python floats, computed once per link
-    model; a model holding a 0-d array has no hash and is computed each call."""
-    try:
-        return _cached_count_means(source, channel, det)
-    except TypeError:
-        return _cached_count_means.__wrapped__(source, channel, det)
+    return tuple(map(tuple, (pair_rate * probs * t + accidental).tolist()))
 
 
 def simulate_chsh_counts(source, channel, det, seed=0):
@@ -344,6 +333,9 @@ def offset_scan(ground_offsets_deg, sat_offsets_deg, coating, azimuth_deg=30.0,
     """
     if len(ground_offsets_deg) == 0 or len(sat_offsets_deg) == 0:
         raise ValueError("offset grids must be non-empty")
+    check_degrees("ground offset", ground_offsets_deg)
+    check_degrees("satellite offset", sat_offsets_deg)
+    check_degrees("beta", beta_deg)
     state = PolarizationState.h()
     direction = PointingDirection(azimuth_deg, elevation_deg)
     alpha = compensation_angle(azimuth_deg, elevation_deg, beta_deg, zero_point_deg)

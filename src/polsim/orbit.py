@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .frozen import frozen
-from .table import ParseError, posix_from_iso, read_table, write_table
+from .table import ParseError, check_degrees, posix_from_iso, read_table, write_table
 
 MU_EARTH_KM3_S2 = 398600.4418
 R_EARTH_KM = 6371.0
@@ -49,6 +49,7 @@ class GroundStation:
     def __post_init__(self):
         if not -90.0 <= self.latitude_deg <= 90.0:
             raise ValueError(f"latitude must be in [-90, 90], got {self.latitude_deg!r}")
+        check_degrees("longitude", self.longitude_deg)
         if not self.altitude_m > -500.0:
             raise ValueError(f"altitude must exceed -500 m, got {self.altitude_m!r}")
 

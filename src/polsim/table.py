@@ -38,6 +38,14 @@ def finite_float(text):
     return value
 
 
+def check_degrees(what, degrees):
+    """Raise ValueError unless the angle `degrees`, or each angle of an array
+    of them, lies in [-360, 360]; one Python number costs no numpy call."""
+    for value in [degrees] if type(degrees) in (int, float) else np.ravel(degrees).tolist():
+        if not -360.0 <= value <= 360.0:
+            raise ValueError(f"{what} must be in [-360, 360] degrees, got {value!r}")
+
+
 def iso_from_posix(t):
     """ISO 8601 UTC text ('YYYY-MM-DDTHH:MM:SS.ffffffZ') of each POSIX time in `t`.
 

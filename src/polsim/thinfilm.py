@@ -11,10 +11,12 @@ interface is the empty stack, `LayerStack(n0, (), n)`, and both multilayer
 routines return exactly these equations for it; all relative-phase
 bookkeeping in the rest of the package uses arg(r_s) - arg(r_p).
 
-Two independent multilayer algorithms are provided: the characteristic-matrix
-method (`stack_response`) and a recursive interface-by-interface composition
-(`stack_response_oracle`).  They are algebraically equivalent and are checked
-against each other to 1e-10 in the test suite.
+Two multilayer algorithms are provided: the characteristic-matrix method
+(`stack_response`) and a recursive interface-by-interface composition
+(`stack_response_oracle`).  They are algebraically equivalent and agree to
+1e-10 in the test suite, but both take their indices, branch-chosen cosines
+and phase thicknesses from `_media`, so that check cannot see a fault there;
+the oracle gets media of its own once it moves to the tests.
 """
 
 from __future__ import annotations
@@ -64,15 +66,15 @@ class LayerStack:
     thicknesses: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "layers", tuple((complex(n), float(d)) for n, d in self.layers))
+        vars(self).update(layers=tuple((complex(n), float(d)) for n, d in self.layers))
         if complex(self.ambient).real <= 0.0 or complex(self.substrate).real <= 0.0:
             raise ValueError("ambient/substrate indices need a positive real part")
         for i, (_, d) in enumerate(self.layers):
             if not d > 0.0:
                 raise ValueError(f"layer {i}: thickness must be positive, got {d!r}")
         media = [self.ambient, *(n for n, _ in self.layers), self.substrate]
-        object.__setattr__(self, "indices", np.array(media, complex))
-        object.__setattr__(self, "thicknesses", np.array([d for _, d in self.layers], float))
+        vars(self).update(indices=np.array(media, complex),
+                          thicknesses=np.array([d for _, d in self.layers], float))
 
 
 def _cos_refracted(n0, n, theta_i):
@@ -164,8 +166,8 @@ def stack_response_oracle(stack, ray):
     """Multilayer reflectances by recursive single-interface composition.
 
     Starting from the substrate, each boundary's Fresnel coefficient is folded
-    in through r <- (r_j + r exp(2 i b)) / (1 + r_j r exp(2 i b)).  Entirely
-    independent of the characteristic-matrix code path; used to cross-check it.
+    in through r <- (r_j + r exp(2 i b)) / (1 + r_j r exp(2 i b)).  Cross-checks
+    the characteristic-matrix method's recursion, not the `_media` both share.
     """
     n, cos, beta, rows = _media(stack, ray)
     boundaries = np.array(_fresnel_amplitudes(n[:-1], n[1:], cos[:-1], cos[1:]))[:, ::-1]

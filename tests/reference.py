@@ -2,8 +2,8 @@
 
 Nothing in `polsim` runs this code.  It holds the general density-matrix
 CHSH model that the Werner closed form in `linksim` replaced, that closed
-form's count means frozen as one uncached expression (`_expected_counts`
-must match it bit for bit, whatever its cache holds), the
+form's count means frozen as one uncached expression (`_count_means` must
+match it bit for bit, whatever its cache holds), the
 one-generator-per-setting sampler that `simulate_chsh_counts` must match draw
 for draw on those frozen means, the single-interface Fresnel equations that
 an empty `LayerStack` reproduces, the dense pass scan that `extract_passes`

@@ -609,6 +609,26 @@ class TestConfigRange:
         assert (code, out, err) == (1, "", f"polsim: config error: {message}\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, key, what", [
+        ("bell", "channel_rotation_deg", "channel rotation"),
+        ("offset-scan", "ground_offsets_deg", "ground offset"),
+        ("offset-scan", "sat_offsets_deg", "satellite offset"),
+        ("offset-scan", "beta_deg", "beta"),
+        ("compensate", "station_lon_deg", "longitude"),
+    ])
+    @pytest.mark.parametrize("value", ["361", "-361", "3.6e18", "360", "-360"])
+    def test_angle_key_range(self, capsys, tmp_path, command, key, what, value):
+        # past a full turn an angle key has no meaning; each used to exit 0
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} {value}\n")
+        code, _, err = run(capsys, command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+        if abs(float(value)) <= 360.0:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, err) == (1, f"polsim: config error: key '{key}': {what} must be in "
+                                      f"[-360, 360] degrees, got {float(value)!r}\n")
+            assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command, setting", [
         ("compensate", "station_alt_m -600"),
         ("per-map", "per_cap 0"),

@@ -264,7 +264,7 @@ class TestFiberCompensation:
         return J.qwp(q1) @ J.hwp(h) @ J.qwp(q2)
 
     def test_identity_channel(self):
-        q1, h, q2 = J.solve_fiber_compensation(J.identity_element())
+        q1, h, q2 = J.solve_fiber_compensation(J.IDENTITY)
         m = (self.gadget((q1, h, q2))).matrix
         assert phase_aligned_residual(m) < 1e-6
 

@@ -19,7 +19,7 @@ from reference import (TwoQubitState, chsh_analytic, correlation, density_matrix
 SQRT8 = 2.0 * math.sqrt(2.0)
 ANGLES = st.floats(-math.pi, math.pi)
 ROTATIONS = st.one_of(
-    st.just(J.identity_element()),
+    st.just(J.IDENTITY),
     ANGLES.map(J.rotator),
     st.integers(0, 2**32 - 1).map(
         lambda seed: J.OpticalElement(*haar_unitary(np.random.default_rng(seed)).ravel())),
@@ -211,14 +211,14 @@ class TestSimulation:
                                coincidence_window_s=1e-24, integration_time_s=1.0)
         for turn, want in ((-math.pi / 8, (1.0, 0.0, 0.0, 1.0)),
                            (math.pi / 8, (0.0, -1.0, 1.0, 0.0))):
-            means = L._expected_counts(src, L.ChannelModel(0.0, J.rotator(turn)), det)
+            means = L._count_means(src, L.ChannelModel(0.0, J.rotator(turn)), det)
             e = [L._correlation_from_counts(row)[0] for row in means]
             assert e == pytest.approx(want, abs=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(MODELS)
     def test_closed_form_matches_density_matrix(self, models):
-        got = L._expected_counts(*models)
+        got = np.array(L._count_means(*models))
         assert got.shape == (4, 4)
         for row, (phi1, phi2) in zip(got, L.BELL_TEST_SETTINGS):
             want = density_matrix_counts(*models, phi1, phi2)
@@ -242,7 +242,7 @@ class TestSimulation:
         # A, B, A: a stale or mis-keyed factor from the cache hands B's to A
         a, b = replace(ch, rotation=rot_a), replace(ch, rotation=rot_b)
         for channel in (a, b, a):
-            got = L._expected_counts(src, channel, det)
+            got = np.array(L._count_means(src, channel, det))
             assert np.array_equal(got, frozen_expected_counts(src, channel, det,
                                                               L.BELL_TEST_SETTINGS))
 
@@ -251,34 +251,26 @@ class TestSimulation:
         points = [L.ChannelModel(46.0), L.ChannelModel(44.0, J.rotator(0.3)),
                   L.ChannelModel(46.0, J.rotator(0.3)), L.ChannelModel(44.0)]
         for channel in points + points[::-1] + points:
-            got = L._expected_counts(src, channel, det)
+            got = np.array(L._count_means(src, channel, det))
             assert np.array_equal(got, frozen_expected_counts(src, channel, det,
                                                               L.BELL_TEST_SETTINGS))
-
-    def test_cached_factor_read_only_and_means_fresh(self):
-        src, ch, det = L.SourceModel(0.9329, 1e6), L.ChannelModel(46.0), L.DetectionModel()
-        means = L._expected_counts(src, ch, det)
-        assert means.flags.writeable
-        means[:] = -1.0  # a caller's edit does not reach the next call
-        again = L._expected_counts(src, ch, det)
-        assert np.array_equal(again, frozen_expected_counts(src, ch, det, L.BELL_TEST_SETTINGS))
 
     def test_count_means_cached_per_model(self):
         src, det = L.SourceModel(0.9329, 1e6), L.DetectionModel()
         a, b = L.ChannelModel(46.0), L.ChannelModel(44.0, J.rotator(0.3))
-        L._cached_count_means.cache_clear()
+        L._count_means.cache_clear()
         # A, B, A: a stale or mis-keyed entry hands B's means to A
-        got = [L._cached_count_means(src, channel, det) for channel in (a, b, a)]
+        got = [L._count_means(src, channel, det) for channel in (a, b, a)]
         for means, channel in zip(got, (a, b, a)):
             want = frozen_expected_counts(src, channel, det, L.BELL_TEST_SETTINGS)
             assert means == tuple(map(tuple, want.tolist()))
             assert all(type(m) is float for row in means for m in row)
         assert got[0] is got[2]
         # equal but distinct model objects share one entry
-        again = L._cached_count_means(L.SourceModel(0.9329, 1e6), L.ChannelModel(46.0),
-                                      L.DetectionModel())
+        again = L._count_means(L.SourceModel(0.9329, 1e6), L.ChannelModel(46.0),
+                               L.DetectionModel())
         assert again is got[0]
-        assert L._cached_count_means.cache_info()[:2] == (2, 2)  # (hits, misses)
+        assert L._count_means.cache_info()[:2] == (2, 2)  # (hits, misses)
         with pytest.raises(TypeError):
             again[0] = (0.0,) * 4
         with pytest.raises(TypeError):
@@ -286,30 +278,42 @@ class TestSimulation:
 
     def test_calibration_and_seeds_share_count_means(self):
         model = (L.SourceModel(0.9329, 1e6), L.ChannelModel(46.0), L.DetectionModel())
-        L._cached_count_means.cache_clear()
+        L._count_means.cache_clear()
         L.expected_chsh(*model)
         for seed in range(2):
             L.simulate_chsh_counts(*model, seed=seed)
-        assert L._cached_count_means.cache_info()[:2] == (2, 1)  # (hits, misses)
-        # a model with no hash is computed uncached, to the same value
+        assert L._count_means.cache_info()[:2] == (2, 1)  # (hits, misses)
+        # a model holding a 0-d array holds its float, so it shares the entry
         arrays = (L.SourceModel(np.array(0.9329), 1e6), *model[1:])
         assert L.expected_chsh(*arrays) == L.expected_chsh(*model)
+
+    def test_model_of_a_0d_array_is_its_float_twin(self):
+        twin, model = L.SourceModel(0.9329, 1e6), L.SourceModel(np.array(0.9329), 1e6)
+        assert type(model.fidelity) is float
+        assert model == twin and hash(model) == hash(twin)
+        channel, det = L.ChannelModel(46.0), L.DetectionModel()
+        L._count_means.cache_clear()
+        assert L._count_means(model, channel, det) is L._count_means(twin, channel, det)
+        assert L._count_means.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+    def test_default_rotation_is_the_identity(self):
+        assert L.ChannelModel(46.0).rotation is J.IDENTITY
 
     def test_mean_over_sampler_limit_raises_every_call(self):
         # 6.7e300 expected coincidences: finite, but far above the sampler's limit
         model = (L.SourceModel(0.9329, 1e6), L.ChannelModel(46.0),
                  L.DetectionModel(integration_time_s=1e300))
-        L._cached_count_means.cache_clear()
+        L._count_means.cache_clear()
         messages = []
         for _ in range(2):
             with pytest.raises(ValueError, match="exceeds the Poisson sampler's limit") as err:
                 L.simulate_chsh_counts(*model, seed=0)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
-        assert L._cached_count_means.cache_info()[:2] == (1, 1)  # the second call is a hit
+        assert L._count_means.cache_info()[:2] == (1, 1)  # the second call is a hit
 
     def test_model_of_0d_arrays_keeps_its_counts(self):
-        # such a model has no hash, so its means are not cached
+        # such a model holds the floats of its arrays, as its float twin does
         model = (L.SourceModel(0.9329, 1e6), L.ChannelModel(46.0), L.DetectionModel())
         arrays = (L.SourceModel(np.array(0.9329), np.array(1e6)), L.ChannelModel(np.array(46.0)),
                   L.DetectionModel(efficiency=np.array(0.5)))
@@ -359,6 +363,16 @@ class TestSimulation:
     ])
     def test_non_finite_model_values_rejected(self, build):
         with pytest.raises(ValueError):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: L.SourceModel("0.9", 1e6),
+        lambda: L.ChannelModel("46"),
+        lambda: L.DetectionModel(dark_rate_hz="100"),
+    ])
+    def test_text_is_not_a_model_number(self, build):
+        # float() would read it; the range checks, which run first, do not
+        with pytest.raises(TypeError):
             build()
 
     @pytest.mark.parametrize("window", [0.0, math.inf])

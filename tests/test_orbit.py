@@ -494,6 +494,28 @@ class TestPassSearchProperties:
         for p in passes:
             assert abs(p.elevation_deg[0] - 10.0) < 1e-4 and abs(p.elevation_deg[-1] - 10.0) < 1e-4
 
+    @pytest.mark.parametrize("f, rounds", [
+        (lambda t: t - 100.3, 1),  # linear: the first falsi point is the crossing
+        (lambda t: np.exp(t - 100.0) - 1.5, 6),
+        (lambda t: (t - 100.0) ** 3 - 0.001, 12),  # flat at the root: Illinois steps in
+        (lambda t: t - 100.0000005, 1),  # the falsi point lies within tol of either end
+        (lambda t: t - 100.9999995, 1),
+    ], ids=["linear", "exp", "cubic", "near-lo", "near-hi"])
+    def test_crossing_rounds(self, f, rounds):
+        # one call of f per round, at points inside the bracket [100, 101];
+        # f changes sign within CROSSING_TOL_S of the answer
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return f(t)
+
+        lo, hi = np.array([100.0]), np.array([101.0])
+        t = O._crossing(counted, lo, hi, f(lo), f(hi))
+        assert len(calls) == rounds
+        assert all(100.0 <= min(ts) and max(ts) <= 101.0 for ts in calls)
+        assert f(t - O.CROSSING_TOL_S) < 0.0 <= f(t + O.CROSSING_TOL_S)
+
     def test_dip_between_up_start_samples_found(self):
         # an inclined, eccentric near-geosynchronous orbit whose elevation
         # dips under 35 deg briefly, between start samples 6 h apart that are

@@ -156,6 +156,23 @@ def test_json_refuses_nan():
         table.json_text({"S": float("nan")})
 
 
+@pytest.mark.parametrize("degrees", [360, -360.0, (0.0, 360.0, -360.0),
+                                     np.array([[-1.5, 359.9]])])
+def test_angle_in_a_turn_accepted(degrees):
+    assert table.check_degrees("beta", degrees) is None
+
+
+@pytest.mark.parametrize("degrees, shown", [
+    (361, "361"), (-360.0000001, "-360.0000001"), (np.float64(3.6e18), "3.6e+18"),
+    (float("nan"), "nan"), ((0.0, 400.0, -500.0), "400.0"), (np.array([[1.0], [-1e300]]), "-1e+300"),
+])
+def test_angle_past_a_turn_refused(degrees, shown):
+    # the first value out of range is shown, as a Python number
+    with pytest.raises(ValueError) as err:
+        table.check_degrees("beta", degrees)
+    assert str(err.value) == f"beta must be in [-360, 360] degrees, got {shown}"
+
+
 def iso_reference(t):
     """The scalar formatter the array one replaced, with the year zero-padded."""
     dt = datetime.fromtimestamp(t, tz=timezone.utc).replace(tzinfo=None)
