@@ -24,7 +24,6 @@ import numpy as np
 
 from .frozen import frozen
 from .jones import (
-    PER_CAP,
     MirrorResponse,
     PolarizationState,
     mirror_element,
@@ -110,7 +109,7 @@ PER_SCAN_FORMAT = (("elevation_deg", float), ("azimuth_deg", float), ("state_lab
 
 
 # The four test states transmitted during the local antenna scan.
-DEFAULT_SCAN_STATES = (
+SCAN_STATES = (
     ("H", PolarizationState.h()),
     ("V", PolarizationState.v()),
     ("+", PolarizationState.plus()),
@@ -121,15 +120,10 @@ DEFAULT_SCAN_ELEVATIONS = (30.0, 50.0, 70.0)
 DEFAULT_SCAN_AZIMUTHS = (-180.0, -135.0, -90.0, -45.0, 0.0, 45.0, 90.0, 135.0)
 
 
-def antenna_per_scan(
-    geom,
-    coating,
-    elevations_deg=DEFAULT_SCAN_ELEVATIONS,
-    azimuths_deg=DEFAULT_SCAN_AZIMUTHS,
-    states=DEFAULT_SCAN_STATES,
-    cap=PER_CAP,
-):
-    """Simulated local PER test: one cell per (elevation, azimuth, state).
+def antenna_per_scan(geom, coating, elevations_deg=DEFAULT_SCAN_ELEVATIONS,
+                     azimuths_deg=DEFAULT_SCAN_AZIMUTHS):
+    """Simulated local PER test: one cell per (elevation, azimuth, state of
+    SCAN_STATES).
 
     The analyzer tracks the known geometric frame rotation, so each cell's
     reference angle is the input state's axis plus theta + phi; what remains
@@ -137,17 +131,15 @@ def antenna_per_scan(
     paraboloid mirrors, modeled as polarization-neutral (their incidence
     angles stay below 7 degrees); it does not enter the Jones chain.
     """
-    if not len(elevations_deg) or not len(azimuths_deg) or not states:
+    if not len(elevations_deg) or not len(azimuths_deg):
         raise ValueError("scan grids must be non-empty")
-    if not 1.0 <= cap < math.inf:  # PER is at least 1
-        raise ValueError(f"PER cap must be finite and at least 1, got {cap!r}")
     # cells on axes (elevation, azimuth, state), the row order of the table
     el = np.asarray(elevations_deg, dtype=float)[:, None, None]
     az = np.asarray(azimuths_deg, dtype=float)[None, :, None]
-    labels, probes = zip(*states)
+    labels, probes = zip(*SCAN_STATES)
     probe = PolarizationState(np.array([p.a_h for p in probes]), np.array([p.a_v for p in probes]))
     out = scanning_head_jones(PointingDirection(az, el), coating).apply(probe).normalized()
-    per = measure_per(out, probe.linear_axis() + np.radians(az + el), cap=cap)
+    per = measure_per(out, probe.linear_axis() + np.radians(az + el))
     rows = zip(np.broadcast_to(el, per.shape).ravel().tolist(),
                np.broadcast_to(az, per.shape).ravel().tolist(),
                labels * (per.size // len(labels)), per.ravel().tolist(),

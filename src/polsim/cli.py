@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import antenna, compensation, linksim, orbit, thinfilm, tle
-from .jones import PER_CAP, MirrorResponse, rotator
+from .jones import MirrorResponse, rotator
 from .table import check_degrees, finite_float
 
 EXIT_OK = 0
@@ -63,7 +63,7 @@ def _finite_list(text):
 
 
 # What each schema parse function expects, as a config error names it.
-_EXPECTED = {finite_float: "a finite number", int: "an integer", str: "text",
+_EXPECTED = {finite_float: "a finite number", str: "text",
              _finite_list: "comma-separated finite numbers"}
 
 
@@ -174,21 +174,10 @@ def cmd_coating(cfg, args):
     return EXIT_OK
 
 
-_STATES_BY_LABEL = dict(antenna.DEFAULT_SCAN_STATES)
-
-
-def _scan_states(labels):
-    try:
-        return tuple((lab, _STATES_BY_LABEL[lab]) for lab in labels.split(","))
-    except KeyError as exc:
-        raise ValueError(f"unknown state label {exc.args[0]!r} (known: H, V, +, -)") from None
-
-
 def cmd_per_map(cfg, args):
-    scan = _checked(cfg, lambda rs, rp, gap, labels, el, az, cap: antenna.antenna_per_scan(
-        antenna.DESIGN_GEOMETRY, MirrorResponse.from_powers(rs, rp, gap * math.pi), el, az,
-        _scan_states(labels), cap=cap),
-        *_MIRROR_NAMES, "states", "elevations_deg", "azimuths_deg", "per_cap")
+    scan = _checked(cfg, lambda rs, rp, gap, el, az: antenna.antenna_per_scan(
+        antenna.DESIGN_GEOMETRY, MirrorResponse.from_powers(rs, rp, gap * math.pi), el, az),
+        *_MIRROR_NAMES, "elevations_deg", "azimuths_deg")
     _write(args.out, "per_map.csv", scan.to_csv())
     print(f"cells {len(scan.rows)}")
     print(f"min_per {scan.min_per!r}")
@@ -197,8 +186,8 @@ def cmd_per_map(cfg, args):
 
 
 def cmd_compensate(cfg, args):
-    zero_point, sign, max_slew = cfg["zero_point_deg"], cfg["sign"], cfg["max_slew_deg_per_s"]
-    _checked(cfg, compensation.check_tracking, "zero_point_deg", "sign", "max_slew_deg_per_s")
+    zero_point, max_slew = cfg["zero_point_deg"], cfg["max_slew_deg_per_s"]
+    _checked(cfg, compensation.check_tracking, "zero_point_deg", "max_slew_deg_per_s")
 
     if cfg["pass_csv"] is not None:
         passes = [_load(orbit.parse_pass_csv, cfg["pass_csv"], "pass CSV")]
@@ -214,7 +203,7 @@ def cmd_compensate(cfg, args):
     if not passes:
         raise CliFailure(EXIT_NUMERIC, "no pass above the elevation threshold in the window")
     for k, pass_profile in enumerate(passes, start=1):
-        schedule = compensation.schedule_from_pass(pass_profile, zero_point, sign, max_slew)
+        schedule = compensation.schedule_from_pass(pass_profile, zero_point, max_slew)
         print(f"pass {k}: samples {len(pass_profile.t_posix)} "
               f"duration_s {pass_profile.duration_s!r} "
               f"max_el_deg {pass_profile.max_elevation_deg!r} "
@@ -303,8 +292,7 @@ COMMANDS = {
         ("angle_deg", 45.0, finite_float), ("wavelength_nm", 780.0, finite_float))),
     "per-map": (cmd_per_map, "simulated local PER scan", (
         ("elevations_deg", antenna.DEFAULT_SCAN_ELEVATIONS, _finite_list),
-        ("azimuths_deg", antenna.DEFAULT_SCAN_AZIMUTHS, _finite_list),
-        ("states", "H,V,+,-", str), *MIRROR_KEYS, ("per_cap", PER_CAP, finite_float))),
+        ("azimuths_deg", antenna.DEFAULT_SCAN_AZIMUTHS, _finite_list), *MIRROR_KEYS)),
     "compensate": (cmd_compensate, "HWP schedules for passes", (
         ("tle_file", str(DATA_DIR / "sso_500km.tle"), str), ("pass_csv", None, str),
         ("station_lat_deg", orbit.NGARI_STATION.latitude_deg, finite_float),
@@ -312,7 +300,7 @@ COMMANDS = {
         ("station_alt_m", orbit.NGARI_STATION.altitude_m, finite_float),
         ("threshold_deg", 10.0, finite_float), ("step_s", 1.0, finite_float),
         ("window_hours", 48.0, finite_float),
-        ("zero_point_deg", compensation.DEFAULT_ZERO_POINT_DEG, finite_float), ("sign", 1, int),
+        ("zero_point_deg", compensation.DEFAULT_ZERO_POINT_DEG, finite_float),
         ("max_slew_deg_per_s", compensation.DEFAULT_MAX_SLEW_DEG_PER_S, finite_float))),
     "offset-scan": (cmd_offset_scan, "fidelity vs offset angles", (
         ("ground_offsets_deg", tuple(float(g) for g in range(-5, 6)), _finite_list),

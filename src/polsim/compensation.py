@@ -35,10 +35,9 @@ DEFAULT_ZERO_POINT_DEG = 145.8
 DEFAULT_MAX_SLEW_DEG_PER_S = 5.0
 
 
-def _hwp_command(theta_deg, phi_deg, beta_deg, zero_point_deg, sign):
-    """zero + sign*(theta+phi+beta)/2, before the mod-180 reduction."""
-    check_degrees("zero point", zero_point_deg)
-    raw = zero_point_deg + sign * (theta_deg + phi_deg + beta_deg) / 2.0
+def _hwp_command(theta_deg, phi_deg, beta_deg, zero_point_deg):
+    """zero + (theta+phi+beta)/2, before the mod-180 reduction."""
+    raw = zero_point_deg + (theta_deg + phi_deg + beta_deg) / 2.0
     if not np.isfinite(raw).all():
         raise ValueError(f"HWP command needs finite inputs, got {raw!r}")
     return raw
@@ -47,10 +46,10 @@ def _hwp_command(theta_deg, phi_deg, beta_deg, zero_point_deg, sign):
 def compensation_angle(theta_deg, phi_deg, beta_deg, zero_point_deg=DEFAULT_ZERO_POINT_DEG):
     """Scheduled HWP angle zero + (theta+phi+beta)/2, reduced to [0, 180).
 
-    Broadcasts over arrays.  This is the deployed tracking sense;
-    `schedule_from_pass` also takes the opposite one.
+    Broadcasts over arrays.
     """
-    return _hwp_command(theta_deg, phi_deg, beta_deg, zero_point_deg, 1) % 180.0
+    check_degrees("zero point", zero_point_deg)
+    return _hwp_command(theta_deg, phi_deg, beta_deg, zero_point_deg) % 180.0
 
 
 @frozen
@@ -61,7 +60,6 @@ class CompensationSchedule:
     angle_deg: np.ndarray  # reduced to [0, 180)
     rate_deg_per_s: np.ndarray  # from the unwrapped series; rate[0] = 0
     zero_point_deg: float
-    sign: int
     max_rate_deg_per_s: float
     warnings: tuple
 
@@ -71,7 +69,6 @@ class CompensationSchedule:
     def metadata_json(self):
         return json_text({
             "zero_point_deg": self.zero_point_deg,
-            "sign": self.sign,
             "max_rate_deg_per_s": self.max_rate_deg_per_s,
             "samples": int(len(self.t_posix)),
             "warnings": list(self.warnings),
@@ -81,12 +78,10 @@ class CompensationSchedule:
 SCHEDULE_FORMAT = (("t_iso8601", posix_from_iso), ("hwp_deg", float), ("rate_deg_per_s", float))
 
 
-def check_tracking(zero_point_deg, sign, max_slew_deg_per_s):
-    """Raise ValueError unless the zero point is in [-360, 360] degrees, `sign`
-    is 1 or -1 and the slew limit is positive."""
+def check_tracking(zero_point_deg, max_slew_deg_per_s):
+    """Raise ValueError unless the zero point is in [-360, 360] degrees and the
+    slew limit is positive."""
     check_degrees("zero point", zero_point_deg)
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
     if not max_slew_deg_per_s > 0.0:
         raise ValueError(f"slew limit must be positive, got {max_slew_deg_per_s!r}")
 
@@ -99,21 +94,18 @@ def _unwrap_deg(series):
     return np.unwrap(series, period=360.0)
 
 
-def schedule_from_pass(pass_profile, zero_point_deg=DEFAULT_ZERO_POINT_DEG, sign=1,
+def schedule_from_pass(pass_profile, zero_point_deg=DEFAULT_ZERO_POINT_DEG,
                        max_slew_deg_per_s=DEFAULT_MAX_SLEW_DEG_PER_S):
     """Compensation schedule for a pass, with slew-rate bookkeeping.
-
-    `sign` -1 flips the tracking sense for installations whose mirror chain
-    rotates the frame the other way; +1 is the deployed sense.
 
     Azimuth and beta are unwrapped before the formula so the rate series sees
     no artificial 360-degree seams; the emitted angle is reduced mod 180
     afterwards.  A rate above `max_slew_deg_per_s` is recorded as a warning
     (the schedule is still produced).
     """
-    check_tracking(zero_point_deg, sign, max_slew_deg_per_s)
+    check_tracking(zero_point_deg, max_slew_deg_per_s)
     az, beta = _unwrap_deg(pass_profile.azimuth_deg), _unwrap_deg(pass_profile.beta_deg)
-    raw = _hwp_command(az, pass_profile.elevation_deg, beta, zero_point_deg, sign)
+    raw = _hwp_command(az, pass_profile.elevation_deg, beta, zero_point_deg)
 
     dt = np.diff(pass_profile.t_posix)
     rate = np.concatenate([[0.0], np.diff(raw) / dt])
@@ -131,7 +123,6 @@ def schedule_from_pass(pass_profile, zero_point_deg=DEFAULT_ZERO_POINT_DEG, sign
         angle_deg=raw % 180.0,
         rate_deg_per_s=rate,
         zero_point_deg=float(zero_point_deg),
-        sign=int(sign),
         max_rate_deg_per_s=max_rate,
         warnings=tuple(warnings),
     )

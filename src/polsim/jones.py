@@ -252,11 +252,11 @@ def per_to_fidelity(per):
     return per / (per + 1.0)
 
 
-def measure_per(state, reference_angle, cap=PER_CAP):
+def measure_per(state, reference_angle):
     """Extinction ratio of `state` against the reference_angle analyzer pair.
 
     Transmitted power through a polarizer at reference_angle vs one at
-    reference_angle + pi/2; returns the max/min power ratio, clamped at `cap`.
+    reference_angle + pi/2; returns the max/min power ratio, clamped at PER_CAP.
     """
     if not state.is_normalized():
         raise ValueError("measure_per requires a normalized state")
@@ -266,7 +266,7 @@ def measure_per(state, reference_angle, cap=PER_CAP):
     i_perp = abs(c * state.a_v - s * state.a_h) ** 2
     i_max, i_min = np.maximum(i_par, i_perp), np.minimum(i_par, i_perp)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.where(i_min > 0.0, np.minimum(i_max / i_min, cap), cap)[()]
+        return np.where(i_min > 0.0, np.minimum(i_max / i_min, PER_CAP), PER_CAP)[()]
 
 
 # --- fiber compensation: QWP/HWP/QWP inversion of an arbitrary unitary -----

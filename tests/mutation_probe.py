@@ -1,15 +1,15 @@
-"""Seeded operator-swap mutation probe: python tests/mutation_probe.py MODULE [COUNT] [SEED]
+"""Seeded operator-swap mutation probe: python tests/mutation_probe.py MODULE [COUNT|all] [SEED]
 
 Draws COUNT operator sites (default 20) of src/polsim/MODULE.py with
-random.Random(SEED) (default 0), and swaps one per mutant: + and -, * and /,
-< and <=, > and >=, == and !=.  Each mutant runs tests/test_MODULE.py and
-tests/test_acceptance.py in a temporary copy of src/, tests/ and README.md,
-and prints its file, line and fate; the survivors are listed again at the
-end.  The unmutated tests run first: if they fail, the probe prints their
-tail and exits 1, and otherwise a mutant still running after 10 times their
-wall time (at least 60 s) is killed.  A survivor is a test gap unless the
-swap is equivalent or differs only at one exact boundary value.  pytest does
-not collect this file.
+random.Random(SEED) (default 0), or takes every site for `all`, and swaps
+one per mutant: + and -, * and /, < and <=, > and >=, == and !=.  Each
+mutant runs tests/test_MODULE.py and tests/test_acceptance.py in a
+temporary copy of src/, tests/ and README.md, and prints its file, line and
+fate; the survivors are listed again at the end.  The unmutated tests run
+first: if they fail, the probe prints their tail and exits 1, and otherwise
+a mutant still running after 10 times their wall time (at least 60 s) is
+killed.  A survivor is a test gap unless the swap is equivalent or differs
+only at one exact boundary value.  pytest does not collect this file.
 """
 
 import ast
@@ -52,11 +52,15 @@ def mutate(source, k):
     return ast.unparse(tree), before.end_lineno, f"{type(old).__name__}->{type(new).__name__}"
 
 
-def main(module, count=20, seed=0):
+def main(module, count="20", seed="0"):
     rel = f"src/polsim/{module}.py"
     source = (ROOT / rel).read_text()
     n_sites = len(sites(ast.parse(source)))
-    picks = sorted(random.Random(seed).sample(range(n_sites), min(count, n_sites)))
+    if count == "all":
+        picks, drawn = range(n_sites), "every site"
+    else:
+        picks = sorted(random.Random(int(seed)).sample(range(n_sites), min(int(count), n_sites)))
+        drawn = f"seed {seed}"
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                f"tests/test_{module}.py", "tests/test_acceptance.py"]
     env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
@@ -83,9 +87,9 @@ def main(module, count=20, seed=0):
             print(f"{rel}:{line}: {label} {status}: {source.splitlines()[line - 1].strip()}",
                   flush=True)
             survivors += [f"{rel}:{line}: {label}"] * (status == "survived")
-    print(f"{module} seed {seed}: {len(picks)} mutants, {len(survivors)} survivors",
+    print(f"{module} {drawn}: {len(picks)} mutants, {len(survivors)} survivors",
           *survivors, sep="\n")
 
 
 if __name__ == "__main__":
-    main(sys.argv[1], *map(int, sys.argv[2:4]))
+    main(*sys.argv[1:4])

@@ -116,18 +116,17 @@ class TestPerScan:
             assert fid == pytest.approx(per / (per + 1.0), rel=1e-12)
 
     def test_single_cell_reduces_to_direct_composition(self):
-        scan = A.antenna_per_scan(
-            A.DESIGN_GEOMETRY,
-            A.HR_COATING,
-            elevations_deg=[50.0],
-            azimuths_deg=[45.0],
-            states=(("+", J.PolarizationState.plus()),),
-        )
-        assert len(scan.rows) == 1
+        scan = A.antenna_per_scan(A.DESIGN_GEOMETRY, A.HR_COATING, elevations_deg=[50.0],
+                                  azimuths_deg=[45.0])
+        assert [row[2] for row in scan.rows] == ["H", "V", "+", "-"]
         element = A.scanning_head_jones(A.PointingDirection(45.0, 50.0), A.HR_COATING)
-        out = element.apply(J.PolarizationState.plus()).normalized()
-        per = J.measure_per(out, math.radians(45.0) + math.radians(45.0 + 50.0))
-        assert scan.rows[0][3] == pytest.approx(per, rel=1e-12)
+        states = (J.PolarizationState.h(), J.PolarizationState.v(), J.PolarizationState.plus(),
+                  J.PolarizationState.minus())
+        for row, state, axis_deg in zip(scan.rows, states, (0.0, 90.0, 45.0, -45.0)):
+            out = element.apply(state).normalized()
+            per = J.measure_per(out, math.radians(axis_deg) + math.radians(45.0 + 50.0))
+            assert row[:2] == (50.0, 45.0)
+            assert row[3] == pytest.approx(per, rel=1e-12)
 
     def test_mean_per_is_mean_of_rows(self):
         scan = A.antenna_per_scan(A.DESIGN_GEOMETRY, A.HR_COATING)

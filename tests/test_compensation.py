@@ -59,12 +59,6 @@ class TestAngleFormula:
                 stepped = C.compensation_angle(*args, zero_point_deg=30.0)
                 assert (stepped - base) / d == pytest.approx(0.5, abs=1e-6)
 
-    def test_sign_flag(self):
-        t = np.array([0.0, 1.0])
-        p = O.PassProfile(t, np.full_like(t, 10.0), np.zeros_like(t), np.zeros_like(t))
-        sched = C.schedule_from_pass(p, 100.0, sign=-1)
-        assert sched.angle_deg == pytest.approx([95.0, 95.0])
-
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             C.compensation_angle(math.nan, 0.0, 0.0)
@@ -80,12 +74,12 @@ class TestAngleFormula:
 
     @pytest.mark.parametrize("zero", [-360.0, 360.0])
     def test_zero_point_range_is_closed(self, zero):
-        C.check_tracking(zero, 1, 5.0)
+        C.check_tracking(zero, 5.0)
         assert C.compensation_angle(10.0, 20.0, 0.0, zero) == 15.0
 
     def test_zero_slew_limit_refused(self):
         with pytest.raises(ValueError, match=r"^slew limit must be positive, got 0\.0$"):
-            C.check_tracking(145.8, 1, 0.0)
+            C.check_tracking(145.8, 0.0)
 
     @given(ANGLE_BATCHES, st.floats(-360.0, 360.0))
     def test_batch_equals_per_element(self, batch, zero):
@@ -169,14 +163,13 @@ class TestSchedule:
     @given(st.integers(2, 40).flatmap(lambda n: st.tuples(*[
         st.lists(st.floats(lo, hi), min_size=n, max_size=n).map(np.array)
         for lo, hi in ((0.0, 359.999), (0.0, 90.0), (-180.0, 179.999))])),
-        st.floats(0.0, 180.0), st.sampled_from([1, -1]))
-    def test_angles_are_compensation_angle_of_unwrapped_series(self, series, zero, sign):
+        st.floats(0.0, 180.0))
+    def test_angles_are_compensation_angle_of_unwrapped_series(self, series, zero):
         az, el, beta = series
         p = O.PassProfile(np.arange(float(len(az))), az, el, beta)
-        sched = C.schedule_from_pass(p, zero, sign, max_slew_deg_per_s=1e9)
-        # negating every angle negates their sum exactly, so this is zero + sign * sum / 2
-        expected = C.compensation_angle(sign * np.unwrap(az, period=360.0), sign * el,
-                                        sign * np.unwrap(beta, period=360.0), zero)
+        sched = C.schedule_from_pass(p, zero, max_slew_deg_per_s=1e9)
+        expected = C.compensation_angle(np.unwrap(az, period=360.0), el,
+                                        np.unwrap(beta, period=360.0), zero)
         assert np.array_equal(sched.angle_deg, expected)
 
     @given(st.lists(st.one_of(st.floats(-90.0, 90.0), st.just(-0.0)), min_size=1, max_size=30),

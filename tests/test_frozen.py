@@ -33,8 +33,8 @@ SAMPLES = {
                     dataclasses.astuple(PACKAGED_TLE)[:-1] + (PACKAGED_TLE.rev_number + 1,)],
     orbit.GroundStation: [(32.3, 80.0, 5047.0), (0.0, 0.0)],
     orbit.PassProfile: [(TIMES, TIMES, TIMES, TIMES), (TIMES + 1.0, TIMES, TIMES, TIMES)],
-    compensation.CompensationSchedule: [(TIMES, TIMES, TIMES, 145.8, 1, 2.0, ()),
-                                        (TIMES, TIMES, TIMES, 0.0, -1, 1.0, ("slow",))],
+    compensation.CompensationSchedule: [(TIMES, TIMES, TIMES, 145.8, 2.0, ()),
+                                        (TIMES, TIMES, TIMES, 0.0, 1.0, ("slow",))],
     linksim.SourceModel: [(0.9329, 1e6), (1.0, 2e6)],
     linksim.ChannelModel: [(46.0,), (10.0, jones.rotator(0.3), 0.1)],
     linksim.DetectionModel: [(), (0.4, 50.0, 1e-9, 80.0)],

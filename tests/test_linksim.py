@@ -408,6 +408,23 @@ class TestEstimator:
             var = float(np.sum(grads**2 * quad))
             assert result.correlation_errors[0] == pytest.approx(math.sqrt(var), rel=1e-12)
 
+    def test_sigma_s_at_the_paper_point(self):
+        # the calibrated default link (S 2.312, 2,138 coincidences); the paper
+        # reports 0.096, which the model does not reproduce (see README)
+        src = L.SourceModel(0.9329, 1e6)
+        channel, det = L.calibrate_bell(src, L.ChannelModel(46.0), L.DetectionModel(),
+                                        s_target=2.312, total_target=2138.0)
+        means = L._count_means(src, channel, det)
+        sigma = L.estimate_chsh(means).s_error
+        assert sigma == pytest.approx(0.0706, abs=1e-4)
+        # closed form sigma_S^2 = sum_k (1 - E_k^2) / N_k
+        e = [(pp + mm - pm - mp) / (pp + mm + pm + mp) for pp, mm, pm, mp in means]
+        n = [sum(quad) for quad in means]
+        assert e == pytest.approx([0.578, -0.578, 0.578, 0.578], abs=1e-12)
+        assert n == pytest.approx([534.5] * 4, rel=1e-12)
+        closed = math.sqrt(sum((1.0 - ek**2) / nk for ek, nk in zip(e, n)))
+        assert sigma == pytest.approx(closed, abs=1e-12)
+
     def test_bootstrap_agrees_with_propagation(self):
         counts = [(220, 210, 40, 35), (30, 45, 200, 215), (205, 220, 45, 30), (210, 200, 35, 45)]
         prop = L.estimate_chsh(counts)

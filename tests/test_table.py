@@ -38,7 +38,7 @@ class TestRoundTrip:
         t = np.array([k / 1e6 for k, _, _ in rows])
         angle = np.array([a for _, a, _ in rows])
         rate = np.array([r for _, _, r in rows])
-        schedule = C.CompensationSchedule(t, angle, rate, 0.0, 1, 0.0, ())
+        schedule = C.CompensationSchedule(t, angle, rate, 0.0, 0.0, ())
         back = table.read_table(schedule.to_csv(), C.SCHEDULE_FORMAT)
         for got, want in zip(np.array(back).reshape(-1, 3).T, (t, angle, rate)):
             assert bits(got) == bits(want)
