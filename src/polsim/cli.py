@@ -243,6 +243,10 @@ def cmd_bell(cfg, args):
     _checked(cfg, linksim.check_targets, "calibrate_s_target", "calibrate_total_coincidences")
 
     if s_target > 0.0:
+        if channel.depolarization:
+            raise ConfigError(f"key 'depolarization': a calibrated run (calibrate_s_target "
+                              f"{s_target!r}) solves for the depolarization; set "
+                              f"calibrate_s_target 0 to simulate {channel.depolarization!r}")
         try:
             channel, det = linksim.calibrate_bell(source, channel, det, s_target, total_target)
         except ValueError as exc:

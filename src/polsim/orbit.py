@@ -137,16 +137,6 @@ def gmst_rad(t_posix):
     return np.deg2rad(np.remainder(gmst_deg, 360.0))
 
 
-def station_ecef(station):
-    """Station ECEF position, km (spherical Earth)."""
-    lat = math.radians(station.latitude_deg)
-    lon = math.radians(station.longitude_deg)
-    r = R_EARTH_KM + station.altitude_m / 1000.0
-    return np.array(
-        [r * math.cos(lat) * math.cos(lon), r * math.cos(lat) * math.sin(lon), r * math.sin(lat)]
-    )
-
-
 def _rotate_z(vec, angle_rad):
     """Vectors (..., 3) turned by `angle_rad` about z; +GMST maps ECEF to ECI."""
     c, s = np.cos(angle_rad), np.sin(angle_rad)
@@ -158,12 +148,13 @@ def _rotate_z(vec, angle_rad):
 
 
 def _site(station):
-    """Station ECEF position, km, and its east, north and up unit vectors."""
+    """Station ECEF position, km (spherical Earth), and its east, north and up unit vectors."""
     lat = math.radians(station.latitude_deg)
     lon = math.radians(station.longitude_deg)
     sl, cl, so, co = math.sin(lat), math.cos(lat), math.sin(lon), math.cos(lon)
+    r = R_EARTH_KM + station.altitude_m / 1000.0
     east, north, up = np.array([[-so, co, 0.0], [-sl * co, -sl * so, cl], [cl * co, cl * so, sl]])
-    return station_ecef(station), (east, north, up)
+    return np.array([r * cl * co, r * cl * so, r * sl]), (east, north, up)
 
 
 def _look(sat_eci_km, gmst, site):

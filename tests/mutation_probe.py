@@ -2,14 +2,17 @@
 
 Draws COUNT operator sites (default 20) of src/polsim/MODULE.py with
 random.Random(SEED) (default 0), or takes every site for `all`, and swaps
-one per mutant: + and -, * and /, < and <=, > and >=, == and !=.  Each
-mutant runs tests/test_MODULE.py and tests/test_acceptance.py in a
+one per mutant: + and -, * and /, % and //, < and <=, > and >=, == and !=.
+Each mutant runs tests/test_MODULE.py and tests/test_acceptance.py in a
 temporary copy of src/, tests/ and README.md, and prints its file, line and
-fate; the survivors are listed again at the end.  The unmutated tests run
-first: if they fail, the probe prints their tail and exits 1, and otherwise
-a mutant still running after 10 times their wall time (at least 60 s) is
-killed.  A survivor is a test gap unless the swap is equivalent or differs
-only at one exact boundary value.  pytest does not collect this file.
+fate.  The unmutated tests run first: if they fail, the probe prints their
+tail and exits 1, and otherwise a mutant still running after 10 times their
+wall time (at least 60 s) is killed.  A survivor is a test gap unless the
+swap is equivalent or differs only at one exact boundary value; those are
+listed in tests/probe_ledger.txt, keyed by module, source-line text and
+swap, and the closing list names only the survivors the ledger does not.
+pytest does not collect this file (tests/test_mutation_probe.py checks the
+ledger).
 """
 
 import ast
@@ -23,7 +26,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+LEDGER = ROOT / "tests" / "probe_ledger.txt"
 SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
+         ast.Mod: ast.FloorDiv, ast.FloorDiv: ast.Mod,
          ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
 
@@ -39,17 +44,39 @@ def sites(tree):
     return found
 
 
+def describe(node, slot):
+    """A site's line (its left operand's last) and a label such as `Div->Mult`."""
+    old = node.op if slot is None else node.ops[slot]
+    before = node.comparators[slot - 1] if slot else node.left  # slot None or 0: left
+    return before.end_lineno, f"{type(old).__name__}->{SWAPS[type(old)].__name__}"
+
+
+def site_keys(source):
+    """(stripped line text, label) per site of `source`, in sites() order."""
+    lines = source.splitlines()
+    return [(lines[line - 1].strip(), label)
+            for line, label in (describe(*site) for site in sites(ast.parse(source)))]
+
+
+def ledger():
+    """{(module, stripped line text, label): reason} of tests/probe_ledger.txt:
+    tab-separated lines, `#` comments and blank lines skipped."""
+    rows = [line.split("\t") for line in LEDGER.read_text().splitlines()
+            if line.strip() and not line.startswith("#")]
+    return {(module, text, label): reason for module, text, label, reason in rows}
+
+
 def mutate(source, k):
-    """Source with site k swapped, the operator's line and a label such as `Div->Mult`."""
+    """Source with site k swapped, the operator's line and its label (see describe)."""
     tree = ast.parse(source)
     node, slot = sites(tree)[k]
-    old = node.op if slot is None else node.ops[slot]
-    new = SWAPS[type(old)]()
+    line, label = describe(node, slot)
+    new = SWAPS[type(node.op if slot is None else node.ops[slot])]()
     if slot is None:
-        node.op, before = new, node.left
+        node.op = new
     else:
-        node.ops[slot], before = new, node.comparators[slot - 1] if slot else node.left
-    return ast.unparse(tree), before.end_lineno, f"{type(old).__name__}->{type(new).__name__}"
+        node.ops[slot] = new
+    return ast.unparse(tree), line, label
 
 
 def main(module, count="20", seed="0"):
@@ -64,7 +91,8 @@ def main(module, count="20", seed="0"):
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                f"tests/test_{module}.py", "tests/test_acceptance.py"]
     env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
-    survivors = []
+    known = ledger()
+    survivors, listed = [], 0
     with tempfile.TemporaryDirectory() as tmp:
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, Path(tmp, name), ignore=shutil.ignore_patterns("*.pyc"))
@@ -84,11 +112,13 @@ def main(module, count="20", seed="0"):
                 status = "survived" if run.returncode == 0 else "killed"
             except subprocess.TimeoutExpired:
                 status = "killed (timeout)"
-            print(f"{rel}:{line}: {label} {status}: {source.splitlines()[line - 1].strip()}",
-                  flush=True)
+            text = source.splitlines()[line - 1].strip()
+            if status == "survived" and (module, text, label) in known:
+                status, listed = "survived (in the ledger)", listed + 1
+            print(f"{rel}:{line}: {label} {status}: {text}", flush=True)
             survivors += [f"{rel}:{line}: {label}"] * (status == "survived")
-    print(f"{module} {drawn}: {len(picks)} mutants, {len(survivors)} survivors",
-          *survivors, sep="\n")
+    print(f"{module} {drawn}: {len(picks)} mutants, {len(survivors) + listed} survivors, "
+          f"{listed} in the ledger", *survivors, sep="\n")
 
 
 if __name__ == "__main__":

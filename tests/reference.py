@@ -23,8 +23,8 @@ import numpy as np
 
 from polsim.jones import MirrorResponse
 from polsim.linksim import BELL_TEST_SETTINGS
-from polsim.orbit import (PassProfile, _az_el, _crossing, _ellipse, _site, _state, gmst_rad,
-                          station_ecef)
+from polsim.orbit import (R_EARTH_KM, PassProfile, _az_el, _crossing, _ellipse, _site, _state,
+                          gmst_rad)
 from polsim.thinfilm import _cos_refracted
 
 # --- density-matrix CHSH model ----------------------------------------------
@@ -215,11 +215,19 @@ def rotate_z(vec, angle_rad):
     return np.stack([c * x - s * y, s * x + c * y, z], axis=-1)
 
 
+def station_position_km(station):
+    """Station ECEF position, km, on a spherical Earth."""
+    lat, lon = math.radians(station.latitude_deg), math.radians(station.longitude_deg)
+    r = R_EARTH_KM + station.altitude_m / 1000.0
+    return np.array([r * math.cos(lat) * math.cos(lon), r * math.cos(lat) * math.sin(lon),
+                     r * math.sin(lat)])
+
+
 def look_angles(sat_eci_km, station, t):
     """(azimuth_deg, elevation_deg) arrays of ECI positions (n, 3) at times t."""
     lat, lon = math.radians(station.latitude_deg), math.radians(station.longitude_deg)
     sl, cl, so, co = math.sin(lat), math.cos(lat), math.sin(lon), math.cos(lon)
-    rel = rotate_z(sat_eci_km, -gmst_rad(t)) - station_ecef(station)
+    rel = rotate_z(sat_eci_km, -gmst_rad(t)) - station_position_km(station)
     e = rel @ np.array([-so, co, 0.0])
     n = rel @ np.array([-sl * co, -sl * so, cl])
     u = rel @ np.array([cl * co, cl * so, sl])
@@ -230,7 +238,7 @@ def look_angles(sat_eci_km, station, t):
 
 def beta_from_state(pos, vel, station, t):
     """Satellite telescope angle, degrees, of ECI states (n, 3) at times t."""
-    los = rotate_z(np.broadcast_to(station_ecef(station), pos.shape), gmst_rad(t)) - pos
+    los = rotate_z(np.broadcast_to(station_position_km(station), pos.shape), gmst_rad(t)) - pos
     r_hat = pos / np.linalg.norm(pos, axis=-1, keepdims=True)
     along = vel - np.sum(vel * r_hat, axis=-1, keepdims=True) * r_hat
     along = along / np.linalg.norm(along, axis=-1, keepdims=True)

@@ -678,6 +678,10 @@ class TestConfigRange:
          "key 'calibrate_s_target': S target must be non-negative, got -1.0"),
         ("bell", "calibrate_total_coincidences 0", "key 'calibrate_total_coincidences': "
          "expected a positive number below 9.22337e+18, got 0.0"),
+        # calibration replaces the depolarization: this ran and printed the default S
+        ("bell", "depolarization 0.3", "key 'depolarization': a calibrated run "
+         "(calibrate_s_target 2.312) solves for the depolarization; set calibrate_s_target 0 "
+         "to simulate 0.3"),
     ])
     def test_checked_message(self, capsys, tmp_path, command, setting, message):
         cfg = tmp_path / "c.cfg"
@@ -685,6 +689,13 @@ class TestConfigRange:
         code, out, err = run(capsys, command, "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert (code, out, err) == (1, "", f"polsim: config error: {message}\n")
         assert not (tmp_path / "o").exists()
+
+    def test_uncalibrated_bell_takes_depolarization(self, capsys, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("depolarization 0.3\ncalibrate_s_target 0\n")
+        code, _, _ = run(capsys, "bell", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        result = json.loads((tmp_path / "o" / "bell_result.json").read_text())
+        assert code == 0 and result["model"]["depolarization"] == 0.3
 
     @pytest.mark.parametrize("command, key, what", [
         ("bell", "channel_rotation_deg", "channel rotation"),

@@ -64,7 +64,7 @@ def readme_names():
 
 
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-USERS = (referenced_names(MODULES)  # __init__ only re-exports
+USERS = (referenced_names(MODULES)  # __init__ holds only __version__
          | referenced_names(sorted((ROOT / "perfbench").glob("*.py")))
          | readme_names())
 
@@ -90,6 +90,13 @@ def readme_python():
     """The python code blocks of README.md."""
     text = (ROOT / "README.md").read_text()
     return "\n".join(re.findall(r"```python\n(.*?)```", text, re.DOTALL))
+
+
+def test_readme_example_runs(monkeypatch, capsys):
+    # run from the repo root, where the example finds the packaged TLE
+    monkeypatch.chdir(ROOT)
+    exec(compile(readme_python(), "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 def function_defs(tree):
