@@ -13,10 +13,10 @@ bookkeeping in the rest of the package uses arg(r_s) - arg(r_p).
 
 Two multilayer algorithms are provided: the characteristic-matrix method
 (`stack_response`) and a recursive interface-by-interface composition
-(`stack_response_oracle`).  They are algebraically equivalent and agree to
-1e-10 in the test suite, but both take their indices, branch-chosen cosines
-and phase thicknesses from `_media`, so that check cannot see a fault there;
-the oracle gets media of its own once it moves to the tests.
+(`stack_response_oracle`), each walking s and p in one loop over the layers.
+They agree to 1e-10 in the test suite, but both read their indices, cosines,
+admittances n cos(t) and phase thicknesses from `_media`, which that check
+cannot see; the suite checks the admittances against sqrt(n^2 - n0^2 sin^2(ti)).
 """
 
 from __future__ import annotations
@@ -90,11 +90,6 @@ def _cos_refracted(n0, n, theta_i):
     return np.where((nc.imag < 0.0) | ((nc.imag == 0.0) & (nc.real < 0.0)), -c, c)[()]
 
 
-def _fresnel_amplitudes(n0, n, cos_i, cos_t):
-    a, b, c, d = n0 * cos_i, n * cos_t, n * cos_i, n0 * cos_t
-    return (a - b) / (a + b), (c - d) / (c + d)
-
-
 def _finite_response(algorithm):
     """Run `algorithm` with numpy floating-point faults raised, and report any
     overflow, invalid operation or division by zero as a ValueError."""
@@ -111,19 +106,21 @@ def _finite_response(algorithm):
 
 
 def _media(stack, ray):
-    """Indices and cosines of every medium (ambient, layers..., substrate), the
-    layers' phase thicknesses, and a converter to the loop's per-layer rows.
+    """Indices, cosines and admittances n cos of every medium (ambient, layers...,
+    substrate), the layers' phase thicknesses, and a converter to loop rows.
 
     The arrays carry the media or layers on axis 0, ahead of the ray grid's
     axes.  Rows are Python complex lists for one ray and arrays for a grid.
     """
-    theta, wl = np.broadcast_arrays(ray.theta_i, ray.wavelength_nm)
-    grid = (1,) * theta.ndim
+    theta, wl = ray.theta_i, ray.wavelength_nm
+    grid = (1,) * np.broadcast(theta, wl).ndim
+    if grid:  # a bare interface has no layer to carry the wavelength's axes
+        theta, wl = np.broadcast_arrays(theta, wl)
     n = stack.indices.reshape((-1,) + grid)
     cos = _cos_refracted(n[0], n, theta)
     cos[0] = np.cos(theta)
     beta = 2.0 * math.pi / wl * n[1:-1] * stack.thicknesses.reshape((-1,) + grid) * cos[1:-1]
-    return n, cos, beta, (lambda a: a) if grid else np.ndarray.tolist
+    return n, cos, n * cos, beta, (lambda a: a) if grid else np.ndarray.tolist
 
 
 @_finite_response
@@ -144,21 +141,21 @@ def stack_response(stack, ray):
     on the decaying branch, so |E| <= 1 and a thick absorbing layer cannot
     overflow the way cos b and sin b would.
     """
-    n, cos, beta, rows = _media(stack, ray)
-    eta = np.array((n * cos, n / cos))  # s and p admittances of every medium
-    beta, eta_layers = beta[::-1], eta[:, -2:0:-1]  # substrate side first
-    phase = np.exp(2j * beta)
+    n, cos, eta_s, beta, rows = _media(stack, ray)
+    eta_p = n / cos
+    phase = np.exp(2j * beta[::-1])  # substrate side first
     half_diff = (1.0 - phase) / 2.0
-    diag = rows((1.0 + phase) / 2.0)
-    r = []
-    # M = [[d, m01], [m10, d]]; e: this polarization's eta_0, eta_sub (stride len(n) - 1)
-    for e, m01s, m10s in zip(rows(eta[:, ::len(n) - 1]), rows(half_diff / eta_layers),
-                             rows(half_diff * eta_layers)):
-        b, c = 1.0, e[1]
-        for d, m01, m10 in zip(diag, m01s, m10s):
-            b, c = d * b + m01 * c, m10 * b + d * c
-        r.append((e[0] * b - c) / (e[0] * b + c))
-    return MirrorResponse(r[0], -r[1])
+    (s0, s_sub), (p0, p_sub) = rows(eta_s[::len(n) - 1]), rows(eta_p[::len(n) - 1])
+    s_layers, p_layers = eta_s[-2:0:-1], eta_p[-2:0:-1]
+    b_s, c_s, b_p, c_p = 1.0, s_sub, 1.0, p_sub
+    # M = [[d, m01], [m10, d]], one per layer and polarization
+    for d, m01_s, m10_s, m01_p, m10_p in zip(
+            rows((1.0 + phase) / 2.0), rows(half_diff / s_layers), rows(half_diff * s_layers),
+            rows(half_diff / p_layers), rows(half_diff * p_layers)):
+        b_s, c_s = d * b_s + m01_s * c_s, m10_s * b_s + d * c_s
+        b_p, c_p = d * b_p + m01_p * c_p, m10_p * b_p + d * c_p
+    return MirrorResponse((s0 * b_s - c_s) / (s0 * b_s + c_s),
+                          -((p0 * b_p - c_p) / (p0 * b_p + c_p)))
 
 
 @_finite_response
@@ -169,17 +166,16 @@ def stack_response_oracle(stack, ray):
     in through r <- (r_j + r exp(2 i b)) / (1 + r_j r exp(2 i b)).  Cross-checks
     the characteristic-matrix method's recursion, not the `_media` both share.
     """
-    n, cos, beta, rows = _media(stack, ray)
-    boundaries = np.array(_fresnel_amplitudes(n[:-1], n[1:], cos[:-1], cos[1:]))[:, ::-1]
-    phase = rows(np.exp(2j * beta)[::-1])
-    out = []
-    for r_b in rows(boundaries):  # s, then p; boundaries bottom-up, substrate first
-        r = r_b[0]
-        for r_j, ph in zip(r_b[1:], phase):
-            rph = r * ph
-            r = (r_j + rph) / (1.0 + r_j * rph)
-        out.append(r)
-    return MirrorResponse(out[0], out[1])
+    n, cos, eta, beta, rows = _media(stack, ray)
+    a, b, c, d = eta[:-1], eta[1:], n[1:] * cos[:-1], n[:-1] * cos[1:]
+    r_s, *s_b = rows(((a - b) / (a + b))[::-1])  # boundaries bottom-up, substrate first
+    r_p, *p_b = rows(((c - d) / (c + d))[::-1])
+    for j_s, j_p, ph in zip(s_b, p_b, rows(np.exp(2j * beta)[::-1])):
+        rph = r_s * ph
+        r_s = (j_s + rph) / (1.0 + j_s * rph)
+        rph = r_p * ph
+        r_p = (j_p + rph) / (1.0 + j_p * rph)
+    return MirrorResponse(r_s, r_p)
 
 
 def quarter_wave_stack():

@@ -1,4 +1,4 @@
-"""Output digests for a bit-identity check: python tests/digest.py [SRC]
+"""Output digests for a bit-identity check: python tests/digest.py [SRC | OLD_SRC NEW_SRC]
 
 Imports polsim from SRC (default: this repository's src/) and prints one
 SHA-256 per output family:
@@ -24,9 +24,11 @@ SHA-256 per output family:
   mutation of the packaged TLE over a fixed alphabet and on 2,000 seeded
   double mutations, each with the checksums as mutated and fixed.
 
-Run it on two trees and diff the output: a family whose digest moved has an
-output that moved, to the last bit.  It is a cross-commit tool, not a golden
-file (libm and numpy builds can move last bits), so pytest does not collect it.
+`python tests/digest.py OLD_SRC NEW_SRC` digests each tree in its own
+interpreter and prints `same` or `moved` per family, exiting 1 if any moved (2
+if a tree fails): a family whose digest moved has an output that moved, to the
+last bit.  It is a cross-commit tool, not a golden file (libm and numpy builds
+can move last bits), so pytest does not collect it.
 """
 
 import contextlib
@@ -34,12 +36,32 @@ import hashlib
 import io
 import math
 import random
+import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
+
+
+def compare(old_src, new_src):
+    """Digest both trees, each in a fresh interpreter; 1 if any family moved."""
+    lines = []
+    for src in (old_src, new_src):
+        run = subprocess.run([sys.executable, __file__, src], capture_output=True, text=True)
+        if run.returncode:
+            print(f"digest of {src} failed:\n{run.stderr}", file=sys.stderr)
+            sys.exit(2)
+        lines.append(run.stdout.splitlines())
+    moved = [old != new for old, new in zip(*lines)]
+    for line, move in zip(lines[0], moved):
+        print(f"{'moved' if move else 'same'}  {line.split('  ', 1)[1]}")
+    return int(any(moved))
+
+
+if __name__ == "__main__" and len(sys.argv) == 3:
+    sys.exit(compare(*sys.argv[1:]))
 
 SRC = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parents[1] / "src")
 sys.path.insert(0, str(SRC.resolve()))

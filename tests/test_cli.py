@@ -682,6 +682,10 @@ class TestConfigRange:
         ("bell", "depolarization 0.3", "key 'depolarization': a calibrated run "
          "(calibrate_s_target 2.312) solves for the depolarization; set calibrate_s_target 0 "
          "to simulate 0.3"),
+        # calibration rescales the integration time: 1, 40 and 80 s all printed one S
+        ("bell", "integration_time_s 40", "key 'integration_time_s': a calibrated run "
+         "(calibrate_s_target 2.312) solves for the integration time; set calibrate_s_target 0 "
+         "to simulate 40.0"),
     ])
     def test_checked_message(self, capsys, tmp_path, command, setting, message):
         cfg = tmp_path / "c.cfg"
@@ -908,15 +912,24 @@ class TestBell:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("polsim: config error: key 'calibrate_total_coincidences': ")
 
-    def test_calibration_ignores_start_integration_time(self, capsys, tmp_path):
-        # calibration rescales the configured time, so even 1e300 s gives the default run
+    def test_calibration_refuses_start_integration_time(self, capsys, tmp_path):
+        # calibration solves for the integration time, so a calibrated run takes only
+        # the default, and that gives the default run's outputs
         cfg = tmp_path / "c.cfg"
         cfg.write_text("integration_time_s 1e300\n")
-        code, _, _ = run(capsys, "bell", "--config", str(cfg), "--out", str(tmp_path / "big"))
-        assert code == 0
+        code, out, err = run(capsys, "bell", "--config", str(cfg), "--out", str(tmp_path / "big"))
+        assert (code, out) == (1, "")
+        assert err.startswith("polsim: config error: key 'integration_time_s': a calibrated run")
+        assert not (tmp_path / "big").exists()
+        cfg.write_text("integration_time_s 80\n")
+        assert run(capsys, "bell", "--config", str(cfg), "--out", str(tmp_path / "same"))[0] == 0
         assert run(capsys, "bell", "--out", str(tmp_path / "default"))[0] == 0
         for name in ("bell_counts.csv", "bell_result.json"):
-            assert (tmp_path / "big" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+            assert (tmp_path / "same" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+        cfg.write_text("integration_time_s 40\ncalibrate_s_target 0\n")
+        assert run(capsys, "bell", "--config", str(cfg), "--out", str(tmp_path / "raw"))[0] == 0
+        result = json.loads((tmp_path / "raw" / "bell_result.json").read_text())
+        assert result["model"]["integration_time_s"] == 40.0
 
 
 class TestImports:

@@ -169,6 +169,49 @@ class TestStackResponse:
             assert abs(r.r_p) <= 1.0 + 1e-12
 
 
+def decaying_root(z):
+    """The square root of z with Im >= 0, and Re >= 0 when Im = 0."""
+    root = cmath.sqrt(z)
+    return root if root.imag > 0.0 or (root.imag == 0.0 and root.real >= 0.0) else -root
+
+
+# (stack, what its layers and substrate cover); both algorithms read n cos from _media
+ADMITTANCE_STACKS = (
+    (tf.LayerStack(1.0, ((1.45, 100.0), (0.2 + 3.5j, 20.0), (2.10, 80.0)), 1.52),
+     "propagating and absorbing"),
+    (tf.LayerStack(1.6, ((1.0, 200.0), (-1.5, 50.0), (-1.5 + 0.1j, 50.0)), 1.2),
+     "evanescent past 38.7 and 48.6 degrees; negative real indices"),
+)
+ADMITTANCE_ANGLES = (0.0, 0.3, 0.9, 1.3)
+
+
+class TestAdmittance:
+    """n cos(t) of every medium against sqrt(n^2 - n0^2 sin^2 ti) on the decaying
+    branch: Snell's law and the branch choice, checked apart from _cos_refracted."""
+
+    @staticmethod
+    def want(stack, theta):
+        s = stack.ambient * math.sin(theta)
+        return np.array([decaying_root(n * n - s * s) for n in stack.indices])
+
+    @pytest.mark.parametrize("stack, what", ADMITTANCE_STACKS, ids=[w for _, w in ADMITTANCE_STACKS])
+    def test_one_ray(self, stack, what):
+        for theta in ADMITTANCE_ANGLES:
+            eta = tf._media(stack, tf.Ray(theta, 780.0))[2]
+            want = self.want(stack, theta)
+            assert eta.shape == want.shape
+            assert np.max(np.abs(eta - want) / np.abs(want)) <= 1e-12
+
+    @pytest.mark.parametrize("stack, what", ADMITTANCE_STACKS, ids=[w for _, w in ADMITTANCE_STACKS])
+    def test_grid(self, stack, what):
+        wavelengths = np.array([500.0, 780.0, 1550.0])
+        eta = tf._media(stack, tf.Ray(np.array(ADMITTANCE_ANGLES), wavelengths[:, None]))[2]
+        assert eta.shape == (len(stack.indices), len(wavelengths), len(ADMITTANCE_ANGLES))
+        for j, theta in enumerate(ADMITTANCE_ANGLES):
+            want = self.want(stack, theta)[:, None]
+            assert np.max(np.abs(eta[:, :, j] - want) / np.abs(want)) <= 1e-12
+
+
 ABSORBING_INDEX = st.builds(complex, st.floats(1.3, 2.3), st.floats(0.0, 0.5))
 ABSORBING_STACKS = st.builds(
     tf.LayerStack,
@@ -357,6 +400,11 @@ substrate 1.52 0.0
             tf.parse_stack_text(bad)
         with pytest.raises(ValueError, match="^layer 0: thickness must be positive, got 0.0$"):
             tf.LayerStack(1.0, ((1.4, 0.0),), 1.5)
+
+    def test_zero_layer_index_rejected(self):
+        bad = "ambient 1.0 0.0\nsubstrate 1.5 0.0\n0 -0 100\n"
+        with pytest.raises(ParseError, match="^line 3: layer index must be non-zero$"):
+            tf.parse_stack_text(bad)
 
     def test_zero_thickness_line_is_parse_error(self):
         bad = "ambient 1.0 0.0\nsubstrate 1.5 0.0\n1.4 0.0 0\n"
