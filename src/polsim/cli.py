@@ -29,7 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import antenna, compensation, linksim, orbit, thinfilm, tle
+# Each command imports the rest of the library it runs inside its own function,
+# so a fresh `polsim` process compiles and loads only the modules it needs.
+from . import antenna, compensation
 from .jones import MirrorResponse, rotator
 from .table import check_degrees, finite_float
 
@@ -152,6 +154,8 @@ def _write(out_dir, name, text):
 
 
 def cmd_coating(cfg, args):
+    from . import thinfilm
+
     def ray(angle, wavelength):  # Ray's own check speaks radians
         if not 0.0 <= angle < 90.0:
             raise ValueError(f"incidence angle must be in [0, 90) degrees, got {angle!r}")
@@ -186,12 +190,20 @@ def cmd_per_map(cfg, args):
 
 
 def cmd_compensate(cfg, args):
+    from . import orbit
     zero_point, max_slew = cfg["zero_point_deg"], cfg["max_slew_deg_per_s"]
     _checked(cfg, compensation.check_tracking, "zero_point_deg", "max_slew_deg_per_s")
 
     if cfg["pass_csv"] is not None:
+        for key in ("tle_file", "station_lat_deg", "station_lon_deg", "station_alt_m",
+                    "threshold_deg", "step_s", "window_hours"):  # only the TLE scan reads these
+            if cfg[key] != DEFAULTS[key]:
+                raise ConfigError(f"key {key!r}: a pass_csv run reads its passes from "
+                                  f"{cfg['pass_csv']}; unset pass_csv to scan the TLE with "
+                                  f"{cfg[key]!r}")
         passes = [_load(orbit.parse_pass_csv, cfg["pass_csv"], "pass CSV")]
     else:
+        from . import tle
         rec = _load(tle.parse_tle, cfg["tle_file"], "TLE file")
         station = _checked(cfg, orbit.GroundStation, "station_lat_deg", "station_lon_deg",
                            "station_alt_m")
@@ -215,6 +227,7 @@ def cmd_compensate(cfg, args):
 
 
 def cmd_offset_scan(cfg, args):
+    from . import linksim
     ground, sat = cfg["ground_offsets_deg"], cfg["sat_offsets_deg"]
     grid = _checked(cfg, lambda rs, rp, gap, g, s, az, el, beta: linksim.offset_scan(
         g, s, MirrorResponse.from_powers(rs, rp, gap * math.pi), azimuth_deg=az,
@@ -230,6 +243,8 @@ def cmd_offset_scan(cfg, args):
 
 
 def cmd_bell(cfg, args):
+    from . import linksim
+
     def channel(loss, rotation, depolarization):  # the model sees only the Jones matrix
         check_degrees("channel rotation", rotation)
         return linksim.ChannelModel(loss, rotator(math.radians(rotation)), depolarization)
@@ -301,9 +316,9 @@ COMMANDS = {
         ("azimuths_deg", antenna.DEFAULT_SCAN_AZIMUTHS, _finite_list), *MIRROR_KEYS)),
     "compensate": (cmd_compensate, "HWP schedules for passes", (
         ("tle_file", str(DATA_DIR / "sso_500km.tle"), str), ("pass_csv", None, str),
-        ("station_lat_deg", orbit.NGARI_STATION.latitude_deg, finite_float),
-        ("station_lon_deg", orbit.NGARI_STATION.longitude_deg, finite_float),
-        ("station_alt_m", orbit.NGARI_STATION.altitude_m, finite_float),
+        # orbit.NGARI_STATION's fields, written out so the schema loads no orbit
+        ("station_lat_deg", 32.3258527778, finite_float),
+        ("station_lon_deg", 80.0261611111, finite_float), ("station_alt_m", 5047.0, finite_float),
         ("threshold_deg", 10.0, finite_float), ("step_s", 1.0, finite_float),
         ("window_hours", 48.0, finite_float),
         ("zero_point_deg", compensation.DEFAULT_ZERO_POINT_DEG, finite_float),

@@ -9,8 +9,9 @@ fate.  The unmutated tests run first: if they fail, the probe prints their
 tail and exits 1, and otherwise a mutant still running after 10 times their
 wall time (at least 60 s) is killed.  A survivor is a test gap unless the
 swap is equivalent or differs only at one exact boundary value; those are
-listed in tests/probe_ledger.txt, keyed by module, source-line text and
-swap, and the closing list names only the survivors the ledger does not.
+listed in tests/probe_ledger.txt, keyed by module, the site's own source
+text (see site_keys) and swap, and the closing list names only the survivors
+the ledger does not.
 pytest does not collect this file (tests/test_mutation_probe.py checks the
 ledger).
 """
@@ -23,6 +24,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -52,14 +54,34 @@ def describe(node, slot):
 
 
 def site_keys(source):
-    """(stripped line text, label) per site of `source`, in sites() order."""
-    lines = source.splitlines()
-    return [(lines[line - 1].strip(), label)
-            for line, label in (describe(*site) for site in sites(ast.parse(source)))]
+    """(site text, label) per site of `source`, in sites() order.  A site's text
+    is its source, whitespace runs as one space: a BinOp or one-operator
+    comparison whole (ast.get_source_segment of the node), one link of a
+    chained comparison from the operand before the swapped operator to the one
+    after.  Sites that share text and label get a ` #k` ordinal, k = 1, 2, ...
+    in that order."""
+    # sliced here rather than by get_source_segment, which splits the source per call
+    lines = [line.encode() for line in source.splitlines()]  # ast columns count UTF-8 bytes
+
+    def text(node, slot):
+        first = node.comparators[slot - 1] if slot else node  # slot None or 0: from the start
+        last = node.comparators[slot] if slot is not None and slot < len(node.ops) - 1 else node
+        rows = lines[first.lineno - 1:last.end_lineno]
+        rows[-1] = rows[-1][:last.end_col_offset]
+        rows[0] = rows[0][first.col_offset:]
+        return " ".join(b" ".join(rows).decode().split())
+
+    keys = [(text(*site), describe(*site)[1]) for site in sites(ast.parse(source))]
+    shared, seen = {key for key, n in Counter(keys).items() if n > 1}, Counter()
+    for i, key in enumerate(keys):
+        if key in shared:
+            seen[key] += 1
+            keys[i] = (f"{key[0]} #{seen[key]}", key[1])
+    return keys
 
 
 def ledger():
-    """{(module, stripped line text, label): reason} of tests/probe_ledger.txt:
+    """{(module, site text, label): reason} of tests/probe_ledger.txt:
     tab-separated lines, `#` comments and blank lines skipped."""
     rows = [line.split("\t") for line in LEDGER.read_text().splitlines()
             if line.strip() and not line.startswith("#")]
@@ -91,7 +113,7 @@ def main(module, count="20", seed="0"):
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                f"tests/test_{module}.py", "tests/test_acceptance.py"]
     env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
-    known = ledger()
+    known, keys = ledger(), site_keys(source)
     survivors, listed = [], 0
     with tempfile.TemporaryDirectory() as tmp:
         for name in ("src", "tests"):
@@ -112,7 +134,7 @@ def main(module, count="20", seed="0"):
                 status = "survived" if run.returncode == 0 else "killed"
             except subprocess.TimeoutExpired:
                 status = "killed (timeout)"
-            text = source.splitlines()[line - 1].strip()
+            text = keys[k][0]
             if status == "survived" and (module, text, label) in known:
                 status, listed = "survived (in the ledger)", listed + 1
             print(f"{rel}:{line}: {label} {status}: {text}", flush=True)

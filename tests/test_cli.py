@@ -54,6 +54,19 @@ class TestCoating:
         values = dict(line.split(None, 1) for line in out.strip().splitlines())
         assert float(values["rs_power"]) == pytest.approx(0.04, abs=1e-12)
 
+    def test_bare_glass_report_at_45(self, capsys, tmp_path):
+        # the single-interface Fresnel powers of n = 1.5 at 45 degrees, and their mean
+        stack = tmp_path / "bare.txt"
+        stack.write_text("ambient 1.0 0.0\nsubstrate 1.5 0.0\n")
+        code, out, _ = coating_with(capsys, tmp_path, stack)
+        assert code == 0
+        values = {k: float(v) for k, v in (line.split() for line in out.splitlines()[1:])}
+        ci, ct = math.sqrt(0.5), math.sqrt(1.0 - 0.5 / 1.5**2)
+        rs, rp = ((ci - 1.5 * ct) / (ci + 1.5 * ct)) ** 2, ((1.5 * ci - ct) / (1.5 * ci + ct)) ** 2
+        assert values["rs_power"] == pytest.approx(rs, rel=1e-12)
+        assert values["rp_power"] == pytest.approx(rp, rel=1e-12)
+        assert values["mean_power"] == pytest.approx((rs + rp) / 2.0, rel=1e-12)
+
     def test_beacon_wavelength_report(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("wavelength_nm 532\n")
@@ -686,8 +699,21 @@ class TestConfigRange:
         ("bell", "integration_time_s 40", "key 'integration_time_s': a calibrated run "
          "(calibrate_s_target 2.312) solves for the integration time; set calibrate_s_target 0 "
          "to simulate 40.0"),
+        # a pass CSV replaces the TLE scan: this ran and wrote the CSV pass's schedule
+        ("compensate", "pass_csv {pass_csv}\nstation_lat_deg 95\nstep_s -3\nwindow_hours 1e9\n"
+         "tle_file /nonexistent", "key 'tle_file': a pass_csv run reads its passes from "
+         "{pass_csv}; unset pass_csv to scan the TLE with '/nonexistent'"),
+        ("compensate", "pass_csv {pass_csv}\nstation_lat_deg 95\nstep_s -3\nwindow_hours 1e9",
+         "key 'station_lat_deg': a pass_csv run reads its passes from {pass_csv}; unset "
+         "pass_csv to scan the TLE with 95.0"),
+        ("compensate", "pass_csv {pass_csv}\nwindow_hours 1e9", "key 'window_hours': a "
+         "pass_csv run reads its passes from {pass_csv}; unset pass_csv to scan the TLE with "
+         "1000000000.0"),
     ])
     def test_checked_message(self, capsys, tmp_path, command, setting, message):
+        pass_csv = tmp_path / "pass.csv"  # a valid two-sample pass
+        pass_csv.write_text("2024-01-01T00:00:00Z,10.0,20.0\n2024-01-01T00:00:01Z,11.0,21.0\n")
+        setting, message = (text.format(pass_csv=pass_csv) for text in (setting, message))
         cfg = tmp_path / "c.cfg"
         cfg.write_text(setting + "\n")
         code, out, err = run(capsys, command, "--config", str(cfg), "--out", str(tmp_path / "o"))
@@ -970,6 +996,42 @@ class TestImports:
                               text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
+
+    def test_each_command_loads_only_its_modules(self, tmp_path):
+        # a fresh process compiles every module it imports; cli imports the
+        # modules beyond antenna and compensation inside the command that runs them
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        probe = ("import sys; from polsim.cli import main; code = main(sys.argv[1:]); "
+                 "print(' '.join(sorted(m[7:] for m in sys.modules if m.startswith('polsim.')))); "
+                 "sys.exit(code)")
+        pass_csv, cfg = tmp_path / "pass.csv", tmp_path / "c.cfg"
+        pass_csv.write_text("2024-01-01T00:00:00Z,10.0,20.0\n2024-01-01T00:00:01Z,11.0,21.0\n")
+        cfg.write_text(f"pass_csv {pass_csv}\n")
+        common = {"antenna", "cli", "compensation", "frozen", "jones", "table"}
+        expected = {
+            ("coating",): common | {"thinfilm"},
+            ("per-map",): common,
+            ("compensate",): common | {"orbit", "tle"},
+            ("compensate", "--config", str(cfg)): common | {"orbit"},
+            ("offset-scan",): common | {"linksim"},
+            ("bell",): common | {"linksim"},
+        }
+        runs = {argv: subprocess.Popen([sys.executable, "-c", probe, *argv, "--out",
+                                        str(tmp_path / str(k))], env=env, text=True,
+                                       stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                for k, argv in enumerate(expected)}
+        for argv, done in runs.items():
+            out, err = done.communicate(timeout=300)
+            assert done.returncode == 0, err
+            assert set(out.splitlines()[-1].split()) == expected[argv], argv
+
+    def test_station_defaults_are_ngari(self):
+        # the schema writes them out so that it loads no orbit
+        keys = ("station_lat_deg", "station_lon_deg", "station_alt_m")
+        assert tuple(cli.DEFAULTS[k] for k in keys) == (
+            O.NGARI_STATION.latitude_deg, O.NGARI_STATION.longitude_deg,
+            O.NGARI_STATION.altitude_m)
 
     def test_numpy_random_stays_lazy(self):
         # numpy loads numpy.random on first use; importing polsim must not use it

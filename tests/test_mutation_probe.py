@@ -1,5 +1,6 @@
 """Every entry of the mutation probe's ledger (tests/probe_ledger.txt) names a
-mutant the probe still makes, so a ledger line cannot outlive its code."""
+mutant the probe still makes, so a ledger line cannot outlive its code, and
+no two sites of a module share a ledger key."""
 
 import pytest
 
@@ -17,3 +18,9 @@ def test_ledger_is_not_empty():
 def test_ledger_entry_matches_a_site(module, text, label):
     source = (P.ROOT / "src" / "polsim" / f"{module}.py").read_text()
     assert (text, label) in P.site_keys(source)
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in (P.ROOT / "src" / "polsim").glob("*.py")))
+def test_site_keys_are_distinct(module):
+    keys = P.site_keys((P.ROOT / "src" / "polsim" / f"{module}.py").read_text())
+    assert len(set(keys)) == len(keys)
