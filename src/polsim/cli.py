@@ -268,6 +268,10 @@ def cmd_bell(cfg, args):
             channel, det = linksim.calibrate_bell(source, channel, det, s_target, total_target)
         except ValueError as exc:
             raise CliFailure(EXIT_NUMERIC, f"calibration failed: {exc}")
+    elif total_target != DEFAULTS["calibrate_total_coincidences"]:
+        raise ConfigError("key 'calibrate_total_coincidences': an uncalibrated run "
+                          "(calibrate_s_target 0) simulates the integration time as set; set "
+                          f"calibrate_s_target above 0 to calibrate to {total_target!r}")
 
     counts = linksim.simulate_chsh_counts(source, channel, det, seed=args.seed)
     try:

@@ -362,7 +362,7 @@ def extract_passes(rec, station, t_start, t_end, threshold_deg=10.0, step_s=1.0)
     rate_deg_s = math.degrees(elevation_rate_bound(rec, station))
     i = np.append(np.arange(0, n - 1, max(1, int(SCAN_SWING_DEG / (rate_deg_s * step_s)))), n - 1)
     el, rng = sight(t0 + i * dt)
-    seen, seen_el, first, count = [i], [el], [], []
+    seen, seen_el = [i], [el]
     pair = np.ones(len(i) - 1, dtype=bool)  # nodes k and k + 1 bound an interval
     while True:
         a = np.flatnonzero(pair & (np.diff(i) > 1))
@@ -373,8 +373,6 @@ def extract_passes(rec, station, t_start, t_end, threshold_deg=10.0, step_s=1.0)
                & (np.maximum(el_a, el_b) < threshold_deg))
         high = ((np.maximum(el_a - g_a, el_b - g_b) >= threshold_deg)
                 & (np.minimum(el_a, el_b) >= threshold_deg))
-        first.append(i[a[high]] + 1)
-        count.append(gap[high] - 1)
         a, gap = a[~(low | high)], gap[~(low | high)]  # a NaN bound splits
         if not len(a):
             break
@@ -389,23 +387,20 @@ def extract_passes(rec, station, t_start, t_end, threshold_deg=10.0, step_s=1.0)
         seen_el.append(el[new])
         pair = (j < parts[row])[:-1]
 
-    # runs of consecutive samples at or above the threshold are passes, less
-    # those touching a window edge; a decided interval's ends lie on its side
-    # of the threshold, so both samples around each crossing were evaluated
-    i, el = np.concatenate(seen), np.concatenate(seen_el)
-    first, count = np.concatenate(first), np.concatenate(count)
-    certified = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
-    up = np.sort(np.r_[i[el >= threshold_deg], certified])
-    rise, fall = up[np.diff(up, prepend=-2) > 1], up[np.diff(up, append=n + 1) > 1]
-    inside = (rise > 0) & (fall < n - 1)
-    rise, fall = rise[inside], fall[inside]
-    if not len(rise):
+    # a crossing is a sign change between consecutive evaluated samples, adjacent on
+    # the grid since the search decided every wider gap (both ends on one side); a set
+    # before the first rise or a rise after the last set is a pass clipped by an edge
+    order = np.argsort(np.concatenate(seen), kind="stable")  # a few sorted runs, no repeats
+    i, el = np.concatenate(seen)[order], np.concatenate(seen_el)[order]
+    up, f = el >= threshold_deg, el - threshold_deg
+    k = np.flatnonzero(up[:-1] != up[1:])  # bracket k: samples k and k + 1
+    k = k[int(up[0]):len(k) - int(up[-1])]  # rise, set, rise, ..., set
+    if not len(k):
         return []
-    order = np.argsort(i, kind="stable")  # i: a few sorted runs, no repeats
-    lo, hi = np.r_[rise - 1, fall], np.r_[rise, fall + 1]
-    f_lo, f_hi = (el[order[np.searchsorted(i, x, sorter=order)]] - threshold_deg for x in (lo, hi))
-    t_rise, t_set = np.split(_crossing(lambda t: sight(t)[0] - threshold_deg,
-                                       t0 + lo * dt, t0 + hi * dt, f_lo, f_hi), 2)
+    rise, fall = i[k[::2] + 1], i[k[1::2]]  # each pass's first and last grid sample
+    k = np.r_[k[::2], k[1::2]]  # the rises' brackets, then the sets'
+    t_rise, t_set = np.split(_crossing(lambda t: sight(t)[0] - threshold_deg, t0 + i[k] * dt,
+                                       t0 + i[k + 1] * dt, f[k], f[k + 1]), 2)
 
     # each pass: its rise, the grid samples rise..fall strictly between, its set
     size = fall - rise + 3

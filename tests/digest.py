@@ -7,6 +7,9 @@ SHA-256 per output family:
   Ngari (threshold 10 degrees, steps 1 s and 0.25 s) for the packaged TLE and
   three seeded LEO TLEs for each of the seeds 3, 5, 11 and 29, and
   `schedule_from_pass` of every pass;
+* clipped passes: the pass fields of `extract_passes` over windows of those
+  weeks that start and end mid-pass (from the middle of every fourth pass to
+  the middle of the pass two later), where both edge passes are dropped;
 * coating, per-map, compensate, offset-scan, bell: each subcommand at its
   defaults, stdout and every file it writes (paths are masked);
 * thin film: `stack_response` and `stack_response_oracle` of the packaged and
@@ -104,10 +107,16 @@ def feed(digest, *parts):
         digest.update(len(data).to_bytes(8, "little") + data)
 
 
+def pass_fields(p):
+    """Each field of a PassProfile as float64 bytes."""
+    return (np.asarray(getattr(p, name), dtype=float).tobytes() for name in p.__dataclass_fields__)
+
+
 def pass_families(families):
     texts = tle_texts()
-    fields, csvs, schedules = (families[k] for k in ("pass fields", "pass csv", "schedule"))
-    counts = [0, 0]
+    fields, csvs, schedules, clipped = (families[k] for k in (
+        "pass fields", "pass csv", "schedule", "clipped passes"))
+    counts = [0, 0, 0]
     for text in texts:
         rec = tle.parse_tle(text)
         for step in STEPS_S:
@@ -117,12 +126,19 @@ def pass_families(families):
             counts[0] += len(passes)
             counts[1] += sum(len(p.t_posix) for p in passes)
             for p in passes:
-                feed(fields, *(np.asarray(getattr(p, name), dtype=float).tobytes()
-                               for name in p.__dataclass_fields__))
+                feed(fields, *pass_fields(p))
                 feed(csvs, p.to_csv())
                 s = compensation.schedule_from_pass(p)
                 feed(schedules, s.to_csv(), s.metadata_json())
-    return f"{len(texts)} TLE-weeks x {len(STEPS_S)} steps: {counts[0]} passes, {counts[1]} rows"
+            middles = [0.5 * (p.t_posix[0] + p.t_posix[-1]) for p in passes]
+            for t0, t1 in zip(middles[::4], middles[2::4]):
+                inside = orbit.extract_passes(rec, orbit.NGARI_STATION, t0, t1, 10.0, step)
+                feed(clipped, str(len(inside)))
+                counts[2] += 1
+                for p in inside:
+                    feed(clipped, *pass_fields(p))
+    return (f"{len(texts)} TLE-weeks x {len(STEPS_S)} steps: {counts[0]} passes, {counts[1]} "
+            f"rows; {counts[2]} windows cut mid-pass")
 
 
 def cli_families(families, work):
@@ -220,7 +236,7 @@ def tle_family(digest):
 def main():
     start = time.perf_counter()
     names = ("pass fields", "pass csv", "schedule", "coating", "per-map", "compensate",
-             "offset-scan", "bell", "thin film", "library", "tle")
+             "offset-scan", "bell", "thin film", "library", "tle", "clipped passes")
     families = {name: hashlib.sha256() for name in names}
     summary = pass_families(families)
     with tempfile.TemporaryDirectory() as work:

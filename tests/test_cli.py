@@ -699,6 +699,14 @@ class TestConfigRange:
         ("bell", "integration_time_s 40", "key 'integration_time_s': a calibrated run "
          "(calibrate_s_target 2.312) solves for the integration time; set calibrate_s_target 0 "
          "to simulate 40.0"),
+        # only calibration reads the coincidence target: this ran and ignored it
+        ("bell", "calibrate_s_target 0\ncalibrate_total_coincidences 5000",
+         "key 'calibrate_total_coincidences': an uncalibrated run (calibrate_s_target 0) "
+         "simulates the integration time as set; set calibrate_s_target above 0 to calibrate "
+         "to 5000.0"),
+        ("bell", "calibrate_s_target 0\ncalibrate_total_coincidences 0",
+         "key 'calibrate_total_coincidences': expected a positive number below 9.22337e+18, "
+         "got 0.0"),
         # a pass CSV replaces the TLE scan: this ran and wrote the CSV pass's schedule
         ("compensate", "pass_csv {pass_csv}\nstation_lat_deg 95\nstep_s -3\nwindow_hours 1e9\n"
          "tle_file /nonexistent", "key 'tle_file': a pass_csv run reads its passes from "

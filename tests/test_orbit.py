@@ -69,6 +69,30 @@ class TestKepler:
         with pytest.raises(ValueError):
             O.solve_kepler(np.array([1.0, math.nan]), 0.1)
 
+    @pytest.mark.parametrize("e", [-1e-300, 1.0, 1.5])
+    def test_eccentricity_outside_the_ellipse_rejected(self, e):
+        with pytest.raises(ValueError, match=r"^eccentricity must be in \[0, 1\)"):
+            O.solve_kepler(2.0, e)
+
+
+class TestGroundStation:
+    @pytest.mark.parametrize("lat", [-90.0, 90.0])
+    def test_poles_are_sites(self, lat):
+        # at a pole the site lies on the Earth's axis and looks up along it
+        site, (_, _, up) = O._site(O.GroundStation(lat, 0.0, 0.0))
+        assert site == pytest.approx([0.0, 0.0, math.copysign(O.R_EARTH_KM, lat)], abs=1e-9)
+        assert up == pytest.approx([0.0, 0.0, math.copysign(1.0, lat)], abs=1e-15)
+
+    @pytest.mark.parametrize("args, message", [
+        ((90.000001, 0.0), "latitude must be in [-90, 90], got 90.000001"),
+        ((-90.000001, 0.0), "latitude must be in [-90, 90], got -90.000001"),
+        ((0.0, 0.0, -500.0), "altitude must exceed -500 m, got -500.0"),
+    ])
+    def test_out_of_range_refused(self, args, message):
+        with pytest.raises(ValueError) as err:
+            O.GroundStation(*args)
+        assert str(err.value) == message
+
 
 class TestPropagation:
     def test_circular_radius(self):
@@ -142,6 +166,15 @@ class TestTopocentric:
         ts = self.T0 + 1.5e7 + np.arange(0.0, 2e-4, 1e-6)  # 2024-06-22
         assert np.all(np.diff(O.gmst_rad(ts)) > 0.0)
 
+    @pytest.mark.parametrize("years", [-99.0, 0.0, 50.0, 99.0])
+    def test_earth_rate_bounds_the_gmst_rate(self, years):
+        # gmst_rad's mean rate over one day, within a century of J2000, is at
+        # most EARTH_RATE_RAD_S (to the 1e-11 that GMST's rounding leaves a
+        # century out) and within 2e-10 of it
+        t = 946728000.0 + years * 365.25 * 86400.0
+        turn = (O.gmst_rad(t + 86400.0) - O.gmst_rad(t)) % (2.0 * math.pi) + 2.0 * math.pi
+        assert 1.0 - 2e-10 < turn / 86400.0 / O.EARTH_RATE_RAD_S <= 1.0 + 1e-11
+
     def test_gmst_at_j2000(self):
         assert O.gmst_rad(946728000.0) == pytest.approx(math.radians(280.46061837), abs=1e-15)
 
@@ -205,6 +238,52 @@ class TestPasses:
         for window in ((t_rise - 600.0, t_set - 0.75), (t_rise + 0.75, t_set + 600.0)):
             assert O.extract_passes(sso, O.NGARI_STATION, *window) == []
 
+    def test_pass_up_at_the_last_sample_dropped_at_any_start_phase(self, sso, sso_passes):
+        # the last grid sample, 0.75 s before the set, is up; the window holds
+        # n = 3k - 2 ... 3k + 2 samples for start-sample stride k, so the last
+        # sample falls at every phase against the start samples
+        rate_deg_s = math.degrees(O.elevation_rate_bound(sso, O.NGARI_STATION))
+        k = max(1, int(O.SCAN_SWING_DEG / rate_deg_s))
+        t1 = sso_passes[0].t_posix[-1] - 0.75
+        for n in range(3 * k - 2, 3 * k + 3):
+            assert O.extract_passes(sso, O.NGARI_STATION, t1 - (n - 1), t1) == []
+
+    def test_window_edges_half_a_step_outside_a_pass(self, sso, sso_passes):
+        # the first grid sample is down and the next one up; the last one down
+        # and the one before it up: the pass is whole
+        t_rise, t_set = sso_passes[0].t_posix[[0, -1]]
+        passes = O.extract_passes(sso, O.NGARI_STATION, t_rise - 0.5, t_set + 0.5)
+        expected = dense_passes(sso, O.NGARI_STATION, t_rise - 0.5, t_set + 0.5, 10.0, 1.0)
+        assert len(passes) == len(expected) == 1
+        for field in ("t_posix", "azimuth_deg", "elevation_deg", "beta_deg"):
+            assert np.array_equal(getattr(passes[0], field), getattr(expected[0], field))
+
+    @pytest.mark.parametrize("start, end, inside", [
+        ((1, 0.5), (4, 1.0), (2, 3, 4)),  # starts inside a pass
+        ((0, 0.0), (3, 0.5), (0, 1, 2)),  # ends inside a pass
+        ((0, 0.5), (4, 0.5), (1, 2, 3)),  # both
+        ((2, 0.1), (2, 0.9), ()),  # wholly inside one pass
+    ], ids=["starts-up", "ends-up", "both-up", "within-one"])
+    def test_window_cut_mid_pass(self, sso, sso_passes, start, end, inside):
+        # a window edge at fraction x of pass k (x 0: 600 s before its rise;
+        # 1: 600 s after its set) keeps exactly the passes wholly inside it,
+        # as the dense 1 s scan finds them
+        def edge(k, x):
+            t_rise, t_set = sso_passes[k].t_posix[[0, -1]]
+            return t_rise - 600.0 if x == 0.0 else t_set + 600.0 if x == 1.0 else (
+                t_rise + x * (t_set - t_rise))
+
+        t0, t1 = edge(*start), edge(*end)
+        el = az_el_range(state(sso, np.array([t0, t1]))[0], O.NGARI_STATION, np.array([t0, t1]))[1]
+        assert list(el >= 10.0) == [0.0 < start[1] < 1.0, 0.0 < end[1] < 1.0]
+        passes = O.extract_passes(sso, O.NGARI_STATION, t0, t1)
+        expected = dense_passes(sso, O.NGARI_STATION, t0, t1, 10.0, 1.0)
+        assert len(passes) == len(expected) == len(inside)
+        for p, q, k in zip(passes, expected, inside):
+            for field in ("t_posix", "azimuth_deg", "elevation_deg", "beta_deg"):
+                assert np.array_equal(getattr(p, field), getattr(q, field))
+            assert p.t_posix[[0, -1]] == pytest.approx(sso_passes[k].t_posix[[0, -1]], abs=1e-5)
+
     def test_window_validation(self, sso):
         with pytest.raises(ValueError):
             O.extract_passes(sso, O.NGARI_STATION, sso.epoch_posix, sso.epoch_posix)
@@ -252,6 +331,20 @@ class TestPasses:
         with pytest.raises(ValueError) as err:
             O.extract_passes(sso, O.NGARI_STATION, t0, t0 + 48 * 3600.0, step_s=1e-6)
         assert str(err.value) == "a 172800 s window at step_s 1e-06 needs more than 5000000 samples"
+
+    def test_threshold_below_the_zenith(self, sso):
+        t0 = sso.epoch_posix
+        with pytest.raises(ValueError, match=r"^threshold must be in \[0, 90\), got 90.0$"):
+            O.check_window(sso, t0, t0 + 3600.0, 90.0, 1.0)
+        O.check_window(sso, t0, t0 + 3600.0, 0.0, 1.0)
+
+    def test_grid_size_bound_is_exact(self, sso):
+        # np.arange(t0, t1 + step / 2, step) over 312500 s at step 1/16 s has
+        # 312500 * 16 + 1 = 5,000,001 samples, one too many; a step less fits
+        t0 = sso.epoch_posix
+        with pytest.raises(ValueError, match="needs more than 5000000 samples"):
+            O.check_window(sso, t0, t0 + 312500.0, 10.0, 0.0625)
+        O.check_window(sso, t0, t0 + 312500.0 - 0.0625, 10.0, 0.0625)
 
     def test_horizon_is_a_window_error(self, sso):
         t0 = sso.epoch_posix
@@ -484,6 +577,63 @@ class TestPassSearchProperties:
         assert sum(sizes) - rows == 5638
         assert len(sizes) == 10  # start grid, 4 refinement and 4 crossing rounds, rows
 
+    @pytest.mark.parametrize("hours, threshold, step_s", [
+        ((0.0, 168.0), 10.0, 1.0), ((6.95, 20.0), 10.0, 0.25), ((0.0, 48.0), 45.0, 2.5),
+    ])
+    def test_search_brackets_each_crossing_by_grid_neighbours(self, sso, monkeypatch, hours,
+                                                              threshold, step_s):
+        # every two consecutive samples the search evaluates whose elevations
+        # straddle the threshold are neighbours on the step grid
+        times, elevations = [], []
+        position, look, crossing = O._position, O._look, O._crossing
+
+        def recording_position(rec, ellipse, t):
+            times.append(t)
+            return position(rec, ellipse, t)
+
+        def recording_look(*args):
+            out = look(*args)
+            elevations.append(out[3])
+            return out
+
+        def search_done(*args):  # the crossing rounds and pass rows are not the search's
+            monkeypatch.setattr(O, "_position", position)
+            monkeypatch.setattr(O, "_look", look)
+            return crossing(*args)
+
+        monkeypatch.setattr(O, "_position", recording_position)
+        monkeypatch.setattr(O, "_look", recording_look)
+        monkeypatch.setattr(O, "_crossing", search_done)
+        t0, t1 = (sso.epoch_posix + 3600.0 * h for h in hours)
+        passes = O.extract_passes(sso, O.NGARI_STATION, t0, t1, threshold, step_s)
+        t, el = np.concatenate(times), np.concatenate(elevations)
+        dt = (t0 + step_s) - t0  # the grid's spacing, as np.arange fills it
+        index = np.rint((t - t0) / dt)
+        assert np.array_equal(t, t0 + index * dt)  # grid samples, each once
+        assert len(np.unique(index)) == len(index)
+        el = el[np.argsort(index)]
+        straddle = np.flatnonzero((el[:-1] >= threshold) != (el[1:] >= threshold))
+        assert len(straddle) >= 2 * len(passes) > 0
+        assert np.all(np.diff(np.sort(index))[straddle] == 1.0)
+
+    @pytest.mark.parametrize("step_s", [0.25, 1.0, 4.0])
+    def test_start_samples_a_swing_apart_at_any_step(self, sso, monkeypatch, step_s):
+        # the first sight call takes the start samples: SCAN_SWING_DEG of
+        # rate bound apart in time, to within one step, whatever step_s
+        times = []
+        position = O._position
+
+        def recording(rec, ellipse, t):
+            times.append(t)
+            return position(rec, ellipse, t)
+
+        monkeypatch.setattr(O, "_position", recording)
+        t0 = sso.epoch_posix
+        O.extract_passes(sso, O.NGARI_STATION, t0, t0 + 86400.0, step_s=step_s)
+        swing_s = O.SCAN_SWING_DEG / math.degrees(O.elevation_rate_bound(sso, O.NGARI_STATION))
+        gaps = np.diff(times[0])[:-1]  # the last start sample closes the window
+        assert np.all((gaps > swing_s - step_s) & (gaps <= swing_s))
+
     def test_crossing_tolerance_widens_to_float_spacing(self):
         # in the year 9000 POSIX seconds are 3.1e-5 s apart, more than
         # CROSSING_TOL_S; the crossing search still ends, at that spacing
@@ -515,6 +665,22 @@ class TestPassSearchProperties:
         assert len(calls) == rounds
         assert all(100.0 <= min(ts) and max(ts) <= 101.0 for ts in calls)
         assert f(t - O.CROSSING_TOL_S) < 0.0 <= f(t + O.CROSSING_TOL_S)
+
+    def test_crossing_narrow_bracket_ends_at_its_midpoint(self):
+        # a bracket exactly 2 tol wide needs no evaluation of f
+        calls = []
+        t = O._crossing(calls.append, np.array([0.0]), np.array([2e-6]),
+                        np.array([-1.0]), np.array([1.0]))
+        assert calls == [] and t.tolist() == [1e-6]
+
+    def test_rate_bound_infinite_when_perigee_touches_the_site(self):
+        # a station on the perigee's sphere: the satellite may sweep through
+        # the site's zenith at zero range, so no finite rate bound holds
+        rec = T.make_tle(None, 90000, 2024, 1.0, 50.0, 120.0, 0.02, 0.0, 0.0, 16.5)
+        r_p = O._ellipse(rec)[1] * (1.0 - rec.eccentricity)
+        station = O.GroundStation(0.0, 0.0, (r_p - O.R_EARTH_KM) * 1000.0)
+        assert O._closing_speed(rec, station)[1] == 0.0
+        assert O.elevation_rate_bound(rec, station) == math.inf
 
     def test_dip_between_up_start_samples_found(self):
         # an inclined, eccentric near-geosynchronous orbit whose elevation
