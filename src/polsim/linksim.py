@@ -45,8 +45,9 @@ BELL_TEST_SETTINGS = (
     (math.pi / 4.0, 3.0 * math.pi / 8.0),
 )
 
-# The bootstrap error draws this many Poisson resamples of the counts, from
-# Philox key (0, 2**32): a stream no simulation seed's (seed, k) can reach.
+# The bootstrap error draws this many Poisson resamples of each setting's
+# same-port and cross-port sums, from Philox key (0, 2**32): a stream no
+# simulation seed's (seed, k) can reach.
 BOOTSTRAP_RESAMPLES = 500
 
 # numpy's Poisson sampler refuses a mean above int64 max - 10 sqrt(int64 max)
@@ -226,8 +227,10 @@ def estimate_chsh(counts, error_method="propagation"):
     """CHSH estimate from the four Bell-test settings' coincidence quadruples.
 
     Errors come from first-order Poisson propagation by default; the
-    `bootstrap` method resamples every count as Poisson(C) instead, which
-    behaves better when individual counts are nearly zero.
+    `bootstrap` method instead draws 500 Poisson resamples of each setting's
+    same-port and cross-port sums, which behaves better when individual
+    counts are nearly zero.  It raises ValueError on a sum above
+    POISSON_MEAN_MAX.
     """
     if len(counts) != 4:
         raise ValueError("need counts for exactly four settings")
@@ -240,11 +243,17 @@ def estimate_chsh(counts, error_method="propagation"):
         e_errs = [p[1] for p in per_setting]
         s_err = math.sqrt(sum(err**2 for err in e_errs))
     elif error_method == "bootstrap":
+        # E reads only the same-port and cross-port sums, and a sum of
+        # independent Poisson variates is Poisson with the summed mean
+        pooled = np.asarray(counts, dtype=float).reshape(4, 2, 2).sum(axis=2)
+        peak = pooled.max()
+        if peak > POISSON_MEAN_MAX:
+            raise ValueError(f"coincidence sum {peak:.6g} exceeds the Poisson "
+                             f"sampler's limit {POISSON_MEAN_MAX:.6g}")
         rng = np.random.Generator(_philox(0, 2**32))
-        resampled = rng.poisson(np.asarray(counts, dtype=float),
-                                size=(BOOTSTRAP_RESAMPLES, 4, 4))
-        same = resampled[..., 0] + resampled[..., 1]
-        cross = resampled[..., 2] + resampled[..., 3]
+        # float64 from here: an int64 sum of two draws near the limit wraps
+        resampled = rng.poisson(pooled, size=(BOOTSTRAP_RESAMPLES, 4, 2)).astype(float)
+        same, cross = resampled[..., 0], resampled[..., 1]
         n = same + cross
         e_samples = (same - cross) / np.maximum(n, 1)  # n = 0 only when same = cross = 0
         e_errs = list(np.std(e_samples, axis=0, ddof=1))

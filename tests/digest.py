@@ -18,9 +18,11 @@ SHA-256 per output family:
 * library: calls no subcommand makes at their defaults: `verify_compensation`
   with `HR_COATING` on the packaged TLE's passes, `offset_scan` on a 21 x 5
   grid, `calibrate_bell` and `expected_chsh` at the paper's point, 20 seeds of
-  `simulate_chsh_counts` through both `estimate_chsh` methods,
+  `simulate_chsh_counts` through `estimate_chsh`'s propagation,
   `solve_fiber_compensation` on seeded Haar channels and the layers of
   `quarter_wave_stack()`;
+* bootstrap: `estimate_chsh(counts, error_method="bootstrap")` on the same 20
+  seeds' counts;
 * tle: `parse_tle` and `format_tle` of the packaged and seeded TLEs, the
   seeded `make_tle` records, and the outcome (error text, line and column, or
   record and re-formatted text) of `parse_tle` on every single-character
@@ -166,7 +168,7 @@ def thinfilm_family(digest):
                      np.asarray(r.r_p, dtype=complex).tobytes())
 
 
-def library_family(digest):
+def library_family(digest, bootstrap):
     rec = tle.parse_tle((DATA / "sso_500km.tle").read_text(encoding="ascii"))
     passes = orbit.extract_passes(rec, orbit.NGARI_STATION, rec.epoch_posix,
                                   rec.epoch_posix + 7 * 86400.0, 10.0, 1.0)
@@ -184,9 +186,9 @@ def library_family(digest):
     feed(digest, repr((channel, det)), repr(linksim.expected_chsh(source, channel, det)))
     for seed in range(20):
         counts = linksim.simulate_chsh_counts(source, channel, det, seed=seed)
-        feed(digest, repr(counts), linksim.counts_to_csv(counts))
-        for method in ("propagation", "bootstrap"):
-            feed(digest, linksim.estimate_chsh(counts, error_method=method).to_json())
+        feed(digest, repr(counts), linksim.counts_to_csv(counts),
+             linksim.estimate_chsh(counts).to_json())
+        feed(bootstrap, linksim.estimate_chsh(counts, error_method="bootstrap").to_json())
 
     # Haar-random channels as rotator @ retarder @ rotator (ZXZ Euler angles)
     rng = np.random.default_rng([7, 3])
@@ -236,13 +238,14 @@ def tle_family(digest):
 def main():
     start = time.perf_counter()
     names = ("pass fields", "pass csv", "schedule", "coating", "per-map", "compensate",
-             "offset-scan", "bell", "thin film", "library", "tle", "clipped passes")
+             "offset-scan", "bell", "thin film", "library", "bootstrap", "tle",
+             "clipped passes")
     families = {name: hashlib.sha256() for name in names}
     summary = pass_families(families)
     with tempfile.TemporaryDirectory() as work:
         cli_families(families, Path(work))
     thinfilm_family(families["thin film"])
-    library_family(families["library"])
+    library_family(families["library"], families["bootstrap"])
     mutations = tle_family(families["tle"])
     for name in names:
         print(f"{families[name].hexdigest()}  {name}")

@@ -36,23 +36,34 @@ MODELS = st.tuples(
 
 
 def bootstrap_loop(counts, n_boot, boot_seed):
-    """Reference bootstrap: one Poisson resample of the 4x4 counts per pass.
+    """Reference bootstrap: one Poisson resample of each setting's same-port
+    and cross-port sums (c_pp + c_mm, c_pm + c_mp) per pass.
     Returns (sigma_E, sigma_S, number of per-setting resamples with n = 0)."""
     rng = np.random.Generator(np.random.Philox(key=np.array([boot_seed, 2**32], dtype=np.uint64)))
-    quads = np.asarray(counts, dtype=float)
+    pooled = [(float(pp) + float(mm), float(pm) + float(mp)) for pp, mm, pm, mp in counts]
     e_samples = np.empty((n_boot, 4))
     empty = 0
     for b in range(n_boot):
-        resampled = rng.poisson(quads)
+        resampled = rng.poisson(pooled)
         for k in range(4):
-            same = resampled[k, 0] + resampled[k, 1]
-            cross = resampled[k, 2] + resampled[k, 3]
+            same, cross = resampled[k]
             n = same + cross
             empty += n == 0
             e_samples[b, k] = (same - cross) / n if n > 0 else 0.0
     s_boot = np.abs(e_samples[:, 0] - e_samples[:, 1] + e_samples[:, 2] + e_samples[:, 3])
     return (tuple(float(x) for x in np.std(e_samples, axis=0, ddof=1)),
             float(np.std(s_boot, ddof=1)), empty)
+
+
+def four_port_bootstrap(counts, n_boot, rng):
+    """Reference bootstrap that resamples every port's count as Poisson(C).
+    Returns (sigma_E, sigma_S)."""
+    resampled = rng.poisson(np.asarray(counts, dtype=float), size=(n_boot, 4, 4))
+    same = resampled[..., 0] + resampled[..., 1]
+    cross = resampled[..., 2] + resampled[..., 3]
+    e_samples = (same - cross) / np.maximum(same + cross, 1)
+    s_boot = np.abs(e_samples[:, 0] - e_samples[:, 1] + e_samples[:, 2] + e_samples[:, 3])
+    return np.std(e_samples, axis=0, ddof=1), float(np.std(s_boot, ddof=1))
 
 
 class TestSource:
@@ -375,6 +386,17 @@ class TestSimulation:
         with pytest.raises(TypeError):
             build()
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: L.SourceModel(0.9329, 0.0), "pair rate must be finite and positive"),
+        (lambda: L.DetectionModel(efficiency=0.0), "efficiency must be in (0, 1]"),
+        (lambda: L.DetectionModel(integration_time_s=0.0),
+         "integration time must be finite and positive"),
+    ])
+    def test_zero_rate_efficiency_or_time_rejected(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("window", [0.0, math.inf])
     def test_coincidence_window_bounds_excluded(self, window):
         with pytest.raises(ValueError, match="^coincidence window must be finite and positive$"):
@@ -443,6 +465,40 @@ class TestEstimator:
         assert result.s_error == s_err
         if min(sum(q) for q in counts) <= 2:
             assert empty > 0  # resamples with no coincidence at a setting did occur
+
+    @pytest.mark.parametrize("counts", [
+        [(220, 210, 40, 35), (30, 45, 200, 215), (205, 220, 45, 30), (210, 200, 35, 45)],
+        [(900, 5, 3, 60), (2, 40, 700, 1), (500, 0, 0, 80), (1, 1, 30, 400)],
+        [(1, 0, 0, 0), (0, 1, 0, 0), (2, 0, 1, 0), (0, 0, 0, 1)],
+    ])
+    def test_bootstrap_spread_matches_four_port_resampling(self, counts):
+        # resampling the two sums draws E from the same distribution as
+        # resampling all four ports; 500 resamples estimate a sigma to ~3 %
+        e_ref, s_ref = four_port_bootstrap(counts, 5000, np.random.default_rng(11))
+        result = L.estimate_chsh(counts, error_method="bootstrap")
+        assert result.correlation_errors == pytest.approx(tuple(e_ref), rel=0.1)
+        assert result.s_error == pytest.approx(s_ref, rel=0.1)
+
+    def test_bootstrap_sums_do_not_wrap(self):
+        # int64 sums of draws near 6e18 wrapped to sigma_S ~ 8e9; numpy's
+        # sampler spreads about 25 % wide at means above 1e17, hence rel=0.5
+        counts = [(6e18, 3e18, 2e18, 1.5e18)] * 4
+        boot = L.estimate_chsh(counts, error_method="bootstrap")
+        assert boot.s_error == pytest.approx(L.estimate_chsh(counts).s_error, rel=0.5)
+
+    @pytest.mark.parametrize("quad, peak", [((4.7e18, 4.7e18, 1.0, 1.0), "9.4e+18"),
+                                            ((1e300, 1.0, 1.0, 1.0), "1e+300")])
+    def test_bootstrap_refuses_a_sum_above_the_samplers_limit(self, quad, peak):
+        counts = [(220, 210, 40, 35)] * 3 + [quad]
+        assert L.estimate_chsh(counts).s_value >= 0.0  # propagation takes them
+        with pytest.raises(ValueError) as err:
+            L.estimate_chsh(counts, error_method="bootstrap")
+        assert str(err.value) == (f"coincidence sum {peak} exceeds the Poisson sampler's "
+                                  f"limit {L.POISSON_MEAN_MAX:.6g}")
+
+    def test_bootstrap_takes_a_sum_at_the_samplers_limit(self):
+        counts = [(220, 210, 40, 35)] * 3 + [(L.POISSON_MEAN_MAX, 0.0, 1.0, 0.0)]
+        assert L.estimate_chsh(counts, error_method="bootstrap").s_error > 0.0
 
     def test_zero_total_raises(self):
         with pytest.raises(ValueError, match="^zero total coincidences at a setting$"):
@@ -551,6 +607,8 @@ class TestCalibration:
         (-1.0, 2138.0, "S target must be non-negative, got -1.0"),
         (2.312, 0.0, "expected a positive number below 9.22337e+18, got 0.0"),
         (2.312, 1e300, "expected a positive number below 9.22337e+18, got 1e+300"),
+        (2.312, L.POISSON_MEAN_MAX, "expected a positive number below 9.22337e+18, "
+                                    "got 9.223372006484771e+18"),
     ])
     def test_targets_checked_first(self, s_target, total, message):
         # a negative S would otherwise ask for a depolarization above 1
