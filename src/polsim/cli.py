@@ -166,7 +166,7 @@ def cmd_coating(cfg, args):
     try:
         resp = thinfilm.stack_response(stack, ray)
     except ValueError as exc:  # a floating-point fault or a non-passive response
-        raise CliFailure(EXIT_NUMERIC, f"stack response failed: {exc}") from None
+        raise ValueError(f"stack response failed: {exc}") from None
     print(f"stack_file {cfg['stack_file']}")
     print(f"layers {len(stack.layers)}")
     print(f"angle_deg {cfg['angle_deg']!r}")
@@ -175,7 +175,6 @@ def cmd_coating(cfg, args):
     print(f"rp_power {abs(resp.r_p) ** 2!r}")
     print(f"phase_gap_pi {resp.phase_gap / math.pi!r}")
     print(f"mean_power {(abs(resp.r_s) ** 2 + abs(resp.r_p) ** 2) / 2.0!r}")
-    return EXIT_OK
 
 
 def cmd_per_map(cfg, args):
@@ -186,7 +185,6 @@ def cmd_per_map(cfg, args):
     print(f"cells {len(scan.rows)}")
     print(f"min_per {scan.min_per!r}")
     print(f"mean_per {scan.mean_per!r}")
-    return EXIT_OK
 
 
 def cmd_compensate(cfg, args):
@@ -213,7 +211,7 @@ def cmd_compensate(cfg, args):
         passes = orbit.extract_passes(rec, station, t0, t0 + cfg["window_hours"] * 3600.0,
                                       threshold_deg=cfg["threshold_deg"], step_s=cfg["step_s"])
     if not passes:
-        raise CliFailure(EXIT_NUMERIC, "no pass above the elevation threshold in the window")
+        raise ValueError("no pass above the elevation threshold in the window")
     for k, pass_profile in enumerate(passes, start=1):
         schedule = compensation.schedule_from_pass(pass_profile, zero_point, max_slew)
         print(f"pass {k}: samples {len(pass_profile.t_posix)} "
@@ -223,7 +221,6 @@ def cmd_compensate(cfg, args):
               f"warnings {len(schedule.warnings)}")
         _write(args.out, f"pass_{k:02d}_schedule.csv", schedule.to_csv())
         _write(args.out, f"pass_{k:02d}_schedule.json", schedule.metadata_json())
-    return EXIT_OK
 
 
 def cmd_offset_scan(cfg, args):
@@ -239,7 +236,6 @@ def cmd_offset_scan(cfg, args):
     print(f"peak_ground_offset_deg {ground[int(i)]!r}")
     print(f"peak_sat_offset_deg {sat[int(j)]!r}")
     print(f"peak_fidelity {float(grid[i, j])!r}")
-    return EXIT_OK
 
 
 def cmd_bell(cfg, args):
@@ -267,7 +263,7 @@ def cmd_bell(cfg, args):
         try:
             channel, det = linksim.calibrate_bell(source, channel, det, s_target, total_target)
         except ValueError as exc:
-            raise CliFailure(EXIT_NUMERIC, f"calibration failed: {exc}")
+            raise ValueError(f"calibration failed: {exc}") from None
     elif total_target != DEFAULTS["calibrate_total_coincidences"]:
         raise ConfigError("key 'calibrate_total_coincidences': an uncalibrated run "
                           "(calibrate_s_target 0) simulates the integration time as set; set "
@@ -277,8 +273,8 @@ def cmd_bell(cfg, args):
     try:
         result = linksim.estimate_chsh(counts)
     except ValueError as exc:
-        raise CliFailure(EXIT_NUMERIC, f"estimation failed: {exc} "
-                         "(increase integration_time_s or reduce loss_db)")
+        raise ValueError(f"estimation failed: {exc} "
+                         "(increase integration_time_s or reduce loss_db)") from None
 
     _write(args.out, "bell_counts.csv", linksim.counts_to_csv(counts))
     extra = {
@@ -299,7 +295,6 @@ def cmd_bell(cfg, args):
     print(f"S {result.s_value!r}")
     print(f"sigma_S {result.s_error!r}")
     print(f"total_coincidences {result.total_coincidences!r}")
-    return EXIT_OK
 
 
 # --- entry point ----------------------------------------------------------------
@@ -376,9 +371,9 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         run, _, schema = COMMANDS[args.command]
-        code = run(read_config(args.config, schema), args)
+        run(read_config(args.config, schema), args)
         sys.stdout.flush()  # a closed pipe raises here, inside this try
-        return code
+        return EXIT_OK
     except BrokenPipeError:  # the reader left early: `polsim compensate | head -1`
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # quiet exit flush
         return 1  # Python's own exit status on a broken pipe

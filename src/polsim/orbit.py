@@ -402,17 +402,15 @@ def extract_passes(rec, station, t_start, t_end, threshold_deg=10.0, step_s=1.0)
     t_rise, t_set = np.split(_crossing(lambda t: sight(t)[0] - threshold_deg, t0 + i[k] * dt,
                                        t0 + i[k + 1] * dt, f[k], f[k + 1]), 2)
 
-    # each pass: its rise, the grid samples rise..fall strictly between, its set
-    size = fall - rise + 3
+    # each pass: its rise, the grid samples strictly between rise and set, its set; a
+    # crossing stays within an ulp of its bracket, so only rise and fall can meet it
+    first = rise + (t0 + rise * dt <= t_rise)
+    size = fall - (t0 + fall * dt >= t_set) - first + 3
     end = np.cumsum(size)
-    times = t0 + (np.repeat(rise - 1 - end + size, size) + np.arange(end[-1])) * dt
-    keep = (times > np.repeat(t_rise, size)) & (times < np.repeat(t_set, size))
+    times = t0 + (np.repeat(first - 1 - end + size, size) + np.arange(end[-1])) * dt
     times[end - size], times[end - 1] = t_rise, t_set
-    keep[end - size] = keep[end - 1] = True
-    times = times[keep]
     pos, vel = _state(rec, ellipse, times)  # no horizon check: a set may pass t_end
     gmst = gmst_rad(times)
     az, elev = _az_el(pos, gmst, site)[:2]
     beta = _beta_from_state(pos, vel, site[0], gmst)
-    cuts = [0, *np.cumsum(keep)[end - 1].tolist()]
-    return [PassProfile(times[a:b], az[a:b], elev[a:b], beta[a:b]) for a, b in zip(cuts, cuts[1:])]
+    return [PassProfile(times[a:b], az[a:b], elev[a:b], beta[a:b]) for a, b in zip(end - size, end)]

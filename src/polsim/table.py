@@ -39,9 +39,8 @@ def finite_float(text):
 
 
 def check_degrees(what, degrees):
-    """Raise ValueError unless the angle `degrees`, or each angle of an array
-    of them, lies in [-360, 360]; one Python number costs no numpy call."""
-    for value in [degrees] if type(degrees) in (int, float) else np.ravel(degrees).tolist():
+    """Raise ValueError unless each angle in `degrees`, one or an array, is in [-360, 360]."""
+    for value in np.ravel(degrees).tolist():
         if not -360.0 <= value <= 360.0:
             raise ValueError(f"{what} must be in [-360, 360] degrees, got {value!r}")
 

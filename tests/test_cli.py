@@ -306,6 +306,26 @@ class TestExitContract:
             check_exit_contract(["compensate", "--config", str(cfg), "--out", str(out_dir)],
                                 out_dir)
 
+    @pytest.mark.parametrize("command, setting, message", [
+        ("coating", "wavelength_nm 1e-320", "stack response failed: non-finite stack response "
+         "(invalid value encountered in multiply)"),
+        ("compensate", "threshold_deg 89.99\nwindow_hours 2\nstep_s 5",
+         "no pass above the elevation threshold in the window"),
+        ("bell", "calibrate_s_target 2.7",
+         "calibration failed: target S 2.7 above the model's reach 2.4708"),
+        ("bell", "loss_db 300\ndark_rate_hz 0\nintegration_time_s 1e-6\ncalibrate_s_target 0",
+         "estimation failed: zero total coincidences at a setting "
+         "(increase integration_time_s or reduce loss_db)"),
+    ], ids=["coating", "compensate", "bell-calibration", "bell-estimation"])
+    def test_numeric_failure_in_a_command(self, capsys, tmp_path, command, setting, message):
+        # the whole stderr line and exit 3, with nothing on stdout and no output written
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(setting + "\n")
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, command, "--config", str(cfg), "--out", str(out_dir))
+        assert (code, out, err) == (3, "", f"polsim: error: {message}\n")
+        assert not out_dir.exists()
+
 
 class TestPerMap:
     def test_default_grid(self, capsys, tmp_path):

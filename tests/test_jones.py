@@ -29,6 +29,12 @@ class TestStates:
             )
             assert abs(raw.normalized().norm_sq() - 1.0) < 1e-12
 
+    def test_zero_state_refused(self):
+        for zero in (J.PolarizationState(0.0, 0.0),
+                     J.PolarizationState(np.array([1.0, 0.0]), np.array([0.0, 0.0]))):
+            with pytest.raises(ValueError, match="cannot normalize the zero state"):
+                zero.normalized()
+
     def test_global_phase_unobservable(self, rng):
         for _ in range(20):
             gamma = rng.uniform(0, 2 * math.pi)
@@ -169,6 +175,12 @@ class TestMirror:
         assert resp.phase_gap == pytest.approx(0.9996 * math.pi, abs=1e-12)
         out = J.mirror_element(resp).apply(PLUS).normalized()
         assert J.fidelity(out, MINUS) >= 0.999
+
+    def test_lossless_mirror_from_powers(self):
+        # both power reflectances at their upper bound 1: the ideal mirror
+        resp = J.MirrorResponse.from_powers(1.0, 1.0, math.pi)
+        assert resp.r_s == 1.0 and resp.r_p == cmath.exp(-1j * math.pi)
+        assert resp.phase_gap == pytest.approx(math.pi, abs=1e-15)
 
     @pytest.mark.parametrize("kind", [complex, np.complex128, np.array])
     def test_passivity_check_by_input_type(self, kind):

@@ -231,6 +231,18 @@ class TestPasses:
                 _, el, _ = az_el_range(state(sso, t_out)[0], O.NGARI_STATION, t_out)
                 assert el < threshold
 
+    def test_crossing_refined_onto_a_grid_sample(self, sso, sso_passes, monkeypatch):
+        # each rise refined onto its bracket's upper (up) grid sample and each set
+        # onto its lower one: the pass holds that grid time once, as its end
+        monkeypatch.setattr(O, "_crossing", lambda f, lo, hi, f_lo, f_hi: np.where(
+            f_lo < 0.0, hi, lo))
+        t0 = sso.epoch_posix
+        passes = O.extract_passes(sso, O.NGARI_STATION, t0, t0 + 2 * 86400.0, threshold_deg=10.0)
+        assert len(passes) == len(sso_passes) > 0
+        for p, q in zip(passes, sso_passes):
+            assert np.all(np.diff(p.t_posix) > 0.0)
+            assert np.array_equal(p.t_posix, q.t_posix[1:-1])  # the up grid samples, each once
+
     def test_pass_clipped_by_window_edge_dropped(self, sso, sso_passes):
         # the window ends (starts) 0.75 s before the set (after the rise), so
         # the grid's last (first) sample is still up and the pass is dropped
