@@ -14,9 +14,9 @@ bookkeeping in the rest of the package uses arg(r_s) - arg(r_p).
 Two multilayer algorithms are provided: the characteristic-matrix method
 (`stack_response`) and a recursive interface-by-interface composition
 (`stack_response_oracle`), each walking s and p in one loop over the layers.
-They agree to 1e-10 in the test suite, but both read their indices, cosines,
-admittances n cos(t) and phase thicknesses from `_media`, which that check
-cannot see; the suite checks the admittances against sqrt(n^2 - n0^2 sin^2(ti)).
+They agree to 1e-10 in the test suite, but both read their admittances and
+phase thicknesses from `_media`, which that check cannot see; the suite checks
+eta_s against sqrt(n^2 - n0^2 sin^2(ti)) and eta_s eta_p against n^2.
 """
 
 from __future__ import annotations
@@ -56,13 +56,15 @@ class LayerStack:
 
     The first layer in the list is the one the light meets first.  An empty
     layer list is a bare ambient/substrate interface.  `indices` (ambient,
-    layers..., substrate) and `thicknesses` hold the same values as arrays.
+    layers..., substrate) and `thicknesses` hold the same values as arrays, and
+    `squares` holds n^2 if every |n| lies in [1e-150, 1e150], else None.
     """
 
     ambient: complex
     layers: tuple
     substrate: complex
     indices: np.ndarray = field(init=False, repr=False, compare=False)
+    squares: np.ndarray | None = field(init=False, repr=False, compare=False)
     thicknesses: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -72,22 +74,10 @@ class LayerStack:
         for i, (_, d) in enumerate(self.layers):
             if not d > 0.0:
                 raise ValueError(f"layer {i}: thickness must be positive, got {d!r}")
-        media = [self.ambient, *(n for n, _ in self.layers), self.substrate]
-        vars(self).update(indices=np.array(media, complex),
+        n = np.array([self.ambient, *(n for n, _ in self.layers), self.substrate], complex)
+        exact = all(1e-150 <= size <= 1e150 for size in np.abs(n).tolist())
+        vars(self).update(indices=n, squares=n * n if exact else None,
                           thicknesses=np.array([d for _, d in self.layers], float))
-
-
-def _cos_refracted(n0, n, theta_i):
-    """cos of the transmitted angle, branch chosen so Im(n cos) >= 0.
-
-    That branch makes the transmitted/evanescent wave decay away from the
-    interface, which keeps the layer recursions numerically stable.  `n` may
-    be an array of media, so sin(theta_i) is taken once for all of them.
-    """
-    s = n0 * np.sin(theta_i) / n
-    c = np.sqrt(np.asarray(1.0 - s * s, complex))
-    nc = n * c
-    return np.where((nc.imag < 0.0) | ((nc.imag == 0.0) & (nc.real < 0.0)), -c, c)[()]
 
 
 def _finite_response(algorithm):
@@ -106,21 +96,31 @@ def _finite_response(algorithm):
 
 
 def _media(stack, ray):
-    """Indices, cosines and admittances n cos of every medium (ambient, layers...,
-    substrate), the layers' phase thicknesses, and a converter to loop rows.
-
-    The arrays carry the media or layers on axis 0, ahead of the ray grid's
-    axes.  Rows are Python complex lists for one ray and arrays for a grid.
+    """Admittances eta_s = n cos(t), eta_p = n / cos(t) of every medium (ambient,
+    layers..., substrate) and phase thicknesses 2 pi d eta_s / lambda of the layers,
+    media on axis 0 ahead of the ray grid's axes, and a converter to loop rows (Python
+    complex lists for one ray, arrays for a grid).  Past the ambient's n0 cos(ti),
+    eta_s is the root of n^2 - (n0 sin(ti))^2 with Im >= 0 (Re >= 0 if Im = 0): the
+    principal root, whose Re is never negative, negated where Im < 0, or, if
+    `stack.squares` is None, n times the principal cos(t), which can land on either side.
     """
     theta, wl = ray.theta_i, ray.wavelength_nm
     grid = (1,) * np.broadcast(theta, wl).ndim
     if grid:  # a bare interface has no layer to carry the wavelength's axes
         theta, wl = np.broadcast_arrays(theta, wl)
     n = stack.indices.reshape((-1,) + grid)
-    cos = _cos_refracted(n[0], n, theta)
-    cos[0] = np.cos(theta)
-    beta = 2.0 * math.pi / wl * n[1:-1] * stack.thicknesses.reshape((-1,) + grid) * cos[1:-1]
-    return n, cos, n * cos, beta, (lambda a: a) if grid else np.ndarray.tolist
+    k = n[0] * np.sin(theta)
+    if stack.squares is None:  # n^2 could overflow or underflow
+        eta_s = n * np.sqrt(1.0 - (k / n) ** 2)
+        eta_s[(eta_s.imag < 0.0) | ((eta_s.imag == 0.0) & (eta_s.real < 0.0))] *= -1.0
+    else:
+        squares = stack.squares.reshape(n.shape)
+        eta_s = np.sqrt(squares - k * k)
+        eta_s[eta_s.imag < 0.0] *= -1.0
+    eta_s[0] = n[0] * np.cos(theta)
+    eta_p = n / (eta_s / n) if stack.squares is None else squares / eta_s
+    beta = 2.0 * math.pi / wl * stack.thicknesses.reshape((-1,) + grid) * eta_s[1:-1]
+    return eta_s, eta_p, beta, (lambda a: a) if grid else np.ndarray.tolist
 
 
 @_finite_response
@@ -141,11 +141,10 @@ def stack_response(stack, ray):
     on the decaying branch, so |E| <= 1 and a thick absorbing layer cannot
     overflow the way cos b and sin b would.
     """
-    n, cos, eta_s, beta, rows = _media(stack, ray)
-    eta_p = n / cos
+    eta_s, eta_p, beta, rows = _media(stack, ray)
     phase = np.exp(2j * beta[::-1])  # substrate side first
     half_diff = (1.0 - phase) / 2.0
-    (s0, s_sub), (p0, p_sub) = rows(eta_s[::len(n) - 1]), rows(eta_p[::len(n) - 1])
+    (s0, s_sub), (p0, p_sub) = rows(eta_s[::len(eta_s) - 1]), rows(eta_p[::len(eta_p) - 1])
     s_layers, p_layers = eta_s[-2:0:-1], eta_p[-2:0:-1]
     b_s, c_s, b_p, c_p = 1.0, s_sub, 1.0, p_sub
     # M = [[d, m01], [m10, d]], one per layer and polarization
@@ -162,12 +161,13 @@ def stack_response(stack, ray):
 def stack_response_oracle(stack, ray):
     """Multilayer reflectances by recursive single-interface composition.
 
-    Starting from the substrate, each boundary's Fresnel coefficient is folded
-    in through r <- (r_j + r exp(2 i b)) / (1 + r_j r exp(2 i b)).  Cross-checks
+    Starting from the substrate, each boundary's Fresnel coefficient, (u - v) / (u + v)
+    for s and (v - u) / (v + u) for p from the admittances u above and v below it, is
+    folded in through r <- (r_j + r exp(2 i b)) / (1 + r_j r exp(2 i b)).  Cross-checks
     the characteristic-matrix method's recursion, not the `_media` both share.
     """
-    n, cos, eta, beta, rows = _media(stack, ray)
-    a, b, c, d = eta[:-1], eta[1:], n[1:] * cos[:-1], n[:-1] * cos[1:]
+    eta_s, eta_p, beta, rows = _media(stack, ray)
+    a, b, c, d = eta_s[:-1], eta_s[1:], eta_p[1:], eta_p[:-1]
     r_s, *s_b = rows(((a - b) / (a + b))[::-1])  # boundaries bottom-up, substrate first
     r_p, *p_b = rows(((c - d) / (c + d))[::-1])
     for j_s, j_p, ph in zip(s_b, p_b, rows(np.exp(2j * beta)[::-1])):
@@ -186,8 +186,8 @@ def quarter_wave_stack():
     design incidence.  25 pairs (50 layers) of Ta2O5/SiO2-class indices 2.10
     and 1.45 in air on glass (1.52) stand in for a commercial high reflector.
     """
-    pair = tuple((n, 780.0 / (4.0 * n * _cos_refracted(1.0, n, math.radians(45.0)).real))
-                 for n in (2.10, 1.45))
+    nc = _media(LayerStack(1.0, ((2.10, 1.0), (1.45, 1.0)), 1.0), Ray(math.radians(45.0), 780.0))[0]
+    pair = tuple((n, 780.0 / (4.0 * x.real)) for n, x in zip((2.10, 1.45), nc[1:-1].tolist()))
     return LayerStack(1.0, pair * 25, 1.52)
 
 

@@ -6,11 +6,12 @@ form's count means frozen as one uncached expression (`_count_means` must
 match it bit for bit, whatever its cache holds), the
 one-generator-per-setting sampler that `simulate_chsh_counts` must match draw
 for draw on those frozen means, the single-interface Fresnel equations that
-an empty `LayerStack` reproduces, the dense pass scan that `extract_passes`
-must match bit for bit, with its azimuth, elevation and beta rows built by
-formulas frozen in their earlier (n, 3) form, the SVD residual that the
-fiber solver's closed form must match, and small helpers that only the tests
-need.
+an empty `LayerStack` reproduces (with their own decaying square root, so
+they share no branch rule with `polsim.thinfilm`), the dense pass scan that
+`extract_passes` must match bit for bit, with its azimuth, elevation and
+beta rows built by formulas frozen in their earlier (n, 3) form, the SVD
+residual that the fiber solver's closed form must match, and small helpers
+that only the tests need.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from polsim.jones import MirrorResponse
 from polsim.linksim import BELL_TEST_SETTINGS
 from polsim.orbit import (R_EARTH_KM, PassProfile, _az_el, _crossing, _ellipse, _site, _state,
                           gmst_rad)
-from polsim.thinfilm import _cos_refracted
 
 # --- density-matrix CHSH model ----------------------------------------------
 
@@ -173,6 +173,12 @@ def snell(iface, theta_i):
     return cmath.asin(complex(iface.n0) * cmath.sin(theta_i) / complex(iface.n))
 
 
+def decaying_root(z):
+    """The square root of z with Im >= 0, and Re >= 0 when Im = 0."""
+    root = cmath.sqrt(z)
+    return root if root.imag > 0.0 or (root.imag == 0.0 and root.real >= 0.0) else -root
+
+
 def fresnel(iface, theta_i):
     """Amplitude reflectances of a single interface as a MirrorResponse:
 
@@ -183,7 +189,8 @@ def fresnel(iface, theta_i):
     """
     _check_angle(theta_i)
     n0, n = complex(iface.n0), complex(iface.n)
-    cos_i, cos_t = cmath.cos(theta_i), _cos_refracted(n0, n, theta_i)
+    s = n0 * math.sin(theta_i)
+    cos_i, cos_t = cmath.cos(theta_i), decaying_root(n * n - s * s) / n
     return MirrorResponse((n0 * cos_i - n * cos_t) / (n0 * cos_i + n * cos_t),
                           (n * cos_i - n0 * cos_t) / (n * cos_i + n0 * cos_t))
 
@@ -191,7 +198,8 @@ def fresnel(iface, theta_i):
 def fresnel_transmission(iface, theta_i):
     """Amplitude transmissions (t_s, t_p) of a single interface."""
     n0, n = complex(iface.n0), complex(iface.n)
-    cos_i, cos_t = cmath.cos(theta_i), _cos_refracted(n0, n, theta_i)
+    s = n0 * math.sin(theta_i)
+    cos_i, cos_t = cmath.cos(theta_i), decaying_root(n * n - s * s) / n
     ts = 2.0 * n0 * cos_i / (n0 * cos_i + n * cos_t)
     tp = 2.0 * n0 * cos_i / (n * cos_i + n0 * cos_t)
     return ts, tp

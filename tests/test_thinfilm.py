@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from polsim import thinfilm as tf
 from polsim.jones import MirrorResponse
 from polsim.table import ParseError
-from reference import (Interface, brewster_angle, format_stack, fresnel, fresnel_transmission,
-                       snell)
+from reference import (Interface, brewster_angle, decaying_root, format_stack, fresnel,
+                       fresnel_transmission, snell)
 
 
 def random_stack(rng, max_layers=60):
@@ -87,8 +87,7 @@ class TestFresnel:
             iface = Interface(n0, n)
             r = fresnel(iface, theta)
             ts, tp = fresnel_transmission(iface, theta)
-            cos_t = tf._cos_refracted(n0, n, theta)
-            factor = (n * cos_t).real / (n0 * math.cos(theta))
+            factor = decaying_root(n * n - (n0 * math.sin(theta)) ** 2).real / (n0 * math.cos(theta))
             assert abs(r.r_s) ** 2 + factor * abs(ts) ** 2 == pytest.approx(1.0, abs=1e-10)
             assert abs(r.r_p) ** 2 + factor * abs(tp) ** 2 == pytest.approx(1.0, abs=1e-10)
 
@@ -169,47 +168,83 @@ class TestStackResponse:
             assert abs(r.r_p) <= 1.0 + 1e-12
 
 
-def decaying_root(z):
-    """The square root of z with Im >= 0, and Re >= 0 when Im = 0."""
-    root = cmath.sqrt(z)
-    return root if root.imag > 0.0 or (root.imag == 0.0 and root.real >= 0.0) else -root
-
-
-# (stack, what its layers and substrate cover); both algorithms read n cos from _media
+# (stack, what its layers and substrate cover); both algorithms read their admittances
+# from _media, which takes n^2 from `squares` unless an |n| lies outside [1e-150, 1e150]
 ADMITTANCE_STACKS = (
     (tf.LayerStack(1.0, ((1.45, 100.0), (0.2 + 3.5j, 20.0), (2.10, 80.0)), 1.52),
      "propagating and absorbing"),
     (tf.LayerStack(1.6, ((1.0, 200.0), (-1.5, 50.0), (-1.5 + 0.1j, 50.0)), 1.2),
      "evanescent past 38.7 and 48.6 degrees; negative real indices"),
+    (tf.LayerStack(1.0, ((2.1 + 1e151j, 20.0), (1e-151, 50.0), (-1.5, 50.0)), 1.52),
+     "outside the exact range: huge absorbing, tiny and negative real indices"),
 )
 ADMITTANCE_ANGLES = (0.0, 0.3, 0.9, 1.3)
+# propagating, evanescent and absorbing layers, with negative real or imaginary parts;
+# no subnormal part: n = 0.5 - 5e-324j squares to 0.25 - 0j, so the root's branch
+# would rest on a sign that float rounding does not keep
+ANY_INDEX = st.builds(complex, st.floats(-3.0, 3.0, allow_subnormal=False),
+                      st.floats(-1.0, 1.0, allow_subnormal=False)).filter(lambda n: abs(n) >= 0.1)
+
+
+def admittance_errors(stack, theta, eta_s, eta_p):
+    """Relative errors of eta_s against the root of n^2 - n0^2 sin^2 ti with
+    Im >= 0 (Re >= 0 when Im = 0), and of eta_s eta_p against n^2, for the
+    media whose |n^2 - n0^2 sin^2 ti| is at least 1e-3 (|n^2| + |n0 sin ti|^2):
+    near a critical angle, or the ambient's grazing incidence, both lose digits."""
+    s = stack.ambient * math.sin(theta)
+    n2 = [n * n for n in stack.indices.tolist()]
+    z = [x - s * s for x in n2]
+    away = [abs(y) >= 1e-3 * (abs(x) + abs(s) ** 2) for x, y in zip(n2, z)]
+    shape = (-1,) + (1,) * (np.ndim(eta_s) - 1)
+    want = np.array([decaying_root(y) for y, ok in zip(z, away) if ok]).reshape(shape)
+    n2 = np.array([x for x, ok in zip(n2, away) if ok]).reshape(shape)
+    eta_s, eta_p = eta_s[away], eta_p[away]
+    return np.abs(eta_s - want) / np.abs(want), np.abs(eta_s * eta_p - n2) / np.abs(n2)
 
 
 class TestAdmittance:
-    """n cos(t) of every medium against sqrt(n^2 - n0^2 sin^2 ti) on the decaying
-    branch: Snell's law and the branch choice, checked apart from _cos_refracted."""
-
-    @staticmethod
-    def want(stack, theta):
-        s = stack.ambient * math.sin(theta)
-        return np.array([decaying_root(n * n - s * s) for n in stack.indices])
+    """eta_s = n cos(t) of every medium against sqrt(n^2 - n0^2 sin^2 ti) on the
+    decaying branch, and eta_s eta_p against n^2: Snell's law and the branch
+    choice, checked apart from the code that makes them, on both of _media's paths."""
 
     @pytest.mark.parametrize("stack, what", ADMITTANCE_STACKS, ids=[w for _, w in ADMITTANCE_STACKS])
     def test_one_ray(self, stack, what):
         for theta in ADMITTANCE_ANGLES:
-            eta = tf._media(stack, tf.Ray(theta, 780.0))[2]
-            want = self.want(stack, theta)
-            assert eta.shape == want.shape
-            assert np.max(np.abs(eta - want) / np.abs(want)) <= 1e-12
+            eta_s, eta_p = tf._media(stack, tf.Ray(theta, 780.0))[:2]
+            assert eta_s.shape == eta_p.shape == stack.indices.shape
+            for errors in admittance_errors(stack, theta, eta_s, eta_p):
+                assert errors.size == len(stack.indices)
+                assert np.max(errors) <= 1e-12
 
     @pytest.mark.parametrize("stack, what", ADMITTANCE_STACKS, ids=[w for _, w in ADMITTANCE_STACKS])
     def test_grid(self, stack, what):
         wavelengths = np.array([500.0, 780.0, 1550.0])
-        eta = tf._media(stack, tf.Ray(np.array(ADMITTANCE_ANGLES), wavelengths[:, None]))[2]
-        assert eta.shape == (len(stack.indices), len(wavelengths), len(ADMITTANCE_ANGLES))
+        eta_s, eta_p = tf._media(stack, tf.Ray(np.array(ADMITTANCE_ANGLES), wavelengths[:, None]))[:2]
+        assert eta_s.shape == eta_p.shape == (len(stack.indices), len(wavelengths),
+                                              len(ADMITTANCE_ANGLES))
         for j, theta in enumerate(ADMITTANCE_ANGLES):
-            want = self.want(stack, theta)[:, None]
-            assert np.max(np.abs(eta[:, :, j] - want) / np.abs(want)) <= 1e-12
+            for errors in admittance_errors(stack, theta, eta_s[:, :, j], eta_p[:, :, j]):
+                assert errors.size == len(stack.indices) * len(wavelengths)
+                assert np.max(errors) <= 1e-12
+
+    def test_exact_range_picks_the_path(self):
+        assert [stack.squares is None for stack, _ in ADMITTANCE_STACKS] == [False, False, True]
+        for n in (1e-150, 1e150, 1e150j, -1e-150):
+            assert tf.LayerStack(1.0, ((n, 1.0),), 1.5).squares is not None
+        for n in (0.0, 9.9e-151, 1.01e150, -1.01e150j):
+            assert tf.LayerStack(1.0, ((n, 1.0),), 1.5).squares is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1.0, 2.5), st.lists(ANY_INDEX, min_size=1, max_size=6), st.booleans(),
+           st.floats(0.0, math.pi / 2.0, exclude_max=True))
+    def test_any_index_and_angle(self, ambient, indices, outside, theta):
+        layers = [(n, 50.0) for n in indices] + [(2.0 + 1e151j, 10.0)] * outside
+        stack = tf.LayerStack(ambient, tuple(layers), 1.5)
+        assert (stack.squares is None) == outside
+        with np.errstate(divide="ignore", invalid="ignore"):  # eta_s = 0 at a critical angle
+            eta_s, eta_p = tf._media(stack, tf.Ray(theta, 780.0))[:2]
+        for errors in admittance_errors(stack, theta, eta_s, eta_p):
+            assert np.all(errors <= 1e-12)
 
 
 ABSORBING_INDEX = st.builds(complex, st.floats(1.3, 2.3), st.floats(0.0, 0.5))
