@@ -50,8 +50,9 @@ BELL_TEST_SETTINGS = (
 # simulation seed's (seed, k) can reach.
 BOOTSTRAP_RESAMPLES = 500
 
-# numpy's Poisson sampler refuses a mean above int64 max - 10 sqrt(int64 max)
-POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+# the largest mean drawn: numpy's Poisson draws spread wrongly above about 1e14
+# (sd / sqrt(mean) 1.04 at 3e14, 1.2-1.3 from 1e16), far past any physical link
+POISSON_MEAN_MAX = 1e14
 
 
 @frozen
@@ -170,20 +171,18 @@ def _count_means(source, channel, det):
 
 def simulate_chsh_counts(source, channel, det, seed=0):
     """Poisson (c_pp, c_mm, c_pm, c_mp) per Bell-test setting; setting k draws
-    from Philox (seed, k).  numpy's draws spread wrongly at means above about
-    1e14: 4 % too wide at 3e14, up to 12 % off by 5e15, 18-30 % from 1e16."""
+    from Philox (seed, k).  Raises ValueError on a mean above POISSON_MEAN_MAX."""
     means = _count_means(source, channel, det)
     bitgen = _philox(seed, 0)
-    rng, counts = np.random.Generator(bitgen), []
-    try:
-        for k, row in enumerate(means):
-            if k:
-                _rekey(bitgen, seed, k)
-            counts.append(tuple(map(rng.poisson, row)))
-    except ValueError:  # numpy's "lam value too large": the means are finite and not
-        peak = max(map(max, means))  # negative, so one is above POISSON_MEAN_MAX
+    peak = max(map(max, means))
+    if peak > POISSON_MEAN_MAX:
         raise ValueError(f"expected coincidence count {peak:.6g} exceeds the Poisson "
-                         f"sampler's limit {POISSON_MEAN_MAX:.6g}") from None
+                         f"sampler's limit {POISSON_MEAN_MAX:.6g}")
+    rng, counts = np.random.Generator(bitgen), []
+    for k, row in enumerate(means):
+        if k:
+            _rekey(bitgen, seed, k)
+        counts.append(tuple(map(rng.poisson, row)))
     return counts
 
 
@@ -252,8 +251,7 @@ def estimate_chsh(counts, error_method="propagation"):
             raise ValueError(f"coincidence sum {peak:.6g} exceeds the Poisson "
                              f"sampler's limit {POISSON_MEAN_MAX:.6g}")
         rng = np.random.Generator(_philox(0, 2**32))
-        # float64 from here: an int64 sum of two draws near the limit wraps
-        resampled = rng.poisson(pooled, size=(BOOTSTRAP_RESAMPLES, 4, 2)).astype(float)
+        resampled = rng.poisson(pooled, size=(BOOTSTRAP_RESAMPLES, 4, 2))
         same, cross = resampled[..., 0], resampled[..., 1]
         n = same + cross
         e_samples = (same - cross) / np.maximum(n, 1)  # n = 0 only when same = cross = 0

@@ -57,14 +57,14 @@ class LayerStack:
     The first layer in the list is the one the light meets first.  An empty
     layer list is a bare ambient/substrate interface.  `indices` (ambient,
     layers..., substrate) and `thicknesses` hold the same values as arrays, and
-    `squares` holds n^2 if every |n| lies in [1e-150, 1e150], else None.
+    `squares` holds n^2, exact because every |n| must lie in [1e-150, 1e150].
     """
 
     ambient: complex
     layers: tuple
     substrate: complex
     indices: np.ndarray = field(init=False, repr=False, compare=False)
-    squares: np.ndarray | None = field(init=False, repr=False, compare=False)
+    squares: np.ndarray = field(init=False, repr=False, compare=False)
     thicknesses: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -75,8 +75,10 @@ class LayerStack:
             if not d > 0.0:
                 raise ValueError(f"layer {i}: thickness must be positive, got {d!r}")
         n = np.array([self.ambient, *(n for n, _ in self.layers), self.substrate], complex)
-        exact = all(1e-150 <= size <= 1e150 for size in np.abs(n).tolist())
-        vars(self).update(indices=n, squares=n * n if exact else None,
+        for value, size in zip(n.tolist(), np.abs(n).tolist()):
+            if not 1e-150 <= size <= 1e150:  # n^2 would overflow or underflow
+                raise ValueError(f"index {value!r} needs |n| in [1e-150, 1e150]")
+        vars(self).update(indices=n, squares=n * n,
                           thicknesses=np.array([d for _, d in self.layers], float))
 
 
@@ -101,24 +103,18 @@ def _media(stack, ray):
     media on axis 0 ahead of the ray grid's axes, and a converter to loop rows (Python
     complex lists for one ray, arrays for a grid).  Past the ambient's n0 cos(ti),
     eta_s is the root of n^2 - (n0 sin(ti))^2 with Im >= 0 (Re >= 0 if Im = 0): the
-    principal root, whose Re is never negative, negated where Im < 0, or, if
-    `stack.squares` is None, n times the principal cos(t), which can land on either side.
+    principal root, whose Re is never negative, negated where Im < 0.
     """
     theta, wl = ray.theta_i, ray.wavelength_nm
     grid = (1,) * np.broadcast(theta, wl).ndim
     if grid:  # a bare interface has no layer to carry the wavelength's axes
         theta, wl = np.broadcast_arrays(theta, wl)
-    n = stack.indices.reshape((-1,) + grid)
-    k = n[0] * np.sin(theta)
-    if stack.squares is None:  # n^2 could overflow or underflow
-        eta_s = n * np.sqrt(1.0 - (k / n) ** 2)
-        eta_s[(eta_s.imag < 0.0) | ((eta_s.imag == 0.0) & (eta_s.real < 0.0))] *= -1.0
-    else:
-        squares = stack.squares.reshape(n.shape)
-        eta_s = np.sqrt(squares - k * k)
-        eta_s[eta_s.imag < 0.0] *= -1.0
-    eta_s[0] = n[0] * np.cos(theta)
-    eta_p = n / (eta_s / n) if stack.squares is None else squares / eta_s
+    n0, squares = stack.indices[0], stack.squares.reshape((-1,) + grid)
+    k = n0 * np.sin(theta)
+    eta_s = np.sqrt(squares - k * k)
+    eta_s[eta_s.imag < 0.0] *= -1.0
+    eta_s[0] = n0 * np.cos(theta)
+    eta_p = squares / eta_s
     beta = 2.0 * math.pi / wl * stack.thicknesses.reshape((-1,) + grid) * eta_s[1:-1]
     return eta_s, eta_p, beta, (lambda a: a) if grid else np.ndarray.tolist
 
