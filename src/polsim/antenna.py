@@ -100,8 +100,8 @@ class PerScanResult:
         return sum(r[3] for r in self.rows) / len(self.rows)
 
     def to_csv(self):
-        return write_table(PER_SCAN_FORMAT, zip(*self.rows),
-                           f"summary min_per={self.min_per!r} mean_per={self.mean_per!r}")
+        return (write_table(PER_SCAN_FORMAT, zip(*self.rows))
+                + f"# summary min_per={self.min_per!r} mean_per={self.mean_per!r}\n")
 
 
 PER_SCAN_FORMAT = (("elevation_deg", float), ("azimuth_deg", float), ("state_label", str),

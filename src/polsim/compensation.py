@@ -118,14 +118,8 @@ def schedule_from_pass(pass_profile, zero_point_deg=DEFAULT_ZERO_POINT_DEG,
             f"max rate {max_rate:.4f} deg/s at sample {idx} exceeds the "
             f"{max_slew_deg_per_s:.4f} deg/s slew limit"
         )
-    return CompensationSchedule(
-        t_posix=pass_profile.t_posix.copy(),
-        angle_deg=raw % 180.0,
-        rate_deg_per_s=rate,
-        zero_point_deg=float(zero_point_deg),
-        max_rate_deg_per_s=max_rate,
-        warnings=tuple(warnings),
-    )
+    return CompensationSchedule(pass_profile.t_posix.copy(), raw % 180.0, rate,
+                                float(zero_point_deg), max_rate, tuple(warnings))
 
 
 def compensated_chain(direction, beta_deg, hwp_angle_deg, coating):

@@ -12,29 +12,25 @@ def _refuse(self, name, *value):  # __setattr__ (given a value) and __delattr__
 
 
 def frozen(cls):
-    """Make `cls` a frozen dataclass: built by position or keyword, then
-    `__post_init__`; equal and hashed by its compared fields; immutable."""
+    """Make `cls` a frozen dataclass, built by position or keyword (stored in declaration
+    order), then `__post_init__`; equal and hashed by its compared fields; immutable."""
     cls = dataclass(cls, init=False, repr=False, eq=False)
     every = fields(cls)
     signature = Signature([Parameter(f.name, Parameter.POSITIONAL_OR_KEYWORD, annotation=f.type,
                                      default=Parameter.empty if f.default is MISSING else f.default)
                            for f in every if f.init], return_annotation=None)
     names = tuple(signature.parameters)
-    name_set = frozenset(names)
     post_init = getattr(cls, "__post_init__", None)
     compared = [f.name for f in every if f.compare]
     get = attrgetter(*compared)  # a tuple when more than one field is compared
     key = get if len(compared) > 1 else lambda self: (get(self),)
 
     def __init__(self, *args, **kwargs):
-        if not kwargs and len(args) == len(names):
-            self.__dict__.update(zip(names, args))
-        elif args or kwargs.keys() != name_set:  # defaults, or a mix: bound as a call binds
+        if kwargs or len(args) != len(names):  # keywords or defaults: bound as a call binds
             bound = signature.bind(*args, **kwargs)  # or the TypeError a call raises
             bound.apply_defaults()
-            self.__dict__.update(bound.arguments)
-        else:  # every field by keyword, kept in the caller's order
-            self.__dict__.update(kwargs)
+            args = bound.arguments.values()  # in declaration order
+        self.__dict__.update(zip(names, args))
         if post_init is not None:
             post_init(self)
 

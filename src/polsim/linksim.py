@@ -261,13 +261,8 @@ def estimate_chsh(counts, error_method="propagation"):
     else:
         raise ValueError(f"unknown error method {error_method!r}")
 
-    return ChshResult(
-        correlations=tuple(e_vals),
-        correlation_errors=tuple(float(x) for x in e_errs),
-        s_value=float(s_value),
-        s_error=float(s_err),
-        total_coincidences=float(total),
-    )
+    return ChshResult(tuple(e_vals), tuple(float(x) for x in e_errs), float(s_value),
+                      float(s_err), float(total))
 
 
 def expected_chsh(source, channel, det):

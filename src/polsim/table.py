@@ -74,17 +74,15 @@ def posix_from_iso(text):
     return dt.timestamp()
 
 
-def write_table(fmt, columns, comment=None):
+def write_table(fmt, columns):
     """CSV text of `columns`, one sequence per column of `fmt`, all one length.
 
     A float or int cell is written as its repr, a timestamp as ISO 8601, text
-    verbatim; `comment` becomes a trailing '# ' line.
+    verbatim.
     """
     cells = [iso_from_posix(col).tolist() if kind is posix_from_iso
              else map(str, np.asarray(col).tolist()) for (_, kind), col in zip(fmt, columns)]
     lines = [",".join(name for name, _ in fmt), *map(",".join, zip(*cells))]
-    if comment is not None:
-        lines.append(f"# {comment}")
     return "\n".join(lines) + "\n"
 
 

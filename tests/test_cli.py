@@ -96,6 +96,13 @@ class TestCoating:
         assert code == 2
         assert "line 3" in err
 
+    def test_short_layer_line_exit_2(self, capsys, tmp_path):
+        stack = tmp_path / "short.txt"
+        stack.write_text("ambient 1.0 0.0\nsubstrate 1.5 0.0\n2.1 0.0\n")
+        code, out, err = coating_with(capsys, tmp_path, stack)
+        assert (code, out, err) == (2, "", f"polsim: error: stack file {stack}: line 3: layer "
+                                    "line needs 'n_real n_imag thickness_nm', got '2.1 0.0'\n")
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = coating_with(capsys, tmp_path, tmp_path / "absent.txt")
         assert code == 2
@@ -750,6 +757,20 @@ class TestConfigRange:
         code, out, err = run(capsys, command, "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert (code, out, err) == (1, "", f"polsim: config error: {message}\n")
         assert not (tmp_path / "o").exists()
+
+    def test_line_without_value_exit_1(self, capsys, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("angle_deg\n")
+        code, out, err = run(capsys, "coating", "--config", str(cfg))
+        assert (code, out, err) == (1, "", "polsim: config error: line 1: expected 'key value', "
+                                    "got 'angle_deg'\n")
+
+    def test_duplicate_key_exit_1(self, capsys, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("angle_deg 10\nangle_deg 20\n")
+        code, out, err = run(capsys, "coating", "--config", str(cfg))
+        assert (code, out, err) == (1, "", "polsim: config error: line 2: duplicate key "
+                                    "'angle_deg'\n")
 
     def test_uncalibrated_bell_takes_depolarization(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"

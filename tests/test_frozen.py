@@ -85,7 +85,8 @@ class TestTwin:
             assert repr(x) == repr(tx)
             by_keyword = cls(**dict(zip(names, args_x)))
             mixed = cls(*args_x[:1], **dict(zip(names[1:], args_x[1:])))
-            for made in (x, by_keyword, mixed):
+            reordered = cls(**dict(reversed(list(zip(names, args_x)))))
+            for made in (x, by_keyword, mixed, reordered):
                 assert repr(made) == repr(tx) and list(vars(made)) == list(vars(tx))
             assert outcome(lambda: x == y) == outcome(lambda: tx == ty)
             assert outcome(lambda: x != y) == outcome(lambda: tx != ty)

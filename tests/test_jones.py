@@ -60,6 +60,10 @@ class TestStates:
 
 
 class TestWaveplates:
+    def test_product_with_a_number_is_type_error(self):
+        with pytest.raises(TypeError):
+            J.IDENTITY @ 3
+
     def test_hwp_aligned_fast_axis(self):
         out = J.hwp(0.0).apply(H)
         assert J.fidelity(out.normalized(), H) == pytest.approx(1.0, abs=1e-12)
@@ -264,6 +268,10 @@ class TestMetrics:
         assume(abs(math.sin(2.0 * d)) > 1e-3)  # below that the ratio nears the cap
         per = J.measure_per(J.PolarizationState(math.cos(psi), math.sin(psi)), ref)
         assert per == pytest.approx(max(math.tan(d) ** -2, math.tan(d) ** 2), rel=1e-9)
+
+    def test_measure_per_refuses_unnormalized_state(self):
+        with pytest.raises(ValueError, match="^measure_per requires a normalized state$"):
+            J.measure_per(J.PolarizationState(2.0, 0.0), 0.0)
 
     def test_measure_per_overflowing_ratio_is_capped(self):
         # i_max / i_min = 1e320 overflows; it is clamped like any PER above the cap

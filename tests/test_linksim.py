@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
 
@@ -239,9 +239,21 @@ class TestSimulation:
 
     @settings(max_examples=100, deadline=None)
     @given(MODELS, st.sampled_from([0, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1))
+    @example((L.SourceModel(0.9329, 1e6), L.ChannelModel(46.0), L.DetectionModel()), 0)
+    @example((L.SourceModel(1.0, 946219393.0),  # largest mean 1.016e14
+              L.ChannelModel(0.0, J.waveplate(1.0, 6.0) @ J.rotator(3.0), 1.0),
+              L.DetectionModel(1.0, 9.0, 8.475531975226844e-07, 535.0)), 2)
     def test_streams_match_fresh_philox_per_setting(self, models, seed):
         # one re-keyed generator and scalar draws give what a fresh
-        # Philox(key=[seed, k]) gives on setting k's own means
+        # Philox(key=[seed, k]) gives on setting k's own means; above the
+        # sampler's limit nothing is drawn
+        peak = frozen_expected_counts(*models, L.BELL_TEST_SETTINGS).max()
+        if peak > L.POISSON_MEAN_MAX:
+            message = (f"expected coincidence count {peak:.6g} exceeds the Poisson "
+                       f"sampler's limit {L.POISSON_MEAN_MAX:.6g}")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                L.simulate_chsh_counts(*models, seed=seed)
+            return
         got = L.simulate_chsh_counts(*models, seed=seed)
         assert got == fresh_philox_counts(*models, L.BELL_TEST_SETTINGS, seed)
         assert all(type(c) is int for quad in got for c in quad)
@@ -494,6 +506,11 @@ class TestEstimator:
             L.estimate_chsh(counts, error_method="bootstrap")
         assert str(err.value) == (f"coincidence sum {peak} exceeds the Poisson sampler's "
                                   f"limit {L.POISSON_MEAN_MAX:.6g}")
+
+    def test_unknown_error_method_refused(self):
+        counts = [(220, 210, 40, 35)] * 4
+        with pytest.raises(ValueError, match="^unknown error method 'jackknife'$"):
+            L.estimate_chsh(counts, error_method="jackknife")
 
     def test_bootstrap_takes_a_sum_at_the_samplers_limit(self):
         counts = [(220, 210, 40, 35)] * 3 + [(L.POISSON_MEAN_MAX, 0.0, 1.0, 0.0)]

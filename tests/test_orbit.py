@@ -772,6 +772,10 @@ class TestPassCsv:
         p = O.parse_pass_csv(text)
         assert list(p.beta_deg) == [0.0, 0.0]
 
+    def test_columns_of_unequal_length_refused(self):
+        with pytest.raises(ValueError, match="^pass sample arrays must share one length$"):
+            O.PassProfile([0.0, 1.0], [10.0, 11.0], [20.0, 21.0, 22.0], [0.0, 0.0])
+
     def test_parse_error_carries_line(self):
         text = "t_iso8601,az_deg,el_deg\n2024-01-01T00:00:00Z,10.0\n"
         with pytest.raises(ValueError) as err:
